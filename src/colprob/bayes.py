@@ -27,7 +27,7 @@ from .errors import PartitionError
 from .formula import ChoiceAnd, Formula, ParAnd, format_formula
 from .evaluator import cond_parallel, prob
 from .model import Model
-from .semantics import SharedExperimentWarning, Undetermined, denote, format_support
+from .semantics import SharedExperimentWarning, Undetermined, format_support, support
 
 ADDITIVE = "additive"
 PARALLEL = "parallel"
@@ -100,13 +100,13 @@ def bayes_additive(p: Partition, evidence: Formula, model: Model) -> list[Fracti
     if not report.ok:
         raise PartitionError("partition cells overlap", report.violations)
     cell_support = _common_support(p, model)
-    ev = denote(evidence, model)
+    ev = support(evidence, model)
     if isinstance(ev, Undetermined):
         raise PartitionError(f"evidence is undetermined: {ev.reason}")
-    if ev.support != cell_support:
+    if ev != cell_support:
         raise PartitionError(
             f"support mismatch: partition cells over {format_support(cell_support)} "
-            f"but evidence over {format_support(ev.support)}; "
+            f"but evidence over {format_support(ev)}; "
             "the additive Bayes rule needs a single experiment"
         )
     weights = [
@@ -164,12 +164,12 @@ def _determined(result) -> Fraction:
 def _common_support(p: Partition, model: Model) -> frozenset[str]:
     supports = []
     for i, cell in enumerate(p.cells, start=1):
-        d = denote(cell, model)
-        if isinstance(d, Undetermined):
+        verdict = support(cell, model)
+        if isinstance(verdict, Undetermined):
             raise PartitionError(
-                f"cell {i} ({format_formula(cell)}) is undetermined: {d.reason}"
+                f"cell {i} ({format_formula(cell)}) is undetermined: {verdict.reason}"
             )
-        supports.append(d.support)
+        supports.append(verdict)
     first = supports[0]
     for i, s in enumerate(supports[1:], start=2):
         if s != first:

@@ -1,11 +1,6 @@
-"""Probability evaluation over a model, with an explainable rule mode.
+"""Probability evaluation over a model, with an optional derivation.
 
-``prob`` is the reference path: denote the formula, lift its support to
-the ancestral closure (so omitted parent experiments are marginalized
-implicitly), and sum exact joint probabilities over the space's points.
-
-``prob_explain`` computes the same value by rewrite rules applied
-top-down, recording which rule justified each step:
+One recursion applies the rewrite rules top-down:
 
     R1  p(~E)     = 1 - p(E)
     R2  p(E | F)  = p(E) + p(F) - p(E & F)        (equal supports)
@@ -14,9 +9,13 @@ top-down, recording which rule justified each step:
     R5  p(E && F) = p(E) * p(F) under independence,
                     else p(F) * p(E pgiven F)
 
-with event-space enumeration (the space rules R6-R8 rolled into one step)
-as the fallback whenever a rule's side condition fails. Conditionals are
-never event spaces; they are probability ratios, legal only at the root.
+R1, R4 and independent R5 (disjoint ancestral closures) compute a node
+from its children; every other node's value is read off its own event
+space, lifted to the ancestral closure of its support and summed exactly.
+``prob_explain`` runs the same recursion and records each step, showing
+R2, R3 and dependent R5 as their decomposition of the value read off the
+space, or as one "enumeration" leaf when the condition has probability
+zero. Conditionals are probability ratios, legal only at the root.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EvalError, NullConditionError
+from .errors import NullConditionError
 from .formula import (
     AtomNode,
     ChoiceAnd,
@@ -39,12 +38,12 @@ from .formula import (
 )
 from .model import Model, ancestral_closure, joint_point_prob
 from .semantics import (
-    Denotation,
     EventSpace,
     Undetermined,
     denote,
     format_support,
     lift,
+    support,
 )
 
 
@@ -85,37 +84,13 @@ def space_prob(space: EventSpace, model: Model) -> Fraction:
 
 def prob(f: Formula, model: Model) -> ProbResult:
     """p(f): Determined(exact rational in [0, 1]) or Undetermined."""
-    if isinstance(f, GivenAdd):
-        return cond_additive(f.event, f.condition, model)
-    if isinstance(f, GivenPar):
-        return cond_parallel(f.event, f.condition, model)
-    d = denote(f, model)
-    if isinstance(d, Undetermined):
-        return d
-    return Determined(space_prob(d, model))
+    return _evaluate(f, model, explain=False)[0]
 
 
 def cond_additive(event: Formula, condition: Formula, model: Model) -> ProbResult:
     """p(event given condition) = p(event & condition) / p(condition),
     defined only when both sides share one support."""
-    de = denote(event, model)
-    if isinstance(de, Undetermined):
-        return de
-    df = denote(condition, model)
-    if isinstance(df, Undetermined):
-        return df
-    if de.support != df.support:
-        return Undetermined(
-            "additive conditional (given) across distinct supports "
-            f"{format_support(de.support)} and {format_support(df.support)}"
-        )
-    p_cond = space_prob(df, model)
-    if p_cond == 0:
-        raise NullConditionError(
-            f"conditioning on null event: p({format_formula(condition)}) = 0"
-        )
-    joint = EventSpace(de.support, de.points & df.points)
-    return Determined(space_prob(joint, model) / p_cond)
+    return prob(GivenAdd(event, condition), model)
 
 
 def cond_parallel(event: Formula, condition: Formula, model: Model) -> ProbResult:
@@ -124,164 +99,122 @@ def cond_parallel(event: Formula, condition: Formula, model: Model) -> ProbResul
     No support restriction; for experiments with no shared ancestry this
     collapses to p(event).
     """
-    joint = denote(ParAnd(event, condition), model)
-    if isinstance(joint, Undetermined):
-        return joint
-    df = denote(condition, model)
-    if isinstance(df, Undetermined):
-        return df
-    p_cond = space_prob(df, model)
-    if p_cond == 0:
-        raise NullConditionError(
-            f"conditioning on null event: p({format_formula(condition)}) = 0"
-        )
-    return Determined(space_prob(joint, model) / p_cond)
-
-
-def independent(model: Model, left: EventSpace, right: EventSpace) -> bool:
-    """True when the two supports share no experiment and no ancestry."""
-    lc = ancestral_closure(model, left.support)
-    rc = ancestral_closure(model, right.support)
-    return not (lc & rc)
+    return prob(GivenPar(event, condition), model)
 
 
 def prob_explain(f: Formula, model: Model) -> tuple[ProbResult, Derivation]:
     """Evaluate ``f`` while recording the rule applied at every step.
 
-    The returned result is exactly the value ``prob`` gives; the rewrite
-    rules and the event-space path agree by construction, so the tree is a
-    justification, not an alternative answer.
+    The returned result is exactly the value ``prob`` gives: both run one
+    recursion, and the tree is its record, not an alternative answer.
     """
-    d = _explain(f, model)
-    return d.result, d
+    return _evaluate(f, model, explain=True)
 
 
-def _explain(f: Formula, model: Model) -> Derivation:
-    text = format_formula(f)
-    if isinstance(f, GivenAdd):
-        return _explain_conditional(f, model, rule="R3")
-    if isinstance(f, GivenPar):
-        return _explain_conditional(f, model, rule="R5")
+_RULE = {
+    AtomNode: "cpt",
+    Not: "R1",
+    ChoiceOr: "R2",
+    ChoiceAnd: "R3",
+    ParOr: "R4",
+    ParAnd: "R5",
+    GivenAdd: "R3",
+    GivenPar: "R5",
+}
 
-    if isinstance(f, AtomNode):
-        value = space_prob(_space_of(f, model), model)
-        return Derivation("cpt", text, Determined(value))
+_Step = tuple[ProbResult, "Derivation | None"]
 
+
+def _evaluate(f: Formula, model: Model, explain: bool) -> _Step:
+    """p(f), with its Derivation when ``explain`` is set (else None)."""
+    if isinstance(f, (GivenAdd, GivenPar)):
+        return _conditional(f, model, explain)
+    verdict = support(f, model)  # raises on unknown atoms and nested conditionals
     if isinstance(f, Not):
-        child = _explain(f.child, model)
-        if isinstance(child.result, Undetermined):
-            return Derivation("R1", text, child.result, (child,))
-        value = 1 - child.result.value
-        return Derivation("R1", text, Determined(value), (child,),
-                          note=f"1 - p({format_formula(f.child)})")
-
-    denoted = denote(f, model)
-    if isinstance(denoted, Undetermined):
-        rule = {ChoiceOr: "R2", ChoiceAnd: "R3", ParOr: "R4", ParAnd: "R5"}[type(f)]
-        return Derivation(rule, text, denoted)
-
-    if isinstance(f, ChoiceOr):
-        left = _explain(f.left, model)
-        right = _explain(f.right, model)
-        both = _explain(ChoiceAnd(f.left, f.right), model)
-        value = left.result.value + right.result.value - both.result.value
-        return Derivation(
-            "R2", text, Determined(value), (left, right, both),
-            note="p(E) + p(F) - p(E & F)",
-        )
-
-    if isinstance(f, ChoiceAnd):
-        p_cond = space_prob(_space_of(f.right, model), model)
-        if p_cond == 0:
-            return _enumerate_node(f, denoted, model)
-        ratio = space_prob(denoted, model) / p_cond
-        cond_leaf = Derivation(
-            "enumeration",
-            format_formula(GivenAdd(f.left, f.right)),
-            Determined(ratio),
-            note="conditional read off the event spaces",
-        )
-        right = _explain(f.right, model)
-        value = right.result.value * ratio
-        return Derivation(
-            "R3", text, Determined(value), (right, cond_leaf),
-            note="p(F) * p(E given F)",
-        )
-
+        return _complement(f, f.child, model, explain)
+    if isinstance(verdict, Undetermined):
+        return _node(explain, f, verdict)
     if isinstance(f, ParOr):
-        neither = ParAnd(Not(f.left), Not(f.right))
-        child = _explain(neither, model)
-        value = 1 - child.result.value
-        return Derivation(
-            "R4", text, Determined(value), (child,),
-            note=f"1 - p({format_formula(neither)})",
+        return _complement(f, ParAnd(Not(f.left), Not(f.right)), model, explain)
+    if isinstance(f, ParAnd) and not (
+        ancestral_closure(model, support(f.left, model))
+        & ancestral_closure(model, support(f.right, model))
+    ):
+        left, left_why = _evaluate(f.left, model, explain)
+        right, right_why = _evaluate(f.right, model, explain)
+        return _node(
+            explain, f, Determined(left.value * right.value),
+            (left_why, right_why), "independence: p(E) * p(F)",
         )
-
-    if isinstance(f, ParAnd):
-        left_space = _space_of(f.left, model)
-        right_space = _space_of(f.right, model)
-        if independent(model, left_space, right_space):
-            left = _explain(f.left, model)
-            right = _explain(f.right, model)
-            value = left.result.value * right.result.value
-            return Derivation(
-                "R5", text, Determined(value), (left, right),
-                note="independence: p(E) * p(F)",
-            )
-        p_cond = space_prob(right_space, model)
-        if p_cond == 0:
-            return _enumerate_node(f, denoted, model)
-        ratio = space_prob(denoted, model) / p_cond
-        cond_leaf = Derivation(
-            "enumeration",
-            format_formula(GivenPar(f.left, f.right)),
-            Determined(ratio),
-            note="conditional read off the event spaces",
+    space = denote(f, model)
+    result = Determined(space_prob(space, model))
+    if not explain or isinstance(f, AtomNode):
+        return _node(explain, f, result)
+    if isinstance(f, ChoiceOr):
+        both = ChoiceAnd(f.left, f.right)
+        children = tuple(_evaluate(g, model, True)[1] for g in (f.left, f.right, both))
+        return _node(True, f, result, children, "p(E) + p(F) - p(E & F)")
+    # R3, or R5 without independence: p(F) times a conditional read off the
+    # spaces, unless p(F) = 0 leaves the space as the only justification.
+    condition, condition_why = _evaluate(f.right, model, True)
+    if condition.value == 0:
+        closure = ancestral_closure(model, space.support)
+        return result, Derivation(
+            "enumeration", format_formula(f), result,
+            note=f"{len(space.points)} point(s) over {format_support(space.support)}, "
+                 f"summed over {format_support(closure)}",
         )
-        right = _explain(f.right, model)
-        value = right.result.value * ratio
-        return Derivation(
-            "R5", text, Determined(value), (right, cond_leaf),
-            note="p(F) * p(E pgiven F)",
-        )
-
-    raise TypeError(f"not a formula node: {f!r}")
-
-
-def _explain_conditional(f: GivenAdd | GivenPar, model: Model, rule: str) -> Derivation:
-    text = format_formula(f)
-    if isinstance(f, GivenAdd):
-        result = cond_additive(f.event, f.condition, model)
-        joint: Formula = ChoiceAnd(f.event, f.condition)
-    else:
-        result = cond_parallel(f.event, f.condition, model)
-        joint = ParAnd(f.event, f.condition)
-    if isinstance(result, Undetermined):
-        return Derivation(rule, text, result)
-    numerator = _explain(joint, model)
-    denominator = _explain(f.condition, model)
-    return Derivation(
-        rule, text, result, (numerator, denominator),
-        note="ratio of the joint to the condition",
-    )
-
-
-def _space_of(f: Formula, model: Model) -> EventSpace:
-    d = denote(f, model)
-    if isinstance(d, Undetermined):  # callers check the parent first
-        raise EvalError(f"subformula unexpectedly undetermined: {d.reason}")
-    return d
-
-
-def _enumerate_node(f: Formula, space: EventSpace, model: Model) -> Derivation:
-    closure = ancestral_closure(model, space.support)
-    return Derivation(
+    given = (GivenAdd if isinstance(f, ChoiceAnd) else GivenPar)(f.left, f.right)
+    ratio = Derivation(
         "enumeration",
-        format_formula(f),
-        Determined(space_prob(space, model)),
-        note=f"{len(space.points)} point(s) over {format_support(space.support)}, "
-             f"summed over {format_support(closure)}",
+        format_formula(given),
+        Determined(result.value / condition.value),
+        note="conditional read off the event spaces",
     )
+    word = "given" if isinstance(f, ChoiceAnd) else "pgiven"
+    return _node(True, f, result, (condition_why, ratio), f"p(F) * p(E {word} F)")
+
+
+def _complement(f: Not | ParOr, inner: Formula, model: Model, explain: bool) -> _Step:
+    """R1 and R4: one minus the probability of ``inner``."""
+    result, why = _evaluate(inner, model, explain)
+    if isinstance(result, Undetermined):
+        return _node(explain, f, result, (why,))
+    note = f"1 - p({why.formula})" if explain else ""
+    return _node(explain, f, Determined(1 - result.value), (why,), note)
+
+
+def _conditional(f: GivenAdd | GivenPar, model: Model, explain: bool) -> _Step:
+    """The root ratio p(joint) / p(condition); ``given`` also needs the
+    event and the condition to share one support."""
+    event = support(f.event, model)
+    if isinstance(event, Undetermined):
+        return _node(explain, f, event)
+    condition = support(f.condition, model)
+    if isinstance(condition, Undetermined):
+        return _node(explain, f, condition)
+    if isinstance(f, GivenAdd) and event != condition:
+        return _node(explain, f, Undetermined(
+            "additive conditional (given) across distinct supports "
+            f"{format_support(event)} and {format_support(condition)}"
+        ))
+    p_cond, cond_why = _evaluate(f.condition, model, explain)
+    if p_cond.value == 0:
+        raise NullConditionError(
+            f"conditioning on null event: p({format_formula(f.condition)}) = 0"
+        )
+    joint = (ChoiceAnd if isinstance(f, GivenAdd) else ParAnd)(f.event, f.condition)
+    p_joint, joint_why = _evaluate(joint, model, explain)
+    return _node(
+        explain, f, Determined(p_joint.value / p_cond.value),
+        (joint_why, cond_why), "ratio of the joint to the condition",
+    )
+
+
+def _node(explain: bool, f: Formula, result: ProbResult, children=(), note="") -> _Step:
+    if not explain:
+        return result, None
+    return result, Derivation(_RULE[type(f)], format_formula(f), result, children, note)
 
 
 def render_derivation(d: Derivation, indent: int = 0) -> str:

@@ -16,11 +16,13 @@ The denotation is structural:
     every merge of a point of E with a point of F in which shared
     experiments agree; conflicting merges are dropped, duplicate atoms
     collapse (which is what makes ``a && a`` mean ``a`` for predicates);
-  * ``E || F`` is evaluated through its defining expansion
+  * ``E || F`` denotes the union of both spaces lifted to the joint
+    support, which equals its defining expansion
     ``(E && F) | (~E && F) | (E && ~F)``.
 
-Conditionals have no denotation; they are probability-level constructs and
-are rejected here.
+``support`` decides from the syntax alone whether a formula is determined,
+before any space is built. Conditionals have no denotation; they are
+probability-level constructs and are rejected there.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .model import Model
 
 
 class SharedExperimentWarning(UserWarning):
-    """Parallel conjunction over a shared non-predicate experiment.
+    """A parallel connective over a shared non-predicate experiment.
 
     The parallel connectives are meant for distinct experiments; for shared
     ones the conflict-filtering merge still yields a well-defined space
@@ -170,12 +172,13 @@ def lift(s: EventSpace, target: Iterable[str], model: Model) -> EventSpace:
     return EventSpace(target, points)
 
 
-def denote(f: Formula, model: Model) -> Denotation:
-    """The event space of ``f`` under ``model``, or Undetermined.
+def support(f: Formula, model: Model) -> frozenset[str] | Undetermined:
+    """The experiments ``f`` mentions, or Undetermined.
 
-    Undeterminedness arises exactly when a choice connective spans two
-    different supports; it propagates upward from subformulas. Unknown
-    atoms and embedded conditionals are errors, not verdicts.
+    A formula is undetermined exactly when one of its choice connectives
+    spans two different supports. The walk goes left to right and stops at
+    the first undetermined subformula; before it, an unknown atom or an
+    embedded conditional is an error, not a verdict.
     """
     if isinstance(f, AtomNode):
         decl = model.decl(f.experiment)
@@ -183,61 +186,73 @@ def denote(f: Formula, model: Model) -> Denotation:
             raise EvalError(
                 f"unknown outcome '{f.outcome}' of experiment '{f.experiment}'"
             )
-        return EventSpace.of(
-            [f.experiment], [Point.of({f.experiment: f.outcome})]
-        )
+        return frozenset((f.experiment,))
     if isinstance(f, Not):
-        inner = denote(f.child, model)
-        if isinstance(inner, Undetermined):
-            return inner
-        universe = full_space(model, inner.support)
-        return EventSpace(inner.support, universe.points - inner.points)
-    if isinstance(f, (ChoiceAnd, ChoiceOr)):
-        left = denote(f.left, model)
+        return support(f.child, model)
+    if isinstance(f, (ChoiceAnd, ChoiceOr, ParAnd, ParOr)):
+        left = support(f.left, model)
         if isinstance(left, Undetermined):
             return left
-        right = denote(f.right, model)
+        right = support(f.right, model)
         if isinstance(right, Undetermined):
             return right
-        if left.support != right.support:
-            op = "choice-and (&)" if isinstance(f, ChoiceAnd) else "choice-or (|)"
-            return Undetermined(
-                f"{op} across distinct supports "
-                f"{format_support(left.support)} and {format_support(right.support)}"
-            )
-        if isinstance(f, ChoiceAnd):
-            return EventSpace(left.support, left.points & right.points)
-        return EventSpace(left.support, left.points | right.points)
-    if isinstance(f, ParAnd):
-        left = denote(f.left, model)
-        if isinstance(left, Undetermined):
-            return left
-        right = denote(f.right, model)
-        if isinstance(right, Undetermined):
-            return right
-        shared = left.support & right.support
-        flagged = sorted(e for e in shared if not model.decl(e).is_predicate)
-        if flagged:
-            warnings.warn(
-                "parallel-and (&&) over shared experiment(s) "
-                f"{format_support(flagged)}; merging with conflict filtering",
-                SharedExperimentWarning,
-                stacklevel=2,
-            )
-        return cartesian_conj(left, right)
-    if isinstance(f, ParOr):
-        # Defining expansion: at least one side occurs.
-        e, g = f.left, f.right
-        expanded = ChoiceOr(
-            ChoiceOr(ParAnd(e, g), ParAnd(Not(e), g)), ParAnd(e, Not(g))
+        if isinstance(f, (ParAnd, ParOr)) or left == right:
+            return left | right
+        op = "choice-and (&)" if isinstance(f, ChoiceAnd) else "choice-or (|)"
+        return Undetermined(
+            f"{op} across distinct supports "
+            f"{format_support(left)} and {format_support(right)}"
         )
-        return denote(expanded, model)
     if isinstance(f, (GivenAdd, GivenPar)):
         raise EvalError(
             "conditionals ('given'/'pgiven') are only allowed at the root "
             "of a query; they have no event space"
         )
     raise TypeError(f"not a formula node: {f!r}")
+
+
+def denote(f: Formula, model: Model) -> Denotation:
+    """The event space of ``f`` under ``model``, or the Undetermined verdict
+    (or error) that ``support`` gives before any space is built."""
+    verdict = support(f, model)
+    if isinstance(verdict, Undetermined):
+        return verdict
+    return _space(f, model)
+
+
+def _space(f: Formula, model: Model) -> EventSpace:
+    if isinstance(f, AtomNode):
+        return EventSpace.of(
+            [f.experiment], [Point.of({f.experiment: f.outcome})]
+        )
+    if isinstance(f, Not):
+        inner = _space(f.child, model)
+        universe = full_space(model, inner.support)
+        return EventSpace(inner.support, universe.points - inner.points)
+    left = _space(f.left, model)
+    right = _space(f.right, model)
+    if isinstance(f, ChoiceAnd):
+        return EventSpace(left.support, left.points & right.points)
+    if isinstance(f, ChoiceOr):
+        return EventSpace(left.support, left.points | right.points)
+    # E || F is defined through the && of its expansion, so it warns alike.
+    flagged = sorted(
+        e for e in left.support & right.support if not model.decl(e).is_predicate
+    )
+    if flagged:
+        warnings.warn(
+            "parallel-and (&&) over shared experiment(s) "
+            f"{format_support(flagged)}; merging with conflict filtering",
+            SharedExperimentWarning,
+            stacklevel=2,
+        )
+    if isinstance(f, ParAnd):
+        return cartesian_conj(left, right)
+    # At least one side occurs: the union of both sides' lifts.
+    joint = left.support | right.support
+    return EventSpace(
+        joint, lift(left, joint, model).points | lift(right, joint, model).points
+    )
 
 
 def to_set_normal_form(s: EventSpace) -> Formula:

@@ -20,8 +20,10 @@ from colprob import (
     cond_parallel,
     denote,
     parse_formula,
+    parse_model,
     prob,
     prob_explain,
+    space_prob,
 )
 from _corpus import random_formula, random_model, random_query
 
@@ -78,6 +80,30 @@ def test_unknown_atom_is_an_error(examples_model):
 def test_nested_conditional_is_an_error(examples_model):
     with pytest.raises(EvalError, match="root"):
         prob(parse_formula("~(H@c given T@c)"), examples_model)
+    with pytest.raises(EvalError, match="root"):
+        prob_explain(parse_formula("~(H@c given T@c)"), examples_model)
+
+
+def space_value(f, model):
+    """p(f) read off f's own event space, bypassing the rules."""
+    return space_prob(denote(f, model), model)
+
+
+COINS = parse_model("\n".join(f"experiment c{i} : H, T" for i in range(41)))
+CHAIN = " || ".join(f"H@c{i}" for i in range(40))
+
+
+@pytest.mark.parametrize("text,expected", [
+    (CHAIN, 1 - F(1, 2**40)),
+    (f"~({CHAIN})", F(1, 2**40)),
+    (f"({CHAIN}) pgiven H@c40", 1 - F(1, 2**40)),
+], ids=["chain", "negated", "pgiven"])
+def test_parallel_or_chain_is_linear(text, expected):
+    # 40 independent coins: R4 and R5 keep this to one pass over the chain
+    f = parse_formula(text)
+    assert value(prob(f, COINS)) == expected
+    result, d = prob_explain(f, COINS)
+    assert value(result) == value(d.result) == expected
 
 
 class TestCondAdditive:
@@ -167,22 +193,31 @@ class TestProbExplain:
         assert d.rule == "R2"
 
     def test_explain_agrees_with_prob_on_random_corpus(self):
+        # Every node, ratio leaves ("E given F") included, must print a
+        # formula whose probability is the value the node records.
         rng = random.Random(2024)
-        checked = 0
+        checked = nodes = 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SharedExperimentWarning)
             for _ in range(300):
                 model = random_model(rng)
                 f = random_formula(rng, model, depth=5)
                 direct = prob(f, model)
-                explained, _ = prob_explain(f, model)
+                explained, derivation = prob_explain(f, model)
                 if isinstance(direct, Determined):
                     assert isinstance(explained, Determined)
                     assert explained.value == direct.value
                     checked += 1
                 else:
                     assert isinstance(explained, Undetermined)
+                pending = [derivation]
+                while pending:
+                    node = pending.pop()
+                    assert prob(parse_formula(node.formula), model) == node.result
+                    pending.extend(node.children)
+                    nodes += 1
         assert checked > 100
+        assert nodes > 2000
 
 
 class TestRuleIdentities:
@@ -195,7 +230,7 @@ class TestRuleIdentities:
                 f = random_formula(rng, model, depth=4)
                 p = prob(f, model)
                 if isinstance(p, Determined):
-                    assert value(prob(Not(f), model)) + p.value == 1
+                    assert space_value(Not(f), model) + p.value == 1
 
     def test_choice_or_rule(self):
         rng = random.Random(12)
@@ -218,16 +253,19 @@ class TestRuleIdentities:
             model = random_model(rng)
             e = random_formula(rng, model, depth=3)
             f = random_formula(rng, model, depth=3)
-            por = quiet_prob(ParOr(e, f), model)
-            if isinstance(por, Undetermined):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SharedExperimentWarning)
+                space = denote(ParOr(e, f), model)
+            if isinstance(space, Undetermined):
                 continue
+            por = space_prob(space, model)
             three_way = (
                 quiet_prob(ParAnd(e, f), model).value
                 + quiet_prob(ParAnd(Not(e), f), model).value
                 + quiet_prob(ParAnd(e, Not(f)), model).value
             )
             complement = 1 - quiet_prob(ParAnd(Not(e), Not(f)), model).value
-            assert por.value == three_way == complement
+            assert por == three_way == complement
 
     def test_parallel_and_independence_and_general_form(self):
         rng = random.Random(14)
@@ -240,9 +278,11 @@ class TestRuleIdentities:
             a, b = rng.sample(names, 2)
             e = random_formula(rng, model, depth=3, experiment=a)
             f = random_formula(rng, model, depth=3, experiment=b)
-            pand = quiet_prob(ParAnd(e, f), model)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SharedExperimentWarning)
+                pand = space_value(ParAnd(e, f), model)
             if not (ancestral_closure(model, {a}) & ancestral_closure(model, {b})):
-                assert pand.value == quiet_prob(e, model).value * quiet_prob(f, model).value
+                assert pand == quiet_prob(e, model).value * quiet_prob(f, model).value
                 independent_checks += 1
             else:
                 pf = quiet_prob(f, model)
@@ -251,7 +291,7 @@ class TestRuleIdentities:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", SharedExperimentWarning)
                     ratio = cond_parallel(e, f, model)
-                assert pand.value == pf.value * ratio.value
+                assert pand == pf.value * ratio.value
         assert independent_checks > 50
 
     def test_predicate_idempotence(self, examples_model):

@@ -1,10 +1,12 @@
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
 from colprob import (
     AtomNode,
+    Determined,
     EmptySpaceError,
     EvalError,
     EventSpace,
@@ -19,6 +21,7 @@ from colprob import (
     full_space,
     lift,
     parse_formula,
+    prob,
     to_set_normal_form,
 )
 from _corpus import random_model, random_space
@@ -202,10 +205,10 @@ def test_complement_involution():
 
 
 def test_parallel_or_identities():
-    # E || F covers exactly "in E's lift or in F's lift" and matches the
-    # complement form ~(~E && ~F).
+    # E || F covers exactly "in E's lift or in F's lift" and matches both
+    # the complement form ~(~E && ~F) and the defining expansion.
     rng = random.Random(1312)
-    from colprob import Not, ParAnd, ParOr
+    from colprob import ChoiceOr, Not, ParAnd, ParOr
 
     for _ in range(100):
         model = random_model(rng)
@@ -214,6 +217,10 @@ def test_parallel_or_identities():
         left = quiet_denote(ParOr(e, f), model)
         right = quiet_denote(Not(ParAnd(Not(e), Not(f))), model)
         assert left == right
+        expansion = ChoiceOr(
+            ChoiceOr(ParAnd(e, f), ParAnd(Not(e), f)), ParAnd(e, Not(f))
+        )
+        assert left == quiet_denote(expansion, model)
         joint = left.support
         de = lift(quiet_denote(e, model), joint, model)
         df = lift(quiet_denote(f, model), joint, model)
@@ -221,15 +228,21 @@ def test_parallel_or_identities():
 
 
 class TestSharedExperimentWarning:
-    def test_non_predicate_overlap_warns(self, examples_model):
-        with pytest.warns(SharedExperimentWarning):
-            denote(parse_formula("H@c && T@c"), examples_model)
+    # || has its own space construction, so it must warn on purpose.
+    @pytest.mark.parametrize("path", [denote, prob], ids=["denote", "prob"])
+    @pytest.mark.parametrize("text", ["H@c && T@c", "H@c || T@c"])
+    def test_non_predicate_overlap_warns(self, examples_model, path, text):
+        with pytest.warns(SharedExperimentWarning, match=r"\{c\}"):
+            path(parse_formula(text), examples_model)
 
-    def test_predicate_overlap_stays_silent(self, examples_model):
+    @pytest.mark.parametrize("text", ["alien && alien", "alien || alien"])
+    def test_predicate_overlap_stays_silent(self, examples_model, text):
         with warnings.catch_warnings():
             warnings.simplefilter("error", SharedExperimentWarning)
-            d = denote(parse_formula("alien && alien"), examples_model)
+            d = denote(parse_formula(text), examples_model)
+            p = prob(parse_formula(text), examples_model)
         assert d == space({"alien"}, {"alien": "true"})
+        assert p == Determined(Fraction(1, 1000))
 
     def test_conflicting_merge_is_empty(self, examples_model):
         d = quiet_denote(parse_formula("H@c && T@c"), examples_model)
