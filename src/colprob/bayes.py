@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PartitionError
-from .formula import ChoiceAnd, Formula, ParAnd, format_formula
-from .evaluator import cond_parallel, prob
+from .formula import ChoiceAnd, Formula, GivenPar, ParAnd, format_formula
+from .evaluator import prob
 from .model import Model
 from .semantics import SharedExperimentWarning, Undetermined, format_support, support
 
@@ -50,6 +50,7 @@ class PartitionReport:
     violations: tuple[str, ...]
     exhaustive: bool
     total: Fraction
+    support: frozenset[str] | None = None  # the cells' common support; None if parallel
 
 
 def check_partition(p: Partition, model: Model, variant: str) -> PartitionReport:
@@ -63,8 +64,7 @@ def check_partition(p: Partition, model: Model, variant: str) -> PartitionReport
     """
     if variant not in (ADDITIVE, PARALLEL):
         raise ValueError(f"unknown variant {variant!r}")
-    if variant == ADDITIVE:
-        _common_support(p, model)
+    cell_support = _common_support(p, model) if variant == ADDITIVE else None
     cell_probs = []
     for i, cell in enumerate(p.cells, start=1):
         r = _quiet_prob(cell, model)
@@ -91,29 +91,38 @@ def check_partition(p: Partition, model: Model, variant: str) -> PartitionReport
         violations=tuple(violations),
         exhaustive=(total == 1),
         total=total,
+        support=cell_support,
     )
+
+
+def posteriors(
+    p: Partition, evidence: Formula, model: Model, variant: str
+) -> tuple[PartitionReport, list[Fraction]]:
+    """Check ``p`` once, then give its report and each cell's posterior,
+    weighed by the variant's conjunction with ``evidence``."""
+    report = check_partition(p, model, variant)
+    if not report.ok:
+        raise PartitionError("partition cells overlap", report.violations)
+    if variant == ADDITIVE:
+        ev = support(evidence, model)
+        if isinstance(ev, Undetermined):
+            raise PartitionError(f"evidence is undetermined: {ev.reason}")
+        if ev != report.support:
+            raise PartitionError(
+                f"support mismatch: partition cells over {format_support(report.support)} "
+                f"but evidence over {format_support(ev)}; "
+                "the additive Bayes rule needs a single experiment"
+            )
+    conj = ChoiceAnd if variant == ADDITIVE else ParAnd
+    weights = [
+        _determined(_quiet_prob(conj(cell, evidence), model)) for cell in p.cells
+    ]
+    return report, _normalize(weights)
 
 
 def bayes_additive(p: Partition, evidence: Formula, model: Model) -> list[Fraction]:
     """Posterior of each cell given ``evidence``, additive reading."""
-    report = check_partition(p, model, ADDITIVE)
-    if not report.ok:
-        raise PartitionError("partition cells overlap", report.violations)
-    cell_support = _common_support(p, model)
-    ev = support(evidence, model)
-    if isinstance(ev, Undetermined):
-        raise PartitionError(f"evidence is undetermined: {ev.reason}")
-    if ev != cell_support:
-        raise PartitionError(
-            f"support mismatch: partition cells over {format_support(cell_support)} "
-            f"but evidence over {format_support(ev)}; "
-            "the additive Bayes rule needs a single experiment"
-        )
-    weights = [
-        _determined(_quiet_prob(ChoiceAnd(cell, evidence), model))
-        for cell in p.cells
-    ]
-    return _normalize(weights)
+    return posteriors(p, evidence, model, ADDITIVE)[1]
 
 
 def bayes_parallel(
@@ -125,24 +134,19 @@ def bayes_parallel(
     p(cell && evidence) directly, "prior-likelihood" uses
     p(cell) * p(evidence pgiven cell). The two agree exactly.
     """
+    if form == "joint":
+        return posteriors(p, evidence, model, PARALLEL)[1]
     report = check_partition(p, model, PARALLEL)
     if not report.ok:
         raise PartitionError("partition cells overlap", report.violations)
-    if form not in ("joint", "prior-likelihood"):
+    if form != "prior-likelihood":
         raise ValueError(f"unknown form {form!r}")
     weights = []
     for cell in p.cells:
-        if form == "joint":
-            weights.append(_determined(_quiet_prob(ParAnd(cell, evidence), model)))
-        else:
-            prior = _determined(_quiet_prob(cell, model))
-            if prior == 0:
-                weights.append(Fraction(0))
-                continue
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", SharedExperimentWarning)
-                likelihood = cond_parallel(evidence, cell, model)
-            weights.append(prior * _determined(likelihood))
+        weight = _determined(_quiet_prob(cell, model))  # the prior
+        if weight:
+            weight *= _determined(_quiet_prob(GivenPar(evidence, cell), model))
+        weights.append(weight)
     return _normalize(weights)
 
 
@@ -181,7 +185,7 @@ def _common_support(p: Partition, model: Model) -> frozenset[str]:
 
 
 def _quiet_prob(f: Formula, model: Model):
-    # Conjunctions built here are engine plumbing, not user queries; the
+    # Formulas built here are engine plumbing, not user queries; the
     # shared-experiment warning would only be noise.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SharedExperimentWarning)

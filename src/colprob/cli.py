@@ -2,7 +2,8 @@
 
 Exit codes: 0 for a determined result, 2 when the calculus leaves the
 query undetermined, 1 for any error (bad file, parse failure, invalid
-model, null conditioning event, partition violations).
+model, null conditioning event, partition violations, bad Monte Carlo
+arguments, a formula nested too deeply), printed as one line.
 
 Values print as exact rationals; the 4-significant-digit decimal is a
 display courtesy (marked with an approximation sign) and never feeds back
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .bayes import Partition, bayes_additive, bayes_parallel, check_partition
+from .bayes import Partition, PartitionReport, posteriors
 from .errors import ColprobError, EmptySpaceError, ModelError, ParseError
 from .evaluator import (
     Derivation,
@@ -39,6 +40,10 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNDETERMINED = 2
 
+# Parser, verdict walk, spaces and printers all recurse on the formula's
+# depth; past Python's recursion limit that is reported as one error line.
+TOO_DEEP = "formula is nested too deeply"
+
 
 def fraction_pq(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
@@ -51,19 +56,15 @@ def decimal4(value: Fraction) -> str:
 @dataclass
 class QueryOutput:
     query: str
-    status: str  # determined | undetermined | error
-    value: Fraction | None = None
-    reason: str | None = None
+    result: ProbResult
     derivation: Derivation | None = None
     oracle: ProbResult | None = None
     mc: McEstimate | None = None
 
     def result_text(self) -> str:
-        if self.status == "determined":
-            return f"{self.value} (≈{decimal4(self.value)})"
-        if self.status == "undetermined":
-            return f"undetermined: {self.reason}"
-        return f"error: {self.reason}"
+        if isinstance(self.result, Determined):
+            return f"{self.result.value} (≈{decimal4(self.result.value)})"
+        return f"undetermined: {self.result.reason}"
 
     def render_text(self) -> str:
         lines = [self.result_text()]
@@ -80,12 +81,13 @@ class QueryOutput:
         return "\n".join(lines)
 
     def to_json(self) -> str:
+        determined = isinstance(self.result, Determined)
         payload = {
             "query": self.query,
-            "status": self.status,
-            "value": fraction_pq(self.value) if self.value is not None else None,
-            "decimal": decimal4(self.value) if self.value is not None else None,
-            "reason": self.reason,
+            "status": "determined" if determined else "undetermined",
+            "value": fraction_pq(self.result.value) if determined else None,
+            "decimal": decimal4(self.result.value) if determined else None,
+            "reason": None if determined else self.result.reason,
             "derivation": _derivation_json(self.derivation),
             "oracle": _oracle_json(self),
             "mc": None
@@ -100,17 +102,13 @@ class QueryOutput:
         return json.dumps(payload)
 
     def exit_code(self) -> int:
-        if self.status == "determined":
-            return EXIT_OK
-        if self.status == "undetermined":
-            return EXIT_UNDETERMINED
-        return EXIT_ERROR
+        return EXIT_OK if isinstance(self.result, Determined) else EXIT_UNDETERMINED
 
 
 def _oracle_agrees(out: QueryOutput) -> bool:
     if isinstance(out.oracle, Determined):
-        return out.status == "determined" and out.oracle.value == out.value
-    return out.status == "undetermined"
+        return out.oracle == out.result
+    return isinstance(out.result, Undetermined)
 
 
 def _oracle_text(out: QueryOutput) -> str:
@@ -157,18 +155,10 @@ def run_query(
 ) -> QueryOutput:
     """Evaluate one query string against a loaded model."""
     f = parse_formula(query)
-    derivation = None
     if explain:
-        result, derivation = prob_explain(f, model)
+        out = QueryOutput(query, *prob_explain(f, model))
     else:
-        result = prob(f, model)
-    out = QueryOutput(query=query, status="", derivation=derivation)
-    if isinstance(result, Determined):
-        out.status = "determined"
-        out.value = result.value
-    else:
-        out.status = "undetermined"
-        out.reason = result.reason
+        out = QueryOutput(query, prob(f, model))
     if oracle:
         out.oracle = enumerate_prob(f, model)
     if mc_samples is not None:
@@ -196,9 +186,11 @@ def _cmd_eval(args) -> int:
             mc_samples=args.mc_samples,
             seed=args.seed,
         )
-    except (OSError, ColprobError) as err:
+        print(out.to_json() if args.json else out.render_text())
+    except (OSError, ValueError, ColprobError) as err:
         return _fail(str(err))
-    print(out.to_json() if args.json else out.render_text())
+    except RecursionError:
+        return _fail(TOO_DEEP)
     return out.exit_code()
 
 
@@ -207,46 +199,40 @@ def _cmd_bayes(args) -> int:
         model = _load_model(args.model)
         cells = [parse_formula(c) for c in args.cell]
         evidence = parse_formula(args.evidence)
-        partition = Partition(tuple(cells))
-        report = check_partition(partition, model, args.variant)
-        if args.variant == "additive":
-            posteriors = bayes_additive(partition, evidence, model)
+        report, values = posteriors(Partition(tuple(cells)), evidence, model, args.variant)
+        if args.json:
+            print(json.dumps({
+                "variant": args.variant,
+                "evidence": args.evidence,
+                "partition": {
+                    "disjoint": report.ok,
+                    "exhaustive": report.exhaustive,
+                    "total": fraction_pq(report.total),
+                },
+                "posteriors": [
+                    {"cell": format_formula(c), "value": fraction_pq(v), "decimal": decimal4(v)}
+                    for c, v in zip(cells, values)
+                ],
+            }))
         else:
-            posteriors = bayes_parallel(partition, evidence, model)
+            print(_bayes_text(report, cells, values))
     except (OSError, ValueError, ColprobError) as err:
         code = _fail(str(err))
         for v in getattr(err, "violations", ()):
             print(f"  {v}", file=sys.stderr)
         return code
-    if args.json:
-        payload = {
-            "variant": args.variant,
-            "evidence": args.evidence,
-            "partition": {
-                "disjoint": report.ok,
-                "exhaustive": report.exhaustive,
-                "total": fraction_pq(report.total),
-            },
-            "posteriors": [
-                {
-                    "cell": format_formula(cell),
-                    "value": fraction_pq(v),
-                    "decimal": decimal4(v),
-                }
-                for cell, v in zip(cells, posteriors)
-            ],
-        }
-        print(json.dumps(payload))
-    else:
-        exhaustive = (
-            "exhaustive"
-            if report.exhaustive
-            else f"not exhaustive (cells sum to {report.total})"
-        )
-        print(f"partition: disjoint, {exhaustive}")
-        for cell, v in zip(cells, posteriors):
-            print(f"{format_formula(cell)}: {v} (≈{decimal4(v)})")
+    except RecursionError:
+        return _fail(TOO_DEEP)
     return EXIT_OK
+
+
+def _bayes_text(report: PartitionReport, cells: list[Formula], values: list[Fraction]) -> str:
+    """The text `colprob bayes` and the REPL's `:bayes` print."""
+    exhaustive = ("exhaustive" if report.exhaustive
+                  else f"not exhaustive (cells sum to {report.total})")
+    lines = [f"partition: disjoint, {exhaustive}"]
+    lines += [f"{format_formula(cell)}: {v} (≈{decimal4(v)})" for cell, v in zip(cells, values)]
+    return "\n".join(lines)
 
 
 def _cmd_check(args) -> int:
@@ -285,10 +271,10 @@ def _cmd_repl(args) -> int:
             return EXIT_OK
         try:
             _repl_dispatch(line, model)
-        except ColprobError as err:
+        except (ColprobError, ValueError) as err:
             print(f"error: {err}")
-        except ValueError as err:
-            print(f"error: {err}")
+        except RecursionError:
+            print(f"error: {TOO_DEEP}")
 
 
 def _repl_dispatch(line: str, model: Model) -> None:
@@ -331,16 +317,8 @@ def _repl_bayes(text: str, model: Model) -> None:
         raise ValueError(":bayes syntax: :bayes <variant> [cell, cell, ...] <evidence>")
     cells = [parse_formula(c) for c in cells_part.split(",")]
     evidence = parse_formula(evidence_part.strip())
-    partition = Partition(tuple(cells))
-    report = check_partition(partition, model, variant)
-    if variant == "additive":
-        posteriors = bayes_additive(partition, evidence, model)
-    else:
-        posteriors = bayes_parallel(partition, evidence, model)
-    exhaustive = "exhaustive" if report.exhaustive else f"cells sum to {report.total}"
-    print(f"partition: disjoint, {exhaustive}")
-    for cell, v in zip(cells, posteriors):
-        print(f"{format_formula(cell)}: {v} (≈{decimal4(v)})")
+    report, values = posteriors(Partition(tuple(cells)), evidence, model, variant)
+    print(_bayes_text(report, cells, values))
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

@@ -9,9 +9,12 @@ One recursion applies the rewrite rules top-down:
     R5  p(E && F) = p(E) * p(F) under independence,
                     else p(F) * p(E pgiven F)
 
-R1, R4 and independent R5 (disjoint ancestral closures) compute a node
-from its children; every other node's value is read off its own event
-space, lifted to the ancestral closure of its support and summed exactly.
+The verdict is decided once per root (once per side of a conditional) by
+``semantics.support``; below it the recursion meets only determined
+formulas. R1, R4 and independent R5 (disjoint ancestral closures)
+compute a node from its children; every other node's value is read off
+its own event space, lifted to the ancestral closure of its support and
+summed exactly.
 ``prob_explain`` runs the same recursion and records each step, showing
 R2, R3 and dependent R5 as their decomposition of the value read off the
 space, or as one "enumeration" leaf when the condition has probability
@@ -40,7 +43,7 @@ from .model import Model, ancestral_closure, joint_point_prob
 from .semantics import (
     EventSpace,
     Undetermined,
-    denote,
+    _space,
     format_support,
     lift,
     support,
@@ -130,33 +133,44 @@ def _evaluate(f: Formula, model: Model, explain: bool) -> _Step:
     if isinstance(f, (GivenAdd, GivenPar)):
         return _conditional(f, model, explain)
     verdict = support(f, model)  # raises on unknown atoms and nested conditionals
+    if isinstance(verdict, Undetermined):
+        return verdict, _undetermined(f, verdict) if explain else None
+    return _value(f, model, explain)
+
+
+def _undetermined(f: Formula, verdict: Undetermined) -> Derivation:
+    """The verdict as one R1 node per leading ``~`` over a leaf."""
+    children = (_undetermined(f.child, verdict),) if isinstance(f, Not) else ()
+    return Derivation(_RULE[type(f)], format_formula(f), verdict, children)
+
+
+def _value(f: Formula, model: Model, explain: bool) -> _Step:
+    """p(f) for a formula ``support`` has found determined."""
     if isinstance(f, Not):
         return _complement(f, f.child, model, explain)
-    if isinstance(verdict, Undetermined):
-        return _node(explain, f, verdict)
     if isinstance(f, ParOr):
         return _complement(f, ParAnd(Not(f.left), Not(f.right)), model, explain)
     if isinstance(f, ParAnd) and not (
         ancestral_closure(model, support(f.left, model))
         & ancestral_closure(model, support(f.right, model))
     ):
-        left, left_why = _evaluate(f.left, model, explain)
-        right, right_why = _evaluate(f.right, model, explain)
+        left, left_why = _value(f.left, model, explain)
+        right, right_why = _value(f.right, model, explain)
         return _node(
             explain, f, Determined(left.value * right.value),
             (left_why, right_why), "independence: p(E) * p(F)",
         )
-    space = denote(f, model)
+    space = _space(f, model)
     result = Determined(space_prob(space, model))
     if not explain or isinstance(f, AtomNode):
         return _node(explain, f, result)
     if isinstance(f, ChoiceOr):
         both = ChoiceAnd(f.left, f.right)
-        children = tuple(_evaluate(g, model, True)[1] for g in (f.left, f.right, both))
+        children = tuple(_value(g, model, True)[1] for g in (f.left, f.right, both))
         return _node(True, f, result, children, "p(E) + p(F) - p(E & F)")
     # R3, or R5 without independence: p(F) times a conditional read off the
     # spaces, unless p(F) = 0 leaves the space as the only justification.
-    condition, condition_why = _evaluate(f.right, model, True)
+    condition, condition_why = _value(f.right, model, True)
     if condition.value == 0:
         closure = ancestral_closure(model, space.support)
         return result, Derivation(
@@ -177,9 +191,7 @@ def _evaluate(f: Formula, model: Model, explain: bool) -> _Step:
 
 def _complement(f: Not | ParOr, inner: Formula, model: Model, explain: bool) -> _Step:
     """R1 and R4: one minus the probability of ``inner``."""
-    result, why = _evaluate(inner, model, explain)
-    if isinstance(result, Undetermined):
-        return _node(explain, f, result, (why,))
+    result, why = _value(inner, model, explain)
     note = f"1 - p({why.formula})" if explain else ""
     return _node(explain, f, Determined(1 - result.value), (why,), note)
 
@@ -198,13 +210,13 @@ def _conditional(f: GivenAdd | GivenPar, model: Model, explain: bool) -> _Step:
             "additive conditional (given) across distinct supports "
             f"{format_support(event)} and {format_support(condition)}"
         ))
-    p_cond, cond_why = _evaluate(f.condition, model, explain)
+    p_cond, cond_why = _value(f.condition, model, explain)
     if p_cond.value == 0:
         raise NullConditionError(
             f"conditioning on null event: p({format_formula(f.condition)}) = 0"
         )
     joint = (ChoiceAnd if isinstance(f, GivenAdd) else ParAnd)(f.event, f.condition)
-    p_joint, joint_why = _evaluate(joint, model, explain)
+    p_joint, joint_why = _value(joint, model, explain)
     return _node(
         explain, f, Determined(p_joint.value / p_cond.value),
         (joint_why, cond_why), "ratio of the joint to the condition",

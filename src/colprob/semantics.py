@@ -221,6 +221,7 @@ def denote(f: Formula, model: Model) -> Denotation:
 
 
 def _space(f: Formula, model: Model) -> EventSpace:
+    """The event space of ``f``, which ``support`` has found determined."""
     if isinstance(f, AtomNode):
         return EventSpace.of(
             [f.experiment], [Point.of({f.experiment: f.outcome})]

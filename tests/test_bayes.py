@@ -13,6 +13,7 @@ from colprob import (
     parse_formula,
     parse_model,
 )
+from colprob.bayes import posteriors
 from _corpus import random_model
 
 F = Fraction
@@ -95,6 +96,24 @@ class TestBayesAdditive:
                 examples_model,
             )
         assert "cells 1,2 not disjoint" in info.value.violations
+
+
+class TestPosteriors:
+    def test_report_comes_with_the_posteriors(self, examples_model):
+        report, values = posteriors(
+            partition("1@d", "2@d"), parse_formula("1@d | 2@d | 3@d"),
+            examples_model, "additive",
+        )
+        assert report.ok and not report.exhaustive and report.total == F(1, 3)
+        assert report.support == frozenset({"d"})
+        assert values == [F(1, 2), F(1, 2)]
+
+    def test_parallel_report_has_no_common_support(self, channel_model):
+        report, values = posteriors(
+            partition("0@T", "1@T"), parse_formula("0@R"), channel_model, "parallel"
+        )
+        assert report.exhaustive and report.support is None
+        assert values == [F(9, 10), F(1, 10)]
 
 
 class TestBayesParallel:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from colprob import bayes, cli
 from colprob.cli import main
 
 from conftest import MODELS
@@ -10,6 +11,15 @@ from conftest import MODELS
 EXAMPLES = str(MODELS / "examples.colp")
 CHANNEL = str(MODELS / "channel.colp")
 DICE = str(MODELS / "dice.colp")
+
+# Inputs deeper than Python's recursion limit allows the parser or the
+# evaluator to go; each must end in one error line, never a traceback.
+DEEP = {
+    "negations": "~" * 3000 + "H@c",
+    "parentheses": "(" * 600 + "H@c" + ")" * 600,
+    "or-chain": " || ".join(["H@c"] * 2000),
+}
+TOO_DEEP = "error: formula is nested too deeply\n"
 
 
 def run(capsys, *argv):
@@ -72,6 +82,26 @@ class TestEval:
         assert code1 == code2 == 0
         assert out1 == out2
         assert "mc:" in out1 and "seed=5" in out1
+
+    @pytest.mark.parametrize(
+        "flags", [("--mc-samples", "0"), ("--mc-samples", "10", "--seed", "-1")]
+    )
+    def test_bad_monte_carlo_arguments_exit_one(self, capsys, flags):
+        code, out, err = run(capsys, "eval", "--model", DICE, "--query", "4@d", *flags)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_oracle_on_undetermined_query(self, capsys):
+        args = ("eval", "--model", EXAMPLES, "--query", "H@c | H@c1", "--oracle")
+        code, out, _ = run(capsys, *args)
+        assert code == 2
+        assert out.splitlines()[-1] == "oracle: undetermined (agree)"
+        code, out, _ = run(capsys, *args, "--json")
+        assert code == 2
+        assert json.loads(out)["oracle"] == {
+            "status": "undetermined", "value": None, "agrees": True,
+        }
 
     def test_channel_conditional(self, capsys):
         code, out, _ = run(
@@ -197,6 +227,104 @@ class TestBayes:
         assert [p["value"] for p in payload["posteriors"]] == ["9/10", "1/10"]
 
 
+# Exact `colprob bayes` output, text and JSON: (argv, exit code, stdout, stderr).
+BAYES_GOLDEN = [
+    (
+        ("--model", EXAMPLES, "--variant", "additive", "--cell", "2@d|4@d|6@d",
+         "--cell", "1@d|3@d|5@d", "--evidence", "2@d|3@d"),
+        0,
+        "partition: disjoint, exhaustive\n"
+        "2@d | 4@d | 6@d: 1/2 (≈0.5)\n"
+        "1@d | 3@d | 5@d: 1/2 (≈0.5)\n",
+        '{"variant": "additive", "evidence": "2@d|3@d", "partition": '
+        '{"disjoint": true, "exhaustive": true, "total": "1/1"}, "posteriors": '
+        '[{"cell": "2@d | 4@d | 6@d", "value": "1/2", "decimal": "0.5"}, '
+        '{"cell": "1@d | 3@d | 5@d", "value": "1/2", "decimal": "0.5"}]}\n',
+        "",
+    ),
+    (
+        ("--model", CHANNEL, "--variant", "parallel", "--cell", "0@T",
+         "--cell", "1@T", "--evidence", "0@R"),
+        0,
+        "partition: disjoint, exhaustive\n0@T: 9/10 (≈0.9)\n1@T: 1/10 (≈0.1)\n",
+        '{"variant": "parallel", "evidence": "0@R", "partition": '
+        '{"disjoint": true, "exhaustive": true, "total": "1/1"}, "posteriors": '
+        '[{"cell": "0@T", "value": "9/10", "decimal": "0.9"}, '
+        '{"cell": "1@T", "value": "1/10", "decimal": "0.1"}]}\n',
+        "",
+    ),
+    (
+        ("--model", EXAMPLES, "--variant", "additive", "--cell", "1@d",
+         "--cell", "2@d", "--evidence", "1@d|2@d|3@d"),
+        0,
+        "partition: disjoint, not exhaustive (cells sum to 1/3)\n"
+        "1@d: 1/2 (≈0.5)\n2@d: 1/2 (≈0.5)\n",
+        '{"variant": "additive", "evidence": "1@d|2@d|3@d", "partition": '
+        '{"disjoint": true, "exhaustive": false, "total": "1/3"}, "posteriors": '
+        '[{"cell": "1@d", "value": "1/2", "decimal": "0.5"}, '
+        '{"cell": "2@d", "value": "1/2", "decimal": "0.5"}]}\n',
+        "",
+    ),
+    (
+        ("--model", CHANNEL, "--variant", "parallel", "--cell", "0@T",
+         "--cell", "0@T", "--evidence", "0@R"),
+        1,
+        "",
+        "",
+        "error: partition cells overlap\n  cells 1,2 not disjoint\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,code,text,payload,err", BAYES_GOLDEN)
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_bayes_output_is_pinned(capsys, argv, code, text, payload, err, as_json):
+    got = run(capsys, "bayes", *argv, *(("--json",) if as_json else ()))
+    assert got == (code, payload if as_json else text, err)
+
+
+def count_partition_checks(monkeypatch) -> list:
+    """Count check_partition calls, wherever the CLI reaches it from."""
+    calls = []
+    real = bayes.check_partition
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bayes, "check_partition", counted)
+    monkeypatch.setattr(cli, "check_partition", counted, raising=False)
+    return calls
+
+
+def test_bayes_checks_the_partition_once(capsys, monkeypatch):
+    calls = count_partition_checks(monkeypatch)
+    code, _, _ = run(capsys, "bayes", *BAYES_GOLDEN[1][0])
+    assert code == 0
+    assert len(calls) == 1
+
+
+class TestDeepInput:
+    @pytest.mark.parametrize("query", DEEP.values(), ids=DEEP.keys())
+    def test_eval_reports_one_line(self, capsys, query):
+        assert run(capsys, "eval", "--model", EXAMPLES, "--query", query) == (
+            1, "", TOO_DEEP,
+        )
+
+    def test_bayes_reports_one_line(self, capsys):
+        got = run(
+            capsys, "bayes", "--model", EXAMPLES, "--variant", "parallel",
+            "--cell", "H@c", "--cell", "T@c", "--evidence", DEEP["negations"],
+        )
+        assert got == (1, "", TOO_DEEP)
+
+    def test_long_and_chain_still_evaluates(self, capsys):
+        query = " && ".join(["alien"] * 900)
+        assert run(capsys, "eval", "--model", EXAMPLES, "--query", query) == (
+            0, "1/1000 (≈0.001)\n", "",
+        )
+
+
 class TestCheck:
     def test_valid_model(self, capsys):
         code, out, _ = run(capsys, "check", "--model", CHANNEL)
@@ -238,6 +366,33 @@ class TestRepl:
         )
         assert code == 0
         assert "0@T: 9/10" in out
+
+    def test_bayes_command_prints_what_the_cli_prints(self, capsys, monkeypatch):
+        code, out = self.repl(
+            capsys, monkeypatch, CHANNEL, ":bayes parallel [0@T, 1@T] 0@R\n:quit\n"
+        )
+        assert code == 0
+        assert out == (
+            "partition: disjoint, exhaustive\n0@T: 9/10 (≈0.9)\n1@T: 1/10 (≈0.1)\n"
+        )
+
+    def test_bayes_command_checks_the_partition_once(self, capsys, monkeypatch):
+        calls = count_partition_checks(monkeypatch)
+        self.repl(capsys, monkeypatch, CHANNEL, ":bayes parallel [0@T, 1@T] 0@R\n")
+        assert len(calls) == 1
+
+    def test_bayes_non_exhaustive_line_matches_the_cli(self, capsys, monkeypatch):
+        code, out = self.repl(
+            capsys, monkeypatch, EXAMPLES, ":bayes additive [1@d, 2@d] 1@d | 2@d | 3@d\n"
+        )
+        assert code == 0
+        assert out == BAYES_GOLDEN[2][2]
+
+    def test_deep_input_does_not_terminate_the_loop(self, capsys, monkeypatch):
+        script = "".join(q + "\n" for q in DEEP.values()) + "4@d | 5@d\n"
+        code, out = self.repl(capsys, monkeypatch, EXAMPLES, script)
+        assert code == 0
+        assert out == TOO_DEEP * 3 + "1/3 (≈0.3333)\n"
 
     def test_errors_do_not_terminate_the_loop(self, capsys, monkeypatch):
         script = "4@d |\nH@zzz\n4@d | 5@d\n:quit\n"
