@@ -11,6 +11,11 @@ Formula grammar (whitespace-insensitive, '#' starts a comment):
     OUTCOME := IDENT | integer                       --   is a predicate
 
 A bare lowercase identifier such as ``alien`` is sugar for ``true@alien``.
+The connectives and their precedence are read from the printer's tables in
+``formula``. One regex scan turns the text into ``(kind, text, offset)``
+tokens, where ``kind`` is the operator or keyword itself, ``int``,
+``ident`` or ``eof``; the 1-based line and column are computed from the
+offset only when a ParseError is raised.
 
 Model files are line-oriented ('#' comments):
 
@@ -19,7 +24,9 @@ Model files are line-oriented ('#' comments):
     cpt <outcome> | <p1>=<o>[, <p2>=<o> ...] = <rat>
     predicate <id> = <rat>
 
-Weights are all-or-none; omitting them means uniform. A ``cpt`` line
+``given`` and ``pgiven`` are reserved: no experiment id, predicate id or
+outcome may use them, as no formula could name it. Weights are
+all-or-none; omitting them means uniform. A ``cpt`` line
 attaches to the most recent ``depends`` declaration. Rationals are written
 ``<int>/<int>`` or ``<int>``.
 """
@@ -31,175 +38,131 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ModelError, ParseError
-from .formula import (
-    AtomNode,
-    ChoiceAnd,
-    ChoiceOr,
-    Formula,
-    GivenAdd,
-    GivenPar,
-    Not,
-    ParAnd,
-    ParOr,
-)
+from .formula import _BINARY, _COND, _LEVEL_AND, _LEVEL_OR, AtomNode, Formula, Not
 from .model import ExperimentDecl, Model, validate_model
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # one of: ident int given pgiven ~ & && | || ( ) @ eof
-    text: str
-    line: int
-    column: int
-
+# The node each connective builds, and its precedence level, come from the
+# printer's tables, so the parser and the printer cannot disagree on them.
+_CONJ = {op: node for node, (op, level) in _BINARY.items() if level == _LEVEL_AND}
+_DISJ = {op: node for node, (op, level) in _BINARY.items() if level == _LEVEL_OR}
+_CONDITIONALS = {word: node for node, word in _COND.items()}
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r\n]+)
-      | (?P<comment>\#[^\n]*)
+    r"""[ \t\r\n]+ | \#[^\n]*
       | (?P<op>&&|\|\||[~&|()@])
       | (?P<int>[0-9]+)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<unknown>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
-_KEYWORDS = ("given", "pgiven")
+
+def _error(text: str, offset: int, message: str, expected: str | None = None) -> ParseError:
+    """A ParseError at ``offset``, with its 1-based line and column."""
+    line = text.count("\n", 0, offset) + 1
+    column = offset - text.rfind("\n", 0, offset)
+    return ParseError(message, line, column, expected)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos, line, col = 0, 1, 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unknown token {text[pos]!r}", line, col)
-        lexeme = m.group()
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "op":
-            tokens.append(_Token(lexeme, lexeme, line, col))
-        elif kind == "int":
-            tokens.append(_Token("int", lexeme, line, col))
-        elif kind == "ident":
-            k = lexeme if lexeme in _KEYWORDS else "ident"
-            tokens.append(_Token(k, lexeme, line, col))
-        # ws and comments are skipped, but still advance the position
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+        if kind is None:  # whitespace or a comment
+            continue
+        lexeme = m.group()
+        if kind == "unknown":
+            raise _error(text, m.start(), f"unknown token {lexeme!r}")
+        if kind == "op" or lexeme in _CONDITIONALS:
+            kind = lexeme
+        tokens.append((kind, lexeme, m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
 class _FormulaParser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def unexpected(self, expected: str) -> ParseError:
+        kind, lexeme, offset = self.tokens[self.pos]
+        what = "end of input" if kind == "eof" else f"'{lexeme}'"
+        return _error(self.text, offset, f"unexpected {what}", expected)
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def expect(self, kind: str, expected: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"unexpected {self._describe(tok)}", tok.line, tok.column, expected
-            )
-        return self.advance()
-
-    @staticmethod
-    def _describe(tok: _Token) -> str:
-        return "end of input" if tok.kind == "eof" else f"'{tok.text}'"
+    def expect(self, kind: str, expected: str) -> str:
+        found, lexeme, _ = self.tokens[self.pos]
+        if found != kind:
+            raise self.unexpected(expected)
+        self.pos += 1
+        return lexeme
 
     def parse_cond(self) -> Formula:
         left = self.parse_disj()
-        tok = self.peek()
-        if tok.kind in _KEYWORDS:
-            self.advance()
-            right = self.parse_disj()
-            node = GivenAdd if tok.kind == "given" else GivenPar
-            return node(left, right)
-        return left
+        node = _CONDITIONALS.get(self.tokens[self.pos][0])
+        if node is None:
+            return left
+        self.pos += 1
+        return node(left, self.parse_disj())
 
     def parse_disj(self) -> Formula:
-        node = self.parse_conj()
-        while self.peek().kind in ("|", "||"):
-            op = self.advance()
-            rhs = self.parse_conj()
-            node = (ChoiceOr if op.kind == "|" else ParOr)(node, rhs)
-        return node
+        left = self.parse_conj()
+        while (node := _DISJ.get(self.tokens[self.pos][0])) is not None:
+            self.pos += 1
+            left = node(left, self.parse_conj())
+        return left
 
     def parse_conj(self) -> Formula:
-        node = self.parse_unary()
-        while self.peek().kind in ("&", "&&"):
-            op = self.advance()
-            rhs = self.parse_unary()
-            node = (ChoiceAnd if op.kind == "&" else ParAnd)(node, rhs)
-        return node
+        left = self.parse_unary()
+        while (node := _CONJ.get(self.tokens[self.pos][0])) is not None:
+            self.pos += 1
+            left = node(left, self.parse_unary())
+        return left
 
     def parse_unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.advance()
+        kind = self.tokens[self.pos][0]
+        if kind == "~":
+            self.pos += 1
             return Not(self.parse_unary())
-        if tok.kind == "(":
-            self.advance()
+        if kind == "(":
+            self.pos += 1
             inner = self.parse_cond()
             self.expect(")", "')'")
             return inner
         return self.parse_atom()
 
     def parse_atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind not in ("ident", "int"):
-            raise ParseError(
-                f"unexpected {self._describe(tok)}",
-                tok.line,
-                tok.column,
-                "an atom, '~', or '('",
-            )
-        self.advance()
-        if self.peek().kind == "@":
-            self.advance()
-            exp = self.expect("ident", "an experiment name")
-            return AtomNode(exp.text, tok.text)
-        if tok.kind == "ident" and tok.text[0].islower():
+        kind, name, offset = self.tokens[self.pos]
+        if kind not in ("ident", "int"):
+            raise self.unexpected("an atom, '~', or '('")
+        self.pos += 1
+        if self.tokens[self.pos][0] == "@":
+            self.pos += 1
+            return AtomNode(self.expect("ident", "an experiment name"), name)
+        if kind == "ident" and name[0].islower():
             # Bare predicate: `alien` means `true@alien`.
-            return AtomNode(tok.text, "true")
-        raise ParseError(
-            f"'{tok.text}' is not a predicate name; outcomes must be tagged",
-            tok.line,
-            tok.column,
+            return AtomNode(name, "true")
+        raise _error(
+            self.text,
+            offset,
+            f"'{name}' is not a predicate name; outcomes must be tagged",
             "'@'",
         )
 
 
 def parse_formula(text: str) -> Formula:
     """Parse ``text`` into a Formula, or raise ParseError with a position."""
-    parser = _FormulaParser(_tokenize(text))
+    parser = _FormulaParser(text)
     f = parser.parse_cond()
-    tok = parser.peek()
-    if tok.kind in _KEYWORDS:
-        raise ParseError(
-            "conditionals are non-associative; parenthesize the inner one",
-            tok.line,
-            tok.column,
+    kind, lexeme, offset = parser.tokens[parser.pos]
+    if kind in _CONDITIONALS:
+        raise _error(
+            text, offset, "conditionals are non-associative; parenthesize the inner one"
         )
-    if tok.kind != "eof":
-        raise ParseError(
-            f"unexpected {_FormulaParser._describe(tok)} after complete formula",
-            tok.line,
-            tok.column,
-        )
+    if kind != "eof":
+        raise _error(text, offset, f"unexpected '{lexeme}' after complete formula")
     return f
 
 
@@ -240,18 +203,18 @@ def _parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def _parse_name(text: str, what: str) -> str:
+def _parse_name(text: str, what: str, pattern: re.Pattern = _NAME_RE) -> str:
     name = text.strip()
-    if not _NAME_RE.match(name):
+    if not pattern.match(name):
         raise _LineError(f"malformed {what} '{name}'", name)
+    if name in _CONDITIONALS:
+        # No formula could name it: the formula parser reads it as a keyword.
+        raise _LineError(f"{what} '{name}' is a reserved word", name)
     return name
 
 
 def _parse_outcome(text: str) -> str:
-    out = text.strip()
-    if not _OUTCOME_RE.match(out):
-        raise _LineError(f"malformed outcome '{out}'", out)
-    return out
+    return _parse_name(text, "outcome", _OUTCOME_RE)
 
 
 def _parse_experiment_line(body: str, lineno: int) -> _Pending:

@@ -76,10 +76,50 @@ class TestParseFormula:
         with pytest.raises(ParseError, match="unexpected end of input"):
             parse_formula("(4@d | 5@d")
 
-    def test_error_position_points_into_source(self):
+    @pytest.mark.parametrize(
+        "text, position, message, expected",
+        [
+            ("4@d | | 5@d", (1, 7), "unexpected '|'", "an atom, '~', or '('"),
+            ("4@d |\n | 5@d", (2, 2), "unexpected '|'", "an atom, '~', or '('"),
+            ("# note\n4@d $ 5@d", (2, 5), "unknown token '$'", None),
+            ("4@d |\r\n| 5@d", (2, 1), "unexpected '|'", "an atom, '~', or '('"),
+            ("(4@d | 5@d\n", (2, 1), "unexpected end of input", "')'"),
+            (
+                "H@c given T@c\n  given H@c",
+                (2, 3),
+                "conditionals are non-associative; parenthesize the inner one",
+                None,
+            ),
+            (
+                "4@d |\n\n  H",
+                (3, 3),
+                "'H' is not a predicate name; outcomes must be tagged",
+                "'@'",
+            ),
+            ("4@d 5@d", (1, 5), "unexpected '5' after complete formula", None),
+            ("H@", (1, 3), "unexpected end of input", "an experiment name"),
+        ],
+        ids=[
+            "same-line",
+            "next-line",
+            "after-comment",
+            "crlf",
+            "eof-after-newline",
+            "chained-given",
+            "blank-line",
+            "trailing-token",
+            "missing-experiment",
+        ],
+    )
+    def test_error_position_points_into_source(self, text, position, message, expected):
         with pytest.raises(ParseError) as info:
-            parse_formula("4@d | | 5@d")
-        assert (info.value.line, info.value.column) == (1, 7)
+            parse_formula(text)
+        err = info.value
+        assert (err.line, err.column, err.message, err.expected) == (
+            *position,
+            message,
+            expected,
+        )
 
     def test_unknown_character(self):
         with pytest.raises(ParseError, match="unknown token"):
@@ -115,13 +155,21 @@ def test_round_trip_on_random_asts():
 
 def test_parsing_is_total_on_fuzzed_input():
     rng = random.Random(7)
-    alphabet = string.ascii_letters + string.digits + "@~&|() #pgiven\t\n/=_"
-    for _ in range(500):
+    alphabet = string.ascii_letters + string.digits + "@~&|() #pgiven\t\n\r/=_$é"
+    for _ in range(5000):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
         try:
             parse_formula(text)
         except ParseError as err:
-            assert err.line >= 1 and err.column >= 1
+            # The position names an existing line and at most one past its end.
+            lines = text.split("\n")
+            assert 1 <= err.line <= len(lines)
+            assert 1 <= err.column <= len(lines[err.line - 1]) + 1
+
+
+def test_deep_parentheses_parse():
+    text = "(" * 200 + "H@c" + ")" * 200
+    assert format_formula(parse_formula(text)) == "H@c"
 
 
 class TestParseModel:
@@ -195,6 +243,47 @@ class TestParseModel:
     def test_zero_denominator_rational(self):
         with pytest.raises(ParseError, match="zero denominator"):
             parse_model("predicate p = 1/0")
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("experiment c : H, T\nexperiment given : a, b\n", 2),
+            ("experiment x : given, other\n", 1),
+            ("experiment x : pgiven=1/2, other=1/2\n", 1),
+            ("predicate pgiven = 1/2\n", 1),
+            ("experiment c : H, T\nexperiment r : 0, 1 depends given\n", 2),
+            (
+                "experiment T : 0, 1\nexperiment R : 0, given depends T\n"
+                "cpt 0 | T=0 = 1/2\ncpt given | T=1 = 1/2\n",
+                2,
+            ),
+            (
+                "experiment T : 0, 1\nexperiment R : 0, 1 depends T\n"
+                "cpt 0 | T=0 = 1/2\ncpt pgiven | T=0 = 1/2\n",
+                4,
+            ),
+            (
+                "experiment T : 0, 1\nexperiment R : 0, 1 depends T\n"
+                "cpt 0 | T=given = 1/2\n",
+                3,
+            ),
+        ],
+        ids=[
+            "experiment-id",
+            "outcome",
+            "weighted-outcome",
+            "predicate-id",
+            "parent-id",
+            "dependent-outcome",
+            "cpt-outcome",
+            "cpt-parent-outcome",
+        ],
+    )
+    def test_formula_keywords_are_reserved(self, text, lineno):
+        with pytest.raises(ParseError, match="reserved") as info:
+            parse_model(text)
+        assert info.value.line == lineno
+        assert "given" in info.value.message
 
     def test_unknown_declaration_word(self):
         with pytest.raises(ParseError, match="unknown declaration"):
