@@ -82,13 +82,14 @@ class QueryOutput:
 
     def to_json(self) -> str:
         determined = isinstance(self.result, Determined)
-        payload = {
+        head = json.dumps({
             "query": self.query,
             "status": "determined" if determined else "undetermined",
             "value": fraction_pq(self.result.value) if determined else None,
             "decimal": decimal4(self.result.value) if determined else None,
             "reason": None if determined else self.result.reason,
-            "derivation": _derivation_json(self.derivation),
+        })
+        tail = json.dumps({
             "oracle": _oracle_json(self),
             "mc": None
             if self.mc is None
@@ -98,8 +99,9 @@ class QueryOutput:
                 "samples": self.mc.samples,
                 "seed": self.mc.seed,
             },
-        }
-        return json.dumps(payload)
+        })
+        derivation = _derivation_json(self.derivation)
+        return f'{head[:-1]}, "derivation": {derivation}, {tail[1:]}'
 
     def exit_code(self) -> int:
         return EXIT_OK if isinstance(self.result, Determined) else EXIT_UNDETERMINED
@@ -130,18 +132,34 @@ def _oracle_json(out: QueryOutput):
     return {"status": "undetermined", "value": None, "agrees": _oracle_agrees(out)}
 
 
-def _derivation_json(d: Derivation | None):
+def _derivation_json(d: Derivation | None) -> str:
+    """The derivation tree as the JSON text ``json.dumps`` gives for its
+    nested dicts, built with an explicit stack: a derivation as deep as
+    the evaluator could reach must not hit the recursion limit here."""
     if d is None:
-        return None
-    determined = isinstance(d.result, Determined)
-    return {
-        "rule": d.rule,
-        "formula": d.formula,
-        "value": fraction_pq(d.result.value) if determined else None,
-        "reason": None if determined else d.result.reason,
-        "note": d.note or None,
-        "children": [_derivation_json(c) for c in d.children],
-    }
+        return "null"
+    parts = []
+    stack: list[Derivation | str] = [d]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+            continue
+        determined = isinstance(node.result, Determined)
+        fields = json.dumps({
+            "rule": node.rule,
+            "formula": node.formula,
+            "value": fraction_pq(node.result.value) if determined else None,
+            "reason": None if determined else node.result.reason,
+            "note": node.note or None,
+        })
+        parts.append(f'{fields[:-1]}, "children": [')
+        stack.append("]}")
+        for i, child in enumerate(reversed(node.children)):
+            if i:
+                stack.append(", ")
+            stack.append(child)
+    return "".join(parts)
 
 
 def run_query(

@@ -13,8 +13,9 @@ The verdict is decided once per root (once per side of a conditional) by
 ``semantics.support``; below it the recursion meets only determined
 formulas. R1, R4 and independent R5 (disjoint ancestral closures)
 compute a node from its children; every other node's value is read off
-its own event space, lifted to the ancestral closure of its support and
-summed exactly.
+its own event space by ``space_prob``: variable elimination sums the
+ancestors outside the space's support out of the cpt factors, and the
+space's points are summed exactly against what remains.
 ``prob_explain`` runs the same recursion and records each step, showing
 R2, R3 and dependent R5 as their decomposition of the value read off the
 space, or as one "enumeration" leaf when the condition has probability
@@ -23,8 +24,11 @@ zero. Conditionals are probability ratios, legal only at the root.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Collection
 
 from .errors import NullConditionError
 from .formula import (
@@ -39,13 +43,12 @@ from .formula import (
     ParOr,
     format_formula,
 )
-from .model import Model, ancestral_closure, joint_point_prob
+from .model import ONE, ZERO, ExperimentDecl, Model, ancestral_closure, topological_order
 from .semantics import (
     EventSpace,
     Undetermined,
     _space,
     format_support,
-    lift,
     support,
 )
 
@@ -75,14 +78,63 @@ class Derivation:
 
 
 def space_prob(space: EventSpace, model: Model) -> Fraction:
-    """Exact probability mass of a space: lift to the ancestral closure of
-    its support, then sum the joint probability of every point."""
+    """Exact probability mass of a space, by variable elimination.
+
+    Every experiment in the ancestral closure of the support contributes
+    its cpt as a factor. The closure experiments outside the support are
+    summed out in topological order, a support experiment ranging only
+    over the outcomes the space's points use; each point then weighs the
+    product of the remaining factors at its outcomes. This equals summing
+    the joint probability of every point of the space lifted to the closure.
+    """
     closure = ancestral_closure(model, space.support)
-    lifted = lift(space, closure, model)
-    return sum(
-        (joint_point_prob(model, p.as_dict()) for p in lifted.points),
-        start=Fraction(0),
-    )
+    factors = [_cpt_factor(model.decl(name)) for name in closure]
+    eliminated = closure - space.support
+    if eliminated:
+        domains = {name: set() for name in space.support}
+        for point in space.points:
+            for name, outcome in point.items:
+                domains[name].add(outcome)
+        domains.update((name, model.outcomes(name)) for name in eliminated)
+        for name in topological_order(model, closure):
+            if name in eliminated:
+                factors = _sum_out(name, factors, domains)
+    return sum((_product(factors, dict(point.items)) for point in space.points), start=ZERO)
+
+
+# A factor: the experiments it ranges over, and its value at their outcomes.
+_Factor = tuple[tuple[str, ...], Callable[[tuple[str, ...]], Fraction]]
+
+
+def _cpt_factor(decl: ExperimentDecl) -> _Factor:
+    """The cpt of ``decl`` as a factor over its parents and itself."""
+    cpt = decl.cpt
+    return decl.parents + (decl.name,), lambda key: cpt[key[:-1]].get(key[-1], ZERO)
+
+
+def _sum_out(
+    name: str, factors: list[_Factor], domains: dict[str, Collection[str]]
+) -> list[_Factor]:
+    """Multiply the factors that mention ``name`` and sum it out of them."""
+    touching = [f for f in factors if name in f[0]]
+    kept = [f for f in factors if name not in f[0]]
+    scope = tuple(dict.fromkeys(v for f in touching for v in f[0] if v != name))
+    table = {}
+    for key in itertools.product(*(domains[v] for v in scope)):
+        at = dict(zip(scope, key))
+        total = ZERO
+        for outcome in domains[name]:
+            at[name] = outcome
+            total += _product(touching, at)
+        table[key] = total
+    kept.append((scope, table.__getitem__))
+    return kept
+
+
+def _product(factors: list[_Factor], at: dict[str, str]) -> Fraction:
+    """The product of ``factors`` at the outcomes ``at`` assigns."""
+    values = [value(tuple(map(at.__getitem__, scope))) for scope, value in factors]
+    return math.prod(values[1:], start=values[0]) if values else ONE
 
 
 def prob(f: Formula, model: Model) -> ProbResult:

@@ -176,9 +176,11 @@ _RATIONAL_RE = re.compile(r"(-?[0-9]+)\s*(?:/\s*(-?[0-9]+))?$")
 
 
 class _LineError(Exception):
-    def __init__(self, message: str, fragment: str = ""):
+    """``offset``: where the offending text starts in the normalized line."""
+
+    def __init__(self, message: str, offset: int | None = None):
         self.message = message
-        self.fragment = fragment
+        self.offset = offset
         super().__init__(message)
 
 
@@ -192,48 +194,65 @@ class _Pending:
     line: int
 
 
-def _parse_rational(text: str) -> Fraction:
+def _at(text: str, start: int) -> int | None:
+    """Where ``text.strip()`` starts in the line, ``text`` being found at
+    ``start`` (None when nothing is left)."""
+    return start + len(text) - len(text.lstrip()) if text.strip() else None
+
+
+def _split(text: str, sep: str, start: int) -> list[tuple[str, int]]:
+    """``text.split(sep)``, each piece with its offset in the line."""
+    pieces = []
+    for piece in text.split(sep):
+        pieces.append((piece, start))
+        start += len(piece) + len(sep)
+    return pieces
+
+
+def _parse_rational(text: str, start: int) -> Fraction:
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
-        raise _LineError(f"malformed rational '{text.strip()}'", text.strip())
+        raise _LineError(f"malformed rational '{text.strip()}'", _at(text, start))
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) is not None else 1
     if den == 0:
-        raise _LineError("rational with zero denominator", text.strip())
+        raise _LineError("rational with zero denominator", _at(text, start))
     return Fraction(num, den)
 
 
-def _parse_name(text: str, what: str, pattern: re.Pattern = _NAME_RE) -> str:
+def _parse_name(text: str, start: int, what: str, pattern: re.Pattern = _NAME_RE) -> str:
     name = text.strip()
     if not pattern.match(name):
-        raise _LineError(f"malformed {what} '{name}'", name)
+        raise _LineError(f"malformed {what} '{name}'", _at(text, start))
     if name in _CONDITIONALS:
         # No formula could name it: the formula parser reads it as a keyword.
-        raise _LineError(f"{what} '{name}' is a reserved word", name)
+        raise _LineError(f"{what} '{name}' is a reserved word", _at(text, start))
     return name
 
 
-def _parse_outcome(text: str) -> str:
-    return _parse_name(text, "outcome", _OUTCOME_RE)
+def _parse_outcome(text: str, start: int) -> str:
+    return _parse_name(text, start, "outcome", _OUTCOME_RE)
 
 
-def _parse_experiment_line(body: str, lineno: int) -> _Pending:
+def _parse_experiment_line(body: str, start: int, lineno: int) -> _Pending:
     head, sep, rest = body.partition(":")
     if not sep:
         raise _LineError("experiment declaration needs ':' before its outcomes")
-    name = _parse_name(head, "experiment id")
+    name = _parse_name(head, start, "experiment id")
+    rest_at = start + len(head) + len(sep)
     outcomes_part, dep_sep, parents_part = rest.partition(" depends ")
     if not dep_sep and rest.rstrip().endswith(" depends"):
         raise _LineError("'depends' needs at least one parent experiment")
     parents: tuple[str, ...] = ()
     if dep_sep:
+        parents_at = rest_at + len(outcomes_part) + len(dep_sep)
         parents = tuple(
-            _parse_name(p, "parent id") for p in parents_part.split(",")
+            _parse_name(p, at, "parent id") for p, at in _split(parents_part, ",", parents_at)
         )
-    entries = [e.strip() for e in outcomes_part.split(",")]
-    if entries == [""]:
+    entries = _split(outcomes_part, ",", rest_at)
+    if not outcomes_part.strip():
         raise _LineError("experiment declares no outcomes")
-    weighted = ["=" in e for e in entries]
+    weighted = ["=" in e for e, _ in entries]
     if any(weighted) and not all(weighted):
         raise _LineError("either all outcomes carry weights or none do")
     if any(weighted) and parents:
@@ -241,23 +260,23 @@ def _parse_experiment_line(body: str, lineno: int) -> _Pending:
             "a dependent experiment takes its probabilities from cpt lines"
         )
     if parents:
-        outcomes = tuple(_parse_outcome(e) for e in entries)
+        outcomes = tuple(_parse_outcome(e, at) for e, at in entries)
         return _Pending(name, outcomes, parents, {}, False, lineno)
     if all(weighted):
         dist: dict[str, Fraction] = {}
-        for e in entries:
-            o, _, w = e.partition("=")
-            out = _parse_outcome(o)
+        for e, at in entries:
+            o, sep, w = e.partition("=")
+            out = _parse_outcome(o, at)
             if out in dist:
-                raise _LineError(f"duplicate outcome '{out}'", out)
-            dist[out] = _parse_rational(w)
+                raise _LineError(f"duplicate outcome '{out}'", _at(o, at))
+            dist[out] = _parse_rational(w, at + len(o) + len(sep))
         return _Pending(name, tuple(dist), (), {(): dist}, False, lineno)
-    outcomes = tuple(_parse_outcome(e) for e in entries)
+    outcomes = tuple(_parse_outcome(e, at) for e, at in entries)
     w = Fraction(1, len(outcomes))
     return _Pending(name, outcomes, (), {(): {o: w for o in outcomes}}, False, lineno)
 
 
-def _parse_cpt_line(body: str, current: _Pending | None) -> None:
+def _parse_cpt_line(body: str, start: int, current: _Pending | None) -> None:
     if current is None or not current.parents:
         raise _LineError(
             "cpt line must follow the declaration of a dependent experiment"
@@ -265,17 +284,20 @@ def _parse_cpt_line(body: str, current: _Pending | None) -> None:
     left, sep, right = body.partition("|")
     if not sep:
         raise _LineError("cpt line needs '|' between outcome and parent assignment")
-    outcome = _parse_outcome(left)
+    outcome = _parse_outcome(left, start)
+    right_at = start + len(left) + len(sep)
     cond_part, sep, weight_part = right.rpartition("=")
     if not sep:
         raise _LineError("cpt line needs '= <rational>' at the end")
-    weight = _parse_rational(weight_part)
+    weight = _parse_rational(weight_part, right_at + len(cond_part) + len(sep))
     assignment: dict[str, str] = {}
+    at = right_at  # not _split: cpt lines are most of a large model file
     for item in cond_part.split(","):
         p, sep, o = item.partition("=")
         if not sep:
             raise _LineError(f"malformed parent assignment '{item.strip()}'")
-        assignment[_parse_name(p, "parent id")] = _parse_outcome(o)
+        assignment[_parse_name(p, at, "parent id")] = _parse_outcome(o, at + len(p) + 1)
+        at += len(item) + 1
     missing = [p for p in current.parents if p not in assignment]
     extra = [p for p in assignment if p not in current.parents]
     if missing:
@@ -295,12 +317,12 @@ def _parse_cpt_line(body: str, current: _Pending | None) -> None:
     row[outcome] = weight
 
 
-def _parse_predicate_line(body: str, lineno: int) -> _Pending:
+def _parse_predicate_line(body: str, start: int, lineno: int) -> _Pending:
     name_part, sep, weight_part = body.partition("=")
     if not sep:
         raise _LineError("predicate declaration needs '= <rational>'")
-    name = _parse_name(name_part, "predicate id")
-    p_true = _parse_rational(weight_part)
+    name = _parse_name(name_part, start, "predicate id")
+    p_true = _parse_rational(weight_part, start + len(name_part) + len(sep))
     dist = {"true": p_true, "false": Fraction(1) - p_true}
     return _Pending(name, ("true", "false"), (), {(): dist}, True, lineno)
 
@@ -317,18 +339,19 @@ def parse_model(text: str) -> Model:
         line = " ".join(raw.split("#", 1)[0].split())
         if not line:
             continue
-        word, _, body = line.partition(" ")
+        word, sep, body = line.partition(" ")
+        start = len(word) + len(sep)
         try:
             if word == "experiment":
-                decl = _parse_experiment_line(body, lineno)
+                decl = _parse_experiment_line(body, start, lineno)
                 if decl.name in pending:
                     raise _LineError(f"duplicate experiment id '{decl.name}'")
                 pending[decl.name] = decl
                 current = decl
             elif word == "cpt":
-                _parse_cpt_line(body, current)
+                _parse_cpt_line(body, start, current)
             elif word == "predicate":
-                decl = _parse_predicate_line(body, lineno)
+                decl = _parse_predicate_line(body, start, lineno)
                 if decl.name in pending:
                     raise _LineError(f"duplicate experiment id '{decl.name}'")
                 pending[decl.name] = decl
@@ -339,8 +362,8 @@ def parse_model(text: str) -> Model:
                     "'experiment', 'cpt', or 'predicate'"
                 )
         except _LineError as err:
-            col = (raw.find(err.fragment) + 1) if err.fragment else 1
-            raise ParseError(err.message, lineno, max(col, 1)) from None
+            col = 1 if err.offset is None else _raw_column(raw, err.offset)
+            raise ParseError(err.message, lineno, col) from None
     decls = [
         ExperimentDecl(
             p.name,
@@ -356,6 +379,16 @@ def parse_model(text: str) -> Model:
     if issues:
         raise ModelError([_locate_issue(issue, pending) for issue in issues])
     return model
+
+
+def _raw_column(raw: str, offset: int) -> int:
+    """The 1-based column in ``raw`` of the character at ``offset`` in its
+    normalized form, the words before any ``#`` joined by single spaces."""
+    for word in re.finditer(r"\S+", raw):
+        if offset < len(word[0]):
+            return word.start() + offset + 1
+        offset -= len(word[0]) + 1
+    return 1
 
 
 def _locate_issue(issue: str, pending: dict[str, _Pending]) -> str:

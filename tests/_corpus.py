@@ -4,6 +4,7 @@ Everything here is deterministic given the caller's random.Random instance;
 the suites fix their seeds so failures reproduce exactly.
 """
 
+import itertools
 from fractions import Fraction
 
 from colprob import (
@@ -49,6 +50,25 @@ def random_model(rng, max_experiments=3, max_outcomes=6, edge_prob=0.5):
             decls[name] = ExperimentDecl(name, outcomes, (parent,), rows)
         else:
             decls[name] = ExperimentDecl(name, outcomes, (), {(): rand_dist(rng, outcomes)})
+    return Model(decls)
+
+
+def random_dag_model(rng, max_experiments=6, max_outcomes=3, max_parents=3):
+    """2..max_experiments experiments over a random DAG: each depends on up
+    to ``max_parents`` earlier ones, so chains, forks and colliders occur
+    and a query's support often leaves ancestors out. Rows carry random
+    exact weights, zeros included; some zero entries are left out of the
+    row, as a model file may omit them."""
+    decls = {}
+    for i in range(rng.randint(2, max_experiments)):
+        name = f"e{i}"
+        outcomes = tuple(f"o{j}" for j in range(rng.randint(2, max_outcomes)))
+        parents = tuple(rng.sample(sorted(decls), rng.randint(0, min(max_parents, i))))
+        rows = {}
+        for key in itertools.product(*(decls[p].outcomes for p in parents)):
+            dist = rand_dist(rng, outcomes)
+            rows[key] = {o: w for o, w in dist.items() if w or rng.random() < 0.5}
+        decls[name] = ExperimentDecl(name, outcomes, parents, rows)
     return Model(decls)
 
 

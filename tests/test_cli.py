@@ -324,6 +324,24 @@ class TestDeepInput:
             0, "1/1000 (≈0.001)\n", "",
         )
 
+    def test_deep_explain_json(self, capsys, tmp_path):
+        # 600 independent coins: a derivation 600 nodes deep, whose JSON
+        # nests two levels per node.
+        n = 600
+        model = tmp_path / "coins.colp"
+        model.write_text("".join(f"experiment c{i} : H, T\n" for i in range(n)))
+        query = " && ".join(f"H@c{i}" for i in range(n))
+        code, out, err = run(
+            capsys, "eval", "--model", str(model), "--query", query, "--explain", "--json",
+        )
+        assert (code, err) == (0, "")
+        # json.loads would itself recurse too deeply, so read the text.
+        value = f'"value": "1/{2 ** n}"'
+        assert out.startswith(f'{{"query": "{query}", "status": "determined", {value}, ')
+        assert f'"derivation": {{"rule": "R5", "formula": "{query}", {value}, ' in out
+        assert out.count('"rule": ') == 2 * n - 1
+        assert out.endswith(']}]}, "oracle": null, "mc": null}\n')
+
 
 class TestCheck:
     def test_valid_model(self, capsys):

@@ -9,6 +9,9 @@ from colprob import (
     ChoiceOr,
     Determined,
     EvalError,
+    EventSpace,
+    ExperimentDecl,
+    Model,
     Not,
     NullConditionError,
     ParAnd,
@@ -19,13 +22,17 @@ from colprob import (
     cond_additive,
     cond_parallel,
     denote,
+    enumerate_prob,
+    joint_point_prob,
+    lift,
     parse_formula,
     parse_model,
     prob,
     prob_explain,
     space_prob,
 )
-from _corpus import random_formula, random_model, random_query
+from colprob.oracle import _mentioned
+from _corpus import random_dag_model, random_formula, random_model, random_query, random_space
 
 F = Fraction
 
@@ -328,3 +335,96 @@ def test_given_requires_equal_supports_even_when_overlapping(examples_model):
         parse_formula("H@c"), parse_formula("H@c && 6@d"), examples_model
     )
     assert isinstance(r, Undetermined)
+
+
+# ---------------------------------------------------------------------------
+# space_prob: variable elimination over the ancestral closure
+# ---------------------------------------------------------------------------
+
+
+def lift_and_sum(space, model):
+    """The definition space_prob computes: lift the space to the ancestral
+    closure of its support and sum every lifted point's joint probability."""
+    closure = ancestral_closure(model, space.support)
+    return sum(
+        (joint_point_prob(model, p.as_dict()) for p in lift(space, closure, model).points),
+        start=F(0),
+    )
+
+
+def test_space_prob_matches_lift_and_sum_on_multi_parent_models():
+    rng = random.Random(31)
+    eliminated = zero_entries = 0
+    for _ in range(150):
+        model = random_dag_model(rng)
+        zero_entries += any(
+            len(row) < len(d.outcomes) or 0 in row.values()
+            for d in model.experiments.values() for row in d.cpt.values()
+        )
+        for _ in range(4):
+            space = random_space(rng, model, max_support=3)
+            eliminated += ancestral_closure(model, space.support) != space.support
+            for s in (space, EventSpace(space.support, frozenset())):
+                assert space_prob(s, model) == lift_and_sum(s, model)
+    assert eliminated > 200 and zero_entries > 100
+
+
+def test_prob_matches_oracle_on_multi_parent_models():
+    rng = random.Random(32)
+    checked = eliminated = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SharedExperimentWarning)
+        for _ in range(200):
+            model = random_dag_model(rng)
+            for _ in range(4):
+                f = random_query(rng, model)
+                try:
+                    ev = prob(f, model)
+                except NullConditionError:
+                    ev = "null-condition"
+                try:
+                    orc = enumerate_prob(f, model)
+                except NullConditionError:
+                    orc = "null-condition"
+                assert type(ev) is type(orc), (f, ev, orc)
+                if isinstance(ev, Determined):
+                    assert ev == orc, f
+                    names = _mentioned(f)
+                    eliminated += ancestral_closure(model, names) != names
+                checked += 1
+    assert checked == 800 and eliminated > 150
+
+
+def markov_chain(n, p0, stay):
+    """x0 -> x1 -> ... -> x{n-1} over {0, 1}; p(x0 = 0) = p0 and
+    p(x_i = x_{i-1}) = stay."""
+    decls = [ExperimentDecl.weighted("x0", {"0": p0, "1": 1 - p0})]
+    for i in range(1, n):
+        rows = {(a,): {b: stay if a == b else 1 - stay for b in "01"} for a in "01"}
+        decls.append(ExperimentDecl(f"x{i}", ("0", "1"), (f"x{i - 1}",), rows))
+    return Model.of(*decls)
+
+
+def propagate(dist, stay, steps):
+    """The distribution of a chain node ``steps`` after one with ``dist``."""
+    p = dist[0]
+    for _ in range(steps):
+        p = p * stay + (1 - p) * (1 - stay)
+    return p, 1 - p
+
+
+@pytest.mark.parametrize("text", ["0@x199", "0@x20 pgiven 1@x180"])
+def test_markov_chain_of_200_nodes_is_exact(text):
+    p0, stay = F(1, 3), F(9, 10)
+    model = markov_chain(200, p0, stay)
+    if text == "0@x199":
+        expected = propagate((p0, 1 - p0), stay, 199)[0]
+    else:
+        p20 = propagate((p0, 1 - p0), stay, 20)[0]
+        p180_given_20 = propagate((F(1), F(0)), stay, 160)[1]
+        p180 = propagate((p0, 1 - p0), stay, 180)[1]
+        expected = p20 * p180_given_20 / p180
+    f = parse_formula(text)
+    assert value(prob(f, model)) == expected
+    result, d = prob_explain(f, model)
+    assert value(result) == value(d.result) == expected

@@ -285,6 +285,22 @@ class TestParseModel:
         assert info.value.line == lineno
         assert "given" in info.value.message
 
+    @pytest.mark.parametrize(
+        "text, column, message",
+        [
+            # The offending text also occurs earlier on the line.
+            ("experiment given2 : a, given", 24, "outcome 'given' is a reserved word"),
+            ("experiment d : 1=1/2, 2=1/2, 1=0", 30, "duplicate outcome '1'"),
+            # Its first occurrence is the offending one.
+            ("experiment c : H, T\npredicate p = 1/0", 15, "rational with zero denominator"),
+        ],
+        ids=["reserved-outcome", "duplicate-outcome", "first-occurrence"],
+    )
+    def test_error_column_points_at_the_offending_entry(self, text, column, message):
+        with pytest.raises(ParseError) as info:
+            parse_model(text)
+        assert (info.value.column, info.value.message) == (column, message)
+
     def test_unknown_declaration_word(self):
         with pytest.raises(ParseError, match="unknown declaration"):
             parse_model("experimnt c : H, T")
