@@ -22,9 +22,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import PartitionError
-from .formula import ChoiceAnd, Formula, GivenPar, ParAnd, format_formula
+from .formula import ChoiceAnd, ChoiceOr, Formula, GivenPar, ParAnd, ParOr, format_formula
 from .evaluator import prob
 from .model import Model
 from .semantics import SharedExperimentWarning, Undetermined, format_support, support
@@ -54,38 +55,38 @@ class PartitionReport:
 
 
 def check_partition(p: Partition, model: Model, variant: str) -> PartitionReport:
-    """Verify pairwise disjointness and report exhaustiveness.
+    """Decide disjointness with one union query and report exhaustiveness.
 
-    Disjointness uses the variant's own conjunction (choice for additive,
-    parallel for parallel). Exhaustiveness (cell probabilities summing to
-    exactly 1) is reported but not required; the Bayes denominator
-    normalizes over the given cells regardless. Undetermined cells, or
-    cells with differing supports under the additive variant, are errors.
+    U joins the cells with the variant's disjunction (``|`` additive, ``||``
+    parallel) in a balanced tree. With N the number of cells that occur,
+    sum_i p(cell_i) - p(U) = E[N - 1{N >= 1}], which is 0 exactly when every
+    pairwise overlap has probability 0. Only if p(U) falls short are the
+    pairs checked with the variant's conjunction, to name the overlapping
+    ones. Exhaustiveness (cell probabilities summing to exactly 1) is
+    reported but not required; the Bayes denominator normalizes over the
+    given cells regardless. Undetermined cells, or cells with differing
+    supports under the additive variant, are errors.
     """
     if variant not in (ADDITIVE, PARALLEL):
         raise ValueError(f"unknown variant {variant!r}")
     cell_support = _common_support(p, model) if variant == ADDITIVE else None
-    cell_probs = []
+    total = Fraction(0)
     for i, cell in enumerate(p.cells, start=1):
         r = _quiet_prob(cell, model)
         if isinstance(r, Undetermined):
             raise PartitionError(
                 f"cell {i} ({format_formula(cell)}) is undetermined: {r.reason}"
             )
-        cell_probs.append(r.value)
-    conj = ChoiceAnd if variant == ADDITIVE else ParAnd
+        total += r.value
+    # Determined cells (over one support, if additive) keep U and overlaps determined.
+    union, conj = (ChoiceOr, ChoiceAnd) if variant == ADDITIVE else (ParOr, ParAnd)
     violations = []
-    for i in range(len(p.cells)):
-        for j in range(i + 1, len(p.cells)):
-            overlap = _quiet_prob(conj(p.cells[i], p.cells[j]), model)
-            if isinstance(overlap, Undetermined):
-                raise PartitionError(
-                    f"cells {i + 1},{j + 1}: disjointness undetermined: "
-                    f"{overlap.reason}"
-                )
-            if overlap.value != 0:
-                violations.append(f"cells {i + 1},{j + 1} not disjoint")
-    total = sum(cell_probs, start=Fraction(0))
+    if _quiet_prob(_balanced(union, p.cells), model).value != total:
+        violations = [
+            f"cells {i + 1},{j + 1} not disjoint"
+            for i, j in combinations(range(len(p.cells)), 2)
+            if _quiet_prob(conj(p.cells[i], p.cells[j]), model).value != 0
+        ]
     return PartitionReport(
         ok=not violations,
         violations=tuple(violations),
@@ -93,6 +94,14 @@ def check_partition(p: Partition, model: Model, variant: str) -> PartitionReport
         total=total,
         support=cell_support,
     )
+
+
+def _balanced(join, cells: tuple[Formula, ...]) -> Formula:
+    """``cells`` joined by ``join`` in a tree of depth ceil(log2(len))."""
+    if len(cells) == 1:
+        return cells[0]
+    mid = len(cells) // 2
+    return join(_balanced(join, cells[:mid]), _balanced(join, cells[mid:]))
 
 
 def posteriors(
@@ -134,13 +143,13 @@ def bayes_parallel(
     p(cell && evidence) directly, "prior-likelihood" uses
     p(cell) * p(evidence pgiven cell). The two agree exactly.
     """
+    if form not in ("joint", "prior-likelihood"):
+        raise ValueError(f"unknown form {form!r}")
     if form == "joint":
         return posteriors(p, evidence, model, PARALLEL)[1]
     report = check_partition(p, model, PARALLEL)
     if not report.ok:
         raise PartitionError("partition cells overlap", report.violations)
-    if form != "prior-likelihood":
-        raise ValueError(f"unknown form {form!r}")
     weights = []
     for cell in p.cells:
         weight = _determined(_quiet_prob(cell, model))  # the prior

@@ -1,20 +1,28 @@
+import itertools
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from colprob import (
     AtomNode,
+    ChoiceAnd,
+    ChoiceOr,
+    ParAnd,
+    ParOr,
     Partition,
     PartitionError,
+    bayes,
     bayes_additive,
     bayes_parallel,
     check_partition,
+    enumerate_prob,
     parse_formula,
     parse_model,
 )
 from colprob.bayes import posteriors
-from _corpus import random_model
+from _corpus import random_dag_model, random_formula, random_model
 
 F = Fraction
 
@@ -176,3 +184,184 @@ def test_both_parallel_forms_agree_on_random_dependent_models():
         assert sum(joint, start=F(0)) == 1
         checked += 1
     assert checked > 30
+
+
+def test_unknown_form_is_rejected_before_the_partition_check(examples_model):
+    for cells in (partition("H@c", "H@c"), partition("H@c", "T@c")):
+        with pytest.raises(ValueError, match="unknown form 'bogus'"):
+            bayes_parallel(cells, parse_formula("H@c"), examples_model, form="bogus")
+
+
+def pairwise_violations(p, model, variant):
+    """The pairwise definition of disjointness, decided by the oracle: a pair
+    overlaps when its conjunction has nonzero probability."""
+    conj = ChoiceAnd if variant == "additive" else ParAnd
+    return tuple(
+        f"cells {i},{j} not disjoint"
+        for (i, a), (j, b) in itertools.combinations(enumerate(p.cells, start=1), 2)
+        if enumerate_prob(conj(a, b), model).value != 0
+    )
+
+
+def draw_cells(rng, model, variant):
+    """Cells over a few experiments, each a set of full assignments of them
+    (an atom under the additive variant). The groups start as a partition of
+    every assignment, then points are dropped, copied into a second cell or
+    widened to a partial assignment, so overlaps occur, zero-weight ones too.
+    Returns the cells and their point sets."""
+    names = sorted(model.experiments)
+    if variant == "additive":
+        chosen = [rng.choice(names)]
+    else:
+        chosen = rng.sample(names, rng.randint(1, min(3, len(names))))
+    points = list(itertools.product(*(
+        [(e, o) for o in model.experiments[e].outcomes] for e in chosen
+    )))
+    rng.shuffle(points)
+    k = rng.randint(2, min(6, len(points)))
+    groups = [[pt] for pt in points[:k]]
+    for pt in points[k:]:
+        rng.choice(groups).append(pt)
+    if rng.random() < 0.3:
+        group = rng.choice(groups)
+        if len(group) > 1:
+            group.pop()
+    if rng.random() < 0.5:
+        pt = rng.choice(points)
+        rng.choice([g for g in groups if pt not in g]).append(pt)
+    join = ChoiceOr if variant == "additive" else ParOr
+    cells, sets = [], []
+    for group in groups:
+        terms = [list(pt) for pt in group]
+        if len(chosen) > 1 and rng.random() < 0.2:
+            del terms[0][rng.randrange(len(chosen))]  # a partial assignment
+        covered = {
+            pt for pt in points if any(set(t) <= set(pt) for t in terms)
+        }
+        atoms = [reduce(ParAnd, (AtomNode(e, o) for e, o in t)) for t in terms]
+        cells.append(reduce(join, atoms))
+        sets.append(covered)
+    return Partition(tuple(cells)), sets
+
+
+def test_union_verdict_matches_the_pairwise_oracle():
+    rng = random.Random(61)
+    seen = {"ok": 0, "overlap": 0, "zero_weight_overlap": 0, "shaped": 0}
+    for n in range(400):
+        model = (random_dag_model(rng) if n % 2 else
+                 random_model(rng, max_experiments=3, max_outcomes=4, edge_prob=0.8))
+        variant = ("additive", "parallel")[n // 2 % 2]
+        if variant == "additive" and rng.random() < 0.25:
+            # Arbitrary formulas over one experiment, so one support.
+            e = rng.choice(sorted(model.experiments))
+            p = Partition(tuple(
+                random_formula(rng, model, 3, e) for _ in range(rng.randint(2, 4))
+            ))
+            sets = None
+            seen["shaped"] += 1
+        else:
+            p, sets = draw_cells(rng, model, variant)
+        expected = pairwise_violations(p, model, variant)
+        report = check_partition(p, model, variant)
+        assert (report.ok, report.violations) == (not expected, expected)
+        seen["ok" if report.ok else "overlap"] += 1
+        if sets and report.ok:
+            seen["zero_weight_overlap"] += any(
+                a & b for a, b in itertools.combinations(sets, 2)
+            )
+    assert seen["ok"] > 150 and seen["overlap"] > 150 and seen["shaped"] > 20
+    assert seen["zero_weight_overlap"] > 30
+
+
+def count_prob_calls(monkeypatch) -> list:
+    """Count the prob calls that the bayes module makes."""
+    calls = []
+    real = bayes.prob
+
+    def counted(f, model):
+        calls.append(f)
+        return real(f, model)
+
+    monkeypatch.setattr(bayes, "prob", counted)
+    return calls
+
+
+def noisy_channel(bits):
+    """Transmitted bits t_i with p(t_i=0) = (i+1)/10, each received as r_i
+    and flipped with probability 1/(i+3); returns the model, the priors and
+    the flips."""
+    priors = [F(i + 1, 10) for i in range(bits)]
+    flips = [F(1, i + 3) for i in range(bits)]
+    lines = []
+    for i, (p, e) in enumerate(zip(priors, flips)):
+        lines += [
+            f"experiment t{i} : 0={p}, 1={1 - p}",
+            f"experiment r{i} : 0, 1 depends t{i}",
+            f"cpt 0 | t{i}=0 = {1 - e}",
+            f"cpt 1 | t{i}=0 = {e}",
+            f"cpt 0 | t{i}=1 = {e}",
+            f"cpt 1 | t{i}=1 = {1 - e}",
+        ]
+    return parse_model("\n".join(lines) + "\n"), priors, flips
+
+
+def channel_cells(bits):
+    sent = list(itertools.product("01", repeat=bits))
+    return sent, partition(*(
+        " && ".join(f"{t}@t{i}" for i, t in enumerate(s)) for s in sent
+    ))
+
+
+class TestUnionCheckScales:
+    def test_disjoint_check_makes_one_query_beyond_the_cells(self, monkeypatch):
+        model = noisy_channel(5)[0]
+        cells = channel_cells(5)[1]
+        calls = count_prob_calls(monkeypatch)
+        report = check_partition(cells, model, "parallel")
+        assert report.ok and report.exhaustive
+        assert len(calls) == 32 + 1
+
+    def test_overlapping_pairs_are_still_named_in_order(self, examples_model, monkeypatch):
+        calls = count_prob_calls(monkeypatch)
+        report = check_partition(
+            partition("1@d | 2@d", "2@d | 3@d", "3@d | 4@d"), examples_model, "additive"
+        )
+        assert report.violations == ("cells 1,2 not disjoint", "cells 2,3 not disjoint")
+        assert not report.ok
+        assert len(calls) == 3 + 1 + 3
+        with pytest.raises(PartitionError) as info:
+            bayes_parallel(partition("H@c1", "H@c1 && H@c2", "T@c1"),
+                           parse_formula("H@c2"), examples_model)
+        assert str(info.value).startswith("partition cells overlap")
+        assert info.value.violations == ["cells 1,2 not disjoint"]
+
+    def test_seven_bit_channel_posteriors_match_the_closed_form(self):
+        model, priors, flips = noisy_channel(7)
+        sent, cells = channel_cells(7)
+        received = "0110100"
+        evidence = parse_formula(" && ".join(f"{r}@r{i}" for i, r in enumerate(received)))
+        weights = []
+        for s in sent:
+            w = F(1)
+            for i, (t, r) in enumerate(zip(s, received)):
+                w *= priors[i] if t == "0" else 1 - priors[i]
+                w *= flips[i] if t != r else 1 - flips[i]
+            weights.append(w)
+        total = sum(weights)
+        assert bayes_parallel(cells, evidence, model) == [w / total for w in weights]
+
+    def test_four_hundred_cell_additive_partition(self, monkeypatch):
+        outcomes = [f"o{i}" for i in range(400)]
+        model = parse_model(f"experiment e : {', '.join(outcomes)}\n")
+        calls = count_prob_calls(monkeypatch)
+        report = check_partition(
+            Partition(tuple(AtomNode("e", o) for o in outcomes)), model, "additive"
+        )
+        assert report.ok and report.exhaustive and report.total == 1
+
+        def depth(f):
+            if isinstance(f, ChoiceOr):
+                return 1 + max(depth(f.left), depth(f.right))
+            return 0
+
+        assert len(calls) == 401 and depth(calls[-1]) == 9  # ceil(log2(400))
