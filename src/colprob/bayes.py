@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import PartitionError
-from .formula import ChoiceAnd, ChoiceOr, Formula, GivenPar, ParAnd, ParOr, format_formula
+from .formula import ChoiceAnd, ChoiceOr, Formula, GivenPar, ParAnd, format_formula
 from .evaluator import prob
 from .model import Model
 from .semantics import SharedExperimentWarning, Undetermined, format_support, support
@@ -57,15 +57,15 @@ class PartitionReport:
 def check_partition(p: Partition, model: Model, variant: str) -> PartitionReport:
     """Decide disjointness with one union query and report exhaustiveness.
 
-    U joins the cells with the variant's disjunction (``|`` additive, ``||``
-    parallel) in a balanced tree. With N the number of cells that occur,
-    sum_i p(cell_i) - p(U) = E[N - 1{N >= 1}], which is 0 exactly when every
-    pairwise overlap has probability 0. Only if p(U) falls short are the
-    pairs checked with the variant's conjunction, to name the overlapping
-    ones. Exhaustiveness (cell probabilities summing to exactly 1) is
-    reported but not required; the Bayes denominator normalizes over the
-    given cells regardless. Undetermined cells, or cells with differing
-    supports under the additive variant, are errors.
+    Cells over one support (always so when additive) are joined by ``|``,
+    which there denotes what ``||`` does without building complements, in
+    a balanced tree U. With N the number of cells that occur, sum_i
+    p(cell_i) - p(U) = E[N - 1{N >= 1}], 0 exactly when no pair overlaps
+    with nonzero probability. The pairs are checked with the variant's
+    conjunction only when p(U) falls short, to name them, or when the cells
+    lie over different supports. Exhaustiveness (cell probabilities summing
+    to exactly 1) is reported but not required. Undetermined cells, or cells
+    with differing supports under the additive variant, are errors.
     """
     if variant not in (ADDITIVE, PARALLEL):
         raise ValueError(f"unknown variant {variant!r}")
@@ -78,10 +78,11 @@ def check_partition(p: Partition, model: Model, variant: str) -> PartitionReport
                 f"cell {i} ({format_formula(cell)}) is undetermined: {r.reason}"
             )
         total += r.value
-    # Determined cells (over one support, if additive) keep U and overlaps determined.
-    union, conj = (ChoiceOr, ChoiceAnd) if variant == ADDITIVE else (ParOr, ParAnd)
+    # Determined cells keep U and the pairwise conjunctions determined.
+    conj = ChoiceAnd if variant == ADDITIVE else ParAnd
+    one_support = variant == ADDITIVE or len({support(c, model) for c in p.cells}) == 1
     violations = []
-    if _quiet_prob(_balanced(union, p.cells), model).value != total:
+    if not one_support or _quiet_prob(_balanced(p.cells), model).value != total:
         violations = [
             f"cells {i + 1},{j + 1} not disjoint"
             for i, j in combinations(range(len(p.cells)), 2)
@@ -96,12 +97,12 @@ def check_partition(p: Partition, model: Model, variant: str) -> PartitionReport
     )
 
 
-def _balanced(join, cells: tuple[Formula, ...]) -> Formula:
-    """``cells`` joined by ``join`` in a tree of depth ceil(log2(len))."""
+def _balanced(cells: tuple[Formula, ...]) -> Formula:
+    """``cells`` joined by ``|`` in a tree of depth ceil(log2(len))."""
     if len(cells) == 1:
         return cells[0]
     mid = len(cells) // 2
-    return join(_balanced(join, cells[:mid]), _balanced(join, cells[mid:]))
+    return ChoiceOr(_balanced(cells[:mid]), _balanced(cells[mid:]))
 
 
 def posteriors(

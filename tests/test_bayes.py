@@ -21,6 +21,8 @@ from colprob import (
     parse_formula,
     parse_model,
 )
+from colprob import semantics
+from colprob.semantics import support
 from colprob.bayes import posteriors
 from _corpus import random_dag_model, random_formula, random_model
 
@@ -246,7 +248,7 @@ def draw_cells(rng, model, variant):
 
 def test_union_verdict_matches_the_pairwise_oracle():
     rng = random.Random(61)
-    seen = {"ok": 0, "overlap": 0, "zero_weight_overlap": 0, "shaped": 0}
+    seen = {"ok": 0, "overlap": 0, "zero_weight_overlap": 0, "shaped": 0, "mixed": 0}
     for n in range(400):
         model = (random_dag_model(rng) if n % 2 else
                  random_model(rng, max_experiments=3, max_outcomes=4, edge_prob=0.8))
@@ -265,12 +267,13 @@ def test_union_verdict_matches_the_pairwise_oracle():
         report = check_partition(p, model, variant)
         assert (report.ok, report.violations) == (not expected, expected)
         seen["ok" if report.ok else "overlap"] += 1
+        seen["mixed"] += len({support(c, model) for c in p.cells}) > 1
         if sets and report.ok:
             seen["zero_weight_overlap"] += any(
                 a & b for a, b in itertools.combinations(sets, 2)
             )
     assert seen["ok"] > 150 and seen["overlap"] > 150 and seen["shaped"] > 20
-    assert seen["zero_weight_overlap"] > 30
+    assert seen["zero_weight_overlap"] > 30 and seen["mixed"] > 10
 
 
 def count_prob_calls(monkeypatch) -> list:
@@ -334,6 +337,35 @@ class TestUnionCheckScales:
                            parse_formula("H@c2"), examples_model)
         assert str(info.value).startswith("partition cells overlap")
         assert info.value.violations == ["cells 1,2 not disjoint"]
+
+    def test_cells_over_one_support_are_joined_without_a_complement(self, monkeypatch):
+        # `||` is evaluated through the complements of its operands: over
+        # these 16 coins, two complements of 65,535 points crossed pairwise.
+        def no_complement(model, experiments):
+            raise AssertionError(f"full space over {len(experiments)} experiments")
+
+        model = parse_model("".join(f"experiment t{i} : 0, 1\n" for i in range(16)))
+        rest = " && ".join(f"0@t{i}" for i in range(1, 16))
+        monkeypatch.setattr(semantics, "full_space", no_complement)
+        calls = count_prob_calls(monkeypatch)
+        report = check_partition(
+            partition(f"0@t0 && {rest}", f"1@t0 && {rest}"), model, "parallel"
+        )
+        assert report.ok and report.total == F(1, 2**15)
+        assert len(calls) == 2 + 1 and isinstance(calls[-1], ChoiceOr)
+
+    def test_cells_over_different_supports_are_checked_pairwise(self, examples_model,
+                                                                 monkeypatch):
+        calls = count_prob_calls(monkeypatch)
+        report = check_partition(
+            partition("H@c1 && H@c2", "T@c1", "H@c1 && T@c2"), examples_model, "parallel"
+        )
+        assert report.ok and report.exhaustive
+        assert len(calls) == 3 + 3 and not any(isinstance(f, ChoiceOr) for f in calls)
+        report = check_partition(
+            partition("H@c1 && H@c2", "H@c2", "T@c2"), examples_model, "parallel"
+        )
+        assert report.violations == ("cells 1,2 not disjoint",)
 
     def test_seven_bit_channel_posteriors_match_the_closed_form(self):
         model, priors, flips = noisy_channel(7)
