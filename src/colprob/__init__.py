@@ -48,7 +48,6 @@ from .formula import (
     format_formula,
 )
 from .model import (
-    Atom,
     ExperimentDecl,
     Model,
     Rational,
@@ -74,7 +73,6 @@ from .semantics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atom",
     "AtomNode",
     "ChoiceAnd",
     "ChoiceOr",

@@ -64,23 +64,32 @@ def check_partition(p: Partition, model: Model, variant: str) -> PartitionReport
     with nonzero probability. The pairs are checked with the variant's
     conjunction only when p(U) falls short, to name them, or when the cells
     lie over different supports. Exhaustiveness (cell probabilities summing
-    to exactly 1) is reported but not required. Undetermined cells, or cells
-    with differing supports under the additive variant, are errors.
+    to exactly 1) is reported but not required. Undetermined or conditional
+    cells, or cells with differing supports under the additive variant, are
+    errors.
     """
     if variant not in (ADDITIVE, PARALLEL):
         raise ValueError(f"unknown variant {variant!r}")
-    cell_support = _common_support(p, model) if variant == ADDITIVE else None
-    total = Fraction(0)
+    supports = []
     for i, cell in enumerate(p.cells, start=1):
-        r = _quiet_prob(cell, model)
-        if isinstance(r, Undetermined):
+        verdict = support(cell, model)  # raises on a conditional cell
+        if isinstance(verdict, Undetermined):
             raise PartitionError(
-                f"cell {i} ({format_formula(cell)}) is undetermined: {r.reason}"
+                f"cell {i} ({format_formula(cell)}) is undetermined: {verdict.reason}"
             )
-        total += r.value
-    # Determined cells keep U and the pairwise conjunctions determined.
+        supports.append(verdict)
+    first = supports[0]
+    mismatch = next((i for i, s in enumerate(supports, start=1) if s != first), None)
+    if variant == ADDITIVE and mismatch is not None:
+        raise PartitionError(
+            f"support mismatch between cells: cell 1 over {format_support(first)} "
+            f"but cell {mismatch} over {format_support(supports[mismatch - 1])}"
+        )
+    # Determined cells keep their own, U's and the pairwise conjunctions'
+    # probabilities determined.
+    total = sum((_quiet_prob(cell, model).value for cell in p.cells), start=Fraction(0))
     conj = ChoiceAnd if variant == ADDITIVE else ParAnd
-    one_support = variant == ADDITIVE or len({support(c, model) for c in p.cells}) == 1
+    one_support = mismatch is None
     violations = []
     if not one_support or _quiet_prob(_balanced(p.cells), model).value != total:
         violations = [
@@ -93,7 +102,7 @@ def check_partition(p: Partition, model: Model, variant: str) -> PartitionReport
         violations=tuple(violations),
         exhaustive=(total == 1),
         total=total,
-        support=cell_support,
+        support=first if variant == ADDITIVE else None,
     )
 
 
@@ -173,25 +182,6 @@ def _determined(result) -> Fraction:
     if isinstance(result, Undetermined):
         raise PartitionError(f"undetermined weight: {result.reason}")
     return result.value
-
-
-def _common_support(p: Partition, model: Model) -> frozenset[str]:
-    supports = []
-    for i, cell in enumerate(p.cells, start=1):
-        verdict = support(cell, model)
-        if isinstance(verdict, Undetermined):
-            raise PartitionError(
-                f"cell {i} ({format_formula(cell)}) is undetermined: {verdict.reason}"
-            )
-        supports.append(verdict)
-    first = supports[0]
-    for i, s in enumerate(supports[1:], start=2):
-        if s != first:
-            raise PartitionError(
-                f"support mismatch between cells: cell 1 over "
-                f"{format_support(first)} but cell {i} over {format_support(s)}"
-            )
-    return first
 
 
 def _quiet_prob(f: Formula, model: Model):

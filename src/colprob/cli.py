@@ -3,7 +3,10 @@
 Exit codes: 0 for a determined result, 2 when the calculus leaves the
 query undetermined, 1 for any error (bad file, parse failure, invalid
 model, null conditioning event, partition violations, bad Monte Carlo
-arguments, a formula nested too deeply), printed as one line.
+arguments, a formula nested too deeply). ``main`` maps errors to that
+exit and one ``error:`` line the same way for every subcommand; only
+partition violations and ``check``'s model issues add lines, and the
+REPL reports each bad line and reads on.
 
 Values print as exact rationals; the 4-significant-digit decimal is a
 display courtesy (marked with an approximation sign) and never feeds back
@@ -21,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bayes import Partition, PartitionReport, posteriors
-from .errors import ColprobError, EmptySpaceError, ModelError, ParseError
+from .errors import ColprobError, EmptySpaceError, ModelError
 from .evaluator import (
     Derivation,
     Determined,
@@ -194,53 +197,40 @@ def _fail(message: str) -> int:
 
 
 def _cmd_eval(args) -> int:
-    try:
-        model = _load_model(args.model)
-        out = run_query(
-            model,
-            args.query,
-            explain=args.explain,
-            oracle=args.oracle,
-            mc_samples=args.mc_samples,
-            seed=args.seed,
-        )
-        print(out.to_json() if args.json else out.render_text())
-    except (OSError, ValueError, ColprobError) as err:
-        return _fail(str(err))
-    except RecursionError:
-        return _fail(TOO_DEEP)
+    model = _load_model(args.model)
+    out = run_query(
+        model,
+        args.query,
+        explain=args.explain,
+        oracle=args.oracle,
+        mc_samples=args.mc_samples,
+        seed=args.seed,
+    )
+    print(out.to_json() if args.json else out.render_text())
     return out.exit_code()
 
 
 def _cmd_bayes(args) -> int:
-    try:
-        model = _load_model(args.model)
-        cells = [parse_formula(c) for c in args.cell]
-        evidence = parse_formula(args.evidence)
-        report, values = posteriors(Partition(tuple(cells)), evidence, model, args.variant)
-        if args.json:
-            print(json.dumps({
-                "variant": args.variant,
-                "evidence": args.evidence,
-                "partition": {
-                    "disjoint": report.ok,
-                    "exhaustive": report.exhaustive,
-                    "total": fraction_pq(report.total),
-                },
-                "posteriors": [
-                    {"cell": format_formula(c), "value": fraction_pq(v), "decimal": decimal4(v)}
-                    for c, v in zip(cells, values)
-                ],
-            }))
-        else:
-            print(_bayes_text(report, cells, values))
-    except (OSError, ValueError, ColprobError) as err:
-        code = _fail(str(err))
-        for v in getattr(err, "violations", ()):
-            print(f"  {v}", file=sys.stderr)
-        return code
-    except RecursionError:
-        return _fail(TOO_DEEP)
+    model = _load_model(args.model)
+    cells = [parse_formula(c) for c in args.cell]
+    evidence = parse_formula(args.evidence)
+    report, values = posteriors(Partition(tuple(cells)), evidence, model, args.variant)
+    if args.json:
+        print(json.dumps({
+            "variant": args.variant,
+            "evidence": args.evidence,
+            "partition": {
+                "disjoint": report.ok,
+                "exhaustive": report.exhaustive,
+                "total": fraction_pq(report.total),
+            },
+            "posteriors": [
+                {"cell": format_formula(c), "value": fraction_pq(v), "decimal": decimal4(v)}
+                for c, v in zip(cells, values)
+            ],
+        }))
+    else:
+        print(_bayes_text(report, cells, values))
     return EXIT_OK
 
 
@@ -256,23 +246,16 @@ def _bayes_text(report: PartitionReport, cells: list[Formula], values: list[Frac
 def _cmd_check(args) -> int:
     try:
         model = _load_model(args.model)
-    except OSError as err:
-        return _fail(str(err))
     except ModelError as err:
         for issue in err.issues:
             print(f"error: {issue}", file=sys.stderr)
         return EXIT_ERROR
-    except ColprobError as err:
-        return _fail(str(err))
     print(f"ok ({len(model.experiments)} experiments)")
     return EXIT_OK
 
 
 def _cmd_repl(args) -> int:
-    try:
-        model = _load_model(args.model)
-    except (OSError, ColprobError) as err:
-        return _fail(str(err))
+    model = _load_model(args.model)
     interactive = sys.stdin.isatty()
     if interactive:
         print("colprob repl; :quit to leave, :space/:explain/:bayes for tools")
@@ -379,7 +362,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, ColprobError) as err:
+        code = _fail(str(err))
+        for v in getattr(err, "violations", ()):
+            print(f"  {v}", file=sys.stderr)
+        return code
+    except RecursionError:
+        return _fail(TOO_DEEP)
 
 
 if __name__ == "__main__":

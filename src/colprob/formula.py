@@ -76,7 +76,6 @@ _LEVEL_COND = 0
 _LEVEL_OR = 1
 _LEVEL_AND = 2
 _LEVEL_NOT = 3
-_LEVEL_ATOM = 4
 
 _BINARY = {
     ChoiceAnd: ("&", _LEVEL_AND),

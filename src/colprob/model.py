@@ -26,17 +26,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Atom:
-    """A single experiment outcome, e.g. outcome H of experiment c."""
-
-    experiment: str
-    outcome: str
-
-    def __str__(self):
-        return f"{self.outcome}@{self.experiment}"
-
-
 @dataclass(frozen=True, eq=False)
 class ExperimentDecl:
     """One declared experiment.

@@ -59,8 +59,12 @@ class McEstimate:
 
 
 class _SupportMismatch(Exception):
-    def __init__(self, reason: str):
+    """An undetermined formula. ``sampled`` is the sampler's wording of
+    ``reason``, which differs for the additive conditional."""
+
+    def __init__(self, reason: str, sampled: str | None = None):
         self.reason = reason
+        self.sampled = sampled or reason
         super().__init__(reason)
 
 
@@ -88,33 +92,28 @@ def _support(f: Formula) -> frozenset[str]:
     raise EvalError("conditionals are only allowed at the root of a query")
 
 
-def _check_atoms(f: Formula, model: Model) -> None:
-    if isinstance(f, AtomNode):
-        decl = model.decl(f.experiment)
-        if f.outcome not in decl.outcomes:
-            raise EvalError(
-                f"unknown outcome '{f.outcome}' of experiment '{f.experiment}'"
-            )
-    elif isinstance(f, Not):
-        _check_atoms(f.child, model)
-    elif isinstance(f, (ChoiceAnd, ChoiceOr, ParAnd, ParOr)):
-        _check_atoms(f.left, model)
-        _check_atoms(f.right, model)
-    elif isinstance(f, (GivenAdd, GivenPar)):
-        _check_atoms(f.event, model)
-        _check_atoms(f.condition, model)
-    else:
-        raise TypeError(f"not a formula node: {f!r}")
-
-
-def _mentioned(f: Formula) -> frozenset[str]:
-    if isinstance(f, AtomNode):
-        return frozenset((f.experiment,))
-    if isinstance(f, Not):
-        return _mentioned(f.child)
-    if isinstance(f, (ChoiceAnd, ChoiceOr, ParAnd, ParOr)):
-        return _mentioned(f.left) | _mentioned(f.right)
-    return _mentioned(f.event) | _mentioned(f.condition)
+def _mentioned(f: Formula, model: Model) -> frozenset[str]:
+    """The experiments ``f`` mentions, every atom checked against ``model``
+    left to right, so the leftmost unknown one is the error reported."""
+    names = set()
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, AtomNode):
+            if node.outcome not in model.decl(node.experiment).outcomes:
+                raise EvalError(
+                    f"unknown outcome '{node.outcome}' of experiment '{node.experiment}'"
+                )
+            names.add(node.experiment)
+        elif isinstance(node, Not):
+            stack.append(node.child)
+        elif isinstance(node, (ChoiceAnd, ChoiceOr, ParAnd, ParOr)):
+            stack += (node.right, node.left)
+        elif isinstance(node, (GivenAdd, GivenPar)):
+            stack += (node.condition, node.event)
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+    return frozenset(names)
 
 
 def _compile(f: Formula) -> Callable[[Mapping[str, str]], bool]:
@@ -134,15 +133,26 @@ def _compile(f: Formula) -> Callable[[Mapping[str, str]], bool]:
     raise EvalError("conditionals are only allowed at the root of a query")
 
 
-def _closure_and_bound(f: Formula, model: Model) -> list[str]:
-    closure = sorted(ancestral_closure(model, _mentioned(f)))
-    size = math.prod(len(model.outcomes(n)) for n in closure)
-    if size > STATE_SPACE_BOUND:
-        raise OracleError(
-            f"state-space bound exceeded: {size} joint assignments "
-            f"(limit {STATE_SPACE_BOUND})"
-        )
-    return closure
+def _prepare(f: Formula, model: Model):
+    """What both oracles start from: every atom checked, the verdict (a
+    _SupportMismatch when ``f`` is undetermined), then the ancestral
+    closure of the experiments ``f`` mentions, its event test and its
+    condition test (None unless ``f`` is a root conditional)."""
+    names = _mentioned(f, model)
+    if isinstance(f, (GivenAdd, GivenPar)):
+        event_support = _support(f.event)
+        condition_support = _support(f.condition)
+        if isinstance(f, GivenAdd) and event_support != condition_support:
+            spans = f"{_fmt(event_support)} vs {_fmt(condition_support)}"
+            raise _SupportMismatch(
+                f"additive conditional (given) spans distinct supports {spans}",
+                f"additive conditional spans {spans}",
+            )
+        event, condition = _compile(f.event), _compile(f.condition)
+    else:
+        _support(f)
+        event, condition = _compile(f), None
+    return ancestral_closure(model, names), event, condition
 
 
 def _assignments(model: Model, names: list[str]):
@@ -158,36 +168,23 @@ def enumerate_prob(f: Formula, model: Model):
     an exact rational, or Undetermined when a choice connective (or the
     additive conditional) spans distinct supports.
     """
-    _check_atoms(f, model)
-    if isinstance(f, (GivenAdd, GivenPar)):
-        return _enumerate_conditional(f, model)
     try:
-        _support(f)
+        closure, event, condition = _prepare(f, model)
     except _SupportMismatch as mismatch:
         return Undetermined(mismatch.reason)
-    names = _closure_and_bound(f, model)
-    test = _compile(f)
-    total = Fraction(0)
-    for assignment, weight in _assignments(model, names):
-        if test(assignment):
-            total += weight
-    return Determined(total)
-
-
-def _enumerate_conditional(f, model: Model):
-    try:
-        event_support = _support(f.event)
-        condition_support = _support(f.condition)
-        if isinstance(f, GivenAdd) and event_support != condition_support:
-            return Undetermined(
-                "additive conditional (given) spans distinct supports "
-                f"{_fmt(event_support)} vs {_fmt(condition_support)}"
-            )
-    except _SupportMismatch as mismatch:
-        return Undetermined(mismatch.reason)
-    names = _closure_and_bound(f, model)
-    event = _compile(f.event)
-    condition = _compile(f.condition)
+    names = sorted(closure)
+    size = math.prod(len(model.outcomes(n)) for n in names)
+    if size > STATE_SPACE_BOUND:
+        raise OracleError(
+            f"state-space bound exceeded: {size} joint assignments "
+            f"(limit {STATE_SPACE_BOUND})"
+        )
+    if condition is None:
+        total = Fraction(0)
+        for assignment, weight in _assignments(model, names):
+            if event(assignment):
+                total += weight
+        return Determined(total)
     numerator = Fraction(0)
     denominator = Fraction(0)
     for assignment, weight in _assignments(model, names):
@@ -207,26 +204,12 @@ def mc_estimate(f: Formula, model: Model, cfg: SampleConfig) -> McEstimate:
     seed, model and formula always reproduce the same estimate bit for bit.
     Undetermined formulas cannot be sampled and are rejected.
     """
-    _check_atoms(f, model)
-    conditional = isinstance(f, (GivenAdd, GivenPar))
     try:
-        if conditional:
-            event_support = _support(f.event)
-            condition_support = _support(f.condition)
-            if isinstance(f, GivenAdd) and event_support != condition_support:
-                raise OracleError(
-                    "cannot sample an undetermined formula: additive "
-                    f"conditional spans {_fmt(event_support)} vs "
-                    f"{_fmt(condition_support)}"
-                )
-        else:
-            _support(f)
+        closure, event, condition = _prepare(f, model)
     except _SupportMismatch as mismatch:
         raise OracleError(
-            f"cannot sample an undetermined formula: {mismatch.reason}"
+            f"cannot sample an undetermined formula: {mismatch.sampled}"
         ) from None
-
-    closure = ancestral_closure(model, _mentioned(f))
     order = topological_order(model, closure)
     samplers = []
     for name in order:
@@ -242,13 +225,6 @@ def mc_estimate(f: Formula, model: Model, cfg: SampleConfig) -> McEstimate:
             rows[key] = cumulative
         samplers.append((name, decl.parents, decl.outcomes, rows))
 
-    if conditional:
-        event = _compile(f.event)
-        condition = _compile(f.condition)
-    else:
-        event = _compile(f)
-        condition = None
-
     rng = random.Random(cfg.seed)
     hits = 0
     eligible = 0
@@ -262,12 +238,12 @@ def mc_estimate(f: Formula, model: Model, cfg: SampleConfig) -> McEstimate:
         eligible += 1
         if event(assignment):
             hits += 1
-    if conditional and eligible == 0:
+    if condition is not None and eligible == 0:
         raise OracleError(
             f"condition never occurred in {cfg.sample_count} samples; "
             "cannot estimate the conditional"
         )
-    n = eligible if conditional else cfg.sample_count
+    n = cfg.sample_count if condition is None else eligible
     p_hat = hits / n
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / n)
     return McEstimate(p_hat, stderr, cfg.sample_count, cfg.seed)

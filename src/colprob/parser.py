@@ -213,8 +213,11 @@ def _parse_rational(text: str, start: int) -> Fraction:
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise _LineError(f"malformed rational '{text.strip()}'", _at(text, start))
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    try:
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) is not None else 1
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise _LineError("rational with too many digits", _at(text, start)) from None
     if den == 0:
         raise _LineError("rational with zero denominator", _at(text, start))
     return Fraction(num, den)

@@ -71,12 +71,6 @@ class Point:
     def experiments(self) -> frozenset[str]:
         return frozenset(e for e, _ in self.items)
 
-    def outcome(self, experiment: str) -> str:
-        for e, o in self.items:
-            if e == experiment:
-                return o
-        raise KeyError(experiment)
-
     def as_dict(self) -> dict[str, str]:
         return dict(self.items)
 

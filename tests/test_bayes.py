@@ -9,6 +9,7 @@ from colprob import (
     AtomNode,
     ChoiceAnd,
     ChoiceOr,
+    EvalError,
     ParAnd,
     ParOr,
     Partition,
@@ -397,3 +398,59 @@ class TestUnionCheckScales:
             return 0
 
         assert len(calls) == 401 and depth(calls[-1]) == 9  # ceil(log2(400))
+
+
+def count_support_calls(monkeypatch) -> list:
+    """Count the support calls that the bayes module makes."""
+    calls = []
+    real = bayes.support
+
+    def counted(f, model):
+        calls.append(f)
+        return real(f, model)
+
+    monkeypatch.setattr(bayes, "support", counted)
+    return calls
+
+
+class TestErrorPrecedence:
+    def test_undetermined_cell_is_reported_before_a_support_mismatch(self, two_coins_cd):
+        with pytest.raises(PartitionError) as info:
+            check_partition(partition("H@c", "H@d", "H@c | T@d"), two_coins_cd, "additive")
+        assert str(info.value) == (
+            "cell 3 (H@c | T@d) is undetermined: "
+            "choice-or (|) across distinct supports {c} and {d}"
+        )
+
+    def test_support_mismatch_makes_no_prob_call(self, two_coins_cd, monkeypatch):
+        calls = count_prob_calls(monkeypatch)
+        with pytest.raises(PartitionError) as info:
+            check_partition(partition("H@c", "T@c", "H@d"), two_coins_cd, "additive")
+        assert str(info.value) == (
+            "support mismatch between cells: cell 1 over {c} but cell 3 over {d}"
+        )
+        assert calls == []
+
+    @pytest.mark.parametrize("variant", ["additive", "parallel"])
+    def test_one_support_call_per_cell(self, examples_model, monkeypatch, variant):
+        cells = {
+            "additive": ("1@d", "2@d | 3@d", "~(1@d | 2@d | 3@d)"),
+            "parallel": ("H@c1 && H@c2", "T@c1", "H@c1 && T@c2", "H@c1 && H@c2"),
+        }[variant]
+        calls = count_support_calls(monkeypatch)
+        check_partition(partition(*cells), examples_model, variant)
+        assert len(calls) == len(cells)
+
+    @pytest.mark.parametrize("variant", ["additive", "parallel"])
+    @pytest.mark.parametrize("cells", [
+        ("H@c given (H@c & T@c)", "T@c"),
+        ("H@c given T@d", "T@c"),
+        ("T@c", "H@c pgiven H@c"),
+    ])
+    def test_conditional_cell_is_rejected_by_support(self, two_coins_cd, variant, cells):
+        with pytest.raises(EvalError) as info:
+            check_partition(partition(*cells), two_coins_cd, variant)
+        assert type(info.value) is EvalError
+        assert str(info.value).startswith(
+            "conditionals ('given'/'pgiven') are only allowed at the root"
+        )

@@ -1,12 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from colprob import bayes, cli
 from colprob.cli import main
 
-from conftest import MODELS
+from conftest import MODELS, REPO
 
 EXAMPLES = str(MODELS / "examples.colp")
 CHANNEL = str(MODELS / "channel.colp")
@@ -355,6 +358,44 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--model", str(bad))
         assert code == 1
         assert "line 1" in err and "sums to 5/6" in err
+
+
+# Model files every subcommand must reject with one positioned or plain
+# error line: bytes that are not UTF-8, and a rational longer than int()
+# converts from text.
+BAD_MODEL_FILES = {
+    "non-utf8": (b"experiment c : H, T\xff\n", None),
+    "5000-digit": (
+        b"experiment c : H=" + b"1" * 5000 + b", T=1\n",
+        "error: 1:18: rational with too many digits\n",
+    ),
+}
+SUBCOMMANDS = {
+    "eval": ["--query", "H@c"],
+    "bayes": ["--variant", "additive", "--cell", "H@c", "--cell", "T@c",
+              "--evidence", "H@c"],
+    "check": [],
+    "repl": [],
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("bad", BAD_MODEL_FILES)
+def test_bad_model_file_gives_one_error_line(tmp_path, command, bad):
+    content, expected = BAD_MODEL_FILES[bad]
+    model = tmp_path / "bad.colp"
+    model.write_bytes(content)
+    done = subprocess.run(
+        [sys.executable, "-m", "colprob", command, "--model", str(model),
+         *SUBCOMMANDS[command]],
+        input="", capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ")
+    if expected is not None:
+        assert done.stderr == expected
 
 
 class TestRepl:

@@ -7,6 +7,7 @@ import pytest
 
 from colprob import (
     Determined,
+    EvalError,
     ExperimentDecl,
     Model,
     NullConditionError,
@@ -147,3 +148,66 @@ class TestMcEstimate:
             SampleConfig(10, seed=-1)
         with pytest.raises(ValueError):
             SampleConfig(10, seed=2**64)
+
+
+# The exact text of every oracle error and undetermined verdict, for both
+# the enumeration and the sampler (which words the additive conditional
+# differently).
+UNDETERMINED_TEXT = [
+    ("H@c | T@d", "choice-or (|) spans distinct supports {c} vs {d}",
+     "choice-or (|) spans distinct supports {c} vs {d}"),
+    ("H@c & T@d", "choice-and (&) spans distinct supports {c} vs {d}",
+     "choice-and (&) spans distinct supports {c} vs {d}"),
+    ("H@c given T@d", "additive conditional (given) spans distinct supports {c} vs {d}",
+     "additive conditional spans {c} vs {d}"),
+    ("H@c given (H@c | T@d)", "choice-or (|) spans distinct supports {c} vs {d}",
+     "choice-or (|) spans distinct supports {c} vs {d}"),
+    ("(H@c & T@d) pgiven H@c", "choice-and (&) spans distinct supports {c} vs {d}",
+     "choice-and (&) spans distinct supports {c} vs {d}"),
+]
+
+
+class TestPinnedMessages:
+    @pytest.mark.parametrize("query,enumerated,sampled", UNDETERMINED_TEXT)
+    def test_undetermined(self, two_coins_cd, query, enumerated, sampled):
+        f = parse_formula(query)
+        assert enumerate_prob(f, two_coins_cd) == Undetermined(enumerated)
+        with pytest.raises(OracleError) as info:
+            mc_estimate(f, two_coins_cd, SampleConfig(10))
+        assert str(info.value) == f"cannot sample an undetermined formula: {sampled}"
+
+    def test_state_space_bound(self):
+        model = Model.of(*(
+            ExperimentDecl.uniform(f"e{i}", tuple(str(j) for j in range(10)))
+            for i in range(8)
+        ))
+        f = parse_formula(" && ".join(f"0@e{i}" for i in range(8)))
+        with pytest.raises(OracleError) as info:
+            enumerate_prob(f, model)
+        assert str(info.value) == (
+            "state-space bound exceeded: 100000000 joint assignments (limit 10000000)"
+        )
+
+    @pytest.mark.parametrize("query,message", [
+        ("bogus@c && H@zz", "unknown outcome 'bogus' of experiment 'c'"),
+        ("H@zz && bogus@c", "unknown experiment 'zz'"),
+        ("H@c given (H@d | bogus@c)", "unknown outcome 'bogus' of experiment 'c'"),
+    ])
+    def test_leftmost_bad_atom_wins(self, two_coins_cd, query, message):
+        f = parse_formula(query)
+        for run in (lambda: enumerate_prob(f, two_coins_cd),
+                    lambda: mc_estimate(f, two_coins_cd, SampleConfig(10))):
+            with pytest.raises(EvalError) as info:
+                run()
+            assert str(info.value) == message
+
+    def test_null_condition(self, examples_model):
+        f = parse_formula("H@c given (H@c & T@c)")
+        with pytest.raises(NullConditionError) as info:
+            enumerate_prob(f, examples_model)
+        assert str(info.value) == "conditioning on null event (enumerated mass 0)"
+        with pytest.raises(OracleError) as info:
+            mc_estimate(f, examples_model, SampleConfig(50))
+        assert str(info.value) == (
+            "condition never occurred in 50 samples; cannot estimate the conditional"
+        )

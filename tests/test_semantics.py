@@ -57,7 +57,7 @@ class TestDenote:
         assert d.support == {"d1", "d2"}
         assert len(d.points) == 11
         assert all(
-            p.outcome("d1") == "6" or p.outcome("d2") == "6" for p in d.points
+            "6" in (p.as_dict()["d1"], p.as_dict()["d2"]) for p in d.points
         )
 
     def test_negation_is_complement(self, examples_model):

@@ -1,0 +1,234 @@
+"""Differential run: every answer, verdict and message of one source tree.
+
+    python3 tools/differential.py TREE OUT
+
+imports ``colprob`` from ``TREE/src`` and writes one line per input to
+``OUT``. The inputs come from this checkout and are the same for every
+tree, so two runs compare with ``cmp``:
+
+    python3 tools/differential.py /path/to/parent parent.txt
+    python3 tools/differential.py . change.txt
+    cmp parent.txt change.txt
+
+Inputs: every request of ``perfbench/workloads.py`` ``WORKLOADS[w](1)``
+(read, never changed); seeded ``tests/_corpus.py`` models and queries
+with explain, oracle and Monte Carlo; random and fixed Bayes partitions
+under both variants and both parallel forms; and CLI runs of every
+subcommand, bad model files among them. A line holds the section, the
+input and the result, or the exception's type and text when one escapes.
+Stdlib only; the run re-executes itself with PYTHONHASHSEED=0.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import random
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CORPUS_MODELS = 240
+PARTITIONS = 600
+MC_SAMPLES = 300
+
+
+def attempt(run) -> str:
+    try:
+        return repr(run())
+    except (Exception, SystemExit) as err:  # a message is part of the answer
+        return f"{type(err).__name__}: {err}"
+
+
+def workload_rows(cp, emit) -> None:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    for name in sorted(WORKLOADS):
+        wl = WORKLOADS[name](1)
+        models = [cp.parse_model(text) for text in wl.models]
+        for i, req in enumerate(wl.requests):
+            model = models[req.model]
+            key = f"{name}#{i} {req.query or req.cells}"
+            if req.is_bayes:
+                cells = cp.Partition(tuple(cp.parse_formula(c) for c in req.cells))
+                evidence = cp.parse_formula(req.evidence)
+                emit("workload-bayes", key, attempt(
+                    lambda: cp.bayes.posteriors(cells, evidence, model, "parallel")))
+                continue
+            emit("workload", key, attempt(lambda: cp.cli.run_query(
+                model, req.query, explain=req.explain, oracle=req.oracle,
+                mc_samples=req.mc_samples, seed=req.mc_seed,
+            ).to_json()))
+
+
+def with_bad_atoms(rng, f, cp, model):
+    """``f`` joined by ``&&`` with an unknown outcome and, half the time,
+    an unknown experiment on its left, so the leftmost error must win."""
+    e = rng.choice(sorted(model.experiments))
+    f = cp.ParAnd(f, cp.AtomNode(e, "bogus"))
+    return cp.ParAnd(cp.AtomNode("nowhere", "o0"), f) if rng.random() < 0.5 else f
+
+
+def corpus_rows(cp, corpus, emit) -> None:
+    rng = random.Random(20261018)
+    for m in range(CORPUS_MODELS):
+        model = corpus.random_dag_model(rng) if m % 2 else corpus.random_model(rng)
+        for q in range(4):
+            f = corpus.random_query(rng, model)
+            if q == 3:
+                f = with_bad_atoms(rng, f, cp, model)
+            key = f"model{m}: {cp.format_formula(f)}"
+            emit("prob", key, attempt(lambda: cp.prob(f, model)))
+            emit("explain", key, attempt(
+                lambda: cp.render_derivation(cp.prob_explain(f, model)[1])))
+            emit("oracle", key, attempt(lambda: cp.enumerate_prob(f, model)))
+            emit("mc", key, attempt(lambda: cp.mc_estimate(
+                f, model, cp.SampleConfig(MC_SAMPLES, seed=m))))
+    decls = [cp.ExperimentDecl.uniform(f"e{i}", tuple("0123456789")) for i in range(8)]
+    big = cp.Model.of(*decls)
+    f = cp.parse_formula(" && ".join(f"0@e{i}" for i in range(8)))
+    emit("oracle", "state-space bound", attempt(lambda: cp.enumerate_prob(f, big)))
+
+
+FIXED_PARTITIONS = [
+    ("examples", ["H@c", "T@c"], "H@c"),
+    ("examples", ["H@c", "H@c"], "H@c"),
+    ("examples", ["1@d | 2@d", "2@d | 3@d", "3@d | 4@d"], "1@d"),
+    ("examples", ["4@d", "~4@d"], "3@d | 4@d"),
+    ("examples", ["H@c1 && H@c2", "T@c1", "H@c1 && T@c2"], "H@c2"),
+    ("examples", ["H@c1 && H@c2", "H@c2", "T@c2"], "H@c1"),
+    ("examples", ["H@c", "H@d", "H@c | T@d"], "H@c"),
+    ("examples", ["H@c", "T@c", "1@d"], "H@c"),
+    ("examples", ["H@c given (H@c & T@c)", "T@c"], "H@c"),
+    ("examples", ["H@c given 1@d", "T@c"], "H@c"),
+    ("examples", ["T@c", "H@c pgiven H@c"], "H@c"),
+    ("examples", ["H@c", "T@c"], "H@c & T@c"),
+    ("examples", ["H@c", "T@c"], "H@c | 1@d"),
+    ("examples", ["H@c", "bogus@c"], "H@c"),
+    ("channel", ["0@T", "1@T"], "0@R"),
+    ("channel", ["0@T", "1@T"], "0@R pgiven 0@T"),
+    ("dice", ["1@d", "2@d", "3@d"], "1@d | 2@d"),
+]
+
+
+def partition_rows(cp, corpus, emit) -> None:
+    named = {n: cp.parse_model((ROOT / "models" / f"{n}.colp").read_text())
+             for n in ("examples", "channel", "dice")}
+    cases = [(named[m], m, cells, ev) for m, cells, ev in FIXED_PARTITIONS]
+    rng = random.Random(4149)
+    for n in range(PARTITIONS):
+        model = corpus.random_dag_model(rng) if n % 2 else corpus.random_model(rng)
+        if rng.random() < 0.5:  # over one experiment, so mostly one support
+            e = rng.choice(sorted(model.experiments))
+            cells = [corpus.random_formula(rng, model, 2, e) for _ in range(rng.randint(2, 4))]
+        else:
+            cells = [corpus.random_query(rng, model, 3) for _ in range(rng.randint(2, 4))]
+        evidence = corpus.random_formula(rng, model, 2)
+        cases.append((model, f"random{n}", [cp.format_formula(c) for c in cells],
+                      cp.format_formula(evidence)))
+    for model, name, texts, ev in cases:
+        key = f"{name}: [{', '.join(texts)}] {ev}"
+        cells = cp.Partition(tuple(cp.parse_formula(t) for t in texts))
+        evidence = cp.parse_formula(ev)
+        for variant in ("additive", "parallel"):
+            emit(f"check-{variant}", key, attempt(
+                lambda: cp.check_partition(cells, model, variant)))
+            emit(f"posteriors-{variant}", key, attempt(
+                lambda: cp.bayes.posteriors(cells, evidence, model, variant)))
+        emit("prior-likelihood", key, attempt(
+            lambda: cp.bayes_parallel(cells, evidence, model, "prior-likelihood")))
+
+
+BAD_FILES = {
+    "non-utf8.colp": b"experiment c : H, T\xff\n",
+    "long-rational.colp": b"experiment c : H=" + b"1" * 5000 + b", T=1\n",
+    "bad-sum.colp": b"experiment d : 1=1/6, 2=1/6, 3=1/6, 4=1/6, 5=1/6\n",
+    "bad-syntax.colp": b"experiment c H, T\n",
+    "zero-den.colp": b"experiment c : H=1/0, T=1\n",
+}
+REPL_SCRIPT = (
+    "4@d | 5@d\nH@c1 | T@c2\n4@d |\nH@zzz\n:space (3@d | 4@d) & 4@d\n:space H@c & T@c\n"
+    ":explain 6@d1 || 6@d2\n:bayes additive [1@d, 2@d] 1@d | 2@d | 3@d\n"
+    ":bayes parallel [H@c, H@c] H@c\n:bayes nope [H@c] H@c\n:bogus\n"
+    + "~" * 3000 + "H@c\n:quit\n"
+)
+
+
+def cli_cases():
+    models = [f"models/{n}.colp" for n in ("examples", "channel", "dice", "coin")]
+    models += sorted(BAD_FILES) + ["missing.colp"]
+    for model in models:
+        yield ["check", "--model", model], ""
+        yield ["repl", "--model", model], REPL_SCRIPT
+        yield ["eval", "--model", model, "--query", "H@c"], ""
+        yield ["bayes", "--model", model, "--variant", "additive",
+               "--cell", "H@c", "--cell", "T@c", "--evidence", "H@c"], ""
+    ex = "models/examples.colp"
+    for query in ("4@d | 5@d", "H@c1 | T@c2", "4@d |", "H@c given (H@c & T@c)",
+                  "(6@d1 && 5@d2 | 6@d2 && 5@d1) given (6@d1 || 6@d2)",
+                  "~" * 3000 + "H@c", " && ".join(["alien"] * 300)):
+        for flags in ([], ["--explain"], ["--json", "--explain", "--oracle"],
+                      ["--mc-samples", "500", "--seed", "3"], ["--mc-samples", "0"]):
+            yield ["eval", "--model", ex, "--query", query, *flags], ""
+    for variant in ("additive", "parallel"):
+        for cells, ev in ((["0@T", "1@T"], "0@R"), (["0@T", "0@T"], "0@R"),
+                          (["0@T"], "0@R"), (["0@T", "1@T"], "0@T")):
+            for json_flag in ([], ["--json"]):
+                yield ["bayes", "--model", "models/channel.colp", "--variant", variant,
+                       *(a for c in cells for a in ("--cell", c)),
+                       "--evidence", ev, *json_flag], ""
+
+
+def cli_rows(cp, emit) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        os.symlink(ROOT / "models", "models")
+        for name, content in BAD_FILES.items():
+            Path(name).write_bytes(content)
+        for argv, stdin in cli_cases():
+            out, err = io.StringIO(), io.StringIO()
+            sys.stdin = io.StringIO(stdin)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = attempt(lambda: cp.cli.main(argv))
+            emit("cli", repr(argv)[:300], f"{code} {out.getvalue()!r} {err.getvalue()!r}")
+        os.chdir(ROOT)
+    sys.stdin = sys.__stdin__
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        os.execve(sys.executable, [sys.executable, __file__, *argv],
+                  {**os.environ, "PYTHONHASHSEED": "0"})
+    tree, out_path = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    sys.dont_write_bytecode = True  # leave no __pycache__ in either tree
+    sys.path[:0] = [str(tree / "src"), str(ROOT / "tests")]
+    import colprob as cp
+    import colprob.cli  # noqa: F401  (cp.cli)
+    import _corpus as corpus
+
+    warnings.simplefilter("ignore")
+    counts: dict[str, int] = {}
+    with open(out_path, "w", encoding="utf-8") as out:
+        def emit(section: str, key: str, result: str) -> None:
+            counts[section] = counts.get(section, 0) + 1
+            out.write(f"{section}\t{key}\t{result}".replace("\n", "\\n") + "\n")
+
+        workload_rows(cp, emit)
+        corpus_rows(cp, corpus, emit)
+        partition_rows(cp, corpus, emit)
+        cli_rows(cp, emit)
+    print(f"{sum(counts.values())} rows: "
+          + ", ".join(f"{k} {v}" for k, v in sorted(counts.items())))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
