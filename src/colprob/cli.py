@@ -188,7 +188,7 @@ def run_query(
 
 
 def _load_model(path: str) -> Model:
-    return parse_model(Path(path).read_text(encoding="utf-8"))
+    return parse_model(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _fail(message: str) -> int:

@@ -153,28 +153,27 @@ def _row_label(decl: ExperimentDecl, key: tuple[str, ...]) -> str:
 
 
 def _check_acyclic(model: Model) -> list[str]:
-    # DFS with an explicit path so we can name the cycle found.
+    # DFS with an explicit path, so deep chains cannot exhaust Python's
+    # stack and each cycle found can be named.
     issues = []
-    state: dict[str, int] = {}  # 0 visiting, 1 done
-
-    def visit(name: str, path: list[str]):
-        if state.get(name) == 1:
-            return
-        if state.get(name) == 0:
-            cycle = path[path.index(name):] + [name]
-            issues.append("cycle: " + "→".join(cycle))
-            return
-        state[name] = 0
-        decl = model.experiments.get(name)
-        if decl is not None:
-            for p in decl.parents:
-                if p in model.experiments:
-                    visit(p, path + [name])
-        state[name] = 1
-
-    for name in model.experiments:
-        if state.get(name) != 1:
-            visit(name, [])
+    done: set[str] = set()
+    for root in model.experiments:
+        if root in done:
+            continue
+        path, on_path = [root], {root}
+        stack = [iter(model.experiments[root].parents)]
+        while stack:
+            p = next(stack[-1], None)
+            if p is None:
+                stack.pop()
+                done.add(path[-1])
+                on_path.remove(path.pop())
+            elif p in on_path:
+                issues.append("cycle: " + "→".join(path[path.index(p):] + [p]))
+            elif p in model.experiments and p not in done:
+                path.append(p)
+                on_path.add(p)
+                stack.append(iter(model.experiments[p].parents))
     return issues
 
 

@@ -34,7 +34,6 @@ attaches to the most recent ``depends`` declaration. Rationals are written
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ModelError, ParseError
@@ -184,16 +183,6 @@ class _LineError(Exception):
         super().__init__(message)
 
 
-@dataclass
-class _Pending:
-    name: str
-    outcomes: tuple[str, ...]
-    parents: tuple[str, ...]
-    rows: dict
-    is_predicate: bool
-    line: int
-
-
 def _at(text: str, start: int) -> int | None:
     """Where ``text.strip()`` starts in the line, ``text`` being found at
     ``start`` (None when nothing is left)."""
@@ -237,7 +226,7 @@ def _parse_outcome(text: str, start: int) -> str:
     return _parse_name(text, start, "outcome", _OUTCOME_RE)
 
 
-def _parse_experiment_line(body: str, start: int, lineno: int) -> _Pending:
+def _parse_experiment_line(body: str, start: int) -> ExperimentDecl:
     head, sep, rest = body.partition(":")
     if not sep:
         raise _LineError("experiment declaration needs ':' before its outcomes")
@@ -262,9 +251,6 @@ def _parse_experiment_line(body: str, start: int, lineno: int) -> _Pending:
         raise _LineError(
             "a dependent experiment takes its probabilities from cpt lines"
         )
-    if parents:
-        outcomes = tuple(_parse_outcome(e, at) for e, at in entries)
-        return _Pending(name, outcomes, parents, {}, False, lineno)
     if all(weighted):
         dist: dict[str, Fraction] = {}
         for e, at in entries:
@@ -273,13 +259,14 @@ def _parse_experiment_line(body: str, start: int, lineno: int) -> _Pending:
             if out in dist:
                 raise _LineError(f"duplicate outcome '{out}'", _at(o, at))
             dist[out] = _parse_rational(w, at + len(o) + len(sep))
-        return _Pending(name, tuple(dist), (), {(): dist}, False, lineno)
+        return ExperimentDecl.weighted(name, dist)
     outcomes = tuple(_parse_outcome(e, at) for e, at in entries)
-    w = Fraction(1, len(outcomes))
-    return _Pending(name, outcomes, (), {(): {o: w for o in outcomes}}, False, lineno)
+    if parents:  # its cpt is filled by the cpt lines that follow
+        return ExperimentDecl(name, outcomes, parents)
+    return ExperimentDecl.uniform(name, outcomes)
 
 
-def _parse_cpt_line(body: str, start: int, current: _Pending | None) -> None:
+def _parse_cpt_line(body: str, start: int, current: ExperimentDecl | None) -> None:
     if current is None or not current.parents:
         raise _LineError(
             "cpt line must follow the declaration of a dependent experiment"
@@ -312,7 +299,7 @@ def _parse_cpt_line(body: str, start: int, current: _Pending | None) -> None:
             f"cpt row assigns non-parent(s): {', '.join(extra)}"
         )
     key = tuple(assignment[p] for p in current.parents)
-    row = current.rows.setdefault(key, {})
+    row = current.cpt.setdefault(key, {})
     if outcome in row:
         raise _LineError(
             f"duplicate cpt entry for outcome '{outcome}' under this assignment"
@@ -320,14 +307,16 @@ def _parse_cpt_line(body: str, start: int, current: _Pending | None) -> None:
     row[outcome] = weight
 
 
-def _parse_predicate_line(body: str, start: int, lineno: int) -> _Pending:
+def _parse_predicate_line(body: str, start: int) -> ExperimentDecl:
     name_part, sep, weight_part = body.partition("=")
     if not sep:
         raise _LineError("predicate declaration needs '= <rational>'")
     name = _parse_name(name_part, start, "predicate id")
     p_true = _parse_rational(weight_part, start + len(name_part) + len(sep))
-    dist = {"true": p_true, "false": Fraction(1) - p_true}
-    return _Pending(name, ("true", "false"), (), {(): dist}, True, lineno)
+    return ExperimentDecl.predicate(name, p_true)
+
+
+_DECLARATIONS = {"experiment": _parse_experiment_line, "predicate": _parse_predicate_line}
 
 
 def parse_model(text: str) -> Model:
@@ -336,8 +325,9 @@ def parse_model(text: str) -> Model:
     Raises ParseError for syntax problems and ModelError (with line
     numbers) when the declarations violate a model invariant.
     """
-    pending: dict[str, _Pending] = {}
-    current: _Pending | None = None
+    decls: dict[str, ExperimentDecl] = {}
+    lines: dict[str, int] = {}
+    current: ExperimentDecl | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = " ".join(raw.split("#", 1)[0].split())
         if not line:
@@ -345,20 +335,14 @@ def parse_model(text: str) -> Model:
         word, sep, body = line.partition(" ")
         start = len(word) + len(sep)
         try:
-            if word == "experiment":
-                decl = _parse_experiment_line(body, start, lineno)
-                if decl.name in pending:
-                    raise _LineError(f"duplicate experiment id '{decl.name}'")
-                pending[decl.name] = decl
-                current = decl
-            elif word == "cpt":
+            if word == "cpt":
                 _parse_cpt_line(body, start, current)
-            elif word == "predicate":
-                decl = _parse_predicate_line(body, start, lineno)
-                if decl.name in pending:
-                    raise _LineError(f"duplicate experiment id '{decl.name}'")
-                pending[decl.name] = decl
-                current = None
+            elif word in _DECLARATIONS:
+                current = _DECLARATIONS[word](body, start)
+                if current.name in decls:
+                    raise _LineError(f"duplicate experiment id '{current.name}'")
+                decls[current.name] = current
+                lines[current.name] = lineno
             else:
                 raise _LineError(
                     f"unknown declaration '{word}'; expected "
@@ -367,20 +351,10 @@ def parse_model(text: str) -> Model:
         except _LineError as err:
             col = 1 if err.offset is None else _raw_column(raw, err.offset)
             raise ParseError(err.message, lineno, col) from None
-    decls = [
-        ExperimentDecl(
-            p.name,
-            p.outcomes,
-            p.parents,
-            cpt={k: dict(v) for k, v in p.rows.items()},
-            is_predicate=p.is_predicate,
-        )
-        for p in pending.values()
-    ]
-    model = Model({d.name: d for d in decls})
+    model = Model(decls)
     issues = validate_model(model)
     if issues:
-        raise ModelError([_locate_issue(issue, pending) for issue in issues])
+        raise ModelError([_locate_issue(issue, lines) for issue in issues])
     return model
 
 
@@ -394,8 +368,8 @@ def _raw_column(raw: str, offset: int) -> int:
     return 1
 
 
-def _locate_issue(issue: str, pending: dict[str, _Pending]) -> str:
-    for name, p in pending.items():
+def _locate_issue(issue: str, lines: dict[str, int]) -> str:
+    for name, line in lines.items():
         if issue.startswith(f"experiment {name}:") or f" {name}→" in f" {issue}":
-            return f"line {p.line}: {issue}"
+            return f"line {line}: {issue}"
     return issue

@@ -151,19 +151,14 @@ def lift(s: EventSpace, target: Iterable[str], model: Model) -> EventSpace:
     """Extend every point of ``s`` with all outcome combinations of the
     experiments in ``target`` that ``s`` does not already assign."""
     target = frozenset(target)
-    missing = target - s.support
     if not s.support <= target:
         raise EvalError(
             f"cannot lift a space over {format_support(s.support)} "
             f"to the smaller support {format_support(target)}"
         )
-    if not missing:
+    if target == s.support:
         return s
-    extension = full_space(model, missing)
-    points = frozenset(
-        a.merge(b) for a in s.points for b in extension.points
-    )
-    return EventSpace(target, points)
+    return cartesian_conj(s, full_space(model, target - s.support))
 
 
 def support(f: Formula, model: Model) -> frozenset[str] | Undetermined:

@@ -156,3 +156,14 @@ def random_space(rng, model, max_support=3):
     pts = sorted(full_space(model, support).points, key=lambda p: p.items)
     chosen = rng.sample(pts, rng.randint(1, len(pts)))
     return EventSpace(frozenset(support), frozenset(chosen))
+
+
+def child_first_chain(n):
+    """Model-file text of an n-node binary Markov chain x0 → … → x{n-1},
+    declared child first, so every parent follows its child."""
+    lines = []
+    for i in range(n - 1, 0, -1):
+        lines.append(f"experiment x{i} : 0, 1 depends x{i - 1}")
+        lines += [f"cpt {o} | x{i - 1}={p} = 1/2" for p in "01" for o in "01"]
+    lines.append("experiment x0 : 0, 1")
+    return "\n".join(lines) + "\n"

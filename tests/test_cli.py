@@ -10,6 +10,7 @@ from colprob import bayes, cli
 from colprob.cli import main
 
 from conftest import MODELS, REPO
+from _corpus import child_first_chain
 
 EXAMPLES = str(MODELS / "examples.colp")
 CHANNEL = str(MODELS / "channel.colp")
@@ -358,6 +359,22 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--model", str(bad))
         assert code == 1
         assert "line 1" in err and "sums to 5/6" in err
+
+    def test_long_chain_declared_child_first(self, capsys, tmp_path):
+        chain = tmp_path / "chain.colp"
+        chain.write_text(child_first_chain(1500))
+        assert run(capsys, "check", "--model", str(chain)) == (0, "ok (1500 experiments)\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(["check"], "ok (1 experiments)\n"), (["eval", "--query", "H@c"], "1/2 (≈0.5)\n")],
+    ids=["check", "eval"],
+)
+def test_byte_order_mark_is_accepted(capsys, tmp_path, argv, expected):
+    model = tmp_path / "bom.colp"
+    model.write_bytes(b"\xef\xbb\xbfexperiment c : H, T\n")
+    assert run(capsys, *argv, "--model", str(model)) == (0, expected, "")
 
 
 # Model files every subcommand must reject with one positioned or plain

@@ -10,9 +10,10 @@ from colprob import (
     Model,
     ancestral_closure,
     joint_point_prob,
+    parse_model,
     validate_model,
 )
-from _corpus import random_model
+from _corpus import child_first_chain, random_model
 
 
 def fair(name, *outcomes):
@@ -37,6 +38,38 @@ def test_two_node_cycle_is_reported():
     issues = validate_model(Model.of(r, t))
     assert any("cycle: R→T→R" in issue or "cycle: T→R→T" in issue
                for issue in issues)
+
+
+def binary(name, *parents):
+    """A 0/1 experiment with a fair row for every parent assignment."""
+    half = {"0": Fraction(1, 2), "1": Fraction(1, 2)}
+    return ExperimentDecl(
+        name, ("0", "1"), parents, {key: half for key in product("01", repeat=len(parents))}
+    )
+
+
+def test_every_cycle_is_reported_once_in_declaration_order():
+    # Two disjoint cycles, a cycle reached through the tail t, a self-loop,
+    # and a repeated parent edge into a cycle.
+    model = Model.of(
+        binary("a", "b"), binary("b", "a"),
+        binary("t", "u"), binary("u", "v"), binary("v", "w"), binary("w", "u", "x"),
+        binary("x", "y"), binary("y", "x"),
+        binary("s", "s"),
+    )
+    assert validate_model(model) == [
+        "cycle: a→b→a", "cycle: u→v→w→u", "cycle: x→y→x", "cycle: s→s",
+    ]
+    dup = Model.of(ExperimentDecl("p", ("0",), ("q", "q", "zz")), binary("q", "p"))
+    assert [i for i in validate_model(dup) if i.startswith("cycle")] == ["cycle: p→q→p"]
+
+
+def test_long_chain_declared_child_first_validates():
+    # The cycle check walks parents without recursion, so chain length is
+    # not bounded by Python's recursion limit.
+    model = parse_model(child_first_chain(1500))
+    assert len(model.experiments) == 1500
+    assert ancestral_closure(model, ["x1499"]) == frozenset(model.experiments)
 
 
 def test_unknown_parent_is_reported():

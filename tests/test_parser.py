@@ -8,6 +8,7 @@ from colprob import (
     AtomNode,
     ChoiceAnd,
     ChoiceOr,
+    ExperimentDecl,
     GivenAdd,
     GivenPar,
     ModelError,
@@ -300,6 +301,34 @@ class TestParseModel:
         with pytest.raises(ParseError) as info:
             parse_model(text)
         assert (info.value.column, info.value.message) == (column, message)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("experiment c : H, T", ExperimentDecl.uniform("c", ("H", "T"))),
+            (
+                "experiment  d :1=1/6,  2 = 1/3 , 3=1/2   # a loaded die",
+                ExperimentDecl.weighted(
+                    "d", {"1": Fraction(1, 6), "2": Fraction(1, 3), "3": Fraction(1, 2)}
+                ),
+            ),
+            ("predicate alien = 1/1000", ExperimentDecl.predicate("alien", Fraction(1, 1000))),
+            (
+                "experiment T : 0, 1\nexperiment R : 0, 1 depends T\n"
+                "cpt 0 | T=0 = 9/10\ncpt 1 | T=0 = 1/10\n"
+                "cpt 0 | T=1 = 1/10\ncpt 1 | T=1 = 9/10\n",
+                ExperimentDecl("R", ("0", "1"), ("T",), {
+                    ("0",): {"0": Fraction(9, 10), "1": Fraction(1, 10)},
+                    ("1",): {"0": Fraction(1, 10), "1": Fraction(9, 10)},
+                }),
+            ),
+        ],
+        ids=["uniform", "weighted", "predicate", "dependent"],
+    )
+    def test_each_line_kind_gives_its_constructors_decl(self, text, expected):
+        got = parse_model(text).decl(expected.name)
+        fields = ("name", "outcomes", "parents", "cpt", "is_predicate")
+        assert [getattr(got, f) for f in fields] == [getattr(expected, f) for f in fields]
 
     def test_unknown_declaration_word(self):
         with pytest.raises(ParseError, match="unknown declaration"):

@@ -1,0 +1,86 @@
+"""Property tests: both parsers are total, and printing round-trips.
+
+Runs are derandomized and keep no example database, so every run checks
+the same inputs and writes nothing to the checkout (``conftest.py`` moves
+hypothesis's other cache to a temporary directory).
+"""
+
+from contextlib import suppress
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from colprob import (
+    AtomNode,
+    ChoiceAnd,
+    ChoiceOr,
+    ColprobError,
+    GivenAdd,
+    GivenPar,
+    Not,
+    ParAnd,
+    ParOr,
+    format_formula,
+    parse_formula,
+    parse_model,
+)
+
+
+DETERMINISTIC = settings(derandomize=True, database=None, max_examples=200)
+
+FORMULA_PIECES = [
+    "(", ")", "~", "&", "&&", "|", "||", "@", " ", "\n", "#", "H", "T", "c", "d",
+    "0", "12", "alien", "given", "pgiven", "_x", "é", "$",
+]
+FORMULA_TEXT = st.lists(st.sampled_from(FORMULA_PIECES), max_size=80).map(
+    lambda p: "".join(p)[:200]
+)
+# Lines shaped like each declaration, with random names, outcomes and
+# rationals, so that errors past the first line are reached too.
+MODEL_LINE = st.from_regex(
+    r"experiment [a-zT]{1,2} ?: ?[01HT](, ?[01HT](=-?[0-9]/[0-9])?){0,2}"
+    r"( depends [cRT](, [cRT])?)?"
+    r"|cpt [01] \| [RT]=[01](, [RT]=[01])? = -?[0-9](/[0-9])?"
+    r"|predicate [a-z] = -?[0-9](/[0-9])?"
+    r"|#.*|.{0,20}",
+    fullmatch=True,
+)
+MODEL_TEXT = st.lists(MODEL_LINE, max_size=8).map(lambda lines: "\n".join(lines)[:200])
+
+
+@DETERMINISTIC
+@given(st.text(max_size=200) | FORMULA_TEXT)
+def test_parse_formula_returns_or_raises_colprob_error(text):
+    with suppress(ColprobError):
+        parse_formula(text)
+
+
+@DETERMINISTIC
+@given(st.text(max_size=200) | MODEL_TEXT)
+def test_parse_model_returns_or_raises_colprob_error(text):
+    with suppress(ColprobError):
+        parse_model(text)
+
+
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True).filter(
+    lambda name: name not in ("given", "pgiven")
+)
+OUTCOMES = NAMES | st.from_regex(r"[0-9]{1,3}", fullmatch=True)
+FORMULAS = st.recursive(
+    st.builds(AtomNode, NAMES, OUTCOMES),
+    lambda sub: st.builds(Not, sub) | st.one_of(*(
+        st.builds(node, sub, sub)
+        for node in (ChoiceAnd, ChoiceOr, ParAnd, ParOr, GivenAdd, GivenPar)
+    )),
+    max_leaves=16,
+)
+
+
+@DETERMINISTIC
+@given(FORMULAS)
+def test_format_formula_round_trips(f):
+    assert parse_formula(format_formula(f)) == f
