@@ -31,7 +31,7 @@ from colprob import (
     prob_explain,
     space_prob,
 )
-from colprob.oracle import _mentioned
+from colprob.oracle import _atoms
 from _corpus import random_dag_model, random_formula, random_model, random_query, random_space
 
 F = Fraction
@@ -389,7 +389,7 @@ def test_prob_matches_oracle_on_multi_parent_models():
                 assert type(ev) is type(orc), (f, ev, orc)
                 if isinstance(ev, Determined):
                     assert ev == orc, f
-                    names = _mentioned(f, model)
+                    names = {atom.experiment for atom in _atoms(f, model)}
                     eliminated += ancestral_closure(model, names) != names
                 checked += 1
     assert checked == 800 and eliminated > 150

@@ -1,26 +1,38 @@
 import math
 import random
 import warnings
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
 from colprob import (
+    AtomNode,
+    ChoiceAnd,
     Determined,
     EvalError,
     ExperimentDecl,
+    GivenAdd,
+    GivenPar,
+    McEstimate,
     Model,
+    Not,
     NullConditionError,
     OracleError,
+    ParAnd,
     SampleConfig,
     SharedExperimentWarning,
     Undetermined,
+    ancestral_closure,
     enumerate_prob,
     mc_estimate,
     parse_formula,
     prob,
 )
-from _corpus import random_formula, random_model, random_query
+from colprob.model import topological_order
+from colprob.oracle import _BLOCK
+from _corpus import random_dag_model, random_formula, random_model, random_query
 
 F = Fraction
 
@@ -211,3 +223,149 @@ class TestPinnedMessages:
         assert str(info.value) == (
             "condition never occurred in 50 samples; cannot estimate the conditional"
         )
+
+
+def holds(f, assignment):
+    """Whether conditional-free ``f`` holds on one full assignment."""
+    if isinstance(f, AtomNode):
+        return assignment[f.experiment] == f.outcome
+    if isinstance(f, Not):
+        return not holds(f.child, assignment)
+    if isinstance(f, (ChoiceAnd, ParAnd)):
+        return holds(f.left, assignment) and holds(f.right, assignment)
+    return holds(f.left, assignment) or holds(f.right, assignment)
+
+
+def mentioned(f):
+    if isinstance(f, AtomNode):
+        return {f.experiment}
+    if isinstance(f, Not):
+        return mentioned(f.child)
+    if isinstance(f, (GivenAdd, GivenPar)):
+        return mentioned(f.event) | mentioned(f.condition)
+    return mentioned(f.left) | mentioned(f.right)
+
+
+def per_sample_mc(f, model, cfg):
+    """The reference sampler, one sample at a time: each closure experiment
+    is drawn parents-first with one uniform from its cumulative cpt row,
+    then the formula is tested on the sample's assignment."""
+    event, condition = (f.event, f.condition) if isinstance(f, (GivenAdd, GivenPar)) else (f, None)
+    order = topological_order(model, ancestral_closure(model, mentioned(f)))
+    rng = random.Random(cfg.seed)
+    hits = eligible = 0
+    for _ in range(cfg.sample_count):
+        assignment = {}
+        for name in order:
+            decl = model.decl(name)
+            row = decl.cpt[tuple(assignment[p] for p in decl.parents)]
+            cumulative = list(accumulate(float(row.get(o, 0)) for o in decl.outcomes))
+            cumulative[-1] = 1.0
+            assignment[name] = decl.outcomes[bisect_right(cumulative, rng.random())]
+        if condition is None or holds(condition, assignment):
+            eligible += 1
+            hits += holds(event, assignment)
+    if eligible == 0:
+        raise OracleError(
+            f"condition never occurred in {cfg.sample_count} samples; "
+            "cannot estimate the conditional"
+        )
+    p_hat = hits / eligible
+    return McEstimate(p_hat, math.sqrt(p_hat * (1.0 - p_hat) / eligible),
+                      cfg.sample_count, cfg.seed)
+
+
+def outcome(run):
+    try:
+        return run()
+    except OracleError as err:
+        return f"OracleError: {err}"
+
+
+# Sample counts on both sides of the oracle's block boundaries.
+BLOCK_COUNTS = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
+
+
+def coins(n):
+    return Model.of(*(ExperimentDecl.uniform(f"c{i}", ("H", "T")) for i in range(n)))
+
+
+def or_chain(first, last):
+    return " || ".join(f"H@c{i}" for i in range(first, last))
+
+
+@pytest.fixture(scope="module")
+def wide_model():
+    """w uniform over 300 outcomes, so outcome indices take two bytes."""
+    return Model.of(ExperimentDecl.uniform("w", tuple(f"o{i}" for i in range(300))),
+                    ExperimentDecl.uniform("v", ("a", "b")))
+
+
+def dependent_corpus_queries():
+    """Determined queries on seeded multi-parent models: four plain ones,
+    then two parallel conditionals."""
+    rng = random.Random(606)
+    cases = []
+    while len(cases) < 6:
+        model = random_dag_model(rng)
+        f = random_formula(rng, model, 4)
+        if len(cases) >= 4:
+            f = GivenPar(f, random_formula(rng, model, 3))
+        try:
+            determined = isinstance(enumerate_prob(f, model), Determined)
+        except NullConditionError:
+            determined = True
+        if determined:
+            cases.append((model, f))
+    return cases
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("samples", BLOCK_COUNTS)
+    def test_mc_matches_per_sample_loop(self, channel_model, samples):
+        cases = [(channel_model, parse_formula(q)) for q in
+                 ("0@T pgiven 0@R", "1@R given (0@R | 1@R)", "~(0@T && 1@R)")]
+        cases += dependent_corpus_queries()
+        assert any(model.decl(name).parents
+                   for model, f in cases[-2:]
+                   for name in ancestral_closure(model, mentioned(f)))
+        for i, (model, f) in enumerate(cases):
+            cfg = SampleConfig(samples, seed=samples + i)
+            got = outcome(lambda: mc_estimate(f, model, cfg))
+            assert got == outcome(lambda: per_sample_mc(f, model, cfg)), f
+
+    def test_enumeration_over_many_blocks_of_coins(self):
+        model = coins(14)
+        chain = or_chain(0, 13)
+        assert enumerate_prob(parse_formula(chain), model) == Determined(1 - F(1, 2**13))
+        # The choice-or over c13 is a tautology that brings c13's rows in:
+        # 16,384 rows in all.
+        spanning = f"({chain}) && (H@c13 | T@c13)"
+        assert enumerate_prob(parse_formula(spanning), model) == Determined(1 - F(1, 2**13))
+        got = enumerate_prob(parse_formula(f"H@c0 pgiven ({spanning})"), model)
+        assert got == Determined(F(4096, 8191))
+
+    def test_condition_empty_in_every_block(self):
+        model = coins(14)
+        f = parse_formula(f"H@c1 pgiven ((H@c0 & T@c0) && ({or_chain(1, 14)}))")
+        with pytest.raises(NullConditionError) as info:
+            enumerate_prob(f, model)
+        assert str(info.value) == "conditioning on null event (enumerated mass 0)"
+        samples = 3 * _BLOCK + 7
+        with pytest.raises(OracleError) as info:
+            mc_estimate(f, model, SampleConfig(samples))
+        assert str(info.value) == (
+            f"condition never occurred in {samples} samples; cannot estimate the conditional"
+        )
+
+    def test_more_than_256_outcomes(self, wide_model):
+        cfg = SampleConfig(5000, seed=3)
+        for query, exact, estimate in (("o299@w || a@v", F(301, 600), 0.509),
+                                       ("o5@w | o7@w", F(1, 150), 0.0064)):
+            f = parse_formula(query)
+            assert enumerate_prob(f, wide_model) == Determined(exact)
+            assert mc_estimate(f, wide_model, cfg).estimate == estimate
+        # o257's low byte is o1's: both bytes of an index must match.
+        f = parse_formula("o1@w pgiven (o1@w | o257@w)")
+        assert enumerate_prob(f, wide_model) == Determined(F(1, 2))
+        assert mc_estimate(f, wide_model, cfg) == per_sample_mc(f, wide_model, cfg)

@@ -12,8 +12,9 @@ tree, so two runs compare with ``cmp``:
 
 Inputs: every request of ``perfbench/workloads.py`` ``WORKLOADS[w](1)``
 (read, never changed); seeded ``tests/_corpus.py`` models and queries
-with explain, oracle and Monte Carlo; random and fixed Bayes partitions
-under both variants and both parallel forms; model files (``models/``,
+with explain, oracle and Monte Carlo; both oracles on closures and
+sample counts that span several of the oracle's blocks; random and fixed
+Bayes partitions under both variants and both parallel forms; model files (``models/``,
 one per line kind, parse error and validation issue, and seeded random
 ones), each giving every decl's fields, the ParseError's position and
 message, or the ModelError's issues; and CLI runs of every subcommand,
@@ -41,6 +42,8 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS_MODELS = 240
 PARTITIONS = 600
 MC_SAMPLES = 300
+# Monte Carlo sample counts around the oracle's 256-row blocks.
+BLOCK_SAMPLES = (1, 255, 256, 257, 775, 3079)
 MODEL_FILE_COUNT = 1000
 
 
@@ -100,6 +103,52 @@ def corpus_rows(cp, corpus, emit) -> None:
     big = cp.Model.of(*decls)
     f = cp.parse_formula(" && ".join(f"0@e{i}" for i in range(8)))
     emit("oracle", "state-space bound", attempt(lambda: cp.enumerate_prob(f, big)))
+
+
+BLOCK_MODEL = "".join(
+    [f"experiment c{i} : H, T\n" for i in range(14)]
+    + ["experiment w : " + ", ".join(f"o{i}" for i in range(300)) + "\n",
+       "experiment v : a, b\n", "experiment x0 : 0=1/3, 1=2/3\n"]
+    + [f"experiment x{i} : 0, 1 depends x{i - 1}\ncpt 0 | x{i - 1}=0 = 3/4\n"
+       f"cpt 1 | x{i - 1}=0 = 1/4\ncpt 0 | x{i - 1}=1 = 2/5\ncpt 1 | x{i - 1}=1 = 3/5\n"
+       for i in range(1, 12)]
+)
+CHAIN13 = " || ".join(f"H@c{i}" for i in range(13))
+BLOCK_QUERIES = [  # closures of up to 64 blocks; w's indices take two bytes
+    CHAIN13,
+    f"({CHAIN13}) && (H@c13 | T@c13)",
+    f"H@c0 pgiven (({CHAIN13}) && (H@c13 | T@c13))",
+    f"({CHAIN13}) && H@c13 given ({CHAIN13}) && (H@c13 | T@c13)",
+    "H@c1 pgiven ((H@c0 & T@c0) && (" + " || ".join(f"H@c{i}" for i in range(1, 14)) + "))",
+    "o299@w || a@v",
+    "o5@w | o7@w",
+    "o1@w pgiven (o1@w | o257@w)",
+    "~o256@w && (b@v || H@c0 || T@c1)",
+    "(o3@w | o259@w) && T@c2 && H@c5 && ~(a@v)",
+    "0@x11",
+    "1@x3 pgiven 0@x11",
+    "(0@x0 || 1@x5 || 0@x11) && ~H@c0",
+]
+
+
+def block_rows(cp, corpus, emit) -> None:
+    """The oracles on closures and sample counts that span several blocks:
+    enumeration and Monte Carlo on fixed queries (a 300-outcome experiment
+    among them), and Monte Carlo on seeded multi-parent corpus queries."""
+    model = cp.parse_model(BLOCK_MODEL)
+    cases = [(f"blocks: {q}", model, cp.parse_formula(q)) for q in BLOCK_QUERIES]
+    for name, model, f in cases:
+        emit("oracle-blocks", name, attempt(lambda: cp.enumerate_prob(f, model)))
+    rng = random.Random(7331)
+    for m in range(40):
+        dag = corpus.random_dag_model(rng)
+        f = corpus.random_query(rng, dag)
+        cases.append((f"dag{m}: {cp.format_formula(f)}", dag, f))
+    for name, model, f in cases:
+        for samples in BLOCK_SAMPLES:
+            cfg = cp.SampleConfig(samples, seed=rng.randrange(2**64))
+            emit("mc-blocks", f"{name} n={samples}",
+                 attempt(lambda: cp.mc_estimate(f, model, cfg)))
 
 
 FIXED_PARTITIONS = [
@@ -388,6 +437,7 @@ def main(argv: list[str]) -> int:
 
         workload_rows(cp, emit)
         corpus_rows(cp, corpus, emit)
+        block_rows(cp, corpus, emit)
         partition_rows(cp, corpus, emit)
         model_file_rows(cp, emit)
         cli_rows(cp, corpus, emit)
