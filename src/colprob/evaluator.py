@@ -15,7 +15,10 @@ formulas. R1, R4 and independent R5 (disjoint ancestral closures)
 compute a node from its children; every other node's value is read off
 its own event space by ``space_prob``: variable elimination sums the
 ancestors outside the space's support out of the cpt factors, and the
-space's points are summed exactly against what remains.
+space's points are summed against what remains. The factors are integer
+tables, each experiment's cpt scaled by the lcm of its denominators and
+compiled once, at its first query; a space's value is the one Fraction
+of the integer sum over the product of those scales.
 ``prob_explain`` runs the same recursion and records each step, showing
 R2, R3 and dependent R5 as their decomposition of the value read off the
 space, or as one "enumeration" leaf when the condition has probability
@@ -25,10 +28,10 @@ zero. Conditionals are probability ratios, legal only at the root.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Collection
+from operator import itemgetter, mul
+from typing import Collection, Iterator, Sequence
 
 from .errors import NullConditionError
 from .formula import (
@@ -43,7 +46,7 @@ from .formula import (
     ParOr,
     format_formula,
 )
-from .model import ONE, ZERO, ExperimentDecl, Model, ancestral_closure, topological_order
+from .model import Model, ancestral_closure, topological_order
 from .semantics import (
     EventSpace,
     Undetermined,
@@ -81,60 +84,88 @@ def space_prob(space: EventSpace, model: Model) -> Fraction:
     """Exact probability mass of a space, by variable elimination.
 
     Every experiment in the ancestral closure of the support contributes
-    its cpt as a factor. The closure experiments outside the support are
-    summed out in topological order, a support experiment ranging only
-    over the outcomes the space's points use; each point then weighs the
-    product of the remaining factors at its outcomes. This equals summing
-    the joint probability of every point of the space lifted to the closure.
+    its cpt as a factor, an integer table scaled by the lcm of the cpt's
+    denominators (compiled once per experiment, at its first query). The
+    closure experiments outside the support are summed out in topological
+    order, each from the bucket of factors that mention it, a support
+    experiment ranging only over the outcomes the space's points use; each
+    point then weighs the product of the remaining factors at its outcomes.
+    The arithmetic is on integers throughout, and the one Fraction divides
+    their sum by the product of the scales. This equals summing the joint
+    probability of every point of the space lifted to the closure.
     """
     closure = ancestral_closure(model, space.support)
-    factors = [_cpt_factor(model.decl(name)) for name in closure]
-    eliminated = closure - space.support
-    if eliminated:
-        domains = {name: set() for name in space.support}
-        for point in space.points:
-            for name, outcome in point.items:
-                domains[name].add(outcome)
-        domains.update((name, model.outcomes(name)) for name in eliminated)
-        for name in topological_order(model, closure):
-            if name in eliminated:
-                factors = _sum_out(name, factors, domains)
-    return sum((_product(factors, dict(point.items)) for point in space.points), start=ZERO)
+    factors: list[_Factor] = []
+    scale = 1
+    for name in closure:
+        decl = model.decl(name)
+        table, lcm = decl._scaled
+        scale *= lcm
+        factors.append((decl.parents + (name,), table))
+    if closure != space.support:
+        factors = _eliminate(space, model, closure, factors)
+    names = sorted(space.support)  # the order of every point's items
+    rows = [tuple([outcome for _, outcome in point.items]) for point in space.points]
+    return Fraction(sum(_weights(rows, names, factors)), scale)
 
 
-# A factor: the experiments it ranges over, and its value at their outcomes.
-_Factor = tuple[tuple[str, ...], Callable[[tuple[str, ...]], Fraction]]
+# A factor: the experiments it ranges over, and its integer value at each
+# tuple of their outcomes.
+_Factor = tuple[tuple[str, ...], dict[tuple[str, ...], int]]
 
 
-def _cpt_factor(decl: ExperimentDecl) -> _Factor:
-    """The cpt of ``decl`` as a factor over its parents and itself."""
-    cpt = decl.cpt
-    return decl.parents + (decl.name,), lambda key: cpt[key[:-1]].get(key[-1], ZERO)
-
-
-def _sum_out(
-    name: str, factors: list[_Factor], domains: dict[str, Collection[str]]
+def _eliminate(
+    space: EventSpace, model: Model, closure: frozenset[str], factors: list[_Factor]
 ) -> list[_Factor]:
+    """Sum the closure experiments outside the support out of ``factors``,
+    parents first; returns the factors over support experiments only."""
+    order = [name for name in topological_order(model, closure) if name not in space.support]
+    rank = {name: i for i, name in enumerate(order)}
+    buckets: list[list[_Factor]] = [[] for _ in order]
+    remaining: list[_Factor] = []
+
+    def place(factor: _Factor) -> None:
+        # under the first experiment of its scope to be eliminated, if any
+        first = [rank[v] for v in factor[0] if v in rank]
+        (buckets[min(first)] if first else remaining).append(factor)
+
+    for factor in factors:
+        place(factor)
+    domains: dict[str, Collection[str]] = {name: set() for name in space.support}
+    for point in space.points:
+        for name, outcome in point.items:
+            domains[name].add(outcome)
+    domains.update((name, model.outcomes(name)) for name in order)
+    for name, bucket in zip(order, buckets):
+        place(_sum_out(name, bucket, domains))
+    return remaining
+
+
+def _sum_out(name: str, factors: list[_Factor], domains: dict[str, Collection[str]]) -> _Factor:
     """Multiply the factors that mention ``name`` and sum it out of them."""
-    touching = [f for f in factors if name in f[0]]
-    kept = [f for f in factors if name not in f[0]]
-    scope = tuple(dict.fromkeys(v for f in touching for v in f[0] if v != name))
-    table = {}
-    for key in itertools.product(*(domains[v] for v in scope)):
-        at = dict(zip(scope, key))
-        total = ZERO
-        for outcome in domains[name]:
-            at[name] = outcome
-            total += _product(touching, at)
-        table[key] = total
-    kept.append((scope, table.__getitem__))
-    return kept
+    scope = tuple(dict.fromkeys(v for s, _ in factors for v in s if v != name))
+    ranges = [domains[v] for v in scope]
+    rows = list(itertools.product(*ranges, domains[name]))
+    width = len(domains[name])  # rows sharing a key of ``scope`` are adjacent
+    sums = map(sum, zip(*[_weights(rows, scope + (name,), factors)] * width))
+    return scope, dict(zip(itertools.product(*ranges), sums))
 
 
-def _product(factors: list[_Factor], at: dict[str, str]) -> Fraction:
-    """The product of ``factors`` at the outcomes ``at`` assigns."""
-    values = [value(tuple(map(at.__getitem__, scope))) for scope, value in factors]
-    return math.prod(values[1:], start=values[0]) if values else ONE
+def _weights(
+    rows: list[tuple[str, ...]], names: Sequence[str], factors: list[_Factor]
+) -> Iterator[int]:
+    """Each row's product of ``factors``; a row holds the outcomes of
+    ``names`` in that order."""
+    at = {name: i for i, name in enumerate(names)}
+    weights: Iterator[int] = itertools.repeat(1, len(rows))
+    for scope, table in factors:
+        positions = [at[v] for v in scope]
+        if len(positions) == 1:  # a one-item slice keeps the key a tuple
+            key = itemgetter(slice(positions[0], positions[0] + 1))
+        else:
+            key = itemgetter(*positions)
+        weights = map(mul, weights, map(table.__getitem__, map(key, rows)))
+    return weights
 
 
 def prob(f: Formula, model: Model) -> ProbResult:

@@ -14,7 +14,9 @@ experiments; its joint outcome space is the universe every query lives in.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -32,7 +34,9 @@ class ExperimentDecl:
 
     ``cpt`` maps a tuple of parent outcomes (aligned with ``parents``; the
     empty tuple for parentless experiments) to the distribution over this
-    experiment's own outcomes. Every row must sum to exactly 1.
+    experiment's own outcomes. Every row must sum to exactly 1. The cpt
+    must not change once the decl has been queried: its integer form is
+    compiled then and kept.
     """
 
     name: str
@@ -58,6 +62,20 @@ class ExperimentDecl:
         return ExperimentDecl(
             name, ("true", "false"), cpt={(): dist}, is_predicate=True
         )
+
+    @cached_property
+    def _scaled(self) -> tuple[dict[tuple[str, ...], int], int]:
+        """The cpt as integers over the lcm of its denominators: a table
+        keyed by the outcomes of ``parents + (name,)``, an omitted outcome
+        weighing 0, and that lcm. Built at the first query, not in the
+        constructor, because ``parse_model`` fills the cpt afterwards."""
+        lcm = math.lcm(*[w.denominator for row in self.cpt.values() for w in row.values()])
+        table = {
+            key + (o,): int(row.get(o, 0) * lcm)
+            for key, row in self.cpt.items()
+            for o in self.outcomes
+        }
+        return table, lcm
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,18 +236,33 @@ def joint_point_prob(model: Model, assignment: Mapping[str, str]) -> Fraction:
 
 def topological_order(model: Model, names: Iterable[str]) -> list[str]:
     """Parents-first ordering of ``names`` (which must be ancestrally
-    closed), deterministic: ties broken by experiment name."""
+    closed), deterministic: ties broken by experiment name.
+
+    The order is that of sweeps over the sorted names, each placing every
+    name whose parents are already placed, earlier in the sweep or before
+    it. A name's sweep is its rank: the largest of its parents' ranks, one
+    more for a parent that sorts after it, so sorting by (rank, name)
+    gives the order in O(n log n).
+    """
     pending = sorted(set(names))
-    placed: set[str] = set()
-    order: list[str] = []
-    while pending:
-        progressed = False
-        for name in list(pending):
-            if all(p in placed for p in model.decl(name).parents):
-                order.append(name)
-                placed.add(name)
-                pending.remove(name)
-                progressed = True
-        if not progressed:
-            raise EvalError("dependency cycle among: " + ", ".join(pending))
-    return order
+    parents = {name: set(model.decl(name).parents) for name in pending}
+    children: dict[str, list[str]] = {name: [] for name in pending}
+    waiting = {}
+    for name, ps in parents.items():
+        waiting[name] = len(ps)
+        for p in ps:
+            if p in children:
+                children[p].append(name)
+    ready = [name for name in pending if not waiting[name]]
+    rank: dict[str, int] = {}
+    while ready:
+        name = ready.pop()
+        rank[name] = max((rank[p] + (p > name) for p in parents[name]), default=0)
+        for child in children[name]:
+            waiting[child] -= 1
+            if not waiting[child]:
+                ready.append(child)
+    if len(rank) < len(pending):
+        stuck = [name for name in pending if name not in rank]
+        raise EvalError("dependency cycle among: " + ", ".join(stuck))
+    return sorted(pending, key=rank.__getitem__)  # stable: ties stay by name

@@ -167,3 +167,72 @@ def child_first_chain(n):
         lines += [f"cpt {o} | x{i - 1}={p} = 1/2" for p in "01" for o in "01"]
     lines.append("experiment x0 : 0, 1")
     return "\n".join(lines) + "\n"
+
+
+def noisy_or(n):
+    """Model-file text of an n-cause noisy-OR: predicates a_i with
+    p(a_i) = 1/(i+2), and an effect e that each present cause a_i triggers
+    with probability (i+1)/(i+3), plus a leak of 1/20."""
+    causes = [f"a{i}" for i in range(n)]
+    lines = [f"predicate a{i} = 1/{i + 2}" for i in range(n)]
+    lines.append(f"experiment e : true, false depends {', '.join(causes)}")
+    for row in itertools.product(("true", "false"), repeat=n):
+        off = Fraction(19, 20)
+        for i, o in enumerate(row):
+            off *= Fraction(2, i + 3) if o == "true" else 1
+        given = ", ".join(f"{c}={o}" for c, o in zip(causes, row))
+        lines += [f"cpt true | {given} = {1 - off}", f"cpt false | {given} = {off}"]
+    return "\n".join(lines) + "\n"
+
+
+def _rows(child, parent, parent_outcomes, dist):
+    """cpt lines giving ``child`` the distribution ``dist(p)`` (outcome to
+    weight text, zero weights omitted) under each outcome p of ``parent``."""
+    return [f"cpt {o} | {parent}={p} = {w}"
+            for p in parent_outcomes for o, w in dist(p).items()]
+
+
+_WIDE = [f"o{i}" for i in range(300)]
+
+# Models whose cpts scale to integers over awkward denominators, each with
+# queries that sum ancestors out. Each value is (model-file text, queries).
+SCALING_MODELS = {
+    # lcms 3, 7 and 1000003 (a prime): pairwise coprime, one of them large
+    "coprime": ("\n".join(
+        ["experiment a : x=1/3, y=2/3", "experiment b : 0, 1 depends a"]
+        + _rows("b", "a", "xy", lambda p: {"0": "2/7", "1": "5/7"} if p == "x"
+                else {"0": "6/7", "1": "1/7"})
+        + ["experiment c : 0, 1 depends b"]
+        + _rows("c", "b", "01", lambda p: {"0": "999999/1000003", "1": "4/1000003"}
+                if p == "0" else {"0": "1/1000003", "1": "1000002/1000003"})
+    ) + "\n", ["0@c", "1@c", "x@a pgiven 1@c", "1@b && 0@c", "1@c pgiven y@a",
+               "(0@b || 1@c) && x@a"]),
+    # rows of one cpt over different denominators: 7 / 1000003 and 11 / 13
+    "mixed-rows": ("\n".join(
+        ["experiment a : x=1/3, y=2/3", "experiment b : 0, 1 depends a"]
+        + _rows("b", "a", "xy", lambda p: {"0": "2/7", "1": "5/7"} if p == "x"
+                else {"0": "999999/1000003", "1": "4/1000003"})
+        + ["experiment c : u, v depends b"]
+        + _rows("c", "b", "01", lambda p: {"u": "1/11", "v": "10/11"} if p == "0"
+                else {"u": "6/13", "v": "7/13"})
+    ) + "\n", ["u@c", "v@c", "x@a pgiven u@c", "u@c pgiven 1@b", "(0@b | 1@b) && v@c"]),
+    # rows that omit an outcome, which then weighs 0
+    "omitted": ("\n".join(
+        ["experiment a : x=1/2, y=1/2", "experiment b : 0, 1, 2 depends a"]
+        + _rows("b", "a", "xy", lambda p: {"0": "1/3", "1": "2/3"} if p == "x"
+                else {"2": "1"})
+        + ["experiment c : u, v, w depends b"]
+        + _rows("c", "b", "012", lambda p: {"u": "1/5", "v": "4/5"} if p != "2"
+                else {"w": "3/4", "u": "1/4"})
+    ) + "\n", ["w@c", "v@c", "2@b pgiven w@c", "x@a pgiven v@c", "~u@c && x@a", "2@b"]),
+    # a 300-outcome experiment between a root and a binary child
+    "wide": ("\n".join(
+        ["experiment t : 0=1/3, 1=2/3", f"experiment w : {', '.join(_WIDE)} depends t"]
+        + _rows("w", "t", "01", lambda p: {o: f"{i + 1}/45150" for i, o in enumerate(_WIDE)}
+                if p == "0" else {o: "1/300" for o in _WIDE})
+        + ["experiment r : 0, 1 depends w"]
+        + _rows("r", "w", _WIDE, lambda p: {"0": f"1/{int(p[1:]) % 7 + 2}",
+                                            "1": f"{int(p[1:]) % 7 + 1}/{int(p[1:]) % 7 + 2}"})
+    ) + "\n", ["0@r", "o299@w pgiven 0@r", "0@r pgiven 1@t", "1@t pgiven 1@r",
+               "(o0@w | o150@w) && 1@r"]),
+}

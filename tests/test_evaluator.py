@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -32,7 +34,15 @@ from colprob import (
     space_prob,
 )
 from colprob.oracle import _atoms
-from _corpus import random_dag_model, random_formula, random_model, random_query, random_space
+from _corpus import (
+    SCALING_MODELS,
+    noisy_or,
+    random_dag_model,
+    random_formula,
+    random_model,
+    random_query,
+    random_space,
+)
 
 F = Fraction
 
@@ -428,3 +438,51 @@ def test_markov_chain_of_200_nodes_is_exact(text):
     assert value(prob(f, model)) == expected
     result, d = prob_explain(f, model)
     assert value(result) == value(d.result) == expected
+
+
+@pytest.mark.parametrize("name", sorted(SCALING_MODELS))
+def test_integer_scaled_cpts_are_exact(name):
+    # Coprime and large lcms, rows of one cpt over different denominators,
+    # omitted outcomes and a 300-outcome experiment: the integer tables
+    # and the one final Fraction must give the exact rational.
+    text, queries = SCALING_MODELS[name]
+    model = parse_model(text)
+    rng = random.Random(name)
+    for _ in range(12):
+        space = random_space(rng, model, max_support=2)
+        got = space_prob(space, model)
+        assert isinstance(got, Fraction) and got == lift_and_sum(space, model)
+    for query in queries:
+        f = parse_formula(query)
+        result = prob(f, model)
+        assert isinstance(value(result), Fraction)
+        assert result == enumerate_prob(f, model), query
+
+
+def test_first_use_compile_is_thread_safe():
+    # Every thread queries a model nothing has touched yet, so the cpt
+    # tables are compiled while the threads race.
+    queries = [parse_formula(q) for i in range(6)
+               for q in (f"a{i} pgiven true@e", f"true@e pgiven a{i}")]
+    reference = parse_model(noisy_or(6))
+    expected = [prob(f, reference) for f in queries]
+    model = parse_model(noisy_or(6))
+    start = threading.Barrier(8)
+    results = {}
+
+    def worker(k):
+        start.wait(timeout=30)
+        results[k] = [prob(f, model) for f in queries]
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {k: expected for k in range(8)}

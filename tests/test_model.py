@@ -13,6 +13,7 @@ from colprob import (
     parse_model,
     validate_model,
 )
+from colprob.model import topological_order
 from _corpus import child_first_chain, random_model
 
 
@@ -180,3 +181,58 @@ def test_rational_arithmetic_round_trips_exactly():
         if b != 0:
             assert (a / b) * b == a
         assert (a * b) - a * b == 0
+
+
+def sweep_order(model, names):
+    """The sweeping topological order ``topological_order`` must equal:
+    sweep the sorted pending names, placing each whose parents are placed,
+    until none is left or a sweep places nothing."""
+    pending = sorted(set(names))
+    placed, order = set(), []
+    while pending:
+        progressed = False
+        for name in list(pending):
+            if all(p in placed for p in model.decl(name).parents):
+                order.append(name)
+                placed.add(name)
+                pending.remove(name)
+                progressed = True
+        if not progressed:
+            raise EvalError("dependency cycle among: " + ", ".join(pending))
+    return order
+
+
+def random_named_dag(rng):
+    """Up to 12 binary experiments with random names, each depending on up
+    to three made before it, so parents often sort after their children."""
+    names = rng.sample([f"{c}{i}" for c in "pqxy" for i in range(30)], rng.randint(1, 12))
+    decls = [binary(name, *rng.sample(names[:i], rng.randint(0, min(3, i))))
+             for i, name in enumerate(names)]
+    return Model.of(*decls)
+
+
+def test_topological_order_matches_the_sweeps():
+    rng = random.Random(61)
+    reordered = 0
+    for _ in range(300):
+        model = random_named_dag(rng)
+        for name in model.experiments:
+            closure = ancestral_closure(model, [name])
+            order = topological_order(model, closure)
+            assert order == sweep_order(model, closure)
+            reordered += order != sorted(closure)
+    assert reordered > 200
+    chain = parse_model(child_first_chain(300))
+    assert topological_order(chain, chain.experiments) == sweep_order(chain, chain.experiments)
+
+
+@pytest.mark.parametrize("names", [["a", "b", "t"], ["b", "c", "t"], ["c", "t", "z"]])
+def test_topological_order_reports_what_it_cannot_place(names):
+    # a and b form a cycle that t depends on; c's parent z is left out.
+    model = Model.of(binary("a", "b"), binary("b", "a"), binary("t", "a"),
+                     binary("c", "z"), binary("z"))
+    with pytest.raises(EvalError) as got:
+        topological_order(model, names)
+    with pytest.raises(EvalError) as want:
+        sweep_order(model, names)
+    assert str(got.value) == str(want.value)

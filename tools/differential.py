@@ -13,11 +13,14 @@ tree, so two runs compare with ``cmp``:
 Inputs: every request of ``perfbench/workloads.py`` ``WORKLOADS[w](1)``
 (read, never changed); seeded ``tests/_corpus.py`` models and queries
 with explain, oracle and Monte Carlo; both oracles on closures and
-sample counts that span several of the oracle's blocks; random and fixed
-Bayes partitions under both variants and both parallel forms; model files (``models/``,
-one per line kind, parse error and validation issue, and seeded random
-ones), each giving every decl's fields, the ParseError's position and
-message, or the ModelError's issues; and CLI runs of every subcommand,
+sample counts that span several of the oracle's blocks; exact values
+over cpts with awkward denominators (coprime and large lcms, rows over
+different denominators, omitted outcomes, 300 outcomes), long chains and
+a 10-cause noisy-OR; random and fixed Bayes partitions under both
+variants and both parallel forms; model files (``models/``, one per line
+kind, parse error and validation issue, and seeded random ones), each
+giving every decl's fields, the ParseError's position and message, or
+the ModelError's issues; and CLI runs of every subcommand,
 bad model files, a byte-order mark and a 1,500-node chain declared child
 first among them. A line holds the section, the input and the result, or
 the exception's type and text when one escapes.
@@ -149,6 +152,31 @@ def block_rows(cp, corpus, emit) -> None:
             cfg = cp.SampleConfig(samples, seed=rng.randrange(2**64))
             emit("mc-blocks", f"{name} n={samples}",
                  attempt(lambda: cp.mc_estimate(f, model, cfg)))
+
+
+def space_prob_rows(cp, corpus, emit) -> None:
+    """Values read off event spaces by variable elimination: random spaces
+    and fixed queries on the integer-scaling models, marginals of
+    child-first chains, and both conditionals of a 10-cause noisy-OR."""
+    rng = random.Random(5150)
+    for name, (text, queries) in sorted(corpus.SCALING_MODELS.items()):
+        model = cp.parse_model(text)
+        for k in range(20):
+            space = corpus.random_space(rng, model, max_support=2)
+            key = f"{name} space{k}: {sorted(space.support)} {len(space.points)} point(s)"
+            emit("space-prob", key, attempt(lambda: cp.space_prob(space, model)))
+        for query in queries:
+            emit("space-prob", f"{name}: {query}",
+                 attempt(lambda: cp.prob(cp.parse_formula(query), model)))
+    for n in (375, 750, 1500):
+        chain = cp.parse_model(corpus.child_first_chain(n))
+        emit("space-prob", f"chain{n}: 0@x{n - 1}",
+             attempt(lambda: cp.prob(cp.parse_formula(f"0@x{n - 1}"), chain)))
+    noisy = cp.parse_model(corpus.noisy_or(10))
+    for i in range(10):
+        for query in (f"a{i} pgiven true@e", f"true@e pgiven a{i}"):
+            emit("space-prob", f"noisy-or10: {query}",
+                 attempt(lambda: cp.prob(cp.parse_formula(query), noisy)))
 
 
 FIXED_PARTITIONS = [
@@ -438,6 +466,7 @@ def main(argv: list[str]) -> int:
         workload_rows(cp, emit)
         corpus_rows(cp, corpus, emit)
         block_rows(cp, corpus, emit)
+        space_prob_rows(cp, corpus, emit)
         partition_rows(cp, corpus, emit)
         model_file_rows(cp, emit)
         cli_rows(cp, corpus, emit)
