@@ -12,6 +12,14 @@ The parallel rule conditions across experiments:
 equivalently prior-times-likelihood, p(cell_i) * p(F pgiven cell_i), which
 agrees with the joint form exactly under rational arithmetic.
 
+There is no union query and no query per cell: the masses come from one
+variable elimination per distinct support (``evaluator._point_weights``),
+which weighs every point of the spaces over that support at once. Cells
+over one support are checked from one such table; the joint weights of
+the cells and the evidence take one more per support they lie over. The
+prior-likelihood form keeps its own prob call per cell, as a second
+computation to check the joint form against.
+
 Picking the wrong variant is a reported error, never a silent zero: for a
 transmitted/received pair the additive rule is rejected with a support
 mismatch instead of dividing 0 by 0.
@@ -20,15 +28,26 @@ mismatch instead of dividing 0 by 0.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterator
 
 from .errors import PartitionError
-from .formula import ChoiceAnd, ChoiceOr, Formula, GivenPar, ParAnd, format_formula
-from .evaluator import prob
-from .model import Model
-from .semantics import SharedExperimentWarning, Undetermined, format_support, support
+from .evaluator import _point_weights, prob
+from .formula import Formula, GivenPar, ParAnd, format_formula
+from .model import ZERO, Model, ancestral_closure
+from .semantics import (
+    EventSpace,
+    Point,
+    SharedExperimentWarning,
+    Undetermined,
+    _space,
+    cartesian_conj,
+    format_support,
+    support,
+)
 
 ADDITIVE = "additive"
 PARALLEL = "parallel"
@@ -55,19 +74,30 @@ class PartitionReport:
 
 
 def check_partition(p: Partition, model: Model, variant: str) -> PartitionReport:
-    """Decide disjointness with one union query and report exhaustiveness.
+    """Decide disjointness and report exhaustiveness.
 
-    Cells over one support (always so when additive) are joined by ``|``,
-    which there denotes what ``||`` does without building complements, in
-    a balanced tree U. With N the number of cells that occur, sum_i
-    p(cell_i) - p(U) = E[N - 1{N >= 1}], 0 exactly when no pair overlaps
-    with nonzero probability. The pairs are checked with the variant's
-    conjunction only when p(U) falls short, to name them, or when the cells
-    lie over different supports. Exhaustiveness (cell probabilities summing
-    to exactly 1) is reported but not required. Undetermined or conditional
-    cells, or cells with differing supports under the additive variant, are
-    errors.
+    Cells over one support (always so when additive) are decided from one
+    elimination: each cell's space is built once, and every point of any
+    cell is weighed by its marginal probability in one pass of variable
+    elimination. A cell's probability is the sum of its points' weights,
+    and two cells overlap with nonzero probability exactly when they share
+    a point of nonzero weight. Parallel cells over different supports take
+    a prob call per cell and one per pair, conjoined by ``&&``.
+    Exhaustiveness (cell probabilities summing to exactly 1) is reported
+    but not required. Undetermined or conditional cells, or cells with
+    differing supports under the additive variant, are errors.
     """
+    return _check(p, model, variant)[0]
+
+
+# What a partition check knows of each cell: its support, its event space
+# (None when the cells lie over different supports, which are checked
+# without spaces) and its probability.
+_Cells = list[tuple[frozenset[str], EventSpace | None, Fraction]]
+
+
+def _check(p: Partition, model: Model, variant: str) -> tuple[PartitionReport, _Cells]:
+    """``check_partition``'s report, and what it learned of each cell."""
     if variant not in (ADDITIVE, PARALLEL):
         raise ValueError(f"unknown variant {variant!r}")
     supports = []
@@ -85,45 +115,57 @@ def check_partition(p: Partition, model: Model, variant: str) -> PartitionReport
             f"support mismatch between cells: cell 1 over {format_support(first)} "
             f"but cell {mismatch} over {format_support(supports[mismatch - 1])}"
         )
-    # Determined cells keep their own, U's and the pairwise conjunctions'
-    # probabilities determined.
-    total = sum((_quiet_prob(cell, model).value for cell in p.cells), start=Fraction(0))
-    conj = ChoiceAnd if variant == ADDITIVE else ParAnd
-    one_support = mismatch is None
-    violations = []
-    if not one_support or _quiet_prob(_balanced(p.cells), model).value != total:
-        violations = [
-            f"cells {i + 1},{j + 1} not disjoint"
-            for i, j in combinations(range(len(p.cells)), 2)
-            if _quiet_prob(conj(p.cells[i], p.cells[j]), model).value != 0
-        ]
-    return PartitionReport(
+    if mismatch is None:
+        with _quiet():
+            spaces = [_space(cell, model) for cell in p.cells]
+        weights, scale = _weigh(spaces, model)[0]
+        sums = [sum(map(weights.__getitem__, space.points)) for space in spaces]
+        masses = [Fraction(m, scale) for m in sums]
+        total = Fraction(sum(sums), scale)
+        owners: dict[Point, list[int]] = {}
+        for i, space in enumerate(spaces):
+            for point in space.points:
+                if weights[point]:
+                    owners.setdefault(point, []).append(i)
+        pairs = sorted({pair for cells in owners.values() for pair in combinations(cells, 2)})
+    else:  # parallel cells; determined, so their conjunctions are too
+        spaces = [None] * len(p.cells)
+        with _quiet():
+            masses = [prob(cell, model).value for cell in p.cells]
+            total = sum(masses, start=ZERO)
+            pairs = [
+                (i, j) for i, j in combinations(range(len(p.cells)), 2)
+                if prob(ParAnd(p.cells[i], p.cells[j]), model).value != 0
+            ]
+    violations = tuple(f"cells {i + 1},{j + 1} not disjoint" for i, j in pairs)
+    report = PartitionReport(
         ok=not violations,
-        violations=tuple(violations),
+        violations=violations,
         exhaustive=(total == 1),
         total=total,
         support=first if variant == ADDITIVE else None,
     )
-
-
-def _balanced(cells: tuple[Formula, ...]) -> Formula:
-    """``cells`` joined by ``|`` in a tree of depth ceil(log2(len))."""
-    if len(cells) == 1:
-        return cells[0]
-    mid = len(cells) // 2
-    return ChoiceOr(_balanced(cells[:mid]), _balanced(cells[mid:]))
+    return report, list(zip(supports, spaces, masses))
 
 
 def posteriors(
     p: Partition, evidence: Formula, model: Model, variant: str
 ) -> tuple[PartitionReport, list[Fraction]]:
     """Check ``p`` once, then give its report and each cell's posterior,
-    weighed by the variant's conjunction with ``evidence``."""
-    report = check_partition(p, model, variant)
+    weighed by the variant's conjunction with ``evidence``.
+
+    Each weight is decided as the evaluator decides the conjunction at its
+    root. A parallel cell whose ancestral closure is disjoint from the
+    evidence's weighs p(cell) * p(evidence) (R5), with p(evidence)
+    evaluated once. Every other cell is conjoined with the evidence's
+    space, built once, and these joint spaces are weighed by one
+    elimination per distinct support.
+    """
+    report, cells = _check(p, model, variant)
     if not report.ok:
         raise PartitionError("partition cells overlap", report.violations)
+    ev = support(evidence, model)
     if variant == ADDITIVE:
-        ev = support(evidence, model)
         if isinstance(ev, Undetermined):
             raise PartitionError(f"evidence is undetermined: {ev.reason}")
         if ev != report.support:
@@ -132,10 +174,34 @@ def posteriors(
                 f"but evidence over {format_support(ev)}; "
                 "the additive Bayes rule needs a single experiment"
             )
-    conj = ChoiceAnd if variant == ADDITIVE else ParAnd
-    weights = [
-        _determined(_quiet_prob(conj(cell, evidence), model)) for cell in p.cells
-    ]
+    elif isinstance(ev, Undetermined):
+        raise PartitionError(f"undetermined weight: {ev.reason}")
+    ev_closure = ancestral_closure(model, ev)
+    closures: dict[frozenset[str], frozenset[str]] = {}
+    p_evidence = ev_space = None
+    weights: list[Fraction] = []
+    joints: dict[int, EventSpace] = {}  # by cell index, weighed together below
+    with _quiet():
+        for i, (cell, (cell_support, space, mass)) in enumerate(zip(p.cells, cells)):
+            if cell_support not in closures:
+                closures[cell_support] = ancestral_closure(model, cell_support)
+            if variant == PARALLEL and not closures[cell_support] & ev_closure:
+                if p_evidence is None:
+                    p_evidence = prob(evidence, model).value
+                weights.append(mass * p_evidence)
+                continue
+            if ev_space is None:
+                ev_space = _space(evidence, model)
+            if space is None:
+                space = _space(cell, model)
+            if variant == PARALLEL:
+                joints[i] = cartesian_conj(space, ev_space)
+            else:
+                joints[i] = EventSpace._trusted(space.support, space.points & ev_space.points)
+            weights.append(ZERO)
+    spaces = list(joints.values())
+    for i, space, table in zip(joints, spaces, _weigh(spaces, model)):
+        weights[i] = _mass(space, table)
     return report, _normalize(weights)
 
 
@@ -161,11 +227,12 @@ def bayes_parallel(
     if not report.ok:
         raise PartitionError("partition cells overlap", report.violations)
     weights = []
-    for cell in p.cells:
-        weight = _determined(_quiet_prob(cell, model))  # the prior
-        if weight:
-            weight *= _determined(_quiet_prob(GivenPar(evidence, cell), model))
-        weights.append(weight)
+    with _quiet():
+        for cell in p.cells:
+            weight = _determined(prob(cell, model))  # the prior
+            if weight:
+                weight *= _determined(prob(GivenPar(evidence, cell), model))
+            weights.append(weight)
     return _normalize(weights)
 
 
@@ -184,9 +251,30 @@ def _determined(result) -> Fraction:
     return result.value
 
 
-def _quiet_prob(f: Formula, model: Model):
+def _weigh(
+    spaces: list[EventSpace], model: Model
+) -> list[tuple[dict[Point, int], int]]:
+    """Each space's point weights and their scale, as ``_point_weights``
+    gives them, from one elimination per distinct support."""
+    points: dict[frozenset[str], dict[Point, None]] = {}
+    for space in spaces:
+        points.setdefault(space.support, {}).update(dict.fromkeys(space.points))
+    tables = {}
+    for space_support, distinct in points.items():
+        weights, scale = _point_weights(space_support, distinct.keys(), model)
+        tables[space_support] = dict(zip(distinct, weights)), scale
+    return [tables[space.support] for space in spaces]
+
+
+def _mass(space: EventSpace, table: tuple[dict[Point, int], int]) -> Fraction:
+    weights, scale = table
+    return Fraction(sum(map(weights.__getitem__, space.points)), scale)
+
+
+@contextmanager
+def _quiet() -> Iterator[None]:
     # Formulas built here are engine plumbing, not user queries; the
     # shared-experiment warning would only be noise.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SharedExperimentWarning)
-        return prob(f, model)
+        yield

@@ -46,9 +46,10 @@ from .formula import (
     ParOr,
     format_formula,
 )
-from .model import Model, ancestral_closure, topological_order
+from .model import Model, ancestral_closure, topological_ranks
 from .semantics import (
     EventSpace,
+    Point,
     Undetermined,
     _space,
     format_support,
@@ -81,20 +82,31 @@ class Derivation:
 
 
 def space_prob(space: EventSpace, model: Model) -> Fraction:
-    """Exact probability mass of a space, by variable elimination.
+    """Exact probability mass of a space, by variable elimination: the sum
+    of its points' weights (``_point_weights``) over their common scale.
+    This equals summing the joint probability of every point of the space
+    lifted to the ancestral closure of its support."""
+    weights, scale = _point_weights(space.support, space.points, model)
+    return Fraction(sum(weights), scale)
+
+
+def _point_weights(
+    support: frozenset[str], points: Collection[Point], model: Model
+) -> tuple[Iterator[int], int]:
+    """The marginal probability of each of ``points`` (distinct points over
+    ``support``), as integers in the order ``points`` iterates, over one
+    common scale.
 
     Every experiment in the ancestral closure of the support contributes
     its cpt as a factor, an integer table scaled by the lcm of the cpt's
     denominators (compiled once per experiment, at its first query). The
-    closure experiments outside the support are summed out in topological
-    order, each from the bucket of factors that mention it, a support
-    experiment ranging only over the outcomes the space's points use; each
-    point then weighs the product of the remaining factors at its outcomes.
-    The arithmetic is on integers throughout, and the one Fraction divides
-    their sum by the product of the scales. This equals summing the joint
-    probability of every point of the space lifted to the closure.
+    closure experiments outside the support are summed out parents first,
+    each from the bucket of factors that mention it, a support experiment
+    ranging only over the outcomes the points use; each point then weighs
+    the product of the remaining factors at its outcomes. The arithmetic
+    is on integers throughout; the scale is the product of the lcms.
     """
-    closure = ancestral_closure(model, space.support)
+    closure = ancestral_closure(model, support)
     factors: list[_Factor] = []
     scale = 1
     for name in closure:
@@ -102,11 +114,11 @@ def space_prob(space: EventSpace, model: Model) -> Fraction:
         table, lcm = decl._scaled
         scale *= lcm
         factors.append((decl.parents + (name,), table))
-    if closure != space.support:
-        factors = _eliminate(space, model, closure, factors)
-    names = sorted(space.support)  # the order of every point's items
-    rows = [tuple([outcome for _, outcome in point.items]) for point in space.points]
-    return Fraction(sum(_weights(rows, names, factors)), scale)
+    if closure != support:
+        factors = _eliminate(support, points, model, closure, factors)
+    names = sorted(support)  # the order of every point's items
+    rows = [tuple([outcome for _, outcome in point.items]) for point in points]
+    return _weights(rows, names, factors), scale
 
 
 # A factor: the experiments it ranges over, and its integer value at each
@@ -115,11 +127,16 @@ _Factor = tuple[tuple[str, ...], dict[tuple[str, ...], int]]
 
 
 def _eliminate(
-    space: EventSpace, model: Model, closure: frozenset[str], factors: list[_Factor]
+    support: frozenset[str],
+    points: Collection[Point],
+    model: Model,
+    closure: frozenset[str],
+    factors: list[_Factor],
 ) -> list[_Factor]:
     """Sum the closure experiments outside the support out of ``factors``,
     parents first; returns the factors over support experiments only."""
-    order = [name for name in topological_order(model, closure) if name not in space.support]
+    ranks = topological_ranks(model, closure)
+    order = sorted(closure - support, key=lambda name: (ranks[name], name))
     rank = {name: i for i, name in enumerate(order)}
     buckets: list[list[_Factor]] = [[] for _ in order]
     remaining: list[_Factor] = []
@@ -131,8 +148,8 @@ def _eliminate(
 
     for factor in factors:
         place(factor)
-    domains: dict[str, Collection[str]] = {name: set() for name in space.support}
-    for point in space.points:
+    domains: dict[str, Collection[str]] = {name: set() for name in support}
+    for point in points:
         for name, outcome in point.items:
             domains[name].add(outcome)
     domains.update((name, model.outcomes(name)) for name in order)

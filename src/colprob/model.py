@@ -104,6 +104,14 @@ class Model:
     def __contains__(self, name: str) -> bool:
         return name in self.experiments
 
+    @cached_property
+    def _ranks(self) -> dict[str, int]:
+        """Each experiment's rank in ``topological_order``, filled in by
+        ``topological_ranks`` as queries reach the experiment. Threads may
+        fill it at once: a rank is written only after its parents', and
+        every thread writes the same value."""
+        return {}
+
 
 def validate_model(model: Model) -> list[str]:
     """Check every declaration invariant; return all violations found.
@@ -266,3 +274,36 @@ def topological_order(model: Model, names: Iterable[str]) -> list[str]:
         stuck = [name for name in pending if name not in rank]
         raise EvalError("dependency cycle among: " + ", ".join(stuck))
     return sorted(pending, key=rank.__getitem__)  # stable: ties stay by name
+
+
+def topological_ranks(model: Model, closure: frozenset[str]) -> Mapping[str, int]:
+    """The ranks ``topological_order`` sorts by, for every name of the
+    ancestrally closed ``closure``.
+
+    A rank depends only on an experiment's ancestors, so the model keeps
+    each rank once computed, and sorting any closed set by (rank, name)
+    gives ``topological_order`` of that set. Only the closure is walked:
+    a cycle elsewhere in the model is no error here, and one inside it
+    raises ``topological_order``'s error.
+    """
+    ranks = model._ranks
+    for name in closure:
+        stack, waiting = [name], set()
+        while stack:
+            top = stack[-1]
+            if top in ranks:
+                stack.pop()
+                continue
+            parents = model.decl(top).parents
+            missing = [p for p in parents if p not in ranks]
+            if not missing:
+                ranks[top] = max((ranks[p] + (p > top) for p in parents), default=0)
+                stack.pop()
+                continue
+            # Everything pushed above ``top`` is its ancestor, so a missing
+            # parent that is itself waiting closes a cycle.
+            waiting.add(top)
+            if waiting.intersection(missing):
+                topological_order(model, closure)  # raises, naming the cycle
+            stack.extend(missing)
+    return ranks

@@ -102,6 +102,14 @@ class EventSpace:
     def of(support: Iterable[str], points: Iterable[Point]) -> "EventSpace":
         return EventSpace(frozenset(support), frozenset(points))
 
+    @staticmethod
+    def _trusted(support: frozenset[str], points: frozenset[Point]) -> "EventSpace":
+        """A space whose points the caller built over ``support``; skips
+        the per-point check that the constructor makes."""
+        space = object.__new__(EventSpace)
+        space.__dict__.update(support=support, points=points)
+        return space
+
     def __str__(self) -> str:
         if not self.points:
             return "{ }"
@@ -124,10 +132,10 @@ def format_support(support: Iterable[str]) -> str:
 
 def full_space(model: Model, support: Iterable[str]) -> EventSpace:
     """The joint space of every outcome combination over ``support``."""
-    names = sorted(support)
+    names = sorted(set(support))
     combos = itertools.product(*(model.outcomes(n) for n in names))
-    points = frozenset(Point.of(dict(zip(names, combo))) for combo in combos)
-    return EventSpace(frozenset(names), points)
+    points = frozenset(Point(tuple(zip(names, combo))) for combo in combos)
+    return EventSpace._trusted(frozenset(names), points)
 
 
 def cartesian_conj(s: EventSpace, t: EventSpace) -> EventSpace:
@@ -138,13 +146,17 @@ def cartesian_conj(s: EventSpace, t: EventSpace) -> EventSpace:
     genuine partial assignments over the combined support.
     """
     support = s.support | t.support
+    if s.support.isdisjoint(t.support):  # every merge is a distinct point
+        return EventSpace._trusted(support, frozenset([
+            Point(tuple(sorted(a.items + b.items))) for a in s.points for b in t.points
+        ]))
     points = set()
     for a in s.points:
         for b in t.points:
             merged = a.merge(b)
             if merged is not None:
                 points.add(merged)
-    return EventSpace(support, frozenset(points))
+    return EventSpace._trusted(support, frozenset(points))
 
 
 def lift(s: EventSpace, target: Iterable[str], model: Model) -> EventSpace:
@@ -212,23 +224,22 @@ def denote(f: Formula, model: Model) -> Denotation:
 def _space(f: Formula, model: Model) -> EventSpace:
     """The event space of ``f``, which ``support`` has found determined."""
     if isinstance(f, AtomNode):
-        return EventSpace.of(
-            [f.experiment], [Point.of({f.experiment: f.outcome})]
+        return EventSpace._trusted(
+            frozenset((f.experiment,)), frozenset((Point(((f.experiment, f.outcome),)),))
         )
     if isinstance(f, Not):
         inner = _space(f.child, model)
         universe = full_space(model, inner.support)
-        return EventSpace(inner.support, universe.points - inner.points)
+        return EventSpace._trusted(inner.support, universe.points - inner.points)
     left = _space(f.left, model)
     right = _space(f.right, model)
     if isinstance(f, ChoiceAnd):
-        return EventSpace(left.support, left.points & right.points)
+        return EventSpace._trusted(left.support, left.points & right.points)
     if isinstance(f, ChoiceOr):
-        return EventSpace(left.support, left.points | right.points)
+        return EventSpace._trusted(left.support, left.points | right.points)
     # E || F is defined through the && of its expansion, so it warns alike.
-    flagged = sorted(
-        e for e in left.support & right.support if not model.decl(e).is_predicate
-    )
+    shared = left.support & right.support
+    flagged = sorted(e for e in shared if not model.decl(e).is_predicate) if shared else ()
     if flagged:
         warnings.warn(
             "parallel-and (&&) over shared experiment(s) "
@@ -240,7 +251,7 @@ def _space(f: Formula, model: Model) -> EventSpace:
         return cartesian_conj(left, right)
     # At least one side occurs: the union of both sides' lifts.
     joint = left.support | right.support
-    return EventSpace(
+    return EventSpace._trusted(
         joint, lift(left, joint, model).points | lift(right, joint, model).points
     )
 

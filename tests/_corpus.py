@@ -6,6 +6,7 @@ the suites fix their seeds so failures reproduce exactly.
 
 import itertools
 from fractions import Fraction
+from functools import reduce
 
 from colprob import (
     AtomNode,
@@ -19,6 +20,7 @@ from colprob import (
     Not,
     ParAnd,
     ParOr,
+    Partition,
     full_space,
 )
 
@@ -183,6 +185,66 @@ def noisy_or(n):
         given = ", ".join(f"{c}={o}" for c, o in zip(causes, row))
         lines += [f"cpt true | {given} = {1 - off}", f"cpt false | {given} = {off}"]
     return "\n".join(lines) + "\n"
+
+
+def noisy_channel(bits):
+    """Model-file text of a ``bits``-bit noisy channel: transmitted bits
+    t_i with p(t_i=0) = (i+1)/10, each received as r_i and flipped with
+    probability 1/(i+3). Returns the text, the priors and the flips."""
+    priors = [Fraction(i + 1, 10) for i in range(bits)]
+    flips = [Fraction(1, i + 3) for i in range(bits)]
+    lines = []
+    for i, (p, e) in enumerate(zip(priors, flips)):
+        lines += [
+            f"experiment t{i} : 0={p}, 1={1 - p}",
+            f"experiment r{i} : 0, 1 depends t{i}",
+            f"cpt 0 | t{i}=0 = {1 - e}",
+            f"cpt 1 | t{i}=0 = {e}",
+            f"cpt 0 | t{i}=1 = {e}",
+            f"cpt 1 | t{i}=1 = {1 - e}",
+        ]
+    return "\n".join(lines) + "\n", priors, flips
+
+
+def draw_cells(rng, model, variant):
+    """Cells over a few experiments, each a set of full assignments of them
+    (an atom under the additive variant). The groups start as a partition of
+    every assignment, then points are dropped, copied into a second cell or
+    widened to a partial assignment, so overlaps occur, zero-weight ones too.
+    Returns the cells and their point sets."""
+    names = sorted(model.experiments)
+    if variant == "additive":
+        chosen = [rng.choice(names)]
+    else:
+        chosen = rng.sample(names, rng.randint(1, min(3, len(names))))
+    points = list(itertools.product(*(
+        [(e, o) for o in model.experiments[e].outcomes] for e in chosen
+    )))
+    rng.shuffle(points)
+    k = rng.randint(2, min(6, len(points)))
+    groups = [[pt] for pt in points[:k]]
+    for pt in points[k:]:
+        rng.choice(groups).append(pt)
+    if rng.random() < 0.3:
+        group = rng.choice(groups)
+        if len(group) > 1:
+            group.pop()
+    if rng.random() < 0.5:
+        pt = rng.choice(points)
+        rng.choice([g for g in groups if pt not in g]).append(pt)
+    join = ChoiceOr if variant == "additive" else ParOr
+    cells, sets = [], []
+    for group in groups:
+        terms = [list(pt) for pt in group]
+        if len(chosen) > 1 and rng.random() < 0.2:
+            del terms[0][rng.randrange(len(chosen))]  # a partial assignment
+        covered = {
+            pt for pt in points if any(set(t) <= set(pt) for t in terms)
+        }
+        atoms = [reduce(ParAnd, (AtomNode(e, o) for e, o in t)) for t in terms]
+        cells.append(reduce(join, atoms))
+        sets.append(covered)
+    return Partition(tuple(cells)), sets
 
 
 def _rows(child, parent, parent_outcomes, dist):

@@ -1,7 +1,6 @@
 import itertools
 import random
 from fractions import Fraction
-from functools import reduce
 
 import pytest
 
@@ -11,9 +10,9 @@ from colprob import (
     ChoiceOr,
     EvalError,
     ParAnd,
-    ParOr,
     Partition,
     PartitionError,
+    ancestral_closure,
     bayes,
     bayes_additive,
     bayes_parallel,
@@ -23,9 +22,10 @@ from colprob import (
     parse_model,
 )
 from colprob import semantics
-from colprob.semantics import support
+from colprob.semantics import Undetermined, support
 from colprob.bayes import posteriors
-from _corpus import random_dag_model, random_formula, random_model
+from _corpus import draw_cells, random_dag_model, random_formula, random_model
+from _corpus import noisy_channel as corpus_channel
 
 F = Fraction
 
@@ -206,47 +206,6 @@ def pairwise_violations(p, model, variant):
     )
 
 
-def draw_cells(rng, model, variant):
-    """Cells over a few experiments, each a set of full assignments of them
-    (an atom under the additive variant). The groups start as a partition of
-    every assignment, then points are dropped, copied into a second cell or
-    widened to a partial assignment, so overlaps occur, zero-weight ones too.
-    Returns the cells and their point sets."""
-    names = sorted(model.experiments)
-    if variant == "additive":
-        chosen = [rng.choice(names)]
-    else:
-        chosen = rng.sample(names, rng.randint(1, min(3, len(names))))
-    points = list(itertools.product(*(
-        [(e, o) for o in model.experiments[e].outcomes] for e in chosen
-    )))
-    rng.shuffle(points)
-    k = rng.randint(2, min(6, len(points)))
-    groups = [[pt] for pt in points[:k]]
-    for pt in points[k:]:
-        rng.choice(groups).append(pt)
-    if rng.random() < 0.3:
-        group = rng.choice(groups)
-        if len(group) > 1:
-            group.pop()
-    if rng.random() < 0.5:
-        pt = rng.choice(points)
-        rng.choice([g for g in groups if pt not in g]).append(pt)
-    join = ChoiceOr if variant == "additive" else ParOr
-    cells, sets = [], []
-    for group in groups:
-        terms = [list(pt) for pt in group]
-        if len(chosen) > 1 and rng.random() < 0.2:
-            del terms[0][rng.randrange(len(chosen))]  # a partial assignment
-        covered = {
-            pt for pt in points if any(set(t) <= set(pt) for t in terms)
-        }
-        atoms = [reduce(ParAnd, (AtomNode(e, o) for e, o in t)) for t in terms]
-        cells.append(reduce(join, atoms))
-        sets.append(covered)
-    return Partition(tuple(cells)), sets
-
-
 def test_union_verdict_matches_the_pairwise_oracle():
     rng = random.Random(61)
     seen = {"ok": 0, "overlap": 0, "zero_weight_overlap": 0, "shaped": 0, "mixed": 0}
@@ -291,22 +250,10 @@ def count_prob_calls(monkeypatch) -> list:
 
 
 def noisy_channel(bits):
-    """Transmitted bits t_i with p(t_i=0) = (i+1)/10, each received as r_i
-    and flipped with probability 1/(i+3); returns the model, the priors and
-    the flips."""
-    priors = [F(i + 1, 10) for i in range(bits)]
-    flips = [F(1, i + 3) for i in range(bits)]
-    lines = []
-    for i, (p, e) in enumerate(zip(priors, flips)):
-        lines += [
-            f"experiment t{i} : 0={p}, 1={1 - p}",
-            f"experiment r{i} : 0, 1 depends t{i}",
-            f"cpt 0 | t{i}=0 = {1 - e}",
-            f"cpt 1 | t{i}=0 = {e}",
-            f"cpt 0 | t{i}=1 = {e}",
-            f"cpt 1 | t{i}=1 = {1 - e}",
-        ]
-    return parse_model("\n".join(lines) + "\n"), priors, flips
+    """The channel model of ``_corpus.noisy_channel``, its priors and its
+    flips."""
+    text, priors, flips = corpus_channel(bits)
+    return parse_model(text), priors, flips
 
 
 def channel_cells(bits):
@@ -317,22 +264,37 @@ def channel_cells(bits):
 
 
 class TestUnionCheckScales:
+    # A check over one support weighs every cell's points in one
+    # elimination and makes no prob call; only cells over different
+    # supports are checked with a prob call per cell and per pair.
     def test_disjoint_check_makes_one_query_beyond_the_cells(self, monkeypatch):
         model = noisy_channel(5)[0]
         cells = channel_cells(5)[1]
         calls = count_prob_calls(monkeypatch)
+        eliminations = count_eliminations(monkeypatch)
         report = check_partition(cells, model, "parallel")
         assert report.ok and report.exhaustive
-        assert len(calls) == 32 + 1
+        assert calls == []
+        assert eliminations == [(frozenset(f"t{i}" for i in range(5)), 32)]
 
     def test_overlapping_pairs_are_still_named_in_order(self, examples_model, monkeypatch):
         calls = count_prob_calls(monkeypatch)
+        eliminations = count_eliminations(monkeypatch)
         report = check_partition(
             partition("1@d | 2@d", "2@d | 3@d", "3@d | 4@d"), examples_model, "additive"
         )
         assert report.violations == ("cells 1,2 not disjoint", "cells 2,3 not disjoint")
         assert not report.ok
-        assert len(calls) == 3 + 1 + 3
+        assert calls == [] and eliminations == [(frozenset({"d"}), 4)]
+        # One point shared by three cells names all three pairs, in order.
+        report = check_partition(
+            partition("1@d | 6@d", "2@d", "3@d | 1@d", "1@d", "5@d | 2@d"),
+            examples_model, "additive",
+        )
+        assert report.violations == (
+            "cells 1,3 not disjoint", "cells 1,4 not disjoint",
+            "cells 2,5 not disjoint", "cells 3,4 not disjoint",
+        )
         with pytest.raises(PartitionError) as info:
             bayes_parallel(partition("H@c1", "H@c1 && H@c2", "T@c1"),
                            parse_formula("H@c2"), examples_model)
@@ -340,29 +302,29 @@ class TestUnionCheckScales:
         assert info.value.violations == ["cells 1,2 not disjoint"]
 
     def test_cells_over_one_support_are_joined_without_a_complement(self, monkeypatch):
-        # `||` is evaluated through the complements of its operands: over
-        # these 16 coins, two complements of 65,535 points crossed pairwise.
-        def no_complement(model, experiments):
-            raise AssertionError(f"full space over {len(experiments)} experiments")
-
+        # Neither the cells nor the check build a complement: over these 16
+        # coins, one would hold 65,535 points.
         model = parse_model("".join(f"experiment t{i} : 0, 1\n" for i in range(16)))
         rest = " && ".join(f"0@t{i}" for i in range(1, 16))
-        monkeypatch.setattr(semantics, "full_space", no_complement)
+        monkeypatch.setattr(semantics, "full_space", no_full_space)
         calls = count_prob_calls(monkeypatch)
+        eliminations = count_eliminations(monkeypatch)
         report = check_partition(
             partition(f"0@t0 && {rest}", f"1@t0 && {rest}"), model, "parallel"
         )
         assert report.ok and report.total == F(1, 2**15)
-        assert len(calls) == 2 + 1 and isinstance(calls[-1], ChoiceOr)
+        assert calls == [] and len(eliminations) == 1
 
     def test_cells_over_different_supports_are_checked_pairwise(self, examples_model,
                                                                  monkeypatch):
         calls = count_prob_calls(monkeypatch)
+        eliminations = count_eliminations(monkeypatch)
         report = check_partition(
             partition("H@c1 && H@c2", "T@c1", "H@c1 && T@c2"), examples_model, "parallel"
         )
         assert report.ok and report.exhaustive
         assert len(calls) == 3 + 3 and not any(isinstance(f, ChoiceOr) for f in calls)
+        assert eliminations == []
         report = check_partition(
             partition("H@c1 && H@c2", "H@c2", "T@c2"), examples_model, "parallel"
         )
@@ -387,17 +349,142 @@ class TestUnionCheckScales:
         outcomes = [f"o{i}" for i in range(400)]
         model = parse_model(f"experiment e : {', '.join(outcomes)}\n")
         calls = count_prob_calls(monkeypatch)
+        eliminations = count_eliminations(monkeypatch)
         report = check_partition(
             Partition(tuple(AtomNode("e", o) for o in outcomes)), model, "additive"
         )
         assert report.ok and report.exhaustive and report.total == 1
+        assert calls == [] and eliminations == [(frozenset({"e"}), 400)]
 
-        def depth(f):
-            if isinstance(f, ChoiceOr):
-                return 1 + max(depth(f.left), depth(f.right))
-            return 0
 
-        assert len(calls) == 401 and depth(calls[-1]) == 9  # ceil(log2(400))
+def no_full_space(model, experiments):
+    raise AssertionError(f"full space over {len(experiments)} experiments")
+
+
+def count_eliminations(monkeypatch) -> list:
+    """Record the support and the number of points of every elimination
+    that the bayes module runs."""
+    calls = []
+    real = bayes._point_weights
+
+    def counted(support, points, model):
+        calls.append((support, len(points)))
+        return real(support, points, model)
+
+    monkeypatch.setattr(bayes, "_point_weights", counted)
+    return calls
+
+
+class TestPosteriorWeights:
+    def test_independent_evidence_leaves_the_priors(self, monkeypatch):
+        # The evidence shares no ancestor with the cells, so each weight is
+        # p(cell) * p(evidence), and p(evidence) is one prob call; the
+        # evidence's complement over 16 coins is never built.
+        coins = "".join(f"experiment u{i} : 0, 1\n" for i in range(16))
+        model = parse_model(
+            "experiment s : a=1/2, b=1/3, c=1/6\n"
+            "experiment t : 0, 1 depends s\n"
+            "cpt 0 | s=a = 1/4\ncpt 1 | s=a = 3/4\n"
+            "cpt 0 | s=b = 1\ncpt 1 | s=b = 0\n"
+            "cpt 0 | s=c = 1/2\ncpt 1 | s=c = 1/2\n" + coins
+        )
+        cells = partition("a@s && 0@t", "a@s && 1@t",
+                          "b@s && (0@t | 1@t)", "c@s && (0@t | 1@t)")
+        evidence = parse_formula("~(" + " && ".join(f"0@u{i}" for i in range(16)) + ")")
+        priors = [F(1, 8), F(3, 8), F(1, 3), F(1, 6)]
+        monkeypatch.setattr(semantics, "full_space", no_full_space)
+        calls = count_prob_calls(monkeypatch)
+        report, values = posteriors(cells, evidence, model, "parallel")
+        assert report.ok and report.exhaustive
+        assert values == priors
+        assert calls == [evidence]
+
+    def test_mixed_supports_with_evidence_on_some_cells(self):
+        # Cell 1 lies over c alone, which shares no ancestor with the
+        # evidence on b; cells 2 and 3 reach b's parent a.
+        model = parse_model(
+            "experiment a : 0=1/3, 1=2/3\n"
+            "experiment b : 0, 1 depends a\n"
+            "cpt 0 | a=0 = 1/5\ncpt 1 | a=0 = 4/5\n"
+            "cpt 0 | a=1 = 7/10\ncpt 1 | a=1 = 3/10\n"
+            "experiment c : 0=1/4, 1=3/4\n"
+        )
+        for cells, evidence in [
+            (("0@c", "1@c && 0@a", "1@c && 1@a"), "0@b"),
+            (("0@c", "1@c && 0@a", "1@c && 1@a"), "0@b || 1@c"),
+            (("0@c && 1@a", "0@a", "1@c && 1@a"), "1@b && 0@c"),
+            (("0@c", "0@c && 0@a", "1@c"), "0@b"),
+        ]:
+            p, ev = partition(*cells), parse_formula(evidence)
+            expected = pairwise_violations(p, model, "parallel")
+            if expected:
+                with pytest.raises(PartitionError) as info:
+                    posteriors(p, ev, model, "parallel")
+                assert tuple(info.value.violations) == expected
+                continue
+            weights = [enumerate_prob(ParAnd(c, ev), model).value for c in p.cells]
+            total = sum(weights)
+            report, values = posteriors(p, ev, model, "parallel")
+            assert report.ok and values == [w / total for w in weights]
+
+    @pytest.mark.parametrize("variant", ["additive", "parallel"])
+    def test_posteriors_match_the_oracle_on_random_partitions(self, variant):
+        rng = random.Random(62 + (variant == "parallel"))
+        seen = {"ok": 0, "rejected": 0, "mixed": 0, "independent": 0}
+        for n in range(400):
+            model = (random_dag_model(rng) if n % 2 else
+                     random_model(rng, max_experiments=3, max_outcomes=4, edge_prob=0.8))
+            p, _ = draw_cells(rng, model, variant)
+            seen["mixed"] += len({support(c, model) for c in p.cells}) > 1
+            if variant == "additive":
+                e = next(iter(support(p.cells[0], model)))
+            else:  # over one experiment, or else mostly undetermined
+                e = rng.choice([None, *sorted(model.experiments)])
+            evidence = random_formula(rng, model, 2, e)
+            conj = ChoiceAnd if variant == "additive" else ParAnd
+            violations = pairwise_violations(p, model, variant)
+            weights = [enumerate_prob(conj(c, evidence), model) for c in p.cells]
+            try:
+                got = posteriors(p, evidence, model, variant)[1]
+            except PartitionError as err:
+                message = str(err)
+                if violations:
+                    assert message.startswith("partition cells overlap")
+                    assert tuple(err.violations) == violations
+                elif any(isinstance(w, Undetermined) for w in weights):
+                    assert message.startswith("undetermined weight")
+                else:
+                    assert message.startswith("zero denominator")
+                    assert sum(w.value for w in weights) == 0
+                seen["rejected"] += 1
+                continue
+            total = sum(w.value for w in weights)
+            assert got == [w.value / total for w in weights]
+            seen["ok"] += 1
+            seen["independent"] += any(
+                not ancestral_closure(model, support(c, model))
+                & ancestral_closure(model, support(evidence, model))
+                for c in p.cells
+            )
+        assert seen["ok"] > 100 and seen["rejected"] > 100
+        assert variant == "additive" or seen["mixed"] > 30 and seen["independent"] > 10
+
+    @pytest.mark.parametrize("cells,evidence", [
+        (("0@T", "1@T"), "0@R"),
+        (("0@T && 0@R", "0@T && 1@R", "1@T"), "1@R"),
+    ])
+    def test_each_space_is_built_once(self, channel_model, monkeypatch, cells, evidence):
+        built = []
+        real = bayes._space
+
+        def counted(f, model):
+            built.append(f)
+            return real(f, model)
+
+        monkeypatch.setattr(bayes, "_space", counted)
+        p, ev = partition(*cells), parse_formula(evidence)
+        posteriors(p, ev, channel_model, "parallel")
+        assert sorted(map(id, built)) == sorted(map(id, p.cells + (ev,)))
 
 
 def count_support_calls(monkeypatch) -> list:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from colprob import bayes, cli
+from colprob import bayes
 from colprob.cli import main
 
 from conftest import MODELS, REPO
@@ -288,16 +288,16 @@ def test_bayes_output_is_pinned(capsys, argv, code, text, payload, err, as_json)
 
 
 def count_partition_checks(monkeypatch) -> list:
-    """Count check_partition calls, wherever the CLI reaches it from."""
+    """Count partition checks: ``check_partition`` and ``posteriors`` both
+    run theirs through ``bayes._check``."""
     calls = []
-    real = bayes.check_partition
+    real = bayes._check
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(bayes, "check_partition", counted)
-    monkeypatch.setattr(cli, "check_partition", counted, raising=False)
+    monkeypatch.setattr(bayes, "_check", counted)
     return calls
 
 

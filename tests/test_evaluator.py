@@ -461,7 +461,8 @@ def test_integer_scaled_cpts_are_exact(name):
 
 def test_first_use_compile_is_thread_safe():
     # Every thread queries a model nothing has touched yet, so the cpt
-    # tables are compiled while the threads race.
+    # tables are compiled, and the ranks of the causes each query sums out
+    # computed, while the threads race.
     queries = [parse_formula(q) for i in range(6)
                for q in (f"a{i} pgiven true@e", f"true@e pgiven a{i}")]
     reference = parse_model(noisy_or(6))

@@ -5,16 +5,19 @@ from itertools import product
 import pytest
 
 from colprob import (
+    Determined,
     EvalError,
     ExperimentDecl,
     Model,
     ancestral_closure,
     joint_point_prob,
+    parse_formula,
     parse_model,
+    prob,
     validate_model,
 )
-from colprob.model import topological_order
-from _corpus import child_first_chain, random_model
+from colprob.model import topological_order, topological_ranks
+from _corpus import child_first_chain, random_dag_model, random_model
 
 
 def fair(name, *outcomes):
@@ -236,3 +239,37 @@ def test_topological_order_reports_what_it_cannot_place(names):
     with pytest.raises(EvalError) as want:
         sweep_order(model, names)
     assert str(got.value) == str(want.value)
+
+
+def test_cached_ranks_sort_every_closure_into_topological_order():
+    # The model keeps every rank it computes, so later closures are sorted
+    # partly by ranks that other closures filled in.
+    rng = random.Random(63)
+    for n in range(120):
+        model = random_dag_model(rng) if n % 2 else random_named_dag(rng)
+        names = sorted(model.experiments)
+        subsets = [
+            [name for i, name in enumerate(names) if mask >> i & 1]
+            for mask in range(1, 2 ** min(len(names), 8))
+        ]
+        rng.shuffle(subsets)
+        for subset in subsets:
+            closure = ancestral_closure(model, subset)
+            ranks = topological_ranks(model, closure)
+            assert sorted(closure, key=lambda name: (ranks[name], name)) == (
+                topological_order(model, closure)
+            )
+
+
+def test_ranks_walk_only_the_query_closure():
+    # a and b form a cycle and c has an undeclared parent; neither lies in
+    # the closure {x, y} that the marginal of y eliminates x from.
+    model = Model.of(binary("a", "b"), binary("b", "a"), binary("c", "nowhere"),
+                     binary("x"), binary("y", "x"), binary("t", "a"))
+    assert prob(parse_formula("0@y"), model) == Determined(Fraction(1, 2))
+    assert set(model._ranks) == {"x", "y"}
+    with pytest.raises(EvalError) as got:
+        prob(parse_formula("0@t"), model)
+    with pytest.raises(EvalError) as want:
+        topological_order(model, {"a", "b", "t"})
+    assert str(got.value) == str(want.value) == "dependency cycle among: a, b, t"

@@ -24,7 +24,7 @@ from colprob import (
     prob,
     to_set_normal_form,
 )
-from _corpus import random_model, random_space
+from _corpus import random_formula, random_model, random_space
 
 
 def space(support, *assignments):
@@ -176,6 +176,31 @@ def test_snf_round_trip_on_random_spaces():
         model = random_model(rng)
         s = random_space(rng, model)
         assert quiet_denote(to_set_normal_form(s), model) == s
+
+
+@pytest.mark.parametrize("build", [
+    lambda support, points: EventSpace(frozenset(support), frozenset(points)),
+    EventSpace.of,
+], ids=["constructor", "of"])
+def test_public_construction_checks_every_point(build):
+    with pytest.raises(ValueError) as info:
+        build({"c", "d"}, [Point.of({"c": "H", "d": "T"}), Point.of({"c": "H"})])
+    assert str(info.value) == "point {c=H} does not cover support {c, d}"
+
+
+def test_denoted_spaces_pass_the_public_check():
+    # The denotation builds its spaces without the per-point check; every
+    # one must still pass it.
+    rng = random.Random(556)
+    checked = 0
+    for _ in range(300):
+        model = random_model(rng)
+        s = quiet_denote(random_formula(rng, model, 4), model)
+        if isinstance(s, EventSpace):
+            assert EventSpace(s.support, s.points) == s
+            assert all(p.items == tuple(sorted(p.items)) for p in s.points)
+            checked += 1
+    assert checked > 100
 
 
 def test_choice_connectives_are_set_operations(examples_model):

@@ -17,7 +17,10 @@ sample counts that span several of the oracle's blocks; exact values
 over cpts with awkward denominators (coprime and large lcms, rows over
 different denominators, omitted outcomes, 300 outcomes), long chains and
 a 10-cause noisy-OR; random and fixed Bayes partitions under both
-variants and both parallel forms; model files (``models/``, one per line
+variants and both parallel forms, and a Bayes section: the k-bit noisy
+channel at k = 3..7, overlapping partitions (zero-weight overlaps among
+them), evidence independent of the cells and cells over mixed supports;
+model files (``models/``, one per line
 kind, parse error and validation issue, and seeded random ones), each
 giving every decl's fields, the ParseError's position and message, or
 the ModelError's issues; and CLI runs of every subcommand,
@@ -225,6 +228,80 @@ def partition_rows(cp, corpus, emit) -> None:
             emit(f"posteriors-{variant}", key, attempt(
                 lambda: cp.bayes.posteriors(cells, evidence, model, variant)))
         emit("prior-likelihood", key, attempt(
+            lambda: cp.bayes_parallel(cells, evidence, model, "prior-likelihood")))
+
+
+# A die with a zero-weight face, a signal it drives, and a coin and a
+# 12-coin block that the die does not reach.
+BAYES_MODEL = (
+    "experiment d : 1=1/2, 2=1/3, 3=1/6, 4=0\n"
+    "experiment s : lo, hi depends d\n"
+    + "".join(f"cpt lo | d={f} = {lo}\ncpt hi | d={f} = {hi}\n" for f, lo, hi in (
+        ("1", "1", "0"), ("2", "1/4", "3/4"), ("3", "3/5", "2/5"), ("4", "1/2", "1/2")))
+    + "experiment c : H=2/5, T=3/5\n"
+    + "".join(f"experiment u{i} : 0, 1\n" for i in range(12))
+)
+COINS12 = " && ".join(f"0@u{i}" for i in range(12))
+BAYES_PARTITIONS = [
+    # overlaps, and overlaps on the zero-weight face only
+    (["1@d | 2@d", "2@d | 3@d"], "lo@s"),
+    (["1@d | 4@d", "2@d | 4@d", "3@d | 4@d"], "lo@s"),
+    (["1@d | 4@d", "4@d", "2@d", "3@d | 1@d"], "hi@s"),
+    (["1@d && lo@s", "4@d && lo@s", "4@d", "(2@d | 3@d) && hi@s"], "H@c"),
+    (["1@d && H@c", "1@d && (H@c | T@c)", "2@d", "4@d && T@c"], "lo@s"),
+    # evidence independent of the cells
+    (["1@d", "2@d", "3@d | 4@d"], "H@c"),
+    (["1@d", "2@d", "3@d | 4@d"], f"~({COINS12})"),
+    (["1@d && lo@s", "1@d && hi@s", "~1@d"], f"T@c || ~({COINS12})"),
+    # mixed supports, the evidence reaching some cells and not others
+    (["H@c", "T@c && 1@d", "T@c && ~1@d"], "lo@s"),
+    (["H@c", "T@c && (1@d | 2@d)", "T@c && 3@d"], "hi@s || H@c"),
+    (["H@c && 1@d", "H@c && ~1@d", "T@c"], "lo@s && T@c"),
+    (["H@c", "T@c && 1@d", "T@c && 1@d && lo@s"], "lo@s"),
+    (["H@c", "T@c && 4@d", "T@c && ~4@d"], "4@d"),
+    (["H@c", "T@c"], "1@d | H@c"),
+]
+
+
+def bayes_rows(cp, corpus, emit) -> None:
+    """Posteriors of the k-bit noisy channel, k = 3..7 (every received
+    word up to k = 4, three words beyond), under both parallel forms; then
+    fixed and seeded random partitions, with overlaps (zero-weight ones
+    too), evidence independent of the cells and cells over mixed supports,
+    under both variants."""
+    for bits in range(3, 8):
+        model = cp.parse_model(corpus.noisy_channel(bits)[0])
+        words = ["".join(w) for w in itertools.product("01", repeat=bits)]
+        cells = cp.Partition(tuple(
+            cp.parse_formula(" && ".join(f"{t}@t{i}" for i, t in enumerate(w))) for w in words
+        ))
+        if bits > 4:
+            words = ["0" * bits, "1" * bits, ("01" * bits)[:bits]]
+        for word in words:
+            evidence = cp.parse_formula(" && ".join(f"{r}@r{i}" for i, r in enumerate(word)))
+            for form in ("joint", "prior-likelihood"):
+                emit("bayes-channel", f"k={bits} received {word} {form}", attempt(
+                    lambda: cp.bayes_parallel(cells, evidence, model, form)))
+    model = cp.parse_model(BAYES_MODEL)
+    cases = [(model, f"fixed{n}", cp.Partition(tuple(map(cp.parse_formula, cells))),
+              cp.parse_formula(ev)) for n, (cells, ev) in enumerate(BAYES_PARTITIONS)]
+    rng = random.Random(6211)
+    for n in range(300):
+        model = corpus.random_dag_model(rng) if n % 2 else corpus.random_model(rng)
+        variant = ("additive", "parallel")[n // 2 % 2]
+        cells, _ = corpus.draw_cells(rng, model, variant)
+        experiment = rng.choice([None, *sorted(model.experiments)])
+        cases.append((model, f"drawn{n}", cells,
+                      corpus.random_formula(rng, model, 2, experiment)))
+    for model, name, cells, evidence in cases:
+        key = f"{name}: [{', '.join(map(cp.format_formula, cells.cells))}] " \
+              f"{cp.format_formula(evidence)}"
+        for variant in ("additive", "parallel"):
+            emit(f"bayes-check-{variant}", key, attempt(
+                lambda: cp.check_partition(cells, model, variant)))
+            emit(f"bayes-{variant}", key, attempt(
+                lambda: cp.bayes.posteriors(cells, evidence, model, variant)))
+        emit("bayes-prior-likelihood", key, attempt(
             lambda: cp.bayes_parallel(cells, evidence, model, "prior-likelihood")))
 
 
@@ -468,6 +545,7 @@ def main(argv: list[str]) -> int:
         block_rows(cp, corpus, emit)
         space_prob_rows(cp, corpus, emit)
         partition_rows(cp, corpus, emit)
+        bayes_rows(cp, corpus, emit)
         model_file_rows(cp, emit)
         cli_rows(cp, corpus, emit)
     print(f"{sum(counts.values())} rows: "
