@@ -46,7 +46,7 @@ from .formula import (
     ParOr,
     format_formula,
 )
-from .model import Model, ancestral_closure, topological_ranks
+from .model import Model, ancestral_closure, parents_first
 from .semantics import (
     EventSpace,
     Point,
@@ -100,13 +100,14 @@ def _point_weights(
     Every experiment in the ancestral closure of the support contributes
     its cpt as a factor, an integer table scaled by the lcm of the cpt's
     denominators (compiled once per experiment, at its first query). The
-    closure experiments outside the support are summed out parents first,
-    each from the bucket of factors that mention it, a support experiment
-    ranging only over the outcomes the points use; each point then weighs
-    the product of the remaining factors at its outcomes. The arithmetic
-    is on integers throughout; the scale is the product of the lcms.
+    closure experiments outside the support are summed out in the
+    parents-first order of one ``parents_first`` walk, each from the
+    bucket of factors that mention it, a support experiment ranging only
+    over the outcomes the points use; each point then weighs the product
+    of the remaining factors at its outcomes. The arithmetic is on
+    integers throughout; the scale is the product of the lcms.
     """
-    closure = ancestral_closure(model, support)
+    closure = parents_first(model, support)
     factors: list[_Factor] = []
     scale = 1
     for name in closure:
@@ -114,7 +115,7 @@ def _point_weights(
         table, lcm = decl._scaled
         scale *= lcm
         factors.append((decl.parents + (name,), table))
-    if closure != support:
+    if len(closure) != len(support):
         factors = _eliminate(support, points, model, closure, factors)
     names = sorted(support)  # the order of every point's items
     rows = [tuple([outcome for _, outcome in point.items]) for point in points]
@@ -130,13 +131,13 @@ def _eliminate(
     support: frozenset[str],
     points: Collection[Point],
     model: Model,
-    closure: frozenset[str],
+    closure: list[str],
     factors: list[_Factor],
 ) -> list[_Factor]:
-    """Sum the closure experiments outside the support out of ``factors``,
-    parents first; returns the factors over support experiments only."""
-    ranks = topological_ranks(model, closure)
-    order = sorted(closure - support, key=lambda name: (ranks[name], name))
+    """Sum the experiments of ``closure`` (parents first) that are outside
+    the support out of ``factors``, in that order; returns the factors over
+    support experiments only."""
+    order = [name for name in closure if name not in support]
     rank = {name: i for i, name in enumerate(order)}
     buckets: list[list[_Factor]] = [[] for _ in order]
     remaining: list[_Factor] = []

@@ -5,8 +5,12 @@ single experiment; parallel connectives (`&&`, `||`) combine outcomes of
 different experiments; `given` / `pgiven` are the additive and parallel
 conditionals and only make sense at the root of a query.
 
-Nodes are frozen dataclasses: hashable, comparable structurally, safe to
-share between threads.
+Nodes are frozen dataclasses: comparable structurally and safe to share
+between threads. Their ``hash()`` and ``==`` recurse once per nesting
+level, so a deep formula is unhashable in practice: the 900-term
+``alien && ...`` chain that ``colprob eval`` evaluates raises
+RecursionError in ``hash()``. The engine never hashes or compares whole
+formulas, only atoms, points and supports.
 """
 
 from __future__ import annotations

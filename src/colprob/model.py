@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from .errors import EvalError
 
@@ -103,14 +103,6 @@ class Model:
 
     def __contains__(self, name: str) -> bool:
         return name in self.experiments
-
-    @cached_property
-    def _ranks(self) -> dict[str, int]:
-        """Each experiment's rank in ``topological_order``, filled in by
-        ``topological_ranks`` as queries reach the experiment. Threads may
-        fill it at once: a rank is written only after its parents', and
-        every thread writes the same value."""
-        return {}
 
 
 def validate_model(model: Model) -> list[str]:
@@ -242,6 +234,48 @@ def joint_point_prob(model: Model, assignment: Mapping[str, str]) -> Fraction:
     return prob
 
 
+def parents_first(
+    model: Model, support: Iterable[str], within: Container[str] | None = None
+) -> list[str]:
+    """The ancestral closure of ``support``, each experiment after its
+    parents: the order in which a depth-first walk from each name of the
+    sorted support, parents in declaration order, finishes them. The walk
+    keeps its own stack, so deep chains cannot exhaust Python's.
+
+    Only the closure is walked, so a cycle elsewhere in the model is no
+    error. An experiment that reaches a cycle, or with ``within`` a parent
+    outside it, cannot be placed; the error names every such experiment,
+    which are the names the sweeps of ``topological_order`` leave unplaced.
+    """
+    order: list[str] = []
+    seen: set[str] = set()
+    placed: set[str] = set()
+    stuck: set[str] = set()
+    for root in sorted(set(support)):
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(model.decl(root).parents))]
+        while stack:
+            name, parents = stack[-1]
+            p = next(parents, None)
+            if p is None:
+                stack.pop()
+                if name not in stuck:
+                    order.append(name)
+                    placed.add(name)
+                elif stack:  # so is the child that reached it
+                    stuck.add(stack[-1][0])
+            elif p not in seen and (within is None or p in within):
+                seen.add(p)
+                stack.append((p, iter(model.decl(p).parents)))
+            elif p not in placed:  # on the walk's path, stuck, or outside ``within``
+                stuck.add(name)
+    if stuck:
+        raise EvalError("dependency cycle among: " + ", ".join(sorted(stuck)))
+    return order
+
+
 def topological_order(model: Model, names: Iterable[str]) -> list[str]:
     """Parents-first ordering of ``names`` (which must be ancestrally
     closed), deterministic: ties broken by experiment name.
@@ -249,61 +283,13 @@ def topological_order(model: Model, names: Iterable[str]) -> list[str]:
     The order is that of sweeps over the sorted names, each placing every
     name whose parents are already placed, earlier in the sweep or before
     it. A name's sweep is its rank: the largest of its parents' ranks, one
-    more for a parent that sorts after it, so sorting by (rank, name)
-    gives the order in O(n log n).
+    more for a parent that sorts after it. ``parents_first`` gives every
+    parent's rank before its child's, and sorting by (rank, name) gives the
+    order in O(n log n).
     """
-    pending = sorted(set(names))
-    parents = {name: set(model.decl(name).parents) for name in pending}
-    children: dict[str, list[str]] = {name: [] for name in pending}
-    waiting = {}
-    for name, ps in parents.items():
-        waiting[name] = len(ps)
-        for p in ps:
-            if p in children:
-                children[p].append(name)
-    ready = [name for name in pending if not waiting[name]]
+    names = set(names)
     rank: dict[str, int] = {}
-    while ready:
-        name = ready.pop()
-        rank[name] = max((rank[p] + (p > name) for p in parents[name]), default=0)
-        for child in children[name]:
-            waiting[child] -= 1
-            if not waiting[child]:
-                ready.append(child)
-    if len(rank) < len(pending):
-        stuck = [name for name in pending if name not in rank]
-        raise EvalError("dependency cycle among: " + ", ".join(stuck))
-    return sorted(pending, key=rank.__getitem__)  # stable: ties stay by name
-
-
-def topological_ranks(model: Model, closure: frozenset[str]) -> Mapping[str, int]:
-    """The ranks ``topological_order`` sorts by, for every name of the
-    ancestrally closed ``closure``.
-
-    A rank depends only on an experiment's ancestors, so the model keeps
-    each rank once computed, and sorting any closed set by (rank, name)
-    gives ``topological_order`` of that set. Only the closure is walked:
-    a cycle elsewhere in the model is no error here, and one inside it
-    raises ``topological_order``'s error.
-    """
-    ranks = model._ranks
-    for name in closure:
-        stack, waiting = [name], set()
-        while stack:
-            top = stack[-1]
-            if top in ranks:
-                stack.pop()
-                continue
-            parents = model.decl(top).parents
-            missing = [p for p in parents if p not in ranks]
-            if not missing:
-                ranks[top] = max((ranks[p] + (p > top) for p in parents), default=0)
-                stack.pop()
-                continue
-            # Everything pushed above ``top`` is its ancestor, so a missing
-            # parent that is itself waiting closes a cycle.
-            waiting.add(top)
-            if waiting.intersection(missing):
-                topological_order(model, closure)  # raises, naming the cycle
-            stack.extend(missing)
-    return ranks
+    for name in parents_first(model, names, names):
+        parents = model.decl(name).parents
+        rank[name] = max((rank[p] + (p > name) for p in parents), default=0)
+    return sorted(rank, key=lambda name: (rank[name], name))

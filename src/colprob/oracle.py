@@ -79,15 +79,21 @@ def _fmt(support: frozenset[str]) -> str:
     return "{" + ", ".join(sorted(support)) + "}"
 
 
-def _support(f: Formula) -> frozenset[str]:
+def _support(f: Formula, model: Model) -> frozenset[str]:
     """Syntactic support, replicating the undeterminedness conditions:
-    choice connectives demand equal supports on both sides."""
+    choice connectives demand equal supports on both sides. Atoms are
+    checked against ``model`` left to right, so an unknown atom is an
+    error only when no undetermined connective comes before it."""
     if isinstance(f, AtomNode):
+        if f.outcome not in model.decl(f.experiment).outcomes:
+            raise EvalError(
+                f"unknown outcome '{f.outcome}' of experiment '{f.experiment}'"
+            )
         return frozenset((f.experiment,))
     if isinstance(f, Not):
-        return _support(f.child)
+        return _support(f.child, model)
     if isinstance(f, (ChoiceAnd, ChoiceOr)):
-        left, right = _support(f.left), _support(f.right)
+        left, right = _support(f.left, model), _support(f.right, model)
         if left != right:
             op = "choice-and (&)" if isinstance(f, ChoiceAnd) else "choice-or (|)"
             raise _SupportMismatch(
@@ -95,22 +101,17 @@ def _support(f: Formula) -> frozenset[str]:
             )
         return left
     if isinstance(f, (ParAnd, ParOr)):
-        return _support(f.left) | _support(f.right)
+        return _support(f.left, model) | _support(f.right, model)
     raise EvalError("conditionals are only allowed at the root of a query")
 
 
-def _atoms(f: Formula, model: Model) -> set[AtomNode]:
-    """The atoms ``f`` mentions, each checked against ``model`` left to
-    right, so the leftmost unknown one is the error reported."""
+def _atoms(f: Formula) -> set[AtomNode]:
+    """The atoms ``f`` mentions."""
     atoms = set()
     stack = [f]
     while stack:
         node = stack.pop()
         if isinstance(node, AtomNode):
-            if node.outcome not in model.decl(node.experiment).outcomes:
-                raise EvalError(
-                    f"unknown outcome '{node.outcome}' of experiment '{node.experiment}'"
-                )
             atoms.add(node)
         elif isinstance(node, Not):
             stack.append(node.child)
@@ -124,16 +125,15 @@ def _atoms(f: Formula, model: Model) -> set[AtomNode]:
 
 
 def _prepare(f: Formula, model: Model):
-    """What both oracles start from: every atom checked, the verdict (a
-    _SupportMismatch when ``f`` is undetermined), the ancestral closure of
-    the experiments ``f`` mentions in parents-first order (one column per
-    experiment), each atom with its column, outcome index and outcome
-    count, and the conditional-free event and condition (None unless ``f``
-    is a root conditional)."""
-    atoms = _atoms(f, model)
+    """What both oracles start from: the verdict (a _SupportMismatch when
+    ``f`` is undetermined), the ancestral closure of the experiments ``f``
+    mentions in parents-first order (one column per experiment), each atom
+    with its column, outcome index and outcome count, and the
+    conditional-free event and condition (None unless ``f`` is a root
+    conditional)."""
     if isinstance(f, (GivenAdd, GivenPar)):
-        event_support = _support(f.event)
-        condition_support = _support(f.condition)
+        event_support = _support(f.event, model)
+        condition_support = _support(f.condition, model)
         if isinstance(f, GivenAdd) and event_support != condition_support:
             spans = f"{_fmt(event_support)} vs {_fmt(condition_support)}"
             raise _SupportMismatch(
@@ -142,8 +142,9 @@ def _prepare(f: Formula, model: Model):
             )
         event, condition = f.event, f.condition
     else:
-        _support(f)
+        _support(f, model)
         event, condition = f, None
+    atoms = _atoms(f)
     closure = ancestral_closure(model, {atom.experiment for atom in atoms})
     order = topological_order(model, closure)
     column = {name: j for j, name in enumerate(order)}

@@ -96,6 +96,19 @@ class TestEval:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("query", [
+        "(H@c1 | H@c2) && X@zzz", "H@c pgiven ((H@c1 | H@c2) && X@zzz)",
+    ])
+    def test_oracle_keeps_a_verdict_before_an_unknown_atom(self, capsys, query):
+        args = ("eval", "--model", EXAMPLES, "--query", query)
+        assert run(capsys, *args)[0] == 2
+        code, out, err = run(capsys, *args, "--oracle")
+        assert (code, err) == (2, "")
+        assert out.endswith("oracle: undetermined (agree)\n")
+        code, out, err = run(capsys, *args, "--mc-samples", "10")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot sample an undetermined formula: choice-or")
+
     def test_oracle_on_undetermined_query(self, capsys):
         args = ("eval", "--model", EXAMPLES, "--query", "H@c | H@c1", "--oracle")
         code, out, _ = run(capsys, *args)

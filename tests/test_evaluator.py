@@ -399,7 +399,7 @@ def test_prob_matches_oracle_on_multi_parent_models():
                 assert type(ev) is type(orc), (f, ev, orc)
                 if isinstance(ev, Determined):
                     assert ev == orc, f
-                    names = {atom.experiment for atom in _atoms(f, model)}
+                    names = {atom.experiment for atom in _atoms(f)}
                     eliminated += ancestral_closure(model, names) != names
                 checked += 1
     assert checked == 800 and eliminated > 150

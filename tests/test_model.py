@@ -9,15 +9,23 @@ from colprob import (
     EvalError,
     ExperimentDecl,
     Model,
+    Partition,
+    SampleConfig,
     ancestral_closure,
+    bayes_additive,
+    bayes_parallel,
+    check_partition,
+    enumerate_prob,
     joint_point_prob,
+    mc_estimate,
     parse_formula,
     parse_model,
     prob,
+    prob_explain,
     validate_model,
 )
-from colprob.model import topological_order, topological_ranks
-from _corpus import child_first_chain, random_dag_model, random_model
+from colprob.model import parents_first, topological_order
+from _corpus import child_first_chain, noisy_or, random_dag_model, random_model
 
 
 def fair(name, *outcomes):
@@ -69,11 +77,12 @@ def test_every_cycle_is_reported_once_in_declaration_order():
 
 
 def test_long_chain_declared_child_first_validates():
-    # The cycle check walks parents without recursion, so chain length is
-    # not bounded by Python's recursion limit.
+    # The cycle check and the parents-first walk keep their own stacks, so
+    # chain length is not bounded by Python's recursion limit.
     model = parse_model(child_first_chain(1500))
     assert len(model.experiments) == 1500
     assert ancestral_closure(model, ["x1499"]) == frozenset(model.experiments)
+    assert parents_first(model, ["x1499"]) == [f"x{i}" for i in range(1500)]
 
 
 def test_unknown_parent_is_reported():
@@ -241,35 +250,99 @@ def test_topological_order_reports_what_it_cannot_place(names):
     assert str(got.value) == str(want.value)
 
 
-def test_cached_ranks_sort_every_closure_into_topological_order():
-    # The model keeps every rank it computes, so later closures are sorted
-    # partly by ranks that other closures filled in.
+def random_digraph(rng):
+    """Up to 10 binary experiments with random names, each depending on up
+    to two of them, itself included, so that cycles occur."""
+    names = rng.sample([f"{c}{i}" for c in "pqxy" for i in range(30)], rng.randint(1, 10))
+    counts = [min(len(names), rng.choice((0, 0, 1, 2))) for _ in names]
+    return Model.of(*[binary(name, *rng.sample(names, k)) for name, k in zip(names, counts)])
+
+
+def outcome(run):
+    """What ``run()`` returns, or the message of the EvalError it raises."""
+    try:
+        return run()
+    except EvalError as err:
+        return str(err)
+
+
+def test_topological_order_matches_the_sweeps_on_any_name_set():
+    # Cycles inside and outside the set, and parents left out of it.
+    rng = random.Random(64)
+    failed = 0
+    for _ in range(300):
+        model = random_digraph(rng)
+        names = [name for name in model.experiments if rng.random() < 0.8]
+        got = outcome(lambda: topological_order(model, names))
+        assert got == outcome(lambda: sweep_order(model, names))
+        failed += isinstance(got, str)
+    assert 50 < failed < 250
+
+
+def test_parents_first_orders_the_closure_parents_first():
     rng = random.Random(63)
     for n in range(120):
         model = random_dag_model(rng) if n % 2 else random_named_dag(rng)
         names = sorted(model.experiments)
-        subsets = [
-            [name for i, name in enumerate(names) if mask >> i & 1]
-            for mask in range(1, 2 ** min(len(names), 8))
-        ]
-        rng.shuffle(subsets)
-        for subset in subsets:
-            closure = ancestral_closure(model, subset)
-            ranks = topological_ranks(model, closure)
-            assert sorted(closure, key=lambda name: (ranks[name], name)) == (
-                topological_order(model, closure)
-            )
+        for mask in range(1, 2 ** min(len(names), 6)):
+            support = [name for i, name in enumerate(names) if mask >> i & 1]
+            order = parents_first(model, support)
+            assert len(order) == len(set(order))
+            assert set(order) == ancestral_closure(model, support)
+            at = {name: i for i, name in enumerate(order)}
+            assert all(at[p] < at[name] for name in order for p in model.decl(name).parents)
+            rng.shuffle(support)
+            assert parents_first(model, iter(support)) == order
+            assert parents_first(model, frozenset(support)) == order
 
 
-def test_ranks_walk_only_the_query_closure():
+def test_parents_first_names_what_the_sweeps_leave_unplaced():
+    # Only the closure of the support is walked, so a cycle elsewhere is
+    # no error; one inside it names every experiment that reaches it.
+    rng = random.Random(65)
+    for _ in range(300):
+        model = random_digraph(rng)
+        support = rng.sample(sorted(model.experiments), min(len(model.experiments), 3))
+        closure = ancestral_closure(model, support)
+        got = outcome(lambda: parents_first(model, support))
+        want = outcome(lambda: sweep_order(model, closure))
+        assert got == want if isinstance(want, str) else set(got) == set(want)
+
+
+def test_elimination_walks_only_the_query_closure():
     # a and b form a cycle and c has an undeclared parent; neither lies in
     # the closure {x, y} that the marginal of y eliminates x from.
     model = Model.of(binary("a", "b"), binary("b", "a"), binary("c", "nowhere"),
                      binary("x"), binary("y", "x"), binary("t", "a"))
     assert prob(parse_formula("0@y"), model) == Determined(Fraction(1, 2))
-    assert set(model._ranks) == {"x", "y"}
     with pytest.raises(EvalError) as got:
         prob(parse_formula("0@t"), model)
     with pytest.raises(EvalError) as want:
         topological_order(model, {"a", "b", "t"})
     assert str(got.value) == str(want.value) == "dependency cycle among: a, b, t"
+
+
+@pytest.mark.parametrize("query,names", [("0@s", "s"), ("0@a && 0@b", "a, b")])
+def test_a_cycle_in_the_closure_is_an_error_even_with_nothing_to_sum_out(query, names):
+    # The closure is walked on every query, also when it is the support.
+    model = Model.of(binary("s", "s"), binary("a", "b"), binary("b", "a"))
+    with pytest.raises(EvalError, match=f"^dependency cycle among: {names}$"):
+        prob(parse_formula(query), model)
+
+
+def test_queries_leave_the_model_as_built():
+    # Model's docstring promises nothing mutates after __init__: queries
+    # may compile each decl's cpt, but keep nothing on the model.
+    model = parse_model(noisy_or(4))
+    f = parse_formula
+    assert vars(model).keys() == {"experiments"}
+    prob(f("true@e"), model)
+    prob(f("a0 pgiven true@e && ~a1"), model)
+    prob_explain(f("true@e && a2 | false@e && a2"), model)
+    cells = Partition((f("a3"), f("~a3")))
+    check_partition(cells, model, "parallel")
+    bayes_parallel(cells, f("true@e"), model)
+    bayes_additive(Partition((f("true@e"), f("false@e"))), f("true@e"), model)
+    enumerate_prob(f("true@e given true@e"), model)
+    mc_estimate(f("a1 pgiven true@e"), model, SampleConfig(300, seed=2))
+    assert vars(model).keys() == {"experiments"}

@@ -213,6 +213,33 @@ class TestPinnedMessages:
                 run()
             assert str(info.value) == message
 
+    @pytest.mark.parametrize("query", [
+        "(H@c | T@d) && H@zz",
+        "H@c pgiven ((H@c | T@d) && H@zz)",
+        "(H@c & T@d) && bogus@c given H@c",
+        "(H@d | T@c) && (H@c given H@c) && H@zz",
+    ])
+    def test_verdict_before_a_later_bad_atom(self, two_coins_cd, query):
+        # Like the evaluator, the oracles stop at the first undetermined
+        # connective; an unknown atom or conditional after it is not reached.
+        f = parse_formula(query)
+        verdict = prob(f, two_coins_cd)
+        assert isinstance(verdict, Undetermined)
+        assert isinstance(enumerate_prob(f, two_coins_cd), Undetermined)
+        with pytest.raises(OracleError, match="cannot sample an undetermined formula"):
+            mc_estimate(f, two_coins_cd, SampleConfig(10))
+
+    @pytest.mark.parametrize("query", [
+        "(H@c pgiven H@d) && bogus@c", "H@c given ~(H@c given H@c) && H@zz",
+    ])
+    def test_nested_conditional_before_a_later_bad_atom(self, two_coins_cd, query):
+        f = parse_formula(query)
+        for run in (lambda: prob(f, two_coins_cd),
+                    lambda: enumerate_prob(f, two_coins_cd),
+                    lambda: mc_estimate(f, two_coins_cd, SampleConfig(10))):
+            with pytest.raises(EvalError, match="only allowed at the root"):
+                run()
+
     def test_null_condition(self, examples_model):
         f = parse_formula("H@c given (H@c & T@c)")
         with pytest.raises(NullConditionError) as info:

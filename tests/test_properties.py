@@ -1,17 +1,20 @@
-"""Property tests: both parsers are total, and printing round-trips.
+"""Property tests: both parsers are total, printing round-trips, and the
+evaluator and the enumeration oracle give the same answer, verdict or
+error.
 
 Runs are derandomized and keep no example database, so every run checks
 the same inputs and writes nothing to the checkout (``conftest.py`` moves
 hypothesis's other cache to a temporary directory).
 """
 
+import warnings
 from contextlib import suppress
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colprob import (
@@ -19,14 +22,18 @@ from colprob import (
     ChoiceAnd,
     ChoiceOr,
     ColprobError,
+    Determined,
     GivenAdd,
     GivenPar,
     Not,
     ParAnd,
     ParOr,
+    SharedExperimentWarning,
+    enumerate_prob,
     format_formula,
     parse_formula,
     parse_model,
+    prob,
 )
 
 
@@ -84,3 +91,47 @@ FORMULAS = st.recursive(
 @given(FORMULAS)
 def test_format_formula_round_trips(f):
     assert parse_formula(format_formula(f)) == f
+
+
+# A channel T → R, a coin and a predicate; atoms include an unknown
+# experiment and an unknown outcome, and any node may be a conditional.
+SMALL_MODEL = parse_model(
+    "experiment T : 0=1/3, 1=2/3\nexperiment R : 0, 1 depends T\n"
+    "cpt 0 | T=0 = 9/10\ncpt 1 | T=0 = 1/10\ncpt 0 | T=1 = 1/5\ncpt 1 | T=1 = 4/5\n"
+    "experiment c : H, T\npredicate p = 1/4\n"
+)
+SMALL_ATOMS = st.sampled_from([
+    AtomNode(e, o) for e, o in (
+        ("T", "0"), ("T", "1"), ("R", "0"), ("R", "1"), ("c", "H"), ("c", "T"),
+        ("p", "true"), ("p", "false"), ("zz", "H"), ("c", "bogus"),
+    )
+])
+SMALL_FORMULAS = st.recursive(
+    SMALL_ATOMS,
+    lambda sub: st.builds(Not, sub) | st.one_of(*(
+        st.builds(node, sub, sub)
+        for node in (ChoiceAnd, ChoiceOr, ParAnd, ParOr, GivenAdd, GivenPar)
+    )),
+    max_leaves=8,
+)
+
+
+def answer(run):
+    """The Determined value, or which kind of verdict or error ``run`` gave."""
+    try:
+        result = run()
+    except ColprobError:
+        return "error"
+    return result if isinstance(result, Determined) else "undetermined"
+
+
+@DETERMINISTIC
+@given(SMALL_FORMULAS)
+@example(parse_formula("(0@T | H@c) && H@zz"))
+@example(parse_formula("0@R pgiven ((0@T | H@c) && bogus@c)"))
+@example(parse_formula("(0@R given 0@R) && bogus@c"))
+def test_prob_agrees_with_enumeration(f):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SharedExperimentWarning)
+        evaluated = answer(lambda: prob(f, SMALL_MODEL))
+    assert evaluated == answer(lambda: enumerate_prob(f, SMALL_MODEL))

@@ -20,7 +20,9 @@ a 10-cause noisy-OR; random and fixed Bayes partitions under both
 variants and both parallel forms, and a Bayes section: the k-bit noisy
 channel at k = 3..7, overlapping partitions (zero-weight overlaps among
 them), evidence independent of the cells and cells over mixed supports;
-model files (``models/``, one per line
+the order of closures and name sets over seeded random graphs (cycles
+and parents left out of the set among them) and every marginal of a
+diamond; model files (``models/``, one per line
 kind, parse error and validation issue, and seeded random ones), each
 giving every decl's fields, the ParseError's position and message, or
 the ModelError's issues; and CLI runs of every subcommand,
@@ -41,6 +43,7 @@ import re
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -180,6 +183,60 @@ def space_prob_rows(cp, corpus, emit) -> None:
         for query in (f"a{i} pgiven true@e", f"true@e pgiven a{i}"):
             emit("space-prob", f"noisy-or10: {query}",
                  attempt(lambda: cp.prob(cp.parse_formula(query), noisy)))
+
+
+def random_graph(rng, cp, cyclic: bool):
+    """Up to 10 binary experiments with random names, each depending on up
+    to two others: earlier ones, so names often sort after their
+    children's, or with ``cyclic`` any, itself included. No cpt: only the
+    parent graph is read."""
+    names = rng.sample([f"{c}{i}" for c in "pqxy" for i in range(30)], rng.randint(1, 10))
+    decls = []
+    for i, name in enumerate(names):
+        pool = names if cyclic else names[:i]
+        parents = rng.sample(pool, min(len(pool), rng.choice((0, 1, 1, 2))))
+        decls.append(cp.ExperimentDecl(name, ("0", "1"), tuple(parents)))
+    return cp.Model.of(*decls)
+
+
+# A diamond declared child first: z drives x and y, which both drive a.
+DIAMOND = (
+    "experiment a : 0, 1 depends x, y\n"
+    + "".join(f"cpt 0 | x={p}, y={q} = {w}\ncpt 1 | x={p}, y={q} = {1 - Fraction(w)}\n"
+              for (p, q), w in zip(itertools.product("012", "01"),
+                                   ("1/7", "2/9", "5/11", "1", "0", "8/15")))
+    + "experiment x : 0, 1, 2 depends z\n"
+    + "".join(f"cpt {o} | z={p} = {w}\n"
+              for p, ws in (("0", ("1/2", "1/3", "1/6")), ("1", ("0", "3/5", "2/5")))
+              for o, w in zip("012", ws))
+    + "experiment y : 0, 1 depends z\ncpt 0 | z=0 = 3/4\ncpt 1 | z=0 = 1/4\n"
+    "cpt 0 | z=1 = 1/13\ncpt 1 | z=1 = 12/13\n"
+    "experiment z : 0=2/3, 1=1/3\n"
+)
+
+
+def model_graph_rows(cp, emit) -> None:
+    """``topological_order`` of every closure of seeded random DAGs, and of
+    seeded name sets over graphs with cycles, parents left out of the set
+    among them, each giving a list or a message; then ``prob`` of every
+    outcome of each node of a diamond."""
+    rng = random.Random(2718)
+    for cyclic in (False, True):
+        for m in range(150):
+            model = random_graph(rng, cp, cyclic)
+            graph = {n: d.parents for n, d in sorted(model.experiments.items())}
+            if cyclic:
+                sets = [sorted(n for n in graph if rng.random() < 0.8)]
+            else:
+                sets = [sorted(cp.ancestral_closure(model, [n])) for n in graph]
+            for names in sets:
+                emit("model-graph", f"{graph} order of {names}", attempt(
+                    lambda: cp.model.topological_order(model, names)))
+    diamond = cp.parse_model(DIAMOND)
+    for name, decl in sorted(diamond.experiments.items()):
+        for outcome in decl.outcomes:
+            emit("model-graph", f"diamond: {outcome}@{name}", attempt(
+                lambda: cp.prob(cp.AtomNode(name, outcome), diamond)))
 
 
 FIXED_PARTITIONS = [
@@ -493,6 +550,10 @@ def cli_cases():
         for flags in ([], ["--explain"], ["--json", "--explain", "--oracle"],
                       ["--mc-samples", "500", "--seed", "3"], ["--mc-samples", "0"]):
             yield ["eval", "--model", ex, "--query", query, *flags], ""
+    # a verdict before an unknown atom, which the oracles must not reach
+    for query in ("(H@c1 | H@c2) && X@zzz", "H@c pgiven ((H@c1 | H@c2) && X@zzz)"):
+        for flags in (["--oracle"], ["--json", "--oracle"], ["--mc-samples", "100"]):
+            yield ["eval", "--model", ex, "--query", query, *flags], ""
     for variant in ("additive", "parallel"):
         for cells, ev in ((["0@T", "1@T"], "0@R"), (["0@T", "0@T"], "0@R"),
                           (["0@T"], "0@R"), (["0@T", "1@T"], "0@T")):
@@ -544,6 +605,7 @@ def main(argv: list[str]) -> int:
         corpus_rows(cp, corpus, emit)
         block_rows(cp, corpus, emit)
         space_prob_rows(cp, corpus, emit)
+        model_graph_rows(cp, emit)
         partition_rows(cp, corpus, emit)
         bayes_rows(cp, corpus, emit)
         model_file_rows(cp, emit)
