@@ -183,7 +183,9 @@ def run_query(
     if oracle:
         out.oracle = enumerate_prob(f, model)
     if mc_samples is not None:
-        out.mc = mc_estimate(f, model, SampleConfig(mc_samples, seed))
+        config = SampleConfig(mc_samples, seed)  # bad arguments fail either way
+        if isinstance(out.result, Determined):  # an undetermined verdict is not sampled
+            out.mc = mc_estimate(f, model, config)
     return out
 
 

@@ -15,10 +15,14 @@ formulas. R1, R4 and independent R5 (disjoint ancestral closures)
 compute a node from its children; every other node's value is read off
 its own event space by ``space_prob``: variable elimination sums the
 ancestors outside the space's support out of the cpt factors, and the
-space's points are summed against what remains. The factors are integer
-tables, each experiment's cpt scaled by the lcm of its denominators and
-compiled once, at its first query; a space's value is the one Fraction
-of the integer sum over the product of those scales.
+space's points are summed against what remains. The factors are dense
+integer tables: each experiment's cpt, scaled by the lcm of its
+denominators, is compiled once, at its first query, into one flat list
+in row-major order over the experiment and its parents. The kernels
+work on whole tables and blocks of them with slices, ``map`` and index
+vectors built by C-level iterators, not on one keyed row at a time. A
+space's value is the one Fraction of the integer sum over the product of
+the scales.
 ``prob_explain`` runs the same recursion and records each step, showing
 R2, R3 and dependent R5 as their decomposition of the value read off the
 space, or as one "enumeration" leaf when the condition has probability
@@ -27,11 +31,11 @@ zero. Conditionals are probability ratios, legal only at the root.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, mul
-from typing import Collection, Iterator, Sequence
+from itertools import chain, cycle, repeat
+from operator import add, mul
+from typing import Collection, Iterable, Iterator
 
 from .errors import NullConditionError
 from .formula import (
@@ -90,6 +94,14 @@ def space_prob(space: EventSpace, model: Model) -> Fraction:
     return Fraction(sum(weights), scale)
 
 
+# A factor: the experiments it ranges over, and its integer values, flat
+# in row-major order over their axes (the last fastest). An axis runs over
+# its experiment's outcomes in sorted order (``ExperimentDecl._scaled``),
+# or over the ones a cut keeps; an axis of one outcome is left out, so a
+# factor over no axis is one number.
+_Factor = tuple[tuple[str, ...], list[int]]
+
+
 def _point_weights(
     support: frozenset[str], points: Collection[Point], model: Model
 ) -> tuple[Iterator[int], int]:
@@ -98,41 +110,80 @@ def _point_weights(
     common scale.
 
     Every experiment in the ancestral closure of the support contributes
-    its cpt as a factor, an integer table scaled by the lcm of the cpt's
-    denominators (compiled once per experiment, at its first query). The
-    closure experiments outside the support are summed out in the
-    parents-first order of one ``parents_first`` walk, each from the
-    bucket of factors that mention it, a support experiment ranging only
-    over the outcomes the points use; each point then weighs the product
-    of the remaining factors at its outcomes. The arithmetic is on
-    integers throughout; the scale is the product of the lcms.
+    its cpt as a factor: the decl's flat integer table, scaled by the lcm
+    of the cpt's denominators (compiled once, at its first query). When
+    the closure is the support, each point is read off those tables.
+    Otherwise each support experiment's axis is first cut down to the
+    outcomes the points use (``_cut``), the closure experiments outside
+    the support are summed out (``_eliminate``), and each point weighs the
+    product of the remaining tables at its positions on the cut axes. The
+    arithmetic is on integers throughout; the scale is the product of the
+    lcms.
     """
     closure = parents_first(model, support)
+    positions: dict[str, dict[str, int]] = {}
+    sizes: dict[str, int] = {}
     factors: list[_Factor] = []
     scale = 1
     for name in closure:
         decl = model.decl(name)
-        table, lcm = decl._scaled
+        table, lcm, positions[name] = decl._scaled
+        sizes[name] = len(positions[name])
         scale *= lcm
         factors.append((decl.parents + (name,), table))
-    if len(closure) != len(support):
-        factors = _eliminate(support, points, model, closure, factors)
-    names = sorted(support)  # the order of every point's items
-    rows = [tuple([outcome for _, outcome in point.items]) for point in points]
-    return _weights(rows, names, factors), scale
+    rows = [point.items for point in points]
+    if not rows:
+        return iter(()), scale
+    columns = {}  # each point's position on each support axis that factors keep
+    if len(closure) == len(support):  # nothing to sum out: read the full tables
+        for name, column in zip(sorted(support), zip(*rows)):
+            position = positions[name]
+            columns[name] = [position[outcome] for _, outcome in column]
+        return _read_off(factors, columns, sizes, len(rows)), scale
+    # The positions each cut axis keeps: the outcomes the points use, or
+    # the one outcome of an experiment that has no other.
+    cuts = {name: [0] for name, n in sizes.items() if n == 1}
+    for name, column in zip(sorted(support), zip(*rows)):
+        position = positions[name]
+        keep = sorted({position[outcome] for _, outcome in column})
+        if len(keep) < sizes[name]:
+            cuts[name] = keep
+        if len(keep) > 1:
+            local = dict(zip(keep, range(len(keep))))
+            columns[name] = [local[position[outcome]] for _, outcome in column]
+    factors = [_cut(f, sizes, cuts) if any(map(cuts.__contains__, f[0])) else f
+               for f in factors]
+    sizes.update((name, len(keep)) for name, keep in cuts.items())
+    factors = _eliminate(support, closure, factors, sizes)
+    return _read_off(factors, columns, sizes, len(rows)), scale
 
 
-# A factor: the experiments it ranges over, and its integer value at each
-# tuple of their outcomes.
-_Factor = tuple[tuple[str, ...], dict[tuple[str, ...], int]]
+def _cut(factor: _Factor, sizes: dict[str, int], cuts: dict[str, list[int]]) -> _Factor:
+    """``factor`` with each axis in ``cuts`` cut down to the positions it
+    keeps, outermost first, which leaves the strides of the axes inside it
+    as they were; an axis left with one position is dropped. An innermost
+    axis cut to one position is one extended slice, any other axis a list
+    of slices."""
+    scope, table = factor
+    stride = len(table)
+    for name in scope:
+        size = sizes[name]
+        stride //= size  # the product of the sizes inside this axis
+        keep = cuts.get(name)
+        if keep is None:
+            continue
+        if stride == 1 and len(keep) == 1:
+            table = table[keep[0]::size]
+            continue
+        starts = [block + k * stride for block in range(0, len(table), size * stride)
+                  for k in keep]
+        table = list(chain.from_iterable([table[i:i + stride] for i in starts]))
+    kept = tuple([name for name in scope if name not in cuts or len(cuts[name]) > 1])
+    return kept, table
 
 
 def _eliminate(
-    support: frozenset[str],
-    points: Collection[Point],
-    model: Model,
-    closure: list[str],
-    factors: list[_Factor],
+    support: frozenset[str], closure: list[str], factors: list[_Factor], sizes: dict[str, int]
 ) -> list[_Factor]:
     """Sum the experiments of ``closure`` (parents first) that are outside
     the support out of ``factors``, in that order; returns the factors over
@@ -149,41 +200,94 @@ def _eliminate(
 
     for factor in factors:
         place(factor)
-    domains: dict[str, Collection[str]] = {name: set() for name in support}
-    for point in points:
-        for name, outcome in point.items:
-            domains[name].add(outcome)
-    domains.update((name, model.outcomes(name)) for name in order)
     for name, bucket in zip(order, buckets):
-        place(_sum_out(name, bucket, domains))
+        if bucket:  # empty only for an experiment of one outcome, which no scope lists
+            place(_sum_out(name, bucket, sizes))
     return remaining
 
 
-def _sum_out(name: str, factors: list[_Factor], domains: dict[str, Collection[str]]) -> _Factor:
-    """Multiply the factors that mention ``name`` and sum it out of them."""
-    scope = tuple(dict.fromkeys(v for s, _ in factors for v in s if v != name))
-    ranges = [domains[v] for v in scope]
-    rows = list(itertools.product(*ranges, domains[name]))
-    width = len(domains[name])  # rows sharing a key of ``scope`` are adjacent
-    sums = map(sum, zip(*[_weights(rows, scope + (name,), factors)] * width))
-    return scope, dict(zip(itertools.product(*ranges), sums))
+def _sum_out(name: str, factors: list[_Factor], sizes: dict[str, int]) -> _Factor:
+    """Multiply the factors that mention ``name`` and sum it out of them.
 
-
-def _weights(
-    rows: list[tuple[str, ...]], names: Sequence[str], factors: list[_Factor]
-) -> Iterator[int]:
-    """Each row's product of ``factors``; a row holds the outcomes of
-    ``names`` in that order."""
-    at = {name: i for i, name in enumerate(names)}
-    weights: Iterator[int] = itertools.repeat(1, len(rows))
+    The product runs over ``name`` outermost, then the other experiments
+    in the order of the largest factor, so that a factor already in that
+    order is used as it is, and any other is placed by one gather; the
+    factors over ``name`` alone weigh its blocks. Summing ``name`` out
+    adds up the weighted blocks, or, when a block has no more entries than
+    there are blocks, takes one dot product per entry instead, which
+    keeps a chain's two-entry steps cheap."""
+    weights = None  # the product of the factors over ``name`` alone
+    tables = []
     for scope, table in factors:
-        positions = [at[v] for v in scope]
-        if len(positions) == 1:  # a one-item slice keeps the key a tuple
-            key = itemgetter(slice(positions[0], positions[0] + 1))
+        if len(scope) == 1:
+            weights = table if weights is None else list(map(mul, weights, table))
         else:
-            key = itemgetter(*positions)
-        weights = map(mul, weights, map(table.__getitem__, map(key, rows)))
-    return weights
+            tables.append((scope, table))
+    if not tables:
+        return (), [sum(weights)]
+    tables.sort(key=lambda factor: len(factor[1]), reverse=True)
+    largest = tables[0][0]
+    rest = largest[1:] if largest[0] == name else tuple([v for v in largest if v != name])
+    for scope, _ in tables[1:]:
+        rest += tuple([v for v in scope if v != name and v not in rest])
+    joint = (name,) + rest
+    product = None
+    for scope, table in tables:
+        if scope != joint:
+            table = _place(scope, table, joint, sizes)
+        product = table if product is None else list(map(mul, product, table))
+    count = sizes[name]
+    size = len(product) // count  # the entries of each block
+    if size <= count:  # no more entries than blocks: a dot product per entry
+        columns = [product[i::size] for i in range(size)]
+        if weights is None:
+            return rest, list(map(sum, columns))
+        return rest, [sum(map(mul, weights, column)) for column in columns]
+    blocks = [product[i:i + size] for i in range(0, len(product), size)]
+    if weights is not None:
+        blocks = [map(mul, block, repeat(w)) for block, w in zip(blocks, weights)]
+    total = blocks[0]
+    for block in blocks[1:]:
+        total = list(map(add, total, block))
+    return rest, total
+
+
+def _place(
+    scope: tuple[str, ...], table: list[int], joint: tuple[str, ...], sizes: dict[str, int]
+) -> list[int]:
+    """``table``, over ``scope``, at every position of ``joint``, which
+    holds every experiment of ``scope``, in row-major order. The index
+    vector is built by C-level iterators, one pass per axis of ``joint``."""
+    strides = {}
+    stride = 1
+    for name in reversed(scope):
+        strides[name] = stride
+        stride *= sizes[name]
+    index = [0]
+    for name in joint:
+        size, stride = sizes[name], strides.get(name, 0)
+        index = list(map(add, chain.from_iterable(map(repeat, index, repeat(size))),
+                         cycle([k * stride for k in range(size)])))
+    return list(map(table.__getitem__, index))
+
+
+def _read_off(
+    factors: list[_Factor], columns: dict[str, list[int]], sizes: dict[str, int], count: int
+) -> Iterator[int]:
+    """Each of ``count`` points' product of ``factors``, which range over
+    support axes only; ``columns`` holds each point's position on every
+    such axis."""
+    weights: Iterator[int] | None = None
+    for scope, table in factors:
+        if not scope:
+            values = repeat(table[0], count)
+        else:
+            index: Iterable[int] = columns[scope[0]]
+            for name in scope[1:]:  # row-major: outer position * size + inner
+                index = map(add, map(mul, index, repeat(sizes[name])), columns[name])
+            values = map(table.__getitem__, index)
+        weights = values if weights is None else map(mul, weights, values)
+    return repeat(1, count) if weights is None else weights
 
 
 def prob(f: Formula, model: Model) -> ProbResult:

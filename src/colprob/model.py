@@ -64,18 +64,23 @@ class ExperimentDecl:
         )
 
     @cached_property
-    def _scaled(self) -> tuple[dict[tuple[str, ...], int], int]:
-        """The cpt as integers over the lcm of its denominators: a table
-        keyed by the outcomes of ``parents + (name,)``, an omitted outcome
-        weighing 0, and that lcm. Built at the first query, not in the
-        constructor, because ``parse_model`` fills the cpt afterwards."""
-        lcm = math.lcm(*[w.denominator for row in self.cpt.values() for w in row.values()])
-        table = {
-            key + (o,): int(row.get(o, 0) * lcm)
-            for key, row in self.cpt.items()
-            for o in self.outcomes
-        }
-        return table, lcm
+    def _scaled(self) -> tuple[list[int], int, dict[str, int]]:
+        """The cpt as integers over the lcm of its denominators, that lcm,
+        and each outcome's position on this experiment's axis.
+
+        The table is flat, in row-major order over ``parents + (name,)``,
+        the last fastest, and an omitted outcome weighs 0. Each axis runs
+        over its experiment's outcomes in sorted order, not declared order:
+        a valid cpt has one row per assignment of the parents, so its
+        sorted keys are that order over the parents' axes, and the decl
+        compiles without the model (one layout, whichever model holds it).
+        Built at the first query, not in the constructor, because
+        ``parse_model`` fills the cpt afterwards."""
+        outcomes = sorted(self.outcomes)
+        rows = [self.cpt[key] for key in sorted(self.cpt)]
+        lcm = math.lcm(*[w.denominator for row in rows for w in row.values()])
+        table = [int(row.get(o, 0) * lcm) for row in rows for o in outcomes]
+        return table, lcm, dict(zip(outcomes, range(len(outcomes))))
 
 
 @dataclass(frozen=True, eq=False)

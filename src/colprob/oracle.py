@@ -21,7 +21,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, islice, product
+from itertools import accumulate, compress, islice, product, repeat
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -308,12 +308,10 @@ def mc_estimate(f: Formula, model: Model, cfg: SampleConfig) -> McEstimate:
         columns: list[list[int]] = []
         for j, (parents, rows) in enumerate(samplers):
             if parents:
-                keys = zip(*[columns[p] for p in parents])
-                col = [bisect_right(rows[key], u) for key, u in zip(keys, draws[j::k])]
+                cumulatives = map(rows.__getitem__, zip(*[columns[p] for p in parents]))
             else:
-                row = rows[()]
-                col = [bisect_right(row, u) for u in draws[j::k]]
-            columns.append(col)
+                cumulatives = repeat(rows[()], size)
+            columns.append(list(map(bisect_right, cumulatives, draws[j::k])))
         both, held = _block_truth(event, condition, targets, columns, size)
         hits += both.bit_count()
         eligible += held.bit_count()

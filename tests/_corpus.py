@@ -21,7 +21,10 @@ from colprob import (
     ParAnd,
     ParOr,
     Partition,
+    ancestral_closure,
     full_space,
+    joint_point_prob,
+    lift,
 )
 
 
@@ -158,6 +161,16 @@ def random_space(rng, model, max_support=3):
     pts = sorted(full_space(model, support).points, key=lambda p: p.items)
     chosen = rng.sample(pts, rng.randint(1, len(pts)))
     return EventSpace(frozenset(support), frozenset(chosen))
+
+
+def lift_and_sum(space, model):
+    """The definition space_prob computes: lift the space to the ancestral
+    closure of its support and sum every lifted point's joint probability."""
+    closure = ancestral_closure(model, space.support)
+    return sum(
+        (joint_point_prob(model, p.as_dict()) for p in lift(space, closure, model).points),
+        start=Fraction(0),
+    )
 
 
 def child_first_chain(n):

@@ -106,8 +106,19 @@ class TestEval:
         assert (code, err) == (2, "")
         assert out.endswith("oracle: undetermined (agree)\n")
         code, out, err = run(capsys, *args, "--mc-samples", "10")
-        assert (code, out) == (1, "")
-        assert err.startswith("error: cannot sample an undetermined formula: choice-or")
+        assert (code, err) == (2, "")
+        assert out.startswith("undetermined: choice-or") and "mc:" not in out
+
+    def test_mc_skips_an_undetermined_query(self, capsys):
+        args = ("eval", "--model", EXAMPLES, "--query", "H@c1 | T@c2")
+        plain = run(capsys, *args)
+        assert plain[0] == 2
+        assert run(capsys, *args, "--mc-samples", "100") == plain
+        code, out, err = run(capsys, *args, "--mc-samples", "100", "--json")
+        assert (code, err) == (2, "")
+        assert out == run(capsys, *args, "--json")[1]
+        payload = json.loads(out)
+        assert payload["status"] == "undetermined" and payload["mc"] is None
 
     def test_oracle_on_undetermined_query(self, capsys):
         args = ("eval", "--model", EXAMPLES, "--query", "H@c | H@c1", "--oracle")

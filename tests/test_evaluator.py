@@ -25,8 +25,6 @@ from colprob import (
     cond_parallel,
     denote,
     enumerate_prob,
-    joint_point_prob,
-    lift,
     parse_formula,
     parse_model,
     prob,
@@ -36,6 +34,7 @@ from colprob import (
 from colprob.oracle import _atoms
 from _corpus import (
     SCALING_MODELS,
+    lift_and_sum,
     noisy_or,
     random_dag_model,
     random_formula,
@@ -352,16 +351,6 @@ def test_given_requires_equal_supports_even_when_overlapping(examples_model):
 # ---------------------------------------------------------------------------
 
 
-def lift_and_sum(space, model):
-    """The definition space_prob computes: lift the space to the ancestral
-    closure of its support and sum every lifted point's joint probability."""
-    closure = ancestral_closure(model, space.support)
-    return sum(
-        (joint_point_prob(model, p.as_dict()) for p in lift(space, closure, model).points),
-        start=F(0),
-    )
-
-
 def test_space_prob_matches_lift_and_sum_on_multi_parent_models():
     rng = random.Random(31)
     eliminated = zero_entries = 0
@@ -461,8 +450,8 @@ def test_integer_scaled_cpts_are_exact(name):
 
 def test_first_use_compile_is_thread_safe():
     # Every thread queries a model nothing has touched yet, so the cpt
-    # tables are compiled, and the ranks of the causes each query sums out
-    # computed, while the threads race.
+    # tables, the one thing a query keeps, are compiled while the threads
+    # race.
     queries = [parse_formula(q) for i in range(6)
                for q in (f"a{i} pgiven true@e", f"true@e pgiven a{i}")]
     reference = parse_model(noisy_or(6))

@@ -28,11 +28,20 @@ from colprob import (
     enumerate_prob,
     mc_estimate,
     parse_formula,
+    parse_model,
     prob,
 )
 from colprob.model import topological_order
 from colprob.oracle import _BLOCK
-from _corpus import random_dag_model, random_formula, random_model, random_query
+from _corpus import (
+    child_first_chain,
+    noisy_channel,
+    noisy_or,
+    random_dag_model,
+    random_formula,
+    random_model,
+    random_query,
+)
 
 F = Fraction
 
@@ -347,6 +356,26 @@ def dependent_corpus_queries():
     return cases
 
 
+PINNED_MODELS = {
+    "chain": parse_model(child_first_chain(12)),
+    "noisy-or": parse_model(noisy_or(5)),
+    "channel": parse_model(noisy_channel(4)[0]),
+}
+# Seeded estimates over several blocks, a partial last block, a conditional
+# on each model and a seed above 2**63.
+PINNED_MC = [
+    ("chain", "0@x11", 1000, 3, 0.488, 0.01580683396509244),
+    ("chain", "1@x2 pgiven 0@x9", 2000, 7, 0.47274529236868185, 0.015717311348563474),
+    ("noisy-or", "true@e", 1500, 11, 0.5573333333333333, 0.012824790807621748),
+    ("noisy-or", "a1 pgiven true@e", 3079, 5, 0.43968432919954903, 0.011784470411204026),
+    ("noisy-or", "true@e && ~a3 || a0", 777, 2**63 + 1, 0.6525096525096525,
+     0.017082614231958806),
+    ("channel", "0@t2 pgiven 1@r2 && 0@r0", 2500, 13, 0.10498220640569395,
+     0.012930208412081713),
+    ("channel", "(0@r1 | 1@r1) && 1@t3", 257, 0, 0.5719844357976653, 0.03086422135004099),
+]
+
+
 class TestBlocks:
     @pytest.mark.parametrize("samples", BLOCK_COUNTS)
     def test_mc_matches_per_sample_loop(self, channel_model, samples):
@@ -360,6 +389,13 @@ class TestBlocks:
             cfg = SampleConfig(samples, seed=samples + i)
             got = outcome(lambda: mc_estimate(f, model, cfg))
             assert got == outcome(lambda: per_sample_mc(f, model, cfg)), f
+
+    @pytest.mark.parametrize("model,query,samples,seed,estimate,stderr", PINNED_MC)
+    def test_mc_estimates_are_pinned(self, model, query, samples, seed, estimate, stderr):
+        # Bit for bit what the sampler gave with one bisect per sample in
+        # a list comprehension, before its columns were built by map.
+        got = mc_estimate(parse_formula(query), PINNED_MODELS[model], SampleConfig(samples, seed))
+        assert (got.estimate, got.stderr) == (estimate, stderr)
 
     def test_enumeration_over_many_blocks_of_coins(self):
         model = coins(14)

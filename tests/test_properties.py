@@ -1,6 +1,7 @@
-"""Property tests: both parsers are total, printing round-trips, and the
+"""Property tests: both parsers are total, printing round-trips, the
 evaluator and the enumeration oracle give the same answer, verdict or
-error.
+error, and variable elimination gives each space its lifted sum on
+generated Bayes-net models.
 
 Runs are derandomized and keep no example database, so every run checks
 the same inputs and writes nothing to the checkout (``conftest.py`` moves
@@ -23,6 +24,7 @@ from colprob import (
     ChoiceOr,
     ColprobError,
     Determined,
+    EventSpace,
     GivenAdd,
     GivenPar,
     Not,
@@ -34,7 +36,9 @@ from colprob import (
     parse_formula,
     parse_model,
     prob,
+    space_prob,
 )
+from _corpus import lift_and_sum, random_dag_model, random_query, random_space
 
 
 DETERMINISTIC = settings(derandomize=True, database=None, max_examples=200)
@@ -135,3 +139,22 @@ def test_prob_agrees_with_enumeration(f):
         warnings.simplefilter("ignore", SharedExperimentWarning)
         evaluated = answer(lambda: prob(f, SMALL_MODEL))
     assert evaluated == answer(lambda: enumerate_prob(f, SMALL_MODEL))
+
+
+@DETERMINISTIC
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_elimination_agrees_with_lifting_on_random_dags(rng, empty):
+    # Up to six experiments of up to four outcomes, each with up to three
+    # parents and zero weights among its rows; a space over up to three of
+    # them, which often uses only some outcomes of a support experiment
+    # and leaves ancestors to sum out, or no point at all.
+    model = random_dag_model(rng, max_experiments=6, max_outcomes=4, max_parents=3)
+    space = random_space(rng, model, max_support=3)
+    if empty:
+        space = EventSpace(space.support, frozenset())
+    assert space_prob(space, model) == lift_and_sum(space, model)
+    f = random_query(rng, model, depth=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SharedExperimentWarning)
+        evaluated = answer(lambda: prob(f, model))
+    assert evaluated == answer(lambda: enumerate_prob(f, model))

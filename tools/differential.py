@@ -15,8 +15,9 @@ Inputs: every request of ``perfbench/workloads.py`` ``WORKLOADS[w](1)``
 with explain, oracle and Monte Carlo; both oracles on closures and
 sample counts that span several of the oracle's blocks; exact values
 over cpts with awkward denominators (coprime and large lcms, rows over
-different denominators, omitted outcomes, 300 outcomes), long chains and
-a 10-cause noisy-OR; random and fixed Bayes partitions under both
+different denominators, omitted outcomes, 300 outcomes), over random
+spaces on seeded Bayes-net models, long chains and a 10-cause noisy-OR;
+random and fixed Bayes partitions under both
 variants and both parallel forms, and a Bayes section: the k-bit noisy
 channel at k = 3..7, overlapping partitions (zero-weight overlaps among
 them), evidence independent of the cells and cells over mixed supports;
@@ -162,8 +163,10 @@ def block_rows(cp, corpus, emit) -> None:
 
 def space_prob_rows(cp, corpus, emit) -> None:
     """Values read off event spaces by variable elimination: random spaces
-    and fixed queries on the integer-scaling models, marginals of
-    child-first chains, and both conditionals of a 10-cause noisy-OR."""
+    and fixed queries on the integer-scaling models, random spaces on
+    seeded Bayes-net models (multi-parent experiments, supports that use
+    only some outcomes of an experiment), marginals of child-first chains,
+    and both conditionals of a 10-cause noisy-OR."""
     rng = random.Random(5150)
     for name, (text, queries) in sorted(corpus.SCALING_MODELS.items()):
         model = cp.parse_model(text)
@@ -174,6 +177,12 @@ def space_prob_rows(cp, corpus, emit) -> None:
         for query in queries:
             emit("space-prob", f"{name}: {query}",
                  attempt(lambda: cp.prob(cp.parse_formula(query), model)))
+    for m in range(80):
+        model = corpus.random_dag_model(rng, max_experiments=7, max_outcomes=4, max_parents=3)
+        for k in range(5):
+            space = corpus.random_space(rng, model, max_support=3)
+            key = f"dag{m} space{k}: {space}"
+            emit("space-prob", key, attempt(lambda: cp.space_prob(space, model)))
     for n in (375, 750, 1500):
         chain = cp.parse_model(corpus.child_first_chain(n))
         emit("space-prob", f"chain{n}: 0@x{n - 1}",
