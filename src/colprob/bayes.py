@@ -14,11 +14,13 @@ agrees with the joint form exactly under rational arithmetic.
 
 There is no union query and no query per cell: the masses come from one
 variable elimination per distinct support (``evaluator._point_weights``),
-which weighs every point of the spaces over that support at once. Cells
-over one support are checked from one such table; the joint weights of
-the cells and the evidence take one more per support they lie over. The
+which weighs every point of the spaces over that support at once. A
+partition check weighs its cells, and over different supports their
+pairwise joints, in one such pass; the joint weights of the cells and
+the evidence take one more per support they lie over. The
 prior-likelihood form keeps its own prob call per cell, as a second
-computation to check the joint form against.
+computation to check the joint form against. The formulas built here are
+engine plumbing, not user queries: this module's ``prob`` never warns.
 
 Picking the wrong variant is a reported error, never a silent zero: for a
 transmitted/received pair the additive rule is rejected with a support
@@ -27,21 +29,17 @@ mismatch instead of dividing 0 by 0.
 
 from __future__ import annotations
 
-import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
 
 from .errors import PartitionError
-from .evaluator import _point_weights, prob
-from .formula import Formula, GivenPar, ParAnd, format_formula
+from .evaluator import ProbResult, _evaluate, _point_weights
+from .formula import Formula, GivenPar, format_formula
 from .model import ZERO, Model, ancestral_closure
 from .semantics import (
     EventSpace,
     Point,
-    SharedExperimentWarning,
     Undetermined,
     _space,
     cartesian_conj,
@@ -76,13 +74,12 @@ class PartitionReport:
 def check_partition(p: Partition, model: Model, variant: str) -> PartitionReport:
     """Decide disjointness and report exhaustiveness.
 
-    Cells over one support (always so when additive) are decided from one
-    elimination: each cell's space is built once, and every point of any
-    cell is weighed by its marginal probability in one pass of variable
-    elimination. A cell's probability is the sum of its points' weights,
-    and two cells overlap with nonzero probability exactly when they share
-    a point of nonzero weight. Parallel cells over different supports take
-    a prob call per cell and one per pair, conjoined by ``&&``.
+    Each cell's space is built once, and its points are weighed by their
+    marginal probabilities, one elimination per distinct support. Over one
+    support (always so when additive), two cells overlap with nonzero
+    probability exactly when they share a point of nonzero weight; cells
+    over different supports are joined pairwise (``cartesian_conj``), and
+    the joints weighed in the same pass.
     Exhaustiveness (cell probabilities summing to exactly 1) is reported
     but not required. Undetermined or conditional cells, or cells with
     differing supports under the additive variant, are errors.
@@ -90,10 +87,8 @@ def check_partition(p: Partition, model: Model, variant: str) -> PartitionReport
     return _check(p, model, variant)[0]
 
 
-# What a partition check knows of each cell: its support, its event space
-# (None when the cells lie over different supports, which are checked
-# without spaces) and its probability.
-_Cells = list[tuple[frozenset[str], EventSpace | None, Fraction]]
+# What a partition check knows of each cell: its support, event space and probability.
+_Cells = list[tuple[frozenset[str], EventSpace, Fraction]]
 
 
 def _check(p: Partition, model: Model, variant: str) -> tuple[PartitionReport, _Cells]:
@@ -115,28 +110,25 @@ def _check(p: Partition, model: Model, variant: str) -> tuple[PartitionReport, _
             f"support mismatch between cells: cell 1 over {format_support(first)} "
             f"but cell {mismatch} over {format_support(supports[mismatch - 1])}"
         )
+    spaces = [_space(cell, model) for cell in p.cells]
+    joints = {} if mismatch is None else {  # parallel cells over different supports
+        (i, j): cartesian_conj(spaces[i], spaces[j])
+        for i, j in combinations(range(len(spaces)), 2)
+    }
+    tables = _weigh(spaces + list(joints.values()), model)
+    masses = [_mass(space, table) for space, table in zip(spaces, tables)]
+    total = sum(masses, start=ZERO)
     if mismatch is None:
-        with _quiet():
-            spaces = [_space(cell, model) for cell in p.cells]
-        weights, scale = _weigh(spaces, model)[0]
-        sums = [sum(map(weights.__getitem__, space.points)) for space in spaces]
-        masses = [Fraction(m, scale) for m in sums]
-        total = Fraction(sum(sums), scale)
+        weights = tables[0][0]
         owners: dict[Point, list[int]] = {}
         for i, space in enumerate(spaces):
             for point in space.points:
                 if weights[point]:
                     owners.setdefault(point, []).append(i)
         pairs = sorted({pair for cells in owners.values() for pair in combinations(cells, 2)})
-    else:  # parallel cells; determined, so their conjunctions are too
-        spaces = [None] * len(p.cells)
-        with _quiet():
-            masses = [prob(cell, model).value for cell in p.cells]
-            total = sum(masses, start=ZERO)
-            pairs = [
-                (i, j) for i, j in combinations(range(len(p.cells)), 2)
-                if prob(ParAnd(p.cells[i], p.cells[j]), model).value != 0
-            ]
+    else:
+        pairs = [pair for (pair, joint), (weights, _) in zip(joints.items(), tables[len(spaces):])
+                 if any(map(weights.__getitem__, joint.points))]
     violations = tuple(f"cells {i + 1},{j + 1} not disjoint" for i, j in pairs)
     report = PartitionReport(
         ok=not violations,
@@ -181,24 +173,21 @@ def posteriors(
     p_evidence = ev_space = None
     weights: list[Fraction] = []
     joints: dict[int, EventSpace] = {}  # by cell index, weighed together below
-    with _quiet():
-        for i, (cell, (cell_support, space, mass)) in enumerate(zip(p.cells, cells)):
-            if cell_support not in closures:
-                closures[cell_support] = ancestral_closure(model, cell_support)
-            if variant == PARALLEL and not closures[cell_support] & ev_closure:
-                if p_evidence is None:
-                    p_evidence = prob(evidence, model).value
-                weights.append(mass * p_evidence)
-                continue
-            if ev_space is None:
-                ev_space = _space(evidence, model)
-            if space is None:
-                space = _space(cell, model)
-            if variant == PARALLEL:
-                joints[i] = cartesian_conj(space, ev_space)
-            else:
-                joints[i] = EventSpace._trusted(space.support, space.points & ev_space.points)
-            weights.append(ZERO)
+    for i, (cell_support, space, mass) in enumerate(cells):
+        if cell_support not in closures:
+            closures[cell_support] = ancestral_closure(model, cell_support)
+        if variant == PARALLEL and not closures[cell_support] & ev_closure:
+            if p_evidence is None:
+                p_evidence = prob(evidence, model).value
+            weights.append(mass * p_evidence)
+            continue
+        if ev_space is None:
+            ev_space = _space(evidence, model)
+        if variant == PARALLEL:
+            joints[i] = cartesian_conj(space, ev_space)
+        else:
+            joints[i] = EventSpace._trusted(space.support, space.points & ev_space.points)
+        weights.append(ZERO)
     spaces = list(joints.values())
     for i, space, table in zip(joints, spaces, _weigh(spaces, model)):
         weights[i] = _mass(space, table)
@@ -227,13 +216,17 @@ def bayes_parallel(
     if not report.ok:
         raise PartitionError("partition cells overlap", report.violations)
     weights = []
-    with _quiet():
-        for cell in p.cells:
-            weight = _determined(prob(cell, model))  # the prior
-            if weight:
-                weight *= _determined(prob(GivenPar(evidence, cell), model))
-            weights.append(weight)
+    for cell in p.cells:
+        weight = _determined(prob(cell, model))  # the prior
+        if weight:
+            weight *= _determined(prob(GivenPar(evidence, cell), model))
+        weights.append(weight)
     return _normalize(weights)
+
+
+def prob(f: Formula, model: Model) -> ProbResult:
+    """``evaluator.prob`` without the shared-experiment warning."""
+    return _evaluate(f, model, False, None)[0]
 
 
 def _normalize(weights: list[Fraction]) -> list[Fraction]:
@@ -269,12 +262,3 @@ def _weigh(
 def _mass(space: EventSpace, table: tuple[dict[Point, int], int]) -> Fraction:
     weights, scale = table
     return Fraction(sum(map(weights.__getitem__, space.points)), scale)
-
-
-@contextmanager
-def _quiet() -> Iterator[None]:
-    # Formulas built here are engine plumbing, not user queries; the
-    # shared-experiment warning would only be noise.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SharedExperimentWarning)
-        yield

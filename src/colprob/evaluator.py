@@ -55,7 +55,10 @@ from .semantics import (
     EventSpace,
     Point,
     Undetermined,
+    _share,
     _space,
+    _support,
+    _warn_shared,
     format_support,
     support,
 )
@@ -292,7 +295,7 @@ def _read_off(
 
 def prob(f: Formula, model: Model) -> ProbResult:
     """p(f): Determined(exact rational in [0, 1]) or Undetermined."""
-    return _evaluate(f, model, explain=False)[0]
+    return _evaluate(f, model, False, set())[0]
 
 
 def cond_additive(event: Formula, condition: Formula, model: Model) -> ProbResult:
@@ -316,7 +319,7 @@ def prob_explain(f: Formula, model: Model) -> tuple[ProbResult, Derivation]:
     The returned result is exactly the value ``prob`` gives: both run one
     recursion, and the tree is its record, not an alternative answer.
     """
-    return _evaluate(f, model, explain=True)
+    return _evaluate(f, model, True, set())
 
 
 _RULE = {
@@ -333,13 +336,17 @@ _RULE = {
 _Step = tuple[ProbResult, "Derivation | None"]
 
 
-def _evaluate(f: Formula, model: Model, explain: bool) -> _Step:
-    """p(f), with its Derivation when ``explain`` is set (else None)."""
+def _evaluate(f: Formula, model: Model, explain: bool, shared: set[str] | None) -> _Step:
+    """p(f), with its Derivation when ``explain`` is set (else None).
+    Given a set ``shared``, a determined ``f`` first warns once, naming the
+    non-predicate experiments shared by its parallel connectives or by a
+    root ``pgiven``'s event and condition."""
     if isinstance(f, (GivenAdd, GivenPar)):
-        return _conditional(f, model, explain)
-    verdict = support(f, model)  # raises on unknown atoms and nested conditionals
+        return _conditional(f, model, explain, shared)
+    verdict = _support(f, model, shared)  # raises on unknown atoms and nested conditionals
     if isinstance(verdict, Undetermined):
         return verdict, _undetermined(f, verdict) if explain else None
+    _warn_shared(shared, stacklevel=3)
     return _value(f, model, explain)
 
 
@@ -401,13 +408,15 @@ def _complement(f: Not | ParOr, inner: Formula, model: Model, explain: bool) -> 
     return _node(explain, f, Determined(1 - result.value), (why,), note)
 
 
-def _conditional(f: GivenAdd | GivenPar, model: Model, explain: bool) -> _Step:
+def _conditional(
+    f: GivenAdd | GivenPar, model: Model, explain: bool, shared: set[str] | None
+) -> _Step:
     """The root ratio p(joint) / p(condition); ``given`` also needs the
     event and the condition to share one support."""
-    event = support(f.event, model)
+    event = _support(f.event, model, shared)
     if isinstance(event, Undetermined):
         return _node(explain, f, event)
-    condition = support(f.condition, model)
+    condition = _support(f.condition, model, shared)
     if isinstance(condition, Undetermined):
         return _node(explain, f, condition)
     if isinstance(f, GivenAdd) and event != condition:
@@ -415,6 +424,9 @@ def _conditional(f: GivenAdd | GivenPar, model: Model, explain: bool) -> _Step:
             "additive conditional (given) across distinct supports "
             f"{format_support(event)} and {format_support(condition)}"
         ))
+    if shared is not None and isinstance(f, GivenPar):
+        _share(shared, event, condition, model)
+    _warn_shared(shared, stacklevel=4)
     p_cond, cond_why = _value(f.condition, model, explain)
     if p_cond.value == 0:
         raise NullConditionError(

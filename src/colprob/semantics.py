@@ -22,7 +22,8 @@ The denotation is structural:
 
 ``support`` decides from the syntax alone whether a formula is determined,
 before any space is built. Conditionals have no denotation; they are
-probability-level constructs and are rejected there.
+probability-level constructs and are rejected there. A determined query
+warns once, naming what that walk collects; building a space never warns.
 """
 
 from __future__ import annotations
@@ -179,8 +180,15 @@ def support(f: Formula, model: Model) -> frozenset[str] | Undetermined:
     A formula is undetermined exactly when one of its choice connectives
     spans two different supports. The walk goes left to right and stops at
     the first undetermined subformula; before it, an unknown atom or an
-    embedded conditional is an error, not a verdict.
+    embedded conditional is an error, not a verdict. A query's root walk
+    also collects the shared experiments that its one warning names.
     """
+    return _support(f, model, None)
+
+
+def _support(f: Formula, model: Model, shared: set[str] | None) -> frozenset[str] | Undetermined:
+    """``support``, adding to ``shared`` (if a set) the non-predicate
+    experiments that the two sides of each ``&&`` and ``||`` share."""
     if isinstance(f, AtomNode):
         decl = model.decl(f.experiment)
         if f.outcome not in decl.outcomes:
@@ -189,14 +197,16 @@ def support(f: Formula, model: Model) -> frozenset[str] | Undetermined:
             )
         return frozenset((f.experiment,))
     if isinstance(f, Not):
-        return support(f.child, model)
+        return _support(f.child, model, shared)
     if isinstance(f, (ChoiceAnd, ChoiceOr, ParAnd, ParOr)):
-        left = support(f.left, model)
+        left = _support(f.left, model, shared)
         if isinstance(left, Undetermined):
             return left
-        right = support(f.right, model)
+        right = _support(f.right, model, shared)
         if isinstance(right, Undetermined):
             return right
+        if shared is not None and isinstance(f, (ParAnd, ParOr)):
+            _share(shared, left, right, model)
         if isinstance(f, (ParAnd, ParOr)) or left == right:
             return left | right
         op = "choice-and (&)" if isinstance(f, ChoiceAnd) else "choice-or (|)"
@@ -212,17 +222,31 @@ def support(f: Formula, model: Model) -> frozenset[str] | Undetermined:
     raise TypeError(f"not a formula node: {f!r}")
 
 
+def _share(shared: set[str], left: frozenset[str], right: frozenset[str], model: Model) -> None:
+    """Add to ``shared`` the non-predicate experiments in both ``left`` and ``right``."""
+    shared.update(e for e in left & right if not model.decl(e).is_predicate)
+
+
+def _warn_shared(shared: set[str] | None, stacklevel: int) -> None:
+    """One warning naming every experiment in ``shared``, if any."""
+    if shared:
+        warnings.warn(f"parallel-and (&&) over shared experiment(s) {format_support(shared)}; "
+                      "merging with conflict filtering", SharedExperimentWarning, stacklevel + 1)
+
+
 def denote(f: Formula, model: Model) -> Denotation:
     """The event space of ``f`` under ``model``, or the Undetermined verdict
     (or error) that ``support`` gives before any space is built."""
-    verdict = support(f, model)
+    shared: set[str] = set()
+    verdict = _support(f, model, shared)
     if isinstance(verdict, Undetermined):
         return verdict
+    _warn_shared(shared, stacklevel=2)
     return _space(f, model)
 
 
 def _space(f: Formula, model: Model) -> EventSpace:
-    """The event space of ``f``, which ``support`` has found determined."""
+    """The event space of ``f``, which ``support`` has found determined; never warns."""
     if isinstance(f, AtomNode):
         return EventSpace._trusted(
             frozenset((f.experiment,)), frozenset((Point(((f.experiment, f.outcome),)),))
@@ -237,16 +261,6 @@ def _space(f: Formula, model: Model) -> EventSpace:
         return EventSpace._trusted(left.support, left.points & right.points)
     if isinstance(f, ChoiceOr):
         return EventSpace._trusted(left.support, left.points | right.points)
-    # E || F is defined through the && of its expansion, so it warns alike.
-    shared = left.support & right.support
-    flagged = sorted(e for e in shared if not model.decl(e).is_predicate) if shared else ()
-    if flagged:
-        warnings.warn(
-            "parallel-and (&&) over shared experiment(s) "
-            f"{format_support(flagged)}; merging with conflict filtering",
-            SharedExperimentWarning,
-            stacklevel=2,
-        )
     if isinstance(f, ParAnd):
         return cartesian_conj(left, right)
     # At least one side occurs: the union of both sides' lifts.

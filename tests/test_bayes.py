@@ -1,5 +1,7 @@
 import itertools
 import random
+import threading
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -7,11 +9,11 @@ import pytest
 from colprob import (
     AtomNode,
     ChoiceAnd,
-    ChoiceOr,
     EvalError,
     ParAnd,
     Partition,
     PartitionError,
+    SharedExperimentWarning,
     ancestral_closure,
     bayes,
     bayes_additive,
@@ -20,6 +22,7 @@ from colprob import (
     enumerate_prob,
     parse_formula,
     parse_model,
+    prob,
 )
 from colprob import semantics
 from colprob.semantics import Undetermined, support
@@ -206,7 +209,9 @@ def pairwise_violations(p, model, variant):
     )
 
 
-def test_union_verdict_matches_the_pairwise_oracle():
+def test_union_verdict_matches_the_pairwise_oracle(monkeypatch):
+    calls = count_prob_calls(monkeypatch)
+    eliminations = count_eliminations(monkeypatch)
     rng = random.Random(61)
     seen = {"ok": 0, "overlap": 0, "zero_weight_overlap": 0, "shaped": 0, "mixed": 0}
     for n in range(400):
@@ -224,16 +229,23 @@ def test_union_verdict_matches_the_pairwise_oracle():
         else:
             p, sets = draw_cells(rng, model, variant)
         expected = pairwise_violations(p, model, variant)
+        eliminations.clear()
         report = check_partition(p, model, variant)
         assert (report.ok, report.violations) == (not expected, expected)
         seen["ok" if report.ok else "overlap"] += 1
-        seen["mixed"] += len({support(c, model) for c in p.cells}) > 1
+        supports = {support(c, model) for c in p.cells}
+        seen["mixed"] += len(supports) > 1
+        if len(supports) > 1:  # the pairwise joints lie over the unions
+            supports |= {a | b for a, b in itertools.combinations(supports, 2)}
+        assert len(eliminations) == len(supports)
+        assert {s for s, _ in eliminations} == supports
         if sets and report.ok:
             seen["zero_weight_overlap"] += any(
                 a & b for a, b in itertools.combinations(sets, 2)
             )
     assert seen["ok"] > 150 and seen["overlap"] > 150 and seen["shaped"] > 20
     assert seen["zero_weight_overlap"] > 30 and seen["mixed"] > 10
+    assert calls == []
 
 
 def count_prob_calls(monkeypatch) -> list:
@@ -264,9 +276,9 @@ def channel_cells(bits):
 
 
 class TestUnionCheckScales:
-    # A check over one support weighs every cell's points in one
-    # elimination and makes no prob call; only cells over different
-    # supports are checked with a prob call per cell and per pair.
+    # A check makes no prob call: it weighs every cell's points, and over
+    # different supports every pair's joint, with one elimination per
+    # distinct support among them.
     def test_disjoint_check_makes_one_query_beyond_the_cells(self, monkeypatch):
         model = noisy_channel(5)[0]
         cells = channel_cells(5)[1]
@@ -323,12 +335,18 @@ class TestUnionCheckScales:
             partition("H@c1 && H@c2", "T@c1", "H@c1 && T@c2"), examples_model, "parallel"
         )
         assert report.ok and report.exhaustive
-        assert len(calls) == 3 + 3 and not any(isinstance(f, ChoiceOr) for f in calls)
-        assert eliminations == []
+        # {c1, c2}: cells 1 and 3 and all three joints; {c1}: cell 2.
+        assert calls == [] and len(eliminations) == 2
+        assert {support for support, _ in eliminations} == {
+            frozenset({"c1"}), frozenset({"c1", "c2"})}
+        eliminations.clear()
         report = check_partition(
             partition("H@c1 && H@c2", "H@c2", "T@c2"), examples_model, "parallel"
         )
         assert report.violations == ("cells 1,2 not disjoint",)
+        assert calls == [] and len(eliminations) == 2
+        assert {support for support, _ in eliminations} == {
+            frozenset({"c1", "c2"}), frozenset({"c2"})}
 
     def test_seven_bit_channel_posteriors_match_the_closed_form(self):
         model, priors, flips = noisy_channel(7)
@@ -541,3 +559,47 @@ class TestErrorPrecedence:
         assert str(info.value).startswith(
             "conditionals ('given'/'pgiven') are only allowed at the root"
         )
+
+
+class TestConcurrentChecks:
+    def test_interleaved_checks_leave_the_warnings_filters_alone(self, examples_model,
+                                                                 monkeypatch):
+        # A enters, B enters, A exits, B exits. A check that swapped the
+        # process-wide filters in and out would undo B's quieting when A
+        # exits (the third cell shares c) and leave A's filter installed
+        # when B exits.
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        gates = {"A": (a_in, b_in), "B": (b_in, a_out)}  # (set on entry, wait for)
+        real = bayes._space
+
+        def gated(f, model):
+            gate = gates.pop(threading.current_thread().name, None)
+            if gate is not None:
+                gate[0].set()
+                assert gate[1].wait(10)
+            return real(f, model)
+
+        monkeypatch.setattr(bayes, "_space", gated)
+        reports = {}
+
+        def check(name):
+            try:
+                reports[name] = check_partition(
+                    partition("H@c && H@c1", "H@c && T@c1", "T@c && (T@c || H@c1)"),
+                    examples_model, "parallel")
+            finally:
+                if name == "A":
+                    a_out.set()
+
+        before = list(warnings.filters)
+        threads = [threading.Thread(target=check, args=(name,), name=name) for name in "AB"]
+        threads[0].start()
+        assert a_in.wait(10)
+        threads[1].start()
+        for thread in threads:
+            thread.join(20)
+        assert not gates and sorted(reports) == ["A", "B"]
+        assert all(report.ok and report.exhaustive for report in reports.values())
+        assert warnings.filters == before
+        with pytest.warns(SharedExperimentWarning, match=r"\{c\}"):
+            prob(parse_formula("H@c && T@c"), examples_model)

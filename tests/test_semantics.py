@@ -12,16 +12,21 @@ from colprob import (
     EventSpace,
     ExperimentDecl,
     Model,
+    Partition,
     Point,
     SharedExperimentWarning,
     Undetermined,
+    bayes_additive,
+    bayes_parallel,
     cartesian_conj,
+    check_partition,
     denote,
     format_formula,
     full_space,
     lift,
     parse_formula,
     prob,
+    prob_explain,
     to_set_normal_form,
 )
 from _corpus import random_formula, random_model, random_space
@@ -252,13 +257,62 @@ def test_parallel_or_identities():
         assert left.points == de.points | df.points
 
 
+QUERY_PATHS = pytest.mark.parametrize(
+    "path", [denote, prob, prob_explain], ids=["denote", "prob", "prob_explain"]
+)
+
+
 class TestSharedExperimentWarning:
-    # || has its own space construction, so it must warn on purpose.
-    @pytest.mark.parametrize("path", [denote, prob], ids=["denote", "prob"])
-    @pytest.mark.parametrize("text", ["H@c && T@c", "H@c || T@c"])
+    # A query warns once, when it is determined, naming every shared
+    # non-predicate experiment that its support walk collects.
+    @QUERY_PATHS
+    @pytest.mark.parametrize(
+        "text", ["H@c && T@c", "H@c || T@c", "(H@c && T@c) && (H@c1 && T@c1)"]
+    )
     def test_non_predicate_overlap_warns(self, examples_model, path, text):
-        with pytest.warns(SharedExperimentWarning, match=r"\{c\}"):
+        with pytest.warns(SharedExperimentWarning) as caught:
             path(parse_formula(text), examples_model)
+        named = "{c, c1}" if "c1" in text else "{c}"
+        assert [str(w.message) for w in caught] == [
+            f"parallel-and (&&) over shared experiment(s) {named}; merging with conflict filtering"
+        ]
+
+    @pytest.mark.parametrize("path", [prob, prob_explain], ids=["prob", "prob_explain"])
+    def test_pgiven_over_a_shared_experiment_warns(self, examples_model, path):
+        with pytest.warns(SharedExperimentWarning, match=r"\{c\}") as caught:
+            path(parse_formula("H@c pgiven T@c"), examples_model)
+        assert len(caught) == 1
+
+    @pytest.mark.parametrize("text", [
+        "(H@c && T@c) | H@c1", "~(H@c || T@c) & (H@c1 && T@c1)",
+        "(H@c && T@c) pgiven (H@c | H@c1)", "H@c1 pgiven ((H@c && T@c) | H@c1)",
+    ])
+    def test_undetermined_query_never_warns(self, examples_model, text):
+        f = parse_formula(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SharedExperimentWarning)
+            results = [prob(f, examples_model), prob_explain(f, examples_model)[0]]
+            if "pgiven" not in text:  # a conditional has no space
+                results.append(denote(f, examples_model))
+        assert all(isinstance(r, Undetermined) for r in results)
+
+    def test_bayes_stays_silent_on_shared_coins(self, examples_model):
+        # The cells share c with each other and with the evidence, and the
+        # third cell shares c within itself.
+        one_support = Partition(tuple(map(parse_formula, [
+            "H@c && H@c1", "H@c && T@c1", "T@c && (H@c1 || T@c)"])))
+        mixed = Partition(tuple(map(parse_formula, ["H@c && H@c1", "H@c && T@c1", "T@c"])))
+        evidence = parse_formula("H@c1 || T@c")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SharedExperimentWarning)
+            for cells in (one_support, mixed):
+                for variant in ("additive", "parallel") if cells is one_support else ("parallel",):
+                    assert check_partition(cells, examples_model, variant).ok
+                joint = bayes_parallel(cells, evidence, examples_model)
+                assert joint == bayes_parallel(cells, evidence, examples_model, "prior-likelihood")
+            additive = bayes_additive(one_support, evidence, examples_model)
+        assert joint == [Fraction(1, 3), 0, Fraction(2, 3)]
+        assert additive == [Fraction(1, 3), 0, Fraction(2, 3)]
 
     @pytest.mark.parametrize("text", ["alien && alien", "alien || alien"])
     def test_predicate_overlap_stays_silent(self, examples_model, text):

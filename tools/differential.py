@@ -12,7 +12,10 @@ tree, so two runs compare with ``cmp``:
 
 Inputs: every request of ``perfbench/workloads.py`` ``WORKLOADS[w](1)``
 (read, never changed); seeded ``tests/_corpus.py`` models and queries
-with explain, oracle and Monte Carlo; both oracles on closures and
+with explain, oracle and Monte Carlo, and the experiments that the
+shared-experiment warnings of ``prob``, ``prob_explain`` and ``denote``
+name on each of them that returns a value or a verdict; both oracles on
+closures and
 sample counts that span several of the oracle's blocks; exact values
 over cpts with awkward denominators (coprime and large lcms, rows over
 different denominators, omitted outcomes, 300 outcomes), over random
@@ -20,7 +23,8 @@ spaces on seeded Bayes-net models, long chains and a 10-cause noisy-OR;
 random and fixed Bayes partitions under both
 variants and both parallel forms, and a Bayes section: the k-bit noisy
 channel at k = 3..7, overlapping partitions (zero-weight overlaps among
-them), evidence independent of the cells and cells over mixed supports;
+them), evidence independent of the cells and cells over mixed supports
+(geometric coin partitions of 4 to 12 cells among them);
 the order of closures and name sets over seeded random graphs (cycles
 and parents left out of the set among them) and every marginal of a
 diamond; model files (``models/``, one per line
@@ -86,6 +90,26 @@ def workload_rows(cp, emit) -> None:
             ).to_json()))
 
 
+SHARED = re.compile(r"shared experiment\(s\) \{([^}]*)\}")
+
+
+def shared_named(cp, run) -> str | None:
+    """The sorted experiments that the shared-experiment warnings name
+    while ``run`` returns, however many warnings name them; None when it
+    raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            run()
+        except Exception:
+            return None
+    named = set()
+    for w in caught:
+        if issubclass(w.category, cp.SharedExperimentWarning):
+            named.update(SHARED.search(str(w.message)).group(1).split(", "))
+    return repr(sorted(named))
+
+
 def with_bad_atoms(rng, f, cp, model):
     """``f`` joined by ``&&`` with an unknown outcome and, half the time,
     an unknown experiment on its left, so the leftmost error must win."""
@@ -109,6 +133,11 @@ def corpus_rows(cp, corpus, emit) -> None:
             emit("oracle", key, attempt(lambda: cp.enumerate_prob(f, model)))
             emit("mc", key, attempt(lambda: cp.mc_estimate(
                 f, model, cp.SampleConfig(MC_SAMPLES, seed=m))))
+            for name, run in (("prob", cp.prob), ("explain", cp.prob_explain),
+                              ("denote", cp.denote)):
+                named = shared_named(cp, lambda: run(f, model))
+                if named is not None:
+                    emit("warnings", f"{key} {name}", named)
     decls = [cp.ExperimentDecl.uniform(f"e{i}", tuple("0123456789")) for i in range(8)]
     big = cp.Model.of(*decls)
     f = cp.parse_formula(" && ".join(f"0@e{i}" for i in range(8)))
@@ -308,6 +337,16 @@ BAYES_MODEL = (
     + "".join(f"experiment u{i} : 0, 1\n" for i in range(12))
 )
 COINS12 = " && ".join(f"0@u{i}" for i in range(12))
+
+
+def geometric(k: int) -> tuple[list[str], list[str]]:
+    """k cells over u0..u{k-2}: the first 1 at u{i}, or none; and the same
+    with cell k // 2 replaced by one that overlaps some cells before it."""
+    cells = [" && ".join([f"0@u{j}" for j in range(i)] + [f"1@u{i}"]) for i in range(k - 1)]
+    cells.append(" && ".join(f"0@u{j}" for j in range(k - 1)))
+    return cells, cells[:k // 2] + [f"0@u0 && 1@u{k // 2}"] + cells[k // 2 + 1:]
+
+
 BAYES_PARTITIONS = [
     # overlaps, and overlaps on the zero-weight face only
     (["1@d | 2@d", "2@d | 3@d"], "lo@s"),
@@ -326,6 +365,8 @@ BAYES_PARTITIONS = [
     (["H@c", "T@c && 1@d", "T@c && 1@d && lo@s"], "lo@s"),
     (["H@c", "T@c && 4@d", "T@c && ~4@d"], "4@d"),
     (["H@c", "T@c"], "1@d | H@c"),
+    # geometric partitions of k cells, valid and with one overlapping cell
+    *((cells, f"0@u{k // 2} || H@c") for k in range(4, 13) for cells in geometric(k)),
 ]
 
 
