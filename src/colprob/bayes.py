@@ -37,15 +37,7 @@ from .errors import PartitionError
 from .evaluator import ProbResult, _evaluate, _point_weights
 from .formula import Formula, GivenPar, format_formula
 from .model import ZERO, Model, ancestral_closure
-from .semantics import (
-    EventSpace,
-    Point,
-    Undetermined,
-    _space,
-    cartesian_conj,
-    format_support,
-    support,
-)
+from .semantics import Undetermined, _conj, _Space, _space, format_support, support
 
 ADDITIVE = "additive"
 PARALLEL = "parallel"
@@ -78,7 +70,7 @@ def check_partition(p: Partition, model: Model, variant: str) -> PartitionReport
     marginal probabilities, one elimination per distinct support. Over one
     support (always so when additive), two cells overlap with nonzero
     probability exactly when they share a point of nonzero weight; cells
-    over different supports are joined pairwise (``cartesian_conj``), and
+    over different supports are joined pairwise (``&&``'s hash join), and
     the joints weighed in the same pass.
     Exhaustiveness (cell probabilities summing to exactly 1) is reported
     but not required. Undetermined or conditional cells, or cells with
@@ -87,8 +79,9 @@ def check_partition(p: Partition, model: Model, variant: str) -> PartitionReport
     return _check(p, model, variant)[0]
 
 
-# What a partition check knows of each cell: its support, event space and probability.
-_Cells = list[tuple[frozenset[str], EventSpace, Fraction]]
+# What a partition check knows of each cell: its support, event space (in
+# the engine's form) and probability.
+_Cells = list[tuple[frozenset[str], _Space, Fraction]]
 
 
 def _check(p: Partition, model: Model, variant: str) -> tuple[PartitionReport, _Cells]:
@@ -112,7 +105,7 @@ def _check(p: Partition, model: Model, variant: str) -> tuple[PartitionReport, _
         )
     spaces = [_space(cell, model) for cell in p.cells]
     joints = {} if mismatch is None else {  # parallel cells over different supports
-        (i, j): cartesian_conj(spaces[i], spaces[j])
+        (i, j): _conj(spaces[i], spaces[j])
         for i, j in combinations(range(len(spaces)), 2)
     }
     tables = _weigh(spaces + list(joints.values()), model)
@@ -120,15 +113,16 @@ def _check(p: Partition, model: Model, variant: str) -> tuple[PartitionReport, _
     total = sum(masses, start=ZERO)
     if mismatch is None:
         weights = tables[0][0]
-        owners: dict[Point, list[int]] = {}
-        for i, space in enumerate(spaces):
-            for point in space.points:
-                if weights[point]:
-                    owners.setdefault(point, []).append(i)
+        owners: dict[tuple[str, ...], list[int]] = {}  # by row
+        for i, (_, rows) in enumerate(spaces):
+            for row in rows:
+                if weights[row]:
+                    owners.setdefault(row, []).append(i)
         pairs = sorted({pair for cells in owners.values() for pair in combinations(cells, 2)})
     else:
-        pairs = [pair for (pair, joint), (weights, _) in zip(joints.items(), tables[len(spaces):])
-                 if any(map(weights.__getitem__, joint.points))]
+        pairs = [pair for (pair, (_, rows)), (weights, _)
+                 in zip(joints.items(), tables[len(spaces):])
+                 if any(map(weights.__getitem__, rows))]
     violations = tuple(f"cells {i + 1},{j + 1} not disjoint" for i, j in pairs)
     report = PartitionReport(
         ok=not violations,
@@ -172,7 +166,7 @@ def posteriors(
     closures: dict[frozenset[str], frozenset[str]] = {}
     p_evidence = ev_space = None
     weights: list[Fraction] = []
-    joints: dict[int, EventSpace] = {}  # by cell index, weighed together below
+    joints: dict[int, _Space] = {}  # by cell index, weighed together below
     for i, (cell_support, space, mass) in enumerate(cells):
         if cell_support not in closures:
             closures[cell_support] = ancestral_closure(model, cell_support)
@@ -184,9 +178,9 @@ def posteriors(
         if ev_space is None:
             ev_space = _space(evidence, model)
         if variant == PARALLEL:
-            joints[i] = cartesian_conj(space, ev_space)
-        else:
-            joints[i] = EventSpace._trusted(space.support, space.points & ev_space.points)
+            joints[i] = _conj(space, ev_space)
+        else:  # one support
+            joints[i] = space[0], space[1] & ev_space[1]
         weights.append(ZERO)
     spaces = list(joints.values())
     for i, space, table in zip(joints, spaces, _weigh(spaces, model)):
@@ -244,21 +238,22 @@ def _determined(result) -> Fraction:
     return result.value
 
 
-def _weigh(
-    spaces: list[EventSpace], model: Model
-) -> list[tuple[dict[Point, int], int]]:
-    """Each space's point weights and their scale, as ``_point_weights``
+_Table = tuple[dict[tuple[str, ...], int], int]  # each row's weight, and their scale
+
+
+def _weigh(spaces: list[_Space], model: Model) -> list[_Table]:
+    """Each space's row weights and their scale, as ``_point_weights``
     gives them, from one elimination per distinct support."""
-    points: dict[frozenset[str], dict[Point, None]] = {}
-    for space in spaces:
-        points.setdefault(space.support, {}).update(dict.fromkeys(space.points))
+    distinct: dict[tuple[str, ...], dict[tuple[str, ...], None]] = {}
+    for axes, rows in spaces:
+        distinct.setdefault(axes, {}).update(dict.fromkeys(rows))
     tables = {}
-    for space_support, distinct in points.items():
-        weights, scale = _point_weights(space_support, distinct.keys(), model)
-        tables[space_support] = dict(zip(distinct, weights)), scale
-    return [tables[space.support] for space in spaces]
+    for axes, rows in distinct.items():
+        weights, scale = _point_weights(axes, rows.keys(), model)
+        tables[axes] = dict(zip(rows, weights)), scale
+    return [tables[axes] for axes, _ in spaces]
 
 
-def _mass(space: EventSpace, table: tuple[dict[Point, int], int]) -> Fraction:
+def _mass(space: _Space, table: _Table) -> Fraction:
     weights, scale = table
-    return Fraction(sum(map(weights.__getitem__, space.points)), scale)
+    return Fraction(sum(map(weights.__getitem__, space[1])), scale)

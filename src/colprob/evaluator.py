@@ -13,9 +13,11 @@ The verdict is decided once per root (once per side of a conditional) by
 ``semantics.support``; below it the recursion meets only determined
 formulas. R1, R4 and independent R5 (disjoint ancestral closures)
 compute a node from its children; every other node's value is read off
-its own event space by ``space_prob``: variable elimination sums the
-ancestors outside the space's support out of the cpt factors, and the
-space's points are summed against what remains. The factors are dense
+its own event space, in the engine's form (``semantics._space``: sorted
+axes and a set of outcome rows; no ``Point`` is built), by
+``_space_prob``: variable elimination sums the ancestors outside the
+space's support out of the cpt factors, and the space's rows, one
+column per axis, are summed against what remains. The factors are dense
 integer tables: each experiment's cpt, scaled by the lcm of its
 denominators, is compiled once, at its first query, into one flat list
 in row-major order over the experiment and its parents. The kernels
@@ -53,9 +55,10 @@ from .formula import (
 from .model import Model, ancestral_closure, parents_first
 from .semantics import (
     EventSpace,
-    Point,
     Undetermined,
+    _encode,
     _share,
+    _Space,
     _space,
     _support,
     _warn_shared,
@@ -93,7 +96,12 @@ def space_prob(space: EventSpace, model: Model) -> Fraction:
     of its points' weights (``_point_weights``) over their common scale.
     This equals summing the joint probability of every point of the space
     lifted to the ancestral closure of its support."""
-    weights, scale = _point_weights(space.support, space.points, model)
+    return _space_prob(_encode(space), model)
+
+
+def _space_prob(space: _Space, model: Model) -> Fraction:
+    """``space_prob`` of a space in the engine's form."""
+    weights, scale = _point_weights(*space, model)
     return Fraction(sum(weights), scale)
 
 
@@ -106,11 +114,11 @@ _Factor = tuple[tuple[str, ...], list[int]]
 
 
 def _point_weights(
-    support: frozenset[str], points: Collection[Point], model: Model
+    axes: tuple[str, ...], rows: Collection[tuple[str, ...]], model: Model
 ) -> tuple[Iterator[int], int]:
-    """The marginal probability of each of ``points`` (distinct points over
-    ``support``), as integers in the order ``points`` iterates, over one
-    common scale.
+    """The marginal probability of each of ``rows`` (distinct points over
+    the sorted support ``axes``, as tuples of outcomes aligned with it), as
+    integers in the order ``rows`` iterates, over one common scale.
 
     Every experiment in the ancestral closure of the support contributes
     its cpt as a factor: the decl's flat integer table, scaled by the lcm
@@ -123,7 +131,10 @@ def _point_weights(
     arithmetic is on integers throughout; the scale is the product of the
     lcms.
     """
-    closure = parents_first(model, support)
+    if any([model.decl(name).parents for name in axes]):
+        closure = parents_first(model, axes)
+    else:  # the support is its own closure, parents-first in any order
+        closure = list(axes)
     positions: dict[str, dict[str, int]] = {}
     sizes: dict[str, int] = {}
     factors: list[_Factor] = []
@@ -134,30 +145,28 @@ def _point_weights(
         sizes[name] = len(positions[name])
         scale *= lcm
         factors.append((decl.parents + (name,), table))
-    rows = [point.items for point in points]
     if not rows:
         return iter(()), scale
     columns = {}  # each point's position on each support axis that factors keep
-    if len(closure) == len(support):  # nothing to sum out: read the full tables
-        for name, column in zip(sorted(support), zip(*rows)):
-            position = positions[name]
-            columns[name] = [position[outcome] for _, outcome in column]
+    if len(closure) == len(axes):  # nothing to sum out: read the full tables
+        for name, column in zip(axes, zip(*rows)):
+            columns[name] = list(map(positions[name].__getitem__, column))
         return _read_off(factors, columns, sizes, len(rows)), scale
     # The positions each cut axis keeps: the outcomes the points use, or
     # the one outcome of an experiment that has no other.
     cuts = {name: [0] for name, n in sizes.items() if n == 1}
-    for name, column in zip(sorted(support), zip(*rows)):
-        position = positions[name]
-        keep = sorted({position[outcome] for _, outcome in column})
+    for name, column in zip(axes, zip(*rows)):
+        used = sorted(set(column), key=positions[name].__getitem__)
+        keep = list(map(positions[name].__getitem__, used))
         if len(keep) < sizes[name]:
             cuts[name] = keep
         if len(keep) > 1:
-            local = dict(zip(keep, range(len(keep))))
-            columns[name] = [local[position[outcome]] for _, outcome in column]
+            local = dict(zip(used, range(len(used))))
+            columns[name] = list(map(local.__getitem__, column))
     factors = [_cut(f, sizes, cuts) if any(map(cuts.__contains__, f[0])) else f
                for f in factors]
     sizes.update((name, len(keep)) for name, keep in cuts.items())
-    factors = _eliminate(support, closure, factors, sizes)
+    factors = _eliminate(frozenset(axes), closure, factors, sizes)
     return _read_off(factors, columns, sizes, len(rows)), scale
 
 
@@ -373,7 +382,7 @@ def _value(f: Formula, model: Model, explain: bool) -> _Step:
             (left_why, right_why), "independence: p(E) * p(F)",
         )
     space = _space(f, model)
-    result = Determined(space_prob(space, model))
+    result = Determined(_space_prob(space, model))
     if not explain or isinstance(f, AtomNode):
         return _node(explain, f, result)
     if isinstance(f, ChoiceOr):
@@ -384,11 +393,11 @@ def _value(f: Formula, model: Model, explain: bool) -> _Step:
     # spaces, unless p(F) = 0 leaves the space as the only justification.
     condition, condition_why = _value(f.right, model, True)
     if condition.value == 0:
-        closure = ancestral_closure(model, space.support)
+        axes, rows = space
         return result, Derivation(
             "enumeration", format_formula(f), result,
-            note=f"{len(space.points)} point(s) over {format_support(space.support)}, "
-                 f"summed over {format_support(closure)}",
+            note=f"{len(rows)} point(s) over {format_support(axes)}, "
+                 f"summed over {format_support(ancestral_closure(model, axes))}",
         )
     given = (GivenAdd if isinstance(f, ChoiceAnd) else GivenPar)(f.left, f.right)
     ratio = Derivation(

@@ -10,7 +10,7 @@ between threads. Their ``hash()`` and ``==`` recurse once per nesting
 level, so a deep formula is unhashable in practice: the 900-term
 ``alien && ...`` chain that ``colprob eval`` evaluates raises
 RecursionError in ``hash()``. The engine never hashes or compares whole
-formulas, only atoms, points and supports.
+formulas, only atoms, outcome tuples and supports.
 """
 
 from __future__ import annotations
@@ -88,37 +88,53 @@ _BINARY = {
     ParOr: ("||", _LEVEL_OR),
 }
 _COND = {GivenAdd: "given", GivenPar: "pgiven"}
+# The level each node binds at; an atom binds tighter than any context.
+_LEVEL = {AtomNode: _LEVEL_NOT + 1, Not: _LEVEL_NOT, GivenAdd: _LEVEL_COND,
+          GivenPar: _LEVEL_COND, **{kind: level for kind, (_, level) in _BINARY.items()}}
 
 
 def format_formula(f: Formula) -> str:
     """Render ``f`` with as few parentheses as the grammar allows.
 
     Guaranteed inverse of the parser: parse_formula(format_formula(f))
-    is structurally equal to f for every formula.
+    is structurally equal to f for every formula. The walk keeps its own
+    stack of what is still to write, text or nodes, last first, so a deep
+    formula costs no Python frames.
     """
-    return _render(f, _LEVEL_COND)
+    out: list[str] = []
+    stack: list[Formula | str] = [f]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is str:
+            out.append(node)
+            continue
+        if kind is AtomNode:
+            out.append(f"{node.outcome}@{node.experiment}")
+            continue
+        if kind is Not:
+            out.append("~")
+            _push(stack, node.child, _LEVEL_NOT)
+            continue
+        if kind in _BINARY:
+            op, level = _BINARY[kind]
+            # Left-associative: the left child may sit at the same level, the
+            # right child needs to bind strictly tighter.
+            left, right, left_level, right_level = node.left, node.right, level, level + 1
+        else:
+            # Non-associative: both sides must be at least or-level.
+            op = _COND[kind]
+            left, right, left_level, right_level = (
+                node.event, node.condition, _LEVEL_OR, _LEVEL_OR)
+        _push(stack, right, right_level)
+        stack.append(f" {op} ")
+        _push(stack, left, left_level)
+    return "".join(out)
 
 
-def _render(f: Formula, min_level: int) -> str:
-    if isinstance(f, AtomNode):
-        return f"{f.outcome}@{f.experiment}"
-    if isinstance(f, Not):
-        text = "~" + _render(f.child, _LEVEL_NOT)
-        level = _LEVEL_NOT
-    elif type(f) in _BINARY:
-        op, level = _BINARY[type(f)]
-        # Left-associative: the left child may sit at the same level, the
-        # right child needs to bind strictly tighter.
-        left = _render(f.left, level)
-        right = _render(f.right, level + 1)
-        text = f"{left} {op} {right}"
+def _push(stack: list[Formula | str], f: Formula, min_level: int) -> None:
+    """Put ``f`` on ``stack``, in parentheses if it binds looser than ``min_level``."""
+    if _LEVEL[type(f)] < min_level:
+        stack += (")", f, "(")
     else:
-        op = _COND[type(f)]
-        # Non-associative: both sides must be at least or-level.
-        left = _render(f.event, _LEVEL_OR)
-        right = _render(f.condition, _LEVEL_OR)
-        text = f"{left} {op} {right}"
-        level = _LEVEL_COND
-    if level < min_level:
-        return f"({text})"
-    return text
+        stack.append(f)

@@ -24,14 +24,28 @@ The denotation is structural:
 before any space is built. Conditionals have no denotation; they are
 probability-level constructs and are rejected there. A determined query
 warns once, naming what that walk collects; building a space never warns.
+
+The engine builds every space in one compact form, ``(axes, rows)``:
+``axes`` holds the support's experiment names, sorted, and ``rows`` is a
+set of tuples of outcomes aligned with them, one per point. ``&`` and
+``|`` are set operations on the rows, ``~`` is the product of the axes'
+outcomes minus the rows, ``&&`` is one hash join on the shared axes (a
+plain product when there are none), and ``||`` joins each side with the
+full product of the axes it lacks and takes the union. ``_space`` walks
+a formula with its own stack, so deep formulas cost no Python frames.
+``Point`` and ``EventSpace`` are the public form: ``denote`` decodes its
+result once, and ``cartesian_conj``, ``lift``, ``full_space`` (and
+``evaluator.space_prob``) encode their arguments, run the one engine
+operation and decode, so every operation has one implementation.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import product, starmap
+from operator import add, itemgetter
+from typing import Callable, Iterable, Mapping
 
 from .errors import EmptySpaceError, EvalError
 from .formula import (
@@ -60,7 +74,10 @@ class SharedExperimentWarning(UserWarning):
 
 @dataclass(frozen=True)
 class Point:
-    """One outcome per experiment, stored as a sorted tuple of pairs."""
+    """One outcome per experiment, stored as a sorted tuple of pairs.
+
+    Its outcomes, in that order, are its row in the engine's form over the
+    sorted support; the engine builds no Point until a space is decoded."""
 
     items: tuple[tuple[str, str], ...]
 
@@ -89,6 +106,9 @@ class Point:
 
 @dataclass(frozen=True)
 class EventSpace:
+    """A set of points over one support: the public form of a space, which
+    ``denote`` and the public space operations return."""
+
     support: frozenset[str]
     points: frozenset[Point]
 
@@ -131,12 +151,25 @@ def format_support(support: Iterable[str]) -> str:
     return "{" + ", ".join(sorted(support)) + "}"
 
 
+# A space in the engine's form: the support's names, sorted, and the set
+# of its points as tuples of outcomes aligned with them.
+_Space = tuple[tuple[str, ...], set[tuple[str, ...]]]
+
+
+def _encode(s: EventSpace) -> _Space:
+    return tuple(sorted(s.support)), {tuple([o for _, o in sorted(p.items)]) for p in s.points}
+
+
+def _decode(space: _Space) -> EventSpace:
+    axes, rows = space
+    points = frozenset([Point(tuple(zip(axes, row))) for row in rows])
+    return EventSpace._trusted(frozenset(axes), points)
+
+
 def full_space(model: Model, support: Iterable[str]) -> EventSpace:
-    """The joint space of every outcome combination over ``support``."""
-    names = sorted(set(support))
-    combos = itertools.product(*(model.outcomes(n) for n in names))
-    points = frozenset(Point(tuple(zip(names, combo))) for combo in combos)
-    return EventSpace._trusted(frozenset(names), points)
+    """The joint space of every outcome combination over ``support``: the
+    engine's ``_full``, which ``~`` and ``||`` use, decoded."""
+    return _decode(_full(model, tuple(sorted(set(support)))))
 
 
 def cartesian_conj(s: EventSpace, t: EventSpace) -> EventSpace:
@@ -144,25 +177,16 @@ def cartesian_conj(s: EventSpace, t: EventSpace) -> EventSpace:
 
     Points merge pairwise; merges that disagree on a shared experiment are
     dropped and duplicate atoms collapse, so the result is again a set of
-    genuine partial assignments over the combined support.
+    genuine partial assignments over the combined support. This is the
+    engine's hash join (``_conj``) between encoding and decoding.
     """
-    support = s.support | t.support
-    if s.support.isdisjoint(t.support):  # every merge is a distinct point
-        return EventSpace._trusted(support, frozenset([
-            Point(tuple(sorted(a.items + b.items))) for a in s.points for b in t.points
-        ]))
-    points = set()
-    for a in s.points:
-        for b in t.points:
-            merged = a.merge(b)
-            if merged is not None:
-                points.add(merged)
-    return EventSpace._trusted(support, frozenset(points))
+    return _decode(_conj(_encode(s), _encode(t)))
 
 
 def lift(s: EventSpace, target: Iterable[str], model: Model) -> EventSpace:
     """Extend every point of ``s`` with all outcome combinations of the
-    experiments in ``target`` that ``s`` does not already assign."""
+    experiments in ``target`` that ``s`` does not already assign: the
+    engine's ``_lift``, as ``||`` uses it."""
     target = frozenset(target)
     if not s.support <= target:
         raise EvalError(
@@ -171,7 +195,60 @@ def lift(s: EventSpace, target: Iterable[str], model: Model) -> EventSpace:
         )
     if target == s.support:
         return s
-    return cartesian_conj(s, full_space(model, target - s.support))
+    return _decode(_lift(_encode(s), tuple(sorted(target)), model))
+
+
+def _full(model: Model, axes: tuple[str, ...]) -> _Space:
+    """Every outcome combination over ``axes``."""
+    return axes, set(product(*[model.outcomes(name) for name in axes]))
+
+
+def _complement(space: _Space, model: Model) -> _Space:
+    axes, rows = space
+    universe = _full(model, axes)[1]
+    universe -= rows
+    return axes, universe
+
+
+def _lift(space: _Space, axes: tuple[str, ...], model: Model) -> _Space:
+    """``space`` joined with the full product of the ``axes`` it lacks."""
+    missing = tuple([name for name in axes if name not in space[0]])
+    return _conj(space, _full(model, missing)) if missing else space
+
+
+def _pick(indices: list[int]) -> Callable[[tuple[str, ...]], tuple[str, ...]]:
+    """A function giving a row's entries at ``indices``, as a tuple."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda row: tuple([row[i] for i in indices])
+
+
+def _conj(left: _Space, right: _Space) -> _Space:
+    """``E && F``: every row of ``left`` extended with the rest of each row
+    of ``right`` that agrees with it on their shared axes, put in joint
+    order by one permutation. Over no shared axis every pair merges; over
+    the same axes the join is an intersection."""
+    (l_axes, l_rows), (r_axes, r_rows) = left, right
+    if l_axes == r_axes:
+        return l_axes, l_rows & r_rows
+    at = {name: i for i, name in enumerate(l_axes)}
+    rest = [i for i, name in enumerate(r_axes) if name not in at]
+    merged = l_axes + tuple([r_axes[i] for i in rest])
+    axes = tuple(sorted(merged))
+    if len(rest) == len(r_axes):  # no shared axis: a plain product
+        pairs = starmap(add, product(l_rows, r_rows))
+    else:  # group ``right`` by its projection onto the shared axes
+        shared = [i for i, name in enumerate(r_axes) if name in at]
+        r_key, r_rest = _pick(shared), _pick(rest)
+        groups: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+        for row in r_rows:
+            groups.setdefault(r_key(row), []).append(r_rest(row))
+        l_key = _pick([at[r_axes[i]] for i in shared])
+        pairs = (row + extra for row in l_rows for extra in groups.get(l_key(row), ()))
+    if merged == axes:
+        return axes, set(pairs)
+    position = {name: i for i, name in enumerate(merged)}
+    return axes, set(map(_pick([position[name] for name in axes]), pairs))
 
 
 def support(f: Formula, model: Model) -> frozenset[str] | Undetermined:
@@ -242,32 +319,40 @@ def denote(f: Formula, model: Model) -> Denotation:
     if isinstance(verdict, Undetermined):
         return verdict
     _warn_shared(shared, stacklevel=2)
-    return _space(f, model)
+    return _decode(_space(f, model))
 
 
-def _space(f: Formula, model: Model) -> EventSpace:
-    """The event space of ``f``, which ``support`` has found determined; never warns."""
-    if isinstance(f, AtomNode):
-        return EventSpace._trusted(
-            frozenset((f.experiment,)), frozenset((Point(((f.experiment, f.outcome),)),))
-        )
-    if isinstance(f, Not):
-        inner = _space(f.child, model)
-        universe = full_space(model, inner.support)
-        return EventSpace._trusted(inner.support, universe.points - inner.points)
-    left = _space(f.left, model)
-    right = _space(f.right, model)
-    if isinstance(f, ChoiceAnd):
-        return EventSpace._trusted(left.support, left.points & right.points)
-    if isinstance(f, ChoiceOr):
-        return EventSpace._trusted(left.support, left.points | right.points)
-    if isinstance(f, ParAnd):
-        return cartesian_conj(left, right)
-    # At least one side occurs: the union of both sides' lifts.
-    joint = left.support | right.support
-    return EventSpace._trusted(
-        joint, lift(left, joint, model).points | lift(right, joint, model).points
-    )
+def _space(f: Formula, model: Model) -> _Space:
+    """The space of ``f``, which ``support`` has found determined, in the
+    engine's form; never warns. One post-order walk on an explicit stack:
+    a node goes back on the stack, marked ready, under its children, and
+    when it comes off again combines their spaces from the top of ``done``."""
+    done: list[_Space] = []
+    stack: list[tuple[Formula, bool]] = [(f, False)]
+    while stack:
+        node, ready = stack.pop()
+        if isinstance(node, AtomNode):
+            done.append(((node.experiment,), {(node.outcome,)}))
+        elif isinstance(node, Not):
+            if ready:
+                done.append(_complement(done.pop(), model))
+            else:
+                stack += ((node, True), (node.child, False))
+        elif not ready:
+            stack += ((node, True), (node.right, False), (node.left, False))
+        else:
+            right = done.pop()
+            left = done.pop()
+            if isinstance(node, ChoiceAnd):
+                done.append((left[0], left[1] & right[1]))
+            elif isinstance(node, ChoiceOr):
+                done.append((left[0], left[1] | right[1]))
+            elif isinstance(node, ParAnd):
+                done.append(_conj(left, right))
+            else:  # ParOr: at least one side occurs, the union of both sides' lifts
+                axes = tuple(sorted(set(left[0]).union(right[0])))
+                done.append((axes, _lift(left, axes, model)[1] | _lift(right, axes, model)[1]))
+    return done[0]
 
 
 def to_set_normal_form(s: EventSpace) -> Formula:

@@ -318,7 +318,7 @@ class TestUnionCheckScales:
         # coins, one would hold 65,535 points.
         model = parse_model("".join(f"experiment t{i} : 0, 1\n" for i in range(16)))
         rest = " && ".join(f"0@t{i}" for i in range(1, 16))
-        monkeypatch.setattr(semantics, "full_space", no_full_space)
+        monkeypatch.setattr(semantics, "_full", no_full_space)
         calls = count_prob_calls(monkeypatch)
         eliminations = count_eliminations(monkeypatch)
         report = check_partition(
@@ -385,9 +385,9 @@ def count_eliminations(monkeypatch) -> list:
     calls = []
     real = bayes._point_weights
 
-    def counted(support, points, model):
-        calls.append((support, len(points)))
-        return real(support, points, model)
+    def counted(axes, rows, model):
+        calls.append((frozenset(axes), len(rows)))
+        return real(axes, rows, model)
 
     monkeypatch.setattr(bayes, "_point_weights", counted)
     return calls
@@ -410,7 +410,7 @@ class TestPosteriorWeights:
                           "b@s && (0@t | 1@t)", "c@s && (0@t | 1@t)")
         evidence = parse_formula("~(" + " && ".join(f"0@u{i}" for i in range(16)) + ")")
         priors = [F(1, 8), F(3, 8), F(1, 3), F(1, 6)]
-        monkeypatch.setattr(semantics, "full_space", no_full_space)
+        monkeypatch.setattr(semantics, "_full", no_full_space)
         calls = count_prob_calls(monkeypatch)
         report, values = posteriors(cells, evidence, model, "parallel")
         assert report.ok and report.exhaustive

@@ -453,6 +453,20 @@ class TestRepl:
         assert "{ {d=4} }" in out
         assert "4@d" in out
 
+    def test_space_of_a_thousand_points(self, capsys, monkeypatch, tmp_path):
+        # The set normal form is a 1,023-term | chain, which prints.
+        model = tmp_path / "coins.colp"
+        model.write_text("".join(f"experiment c{i} : H, T\n" for i in range(10)))
+        query = "~(" + " && ".join(f"H@c{i}" for i in range(10)) + ")"
+        code, out = self.repl(capsys, monkeypatch, str(model), f":space {query}\n:quit\n")
+        assert code == 0
+        support, space, snf = out.splitlines()
+        assert support == "support: {" + ", ".join(f"c{i}" for i in range(10)) + "}"
+        assert space.startswith("space: { {c0=H, c1=H, ") and space.count("}, {") == 1022
+        assert snf.startswith("set normal form: H@c0 && H@c1 && ")
+        assert snf.endswith(" | " + " && ".join(f"T@c{i}" for i in range(10)))
+        assert snf.count(" | ") == 1022 and "error" not in out
+
     def test_explain_command(self, capsys, monkeypatch):
         code, out = self.repl(
             capsys, monkeypatch, EXAMPLES, ":explain 6@d1 || 6@d2\n:quit\n"

@@ -31,6 +31,8 @@ from colprob import (
     prob_explain,
     space_prob,
 )
+from colprob import semantics
+from colprob.bayes import Partition, posteriors
 from colprob.oracle import _atoms
 from _corpus import (
     SCALING_MODELS,
@@ -427,6 +429,69 @@ def test_markov_chain_of_200_nodes_is_exact(text):
     assert value(prob(f, model)) == expected
     result, d = prob_explain(f, model)
     assert value(result) == value(d.result) == expected
+
+
+# ---------------------------------------------------------------------------
+# Event spaces stay sparse, and the engine builds no Point
+# ---------------------------------------------------------------------------
+
+
+def test_and_chain_on_a_long_chain_is_one_point():
+    p0, stay = F(1, 3), F(9, 10)
+    model = markov_chain(60, p0, stay)
+    f = parse_formula(" && ".join(f"0@x{i}" for i in range(60)))
+    assert value(prob(f, model)) == p0 * stay ** 59
+    d = denote(f, model)
+    assert len(d.points) == 1 and len(d.support) == 60
+
+
+def test_parallel_or_prefix_of_a_markov_chain_matches_the_oracle():
+    # 2^14 - 1 points over 14 dependent experiments.
+    model = markov_chain(200, F(1, 3), F(9, 10))
+    f = parse_formula(" || ".join(f"0@x{i}" for i in range(14)))
+    assert prob(f, model) == enumerate_prob(f, model)
+
+
+@pytest.fixture
+def built_points(monkeypatch):
+    """The Points built while the test runs, as the engine's decoding
+    builds them."""
+    built = []
+
+    class Counted(semantics.Point):
+        def __init__(self, items):
+            built.append(items)
+            super().__init__(items)
+
+    monkeypatch.setattr(semantics, "Point", Counted)
+    return built
+
+
+POINT_QUERIES = [
+    "4@d | 5@d", "(6@d1 && 5@d2 | 6@d2 && 5@d1) & (6@d1 || 6@d2)", "~(H@c1 && T@c2) || 6@d",
+    "H@c && T@c", "alien && alien", "(H@c1 && (H@c2 | T@c2)) given (H@c1 && H@c2 | T@c1 && T@c2)",
+    "H@c && (H@c & T@c)", "6@d1 pgiven (6@d1 || 6@d2)",
+]
+
+
+@pytest.mark.parametrize("text", POINT_QUERIES)
+def test_evaluation_builds_no_point(examples_model, built_points, text):
+    f = parse_formula(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SharedExperimentWarning)
+        prob(f, examples_model)
+        prob_explain(f, examples_model)
+        assert built_points == []
+        if "given" not in text:
+            d = denote(f, examples_model)
+            assert len(built_points) == len(d.points)
+
+
+def test_bayes_builds_no_point(channel_model, built_points):
+    cells = Partition((parse_formula("0@T"), parse_formula("1@T && (0@R | 1@R)")))
+    report, values = posteriors(cells, parse_formula("0@R"), channel_model, "parallel")
+    assert report.ok and values == [F(9, 10), F(1, 10)]
+    assert built_points == []
 
 
 @pytest.mark.parametrize("name", sorted(SCALING_MODELS))

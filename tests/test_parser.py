@@ -146,6 +146,20 @@ class TestFormatFormula:
         f = ChoiceOr(AtomNode("d", "1"), ChoiceOr(AtomNode("d", "2"), AtomNode("d", "3")))
         assert format_formula(f) == "1@d | (2@d | 3@d)"
 
+    def test_five_thousand_term_chains(self):
+        # Deeper than Python's recursion limit: the printer keeps its own stack.
+        atoms = [AtomNode(f"c{i}", "H") for i in range(5000)]
+        left = atoms[0]
+        for a in atoms[1:]:
+            left = ChoiceOr(left, a)
+        assert format_formula(left) == " | ".join(f"H@c{i}" for i in range(5000))
+        right = atoms[-1]
+        for a in reversed(atoms[:-1]):
+            right = ParAnd(a, Not(right))
+        assert format_formula(right) == (
+            " && ~(".join(f"H@c{i}" for i in range(4999)) + " && ~H@c4999" + ")" * 4998
+        )
+
 
 def test_round_trip_on_random_asts():
     rng = random.Random(424242)

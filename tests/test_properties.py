@@ -1,7 +1,8 @@
 """Property tests: both parsers are total, printing round-trips, the
 evaluator and the enumeration oracle give the same answer, verdict or
-error, and variable elimination gives each space its lifted sum on
-generated Bayes-net models.
+error, variable elimination gives each space its lifted sum on
+generated Bayes-net models, and ``denote`` gives the space that a
+point-by-point reading of the definitions gives.
 
 Runs are derandomized and keep no example database, so every run checks
 the same inputs and writes nothing to the checkout (``conftest.py`` moves
@@ -10,6 +11,7 @@ hypothesis's other cache to a temporary directory).
 
 import warnings
 from contextlib import suppress
+from itertools import product
 
 import pytest
 
@@ -30,7 +32,9 @@ from colprob import (
     Not,
     ParAnd,
     ParOr,
+    Point,
     SharedExperimentWarning,
+    denote,
     enumerate_prob,
     format_formula,
     parse_formula,
@@ -158,3 +162,60 @@ def test_elimination_agrees_with_lifting_on_random_dags(rng, empty):
         warnings.simplefilter("ignore", SharedExperimentWarning)
         evaluated = answer(lambda: prob(f, model))
     assert evaluated == answer(lambda: enumerate_prob(f, model))
+
+
+def reference_space(f, model):
+    """The space of a determined, conditional-free ``f``, one Point at a
+    time: merges for ``&&``, products of outcomes for ``~`` and ``||``.
+    It shares no code with the engine's ``cartesian_conj``, ``lift`` or
+    ``full_space``."""
+    def every(names):
+        names = sorted(names)
+        return {Point(tuple(zip(names, combo)))
+                for combo in product(*(model.outcomes(n) for n in names))}
+
+    def conj(left, right):
+        return {m for a in left for b in right if (m := a.merge(b)) is not None}
+
+    if isinstance(f, AtomNode):
+        return {f.experiment}, {Point(((f.experiment, f.outcome),))}
+    if isinstance(f, Not):
+        names, points = reference_space(f.child, model)
+        return names, every(names) - points
+    (left_names, left), (right_names, right) = (
+        reference_space(f.left, model), reference_space(f.right, model))
+    if isinstance(f, ChoiceAnd):
+        return left_names, left & right
+    if isinstance(f, ChoiceOr):
+        return left_names, left | right
+    names = left_names | right_names
+    if isinstance(f, ParAnd):
+        return names, conj(left, right)
+    return names, conj(left, every(names - left_names)) | conj(right, every(names - right_names))
+
+
+def check_denotation(f, model):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SharedExperimentWarning)
+        try:
+            space = denote(f, model)
+        except ColprobError:
+            return
+    if isinstance(space, EventSpace):
+        names, points = reference_space(f, model)
+        assert space == EventSpace(frozenset(names), frozenset(points))
+
+
+@DETERMINISTIC
+@given(SMALL_FORMULAS)
+@example(parse_formula("~(0@T || 1@R) && (H@c | T@c) && p"))
+@example(parse_formula("(0@R && 1@T) || ~(H@c && 0@R)"))
+def test_denote_agrees_with_pointwise_reference(f):
+    check_denotation(f, SMALL_MODEL)
+
+
+@DETERMINISTIC
+@given(st.randoms(use_true_random=False))
+def test_denote_agrees_with_pointwise_reference_on_random_dags(rng):
+    model = random_dag_model(rng, max_experiments=6, max_outcomes=4, max_parents=3)
+    check_denotation(random_query(rng, model, depth=4), model)

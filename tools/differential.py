@@ -14,9 +14,12 @@ Inputs: every request of ``perfbench/workloads.py`` ``WORKLOADS[w](1)``
 (read, never changed); seeded ``tests/_corpus.py`` models and queries
 with explain, oracle and Monte Carlo, and the experiments that the
 shared-experiment warnings of ``prob``, ``prob_explain`` and ``denote``
-name on each of them that returns a value or a verdict; both oracles on
-closures and
-sample counts that span several of the oracle's blocks; exact values
+name on each of them that returns a value or a verdict; the event space
+and the set normal form that ``denote`` gives each of those queries that
+has no conditional; both oracles on closures and
+sample counts that span several of the oracle's blocks, and the point
+count and a sha256 of the space of each such query that is determined
+and has no conditional; exact values
 over cpts with awkward denominators (coprime and large lcms, rows over
 different denominators, omitted outcomes, 300 outcomes), over random
 spaces on seeded Bayes-net models, long chains and a 10-cause noisy-OR;
@@ -40,6 +43,7 @@ Stdlib only; the run re-executes itself with PYTHONHASHSEED=0.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import itertools
 import os
@@ -118,6 +122,23 @@ def with_bad_atoms(rng, f, cp, model):
     return cp.ParAnd(cp.AtomNode("nowhere", "o0"), f) if rng.random() < 0.5 else f
 
 
+def has_conditional(text: str) -> bool:
+    return " given " in text or " pgiven " in text
+
+
+def denoted(cp, f, model) -> str:
+    """The space ``denote`` gives ``f`` and its set normal form, or the
+    verdict."""
+    space = cp.denote(f, model)
+    if isinstance(space, cp.Undetermined):
+        return repr(space)
+    try:
+        snf = cp.format_formula(cp.to_set_normal_form(space))
+    except cp.EmptySpaceError as err:
+        snf = f"EmptySpaceError: {err}"
+    return f"{space} {snf}"
+
+
 def corpus_rows(cp, corpus, emit) -> None:
     rng = random.Random(20261018)
     for m in range(CORPUS_MODELS):
@@ -133,6 +154,8 @@ def corpus_rows(cp, corpus, emit) -> None:
             emit("oracle", key, attempt(lambda: cp.enumerate_prob(f, model)))
             emit("mc", key, attempt(lambda: cp.mc_estimate(
                 f, model, cp.SampleConfig(MC_SAMPLES, seed=m))))
+            if not has_conditional(key):
+                emit("denote", key, attempt(lambda: denoted(cp, f, model)))
             for name, run in (("prob", cp.prob), ("explain", cp.prob_explain),
                               ("denote", cp.denote)):
                 named = shared_named(cp, lambda: run(f, model))
@@ -173,11 +196,14 @@ BLOCK_QUERIES = [  # closures of up to 64 blocks; w's indices take two bytes
 def block_rows(cp, corpus, emit) -> None:
     """The oracles on closures and sample counts that span several blocks:
     enumeration and Monte Carlo on fixed queries (a 300-outcome experiment
-    among them), and Monte Carlo on seeded multi-parent corpus queries."""
+    among them), and Monte Carlo on seeded multi-parent corpus queries;
+    and the size and a digest of each fixed query's space."""
     model = cp.parse_model(BLOCK_MODEL)
     cases = [(f"blocks: {q}", model, cp.parse_formula(q)) for q in BLOCK_QUERIES]
     for name, model, f in cases:
         emit("oracle-blocks", name, attempt(lambda: cp.enumerate_prob(f, model)))
+        if not has_conditional(name):
+            emit("denote-blocks", name, attempt(lambda: space_digest(cp.denote(f, model))))
     rng = random.Random(7331)
     for m in range(40):
         dag = corpus.random_dag_model(rng)
@@ -188,6 +214,11 @@ def block_rows(cp, corpus, emit) -> None:
             cfg = cp.SampleConfig(samples, seed=rng.randrange(2**64))
             emit("mc-blocks", f"{name} n={samples}",
                  attempt(lambda: cp.mc_estimate(f, model, cfg)))
+
+
+def space_digest(space) -> str:
+    text = str(space).encode()
+    return f"{len(space.points)} point(s) sha256 {hashlib.sha256(text).hexdigest()}"
 
 
 def space_prob_rows(cp, corpus, emit) -> None:
