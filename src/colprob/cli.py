@@ -43,8 +43,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNDETERMINED = 2
 
-# Parser, verdict walk, spaces and printers all recurse on the formula's
-# depth; past Python's recursion limit that is reported as one error line.
+# The support walks, ``_value`` and ``render_derivation`` recurse on the
+# formula's depth; past Python's recursion limit that is reported as one
+# error line. Parentheses alone build no node and so add no depth.
 TOO_DEEP = "formula is nested too deeply"
 
 

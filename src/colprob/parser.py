@@ -15,7 +15,9 @@ The connectives and their precedence are read from the printer's tables in
 ``formula``. One regex scan turns the text into ``(kind, text, offset)``
 tokens, where ``kind`` is the operator or keyword itself, ``int``,
 ``ident`` or ``eof``; the 1-based line and column are computed from the
-offset only when a ParseError is raised.
+offset only when a ParseError is raised. One loop over the tokens with an
+explicit stack (precedence climbing) builds the formula, so nesting costs
+no Python frames.
 
 Model files are line-oriented ('#' comments):
 
@@ -37,14 +39,14 @@ import re
 from fractions import Fraction
 
 from .errors import ModelError, ParseError
-from .formula import _BINARY, _COND, _LEVEL_AND, _LEVEL_OR, AtomNode, Formula, Not
+from .formula import _BINARY, _COND, _LEVEL_COND, AtomNode, Formula, Not
 from .model import ExperimentDecl, Model, validate_model
 
 # The node each connective builds, and its precedence level, come from the
 # printer's tables, so the parser and the printer cannot disagree on them.
-_CONJ = {op: node for node, (op, level) in _BINARY.items() if level == _LEVEL_AND}
-_DISJ = {op: node for node, (op, level) in _BINARY.items() if level == _LEVEL_OR}
-_CONDITIONALS = {word: node for node, word in _COND.items()}
+_CONNECTIVES = {op: (node, level) for node, (op, level) in _BINARY.items()}
+_CONNECTIVES.update((word, (node, _LEVEL_COND)) for node, word in _COND.items())
+_KEYWORDS = frozenset(_COND.values())
 
 _TOKEN_RE = re.compile(
     r"""[ \t\r\n]+ | \#[^\n]*
@@ -73,96 +75,76 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         lexeme = m.group()
         if kind == "unknown":
             raise _error(text, m.start(), f"unknown token {lexeme!r}")
-        if kind == "op" or lexeme in _CONDITIONALS:
+        if kind == "op" or lexeme in _KEYWORDS:
             kind = lexeme
         tokens.append((kind, lexeme, m.start()))
     tokens.append(("eof", "", len(text)))
     return tokens
 
 
-class _FormulaParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def unexpected(self, expected: str) -> ParseError:
-        kind, lexeme, offset = self.tokens[self.pos]
-        what = "end of input" if kind == "eof" else f"'{lexeme}'"
-        return _error(self.text, offset, f"unexpected {what}", expected)
-
-    def expect(self, kind: str, expected: str) -> str:
-        found, lexeme, _ = self.tokens[self.pos]
-        if found != kind:
-            raise self.unexpected(expected)
-        self.pos += 1
-        return lexeme
-
-    def parse_cond(self) -> Formula:
-        left = self.parse_disj()
-        node = _CONDITIONALS.get(self.tokens[self.pos][0])
-        if node is None:
-            return left
-        self.pos += 1
-        return node(left, self.parse_disj())
-
-    def parse_disj(self) -> Formula:
-        left = self.parse_conj()
-        while (node := _DISJ.get(self.tokens[self.pos][0])) is not None:
-            self.pos += 1
-            left = node(left, self.parse_conj())
-        return left
-
-    def parse_conj(self) -> Formula:
-        left = self.parse_unary()
-        while (node := _CONJ.get(self.tokens[self.pos][0])) is not None:
-            self.pos += 1
-            left = node(left, self.parse_unary())
-        return left
-
-    def parse_unary(self) -> Formula:
-        kind = self.tokens[self.pos][0]
-        if kind == "~":
-            self.pos += 1
-            return Not(self.parse_unary())
-        if kind == "(":
-            self.pos += 1
-            inner = self.parse_cond()
-            self.expect(")", "')'")
-            return inner
-        return self.parse_atom()
-
-    def parse_atom(self) -> Formula:
-        kind, name, offset = self.tokens[self.pos]
-        if kind not in ("ident", "int"):
-            raise self.unexpected("an atom, '~', or '('")
-        self.pos += 1
-        if self.tokens[self.pos][0] == "@":
-            self.pos += 1
-            return AtomNode(self.expect("ident", "an experiment name"), name)
-        if kind == "ident" and name[0].islower():
-            # Bare predicate: `alien` means `true@alien`.
-            return AtomNode(name, "true")
-        raise _error(
-            self.text,
-            offset,
-            f"'{name}' is not a predicate name; outcomes must be tagged",
-            "'@'",
-        )
+def _unexpected(text: str, token: tuple[str, str, int], expected: str) -> ParseError:
+    kind, lexeme, offset = token
+    what = "end of input" if kind == "eof" else f"'{lexeme}'"
+    return _error(text, offset, f"unexpected {what}", expected)
 
 
 def parse_formula(text: str) -> Formula:
     """Parse ``text`` into a Formula, or raise ParseError with a position."""
-    parser = _FormulaParser(text)
-    f = parser.parse_cond()
-    kind, lexeme, offset = parser.tokens[parser.pos]
-    if kind in _CONDITIONALS:
-        raise _error(
-            text, offset, "conditionals are non-associative; parenthesize the inner one"
-        )
-    if kind != "eof":
-        raise _error(text, offset, f"unexpected '{lexeme}' after complete formula")
-    return f
+    tokens = _tokenize(text)
+    # The pending '~' and '(' tokens and, for each connective whose right
+    # operand is still to come, its (node, level, left operand).
+    stack: list = []
+    pos = 0
+    while True:
+        # Operand position: any '~' and '(', then one atom.
+        kind, name, offset = tokens[pos]
+        while kind == "~" or kind == "(":
+            stack.append(kind)
+            pos += 1
+            kind, name, offset = tokens[pos]
+        if kind != "ident" and kind != "int":
+            raise _unexpected(text, tokens[pos], "an atom, '~', or '('")
+        pos += 1
+        if tokens[pos][0] == "@":
+            if tokens[pos + 1][0] != "ident":
+                raise _unexpected(text, tokens[pos + 1], "an experiment name")
+            operand = AtomNode(tokens[pos + 1][1], name)
+            pos += 2
+        elif kind == "ident" and name[0].islower():
+            operand = AtomNode(name, "true")  # bare predicate: `alien` is `true@alien`
+        else:
+            message = f"'{name}' is not a predicate name; outcomes must be tagged"
+            raise _error(text, offset, message, "'@'")
+        # Operator position: apply the pending '~'s, then combine every
+        # pending connective that binds at least as tightly as the next
+        # token (all are left-associative); ')', end of input and any
+        # other token bind loosest and so close the whole group.
+        while True:
+            while stack and stack[-1] == "~":
+                stack.pop()
+                operand = Not(operand)
+            kind, lexeme, offset = token = tokens[pos]
+            pos += 1
+            node, level = _CONNECTIVES.get(kind, (None, _LEVEL_COND - 1))
+            while stack and type(stack[-1]) is tuple and stack[-1][1] >= level:
+                pending, pending_level, left = stack.pop()
+                operand = pending(left, operand)
+                if pending_level == level == _LEVEL_COND:
+                    node = None  # conditionals do not chain: the group ends here
+            if node is not None:
+                stack.append((node, level, operand))
+                break
+            if stack and kind == ")":  # the group's '(' is on top
+                stack.pop()
+            elif stack:
+                raise _unexpected(text, token, "')'")
+            elif kind == "eof":
+                return operand
+            elif kind in _KEYWORDS:
+                message = "conditionals are non-associative; parenthesize the inner one"
+                raise _error(text, offset, message)
+            else:
+                raise _error(text, offset, f"unexpected '{lexeme}' after complete formula")
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +198,7 @@ def _parse_name(text: str, start: int, what: str, pattern: re.Pattern = _NAME_RE
     name = text.strip()
     if not pattern.match(name):
         raise _LineError(f"malformed {what} '{name}'", _at(text, start))
-    if name in _CONDITIONALS:
+    if name in _KEYWORDS:
         # No formula could name it: the formula parser reads it as a keyword.
         raise _LineError(f"{what} '{name}' is a reserved word", _at(text, start))
     return name

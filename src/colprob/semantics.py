@@ -123,14 +123,6 @@ class EventSpace:
     def of(support: Iterable[str], points: Iterable[Point]) -> "EventSpace":
         return EventSpace(frozenset(support), frozenset(points))
 
-    @staticmethod
-    def _trusted(support: frozenset[str], points: frozenset[Point]) -> "EventSpace":
-        """A space whose points the caller built over ``support``; skips
-        the per-point check that the constructor makes."""
-        space = object.__new__(EventSpace)
-        space.__dict__.update(support=support, points=points)
-        return space
-
     def __str__(self) -> str:
         if not self.points:
             return "{ }"
@@ -163,7 +155,7 @@ def _encode(s: EventSpace) -> _Space:
 def _decode(space: _Space) -> EventSpace:
     axes, rows = space
     points = frozenset([Point(tuple(zip(axes, row))) for row in rows])
-    return EventSpace._trusted(frozenset(axes), points)
+    return EventSpace(frozenset(axes), points)
 
 
 def full_space(model: Model, support: Iterable[str]) -> EventSpace:

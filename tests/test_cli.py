@@ -16,11 +16,10 @@ EXAMPLES = str(MODELS / "examples.colp")
 CHANNEL = str(MODELS / "channel.colp")
 DICE = str(MODELS / "dice.colp")
 
-# Inputs deeper than Python's recursion limit allows the parser or the
-# evaluator to go; each must end in one error line, never a traceback.
+# Inputs deeper than Python's recursion limit allows the evaluator to go;
+# each must end in one error line, never a traceback.
 DEEP = {
     "negations": "~" * 3000 + "H@c",
-    "parentheses": "(" * 600 + "H@c" + ")" * 600,
     "or-chain": " || ".join(["H@c"] * 2000),
 }
 TOO_DEEP = "error: formula is nested too deeply\n"
@@ -346,6 +345,13 @@ class TestDeepInput:
         )
         assert got == (1, "", TOO_DEEP)
 
+    def test_deep_parentheses_evaluate(self, capsys):
+        # Parentheses build no AST node, and the parser keeps its own stack.
+        query = "(" * 10_000 + "H@c" + ")" * 10_000
+        assert run(capsys, "eval", "--model", EXAMPLES, "--query", query) == (
+            0, "1/2 (≈0.5)\n", "",
+        )
+
     def test_long_and_chain_still_evaluates(self, capsys):
         query = " && ".join(["alien"] * 900)
         assert run(capsys, "eval", "--model", EXAMPLES, "--query", query) == (
@@ -506,7 +512,7 @@ class TestRepl:
         script = "".join(q + "\n" for q in DEEP.values()) + "4@d | 5@d\n"
         code, out = self.repl(capsys, monkeypatch, EXAMPLES, script)
         assert code == 0
-        assert out == TOO_DEEP * 3 + "1/3 (≈0.3333)\n"
+        assert out == TOO_DEEP * 2 + "1/3 (≈0.3333)\n"
 
     def test_errors_do_not_terminate_the_loop(self, capsys, monkeypatch):
         script = "4@d |\nH@zzz\n4@d | 5@d\n:quit\n"

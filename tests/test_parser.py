@@ -1,4 +1,5 @@
 import random
+import re
 import string
 from fractions import Fraction
 
@@ -99,6 +100,11 @@ class TestParseFormula:
             ),
             ("4@d 5@d", (1, 5), "unexpected '5' after complete formula", None),
             ("H@", (1, 3), "unexpected end of input", "an experiment name"),
+            ("H@c)", (1, 4), "unexpected ')' after complete formula", None),
+            ("(H@c given T@c given H@c)", (1, 16), "unexpected 'given'", "')'"),
+            ("@c", (1, 1), "unexpected '@'", "an atom, '~', or '('"),
+            ("~", (1, 2), "unexpected end of input", "an atom, '~', or '('"),
+            ("((H@c)", (1, 7), "unexpected end of input", "')'"),
         ],
         ids=[
             "same-line",
@@ -110,6 +116,11 @@ class TestParseFormula:
             "blank-line",
             "trailing-token",
             "missing-experiment",
+            "stray-close",
+            "chained-given-in-group",
+            "tag-without-outcome",
+            "negation-at-eof",
+            "unclosed-outer-group",
         ],
     )
     def test_error_position_points_into_source(self, text, position, message, expected):
@@ -182,9 +193,24 @@ def test_parsing_is_total_on_fuzzed_input():
             assert 1 <= err.column <= len(lines[err.line - 1]) + 1
 
 
-def test_deep_parentheses_parse():
-    text = "(" * 200 + "H@c" + ")" * 200
+@pytest.mark.parametrize("depth", [200, 10_000])
+def test_deep_parentheses_parse(depth):
+    text = "(" * depth + "H@c" + ")" * depth
     assert format_formula(parse_formula(text)) == "H@c"
+
+
+def test_redundant_parentheses_give_the_same_ast():
+    rng = random.Random(1986)
+
+    def wrap(m):
+        k = rng.randint(0, 3)
+        return "(" * k + m[0] + ")" * k
+
+    for _ in range(200):
+        ast = random_ast(rng, depth=6)
+        text = re.sub(r"\w+@\w+", wrap, format_formula(ast))
+        k = rng.randint(0, 2000)
+        assert parse_formula("(" * k + text + ")" * k) == ast
 
 
 class TestParseModel:

@@ -11,7 +11,10 @@ tree, so two runs compare with ``cmp``:
     cmp parent.txt change.txt
 
 Inputs: every request of ``perfbench/workloads.py`` ``WORKLOADS[w](1)``
-(read, never changed); seeded ``tests/_corpus.py`` models and queries
+(read, never changed); formula texts for the parser alone (seeded fuzz
+strings, joins of grammar fragments and printed random ASTs), each
+giving the printed formula or the ParseError's position, message and
+expected token; seeded ``tests/_corpus.py`` models and queries
 with explain, oracle and Monte Carlo, and the experiments that the
 shared-experiment warnings of ``prob``, ``prob_explain`` and ``denote``
 name on each of them that returns a value or a verdict; the event space
@@ -49,6 +52,7 @@ import itertools
 import os
 import random
 import re
+import string
 import sys
 import tempfile
 import warnings
@@ -92,6 +96,45 @@ def workload_rows(cp, emit) -> None:
                 model, req.query, explain=req.explain, oracle=req.oracle,
                 mc_samples=req.mc_samples, seed=req.mc_seed,
             ).to_json()))
+
+
+PARSE_ALPHABET = string.ascii_letters + string.digits + "@~&|() #pgiven\t\n\r/=_$é"
+# Grammar fragments that fit an operand position and ones that fit an
+# operator position; an operand comes next after an opener. A join
+# mostly puts each fragment where it fits.
+OPERANDS = ("H@c", "4@d", "T@c1", "alien", "~", "(")
+OPERATORS = ("&", "&&", "|", "||", "given", "pgiven", ")")
+OPENERS = {"~", "(", "&", "&&", "|", "||", "given", "pgiven"}
+MISFITS = ("H", "7", "@", "c", "\n", "# note\n", "")
+
+
+def fragment_join(rng) -> str:
+    parts, operand = [], True
+    for _ in range(rng.randint(1, 24)):
+        pool = OPERANDS if operand else OPERATORS
+        part = rng.choice(pool if rng.random() < 0.9 else OPERANDS + OPERATORS + MISFITS)
+        parts.append(part + rng.choice(("", " ")))
+        operand = part in OPENERS
+    return "".join(parts)
+
+
+def parse_rows(cp, corpus, emit) -> None:
+    """The printed formula (the printer is injective) or the ParseError's
+    fields for each text; none nests deeper than a recursive parser
+    reaches at the default recursion limit."""
+    def parsed(text):
+        try:
+            return cp.format_formula(cp.parse_formula(text))
+        except cp.ParseError as err:
+            return f"ParseError {err.line}:{err.column} {err.message!r} {err.expected!r}"
+
+    rng = random.Random(1961)
+    texts = ["".join(rng.choice(PARSE_ALPHABET) for _ in range(rng.randint(0, 40)))
+             for _ in range(4000)]
+    texts += [fragment_join(rng) for _ in range(8000)]
+    texts += [cp.format_formula(corpus.random_ast(rng, depth=6)) for _ in range(2000)]
+    for text in texts:
+        emit("parse", repr(text), attempt(lambda: parsed(text)))
 
 
 SHARED = re.compile(r"shared experiment\(s\) \{([^}]*)\}")
@@ -683,6 +726,7 @@ def main(argv: list[str]) -> int:
             out.write(f"{section}\t{key}\t{result}".replace("\n", "\\n") + "\n")
 
         workload_rows(cp, emit)
+        parse_rows(cp, corpus, emit)
         corpus_rows(cp, corpus, emit)
         block_rows(cp, corpus, emit)
         space_prob_rows(cp, corpus, emit)
