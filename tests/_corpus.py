@@ -200,6 +200,28 @@ def noisy_or(n):
     return "\n".join(lines) + "\n"
 
 
+def noisy_or_model(priors, inhibitors, leak, moved=None):
+    """Model-file text of a noisy-OR over causes a0, a1, …: cause a_i has
+    the outcomes and weights of ``priors[i]`` (a dict), and the effect e,
+    over true and false, is false with probability (1 - leak) times, per
+    cause, ``inhibitors[i]`` at its outcome. ``moved``, a pair (row, w),
+    moves the weight w from false to true in that row of the cpt (w < 0
+    moves it back), so that the false column no longer factors."""
+    causes = [f"a{i}" for i in range(len(priors))]
+    lines = [f"experiment {c} : " + ", ".join(f"{o}={w}" for o, w in dist.items())
+             for c, dist in zip(causes, priors)]
+    lines.append(f"experiment e : true, false depends {', '.join(causes)}")
+    for k, row in enumerate(itertools.product(*priors)):
+        off = 1 - Fraction(leak)
+        for i, o in enumerate(row):
+            off *= inhibitors[i][o]
+        if moved is not None and moved[0] == k:
+            off -= moved[1]
+        given = ", ".join(f"{c}={o}" for c, o in zip(causes, row))
+        lines += [f"cpt true | {given} = {1 - off}", f"cpt false | {given} = {off}"]
+    return "\n".join(lines) + "\n"
+
+
 def noisy_channel(bits):
     """Model-file text of a ``bits``-bit noisy channel: transmitted bits
     t_i with p(t_i=0) = (i+1)/10, each received as r_i and flipped with

@@ -26,6 +26,11 @@ and has no conditional; exact values
 over cpts with awkward denominators (coprime and large lcms, rows over
 different denominators, omitted outcomes, 300 outcomes), over random
 spaces on seeded Bayes-net models, long chains and a 10-cause noisy-OR;
+values, explanations and enumerations on noisy-OR models (one whose
+cpt is perturbed so that it does not factor, one with a zero leak and
+inhibitors of 0 and 1, one with 3-valued causes), on both conditionals
+of a chain and on conditions of zero mass, and Monte Carlo on the
+10-cause noisy-OR at sample counts around the oracle's blocks;
 random and fixed Bayes partitions under both
 variants and both parallel forms, and a Bayes section: the k-bit noisy
 channel at k = 3..7, overlapping partitions (zero-weight overlaps among
@@ -297,6 +302,74 @@ def space_prob_rows(cp, corpus, emit) -> None:
                  attempt(lambda: cp.prob(cp.parse_formula(query), noisy)))
 
 
+def noisy_or_cases(corpus) -> dict[str, tuple[str, int]]:
+    """Noisy-OR model texts by name, with their number of causes: the
+    10-cause one, the same with one cpt entry moved so that no column
+    factors, a zero leak with inhibitors of 0 and 1, and 3-valued causes."""
+    ten = [{"true": Fraction(1, i + 2), "false": 1 - Fraction(1, i + 2)} for i in range(10)]
+    stop = [{"true": Fraction(2, i + 3), "false": Fraction(1)} for i in range(10)]
+    three = [{"0": Fraction(1, i + 2), "1": Fraction(1, 3), "2": Fraction(2, 3) - Fraction(1, i + 2)}
+             for i in range(5)]
+    weaken = [{"0": Fraction(1), "1": Fraction(i, 5), "2": Fraction(1, i + 2)} for i in range(5)]
+    return {
+        "noisy-or10": (corpus.noisy_or(10), 10),
+        "perturbed10": (corpus.noisy_or_model(ten, stop, Fraction(1, 20), (613, Fraction(1, 997))), 10),
+        "zero-leak": (corpus.noisy_or_model(ten[:6], stop[:2] + [{"true": 0, "false": 1},
+                      {"true": 1, "false": 1}] + stop[4:6], 0), 6),
+        "three-valued": (corpus.noisy_or_model(three, weaken, Fraction(1, 7)), 5),
+    }
+
+
+# Both conditionals of chains, explained, and conditions of zero mass.
+CONDITIONAL_ROWS = [
+    ("blocks", "1@x3 pgiven 0@x11"),
+    ("blocks", "0@x11 pgiven 1@x3"),
+    ("blocks", "0@x11 pgiven (0@x2 && 1@x7)"),
+    ("blocks", "(0@x2 && 1@x7) pgiven 0@x11 | 1@x11"),
+    ("blocks", "(0@x0 || 1@x5) pgiven 0@x11"),
+    ("blocks", "1@x3 pgiven (0@x11 || 1@x6)"),
+    ("blocks", "(0@x4 | 1@x4) given 0@x4"),
+    ("bayes", "4@d given 4@d"),
+    ("bayes", "(1@d | 4@d) given 4@d"),
+    ("bayes", "lo@s pgiven 4@d"),
+    ("bayes", "4@d pgiven lo@s"),
+    ("bayes", "H@c pgiven 4@d && lo@s"),
+    ("bayes", "(lo@s && 1@d) pgiven (4@d && hi@s)"),
+]
+
+
+def noisy_or_rows(cp, corpus, emit) -> None:
+    """``prob``, the explanation and the enumeration oracle on noisy-OR
+    models (``noisy_or_cases``) and on ``CONDITIONAL_ROWS``; Monte Carlo
+    on the 10-cause noisy-OR at every ``BLOCK_SAMPLES`` count."""
+    cases = []
+    for name, (text, n) in noisy_or_cases(corpus).items():
+        model = cp.parse_model(text)
+        values = sorted(model.outcomes("a0"))
+        queries = ["true@e", "false@e given false@e | true@e"]
+        for i in range(n):
+            a = f"{values[i % len(values)]}@a{i}"
+            queries += [f"{a} pgiven true@e", f"true@e pgiven {a}", f"{a} && true@e",
+                        f"~({a} || true@e)", f"({a} | {values[0]}@a{i}) pgiven false@e"]
+        cases += [(f"{name}: {q}", model, q) for q in queries]
+    models = {"blocks": cp.parse_model(BLOCK_MODEL), "bayes": cp.parse_model(BAYES_MODEL)}
+    cases += [(f"{m}: {q}", models[m], q) for m, q in CONDITIONAL_ROWS]
+    for key, model, query in cases:
+        f = cp.parse_formula(query)
+        emit("noisy-or", key, attempt(lambda: cp.prob(f, model)))
+        emit("noisy-or-explain", key, attempt(
+            lambda: cp.render_derivation(cp.prob_explain(f, model)[1])))
+        emit("noisy-or-oracle", key, attempt(lambda: cp.enumerate_prob(f, model)))
+    model = cp.parse_model(corpus.noisy_or(10))
+    rng = random.Random(9091)
+    for query in ("true@e", "a3 pgiven true@e", "true@e pgiven a7 && ~a2"):
+        f = cp.parse_formula(query)
+        for samples in BLOCK_SAMPLES:
+            cfg = cp.SampleConfig(samples, seed=rng.randrange(2**64))
+            emit("noisy-or-mc", f"{query} n={samples}",
+                 attempt(lambda: cp.mc_estimate(f, model, cfg)))
+
+
 def random_graph(rng, cp, cyclic: bool):
     """Up to 10 binary experiments with random names, each depending on up
     to two others: earlier ones, so names often sort after their
@@ -331,7 +404,11 @@ def model_graph_rows(cp, emit) -> None:
     """``topological_order`` of every closure of seeded random DAGs, and of
     seeded name sets over graphs with cycles, parents left out of the set
     among them, each giving a list or a message; then ``prob`` of every
-    outcome of each node of a diamond."""
+    outcome of each node of a diamond. The order is looked up in
+    ``colprob.oracle``, or in ``colprob.model`` for trees that keep it
+    there."""
+    topological_order = getattr(cp.oracle, "topological_order", None) \
+        or cp.model.topological_order
     rng = random.Random(2718)
     for cyclic in (False, True):
         for m in range(150):
@@ -343,7 +420,7 @@ def model_graph_rows(cp, emit) -> None:
                 sets = [sorted(cp.ancestral_closure(model, [n])) for n in graph]
             for names in sets:
                 emit("model-graph", f"{graph} order of {names}", attempt(
-                    lambda: cp.model.topological_order(model, names)))
+                    lambda: topological_order(model, names)))
     diamond = cp.parse_model(DIAMOND)
     for name, decl in sorted(diamond.experiments.items()):
         for outcome in decl.outcomes:
@@ -730,6 +807,7 @@ def main(argv: list[str]) -> int:
         corpus_rows(cp, corpus, emit)
         block_rows(cp, corpus, emit)
         space_prob_rows(cp, corpus, emit)
+        noisy_or_rows(cp, corpus, emit)
         model_graph_rows(cp, emit)
         partition_rows(cp, corpus, emit)
         bayes_rows(cp, corpus, emit)
