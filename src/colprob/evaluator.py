@@ -24,7 +24,14 @@ in row-major order over the experiment and its parents. The kernels
 work on whole tables and blocks of them with slices, ``map`` and index
 vectors built by C-level iterators, not on one keyed row at a time. A
 space's value is the one Fraction of the integer sum over the product of
-the scales.
+the scales. A noisy-OR cpt that its decl compiled to per-cause factors
+(``ExperimentDecl._scaled``) enters an elimination as those factors, over
+an auxiliary axis summed out after the causes and before the effect. A
+root conditional that reads both its joint and its condition off their
+spaces takes one elimination for both: the closure outside the joint's
+support is summed out once, the joint's rows are read off, and the
+joint's axes outside the condition's support are summed out of the same
+factors before the condition's rows are read (``_joint_weights``).
 ``prob_explain`` runs the same recursion and records each step, showing
 R2, R3 and dependent R5 as their decomposition of the value read off the
 space, or as one "enumeration" leaf when the condition has probability
@@ -105,12 +112,15 @@ def _space_prob(space: _Space, model: Model) -> Fraction:
     return Fraction(sum(weights), scale)
 
 
-# A factor: the experiments it ranges over, and its integer values, flat
-# in row-major order over their axes (the last fastest). An axis runs over
-# its experiment's outcomes in sorted order (``ExperimentDecl._scaled``),
-# or over the ones a cut keeps; an axis of one outcome is left out, so a
+# A factor: the axes it ranges over, and its integer values, flat in
+# row-major order over them (the last fastest). An axis is an experiment,
+# running over its outcomes in sorted order (``ExperimentDecl._scaled``)
+# or over the ones a cut keeps, or the auxiliary axis of a noisy-OR's
+# per-cause form, named by the 1-tuple of its effect's name, which no
+# experiment name can equal. An axis of one outcome is left out, so a
 # factor over no axis is one number.
-_Factor = tuple[tuple[str, ...], list[int]]
+_Axis = str | tuple[str]
+_Factor = tuple[tuple[_Axis, ...], list[int]]
 
 
 def _point_weights(
@@ -127,50 +137,106 @@ def _point_weights(
     Otherwise each support experiment's axis is first cut down to the
     outcomes the points use (``_cut``), the closure experiments outside
     the support are summed out (``_eliminate``), and each point weighs the
-    product of the remaining tables at its positions on the cut axes. The
-    arithmetic is on integers throughout; the scale is the product of the
-    lcms.
+    product of the remaining tables at its positions on the cut axes. A
+    noisy-OR cpt that the decl compiled to per-cause factors enters the
+    elimination as those factors, with its auxiliary axis ordered after
+    its parents and before its effect, so that summing out a cause costs
+    that cause's own entries. The arithmetic is on integers throughout;
+    the scale is the product of the lcms, and of the per-cause forms'
+    factors.
     """
+    weights, _, scale = _joint_weights((axes, rows), None, model)
+    return weights, scale
+
+
+def _joint_weights(
+    joint: tuple[tuple[str, ...], Collection[tuple[str, ...]]],
+    condition: tuple[tuple[str, ...], Collection[tuple[str, ...]]] | None,
+    model: Model,
+) -> tuple[Iterator[int], Iterator[int] | None, int]:
+    """``_point_weights`` of the rows of ``joint`` and of ``condition``, a
+    space over a subset C of the joint's support J that holds every joint
+    row's projection onto C, over one scale and from one elimination.
+
+    The closure outside J is summed out once and the joint's rows are read
+    off what remains; then the axes of J outside C are summed out of the
+    same factors, and the condition's rows are read off. The cuts follow
+    the condition's rows on C and keep every outcome on the rest of J,
+    which the condition's mass sums over. With no condition this is
+    ``_point_weights``, and the second iterator is None."""
+    (axes, rows), (c_axes, c_rows) = joint, condition or joint
     if any([model.decl(name).parents for name in axes]):
         closure = parents_first(model, axes)
     else:  # the support is its own closure, parents-first in any order
         closure = list(axes)
+    whole = len(closure) == len(axes)  # nothing to sum out: read the full tables
     positions: dict[str, dict[str, int]] = {}
-    sizes: dict[str, int] = {}
+    sizes: dict[_Axis, int] = {}
     factors: list[_Factor] = []
+    auxiliary = []
     scale = 1
     for name in closure:
         decl = model.decl(name)
-        table, lcm, positions[name] = decl._scaled
+        table, lcm, positions[name], per_cause = decl._scaled
         sizes[name] = len(positions[name])
         scale *= lcm
-        factors.append((decl.parents + (name,), table))
-    if not rows:
-        return iter(()), scale
-    columns = {}  # each point's position on each support axis that factors keep
-    if len(closure) == len(axes):  # nothing to sum out: read the full tables
-        for name, column in zip(axes, zip(*rows)):
+        if per_cause is None or whole:
+            factors.append((decl.parents + (name,), table))
+        else:
+            causes, delta, factor = per_cause
+            aux = (name,)
+            sizes[aux] = 2
+            auxiliary.append(aux)
+            scale *= factor
+            factors += [((p, aux), t) for p, t in zip(decl.parents, causes)]
+            factors.append(((aux, name), delta))
+    for aux in auxiliary:  # eliminated after its parents, before its effect
+        closure.insert(closure.index(aux[0]), aux)
+    if not c_rows:  # nor, then, has the joint any row
+        return iter(()), condition and iter(()), scale
+    columns = {}  # each joint row's position on each axis that factors keep
+    if condition is None:  # the rows are their own condition
+        c_columns, outcomes, c_outcomes = columns, {}, zip(axes, zip(*rows))
+    else:  # the joint's rows, by axis, and the condition's
+        c_columns, outcomes = {}, dict(zip(axes, zip(*rows) if rows else repeat(())))
+        c_outcomes = zip(c_axes, zip(*c_rows))
+    if whole:
+        for name, column in c_outcomes:
+            c_columns[name] = list(map(positions[name].__getitem__, column))
+        for name, column in outcomes.items():
             columns[name] = list(map(positions[name].__getitem__, column))
-        return _read_off(factors, columns, sizes, len(rows)), scale
-    # The positions each cut axis keeps: the outcomes the points use, or
-    # the one outcome of an experiment that has no other.
-    cuts = {name: [0] for name, n in sizes.items() if n == 1}
-    for name, column in zip(axes, zip(*rows)):
-        used = sorted(set(column), key=positions[name].__getitem__)
-        keep = list(map(positions[name].__getitem__, used))
-        if len(keep) < sizes[name]:
-            cuts[name] = keep
-        if len(keep) > 1:
-            local = dict(zip(used, range(len(used))))
-            columns[name] = list(map(local.__getitem__, column))
-    factors = [_cut(f, sizes, cuts) if any(map(cuts.__contains__, f[0])) else f
-               for f in factors]
-    sizes.update((name, len(keep)) for name, keep in cuts.items())
-    factors = _eliminate(frozenset(axes), closure, factors, sizes)
-    return _read_off(factors, columns, sizes, len(rows)), scale
+    else:
+        # The positions each cut axis keeps: the outcomes the condition's
+        # rows use, or the one outcome of an experiment that has no other.
+        # The joint's axes outside C keep every outcome.
+        cuts = {name: [0] for name, n in sizes.items() if n == 1}
+        for name, column in c_outcomes:
+            used = sorted(set(column), key=positions[name].__getitem__)
+            keep = list(map(positions[name].__getitem__, used))
+            if len(keep) < sizes[name]:
+                cuts[name] = keep
+            if len(keep) > 1:
+                local = dict(zip(used, range(len(used))))
+                c_columns[name] = list(map(local.__getitem__, column))
+                if outcomes:
+                    columns[name] = list(map(local.__getitem__, outcomes[name]))
+        for name, column in outcomes.items():
+            if name not in c_axes and name not in cuts:
+                columns[name] = list(map(positions[name].__getitem__, column))
+        factors = [_cut(f, sizes, cuts) if any(map(cuts.__contains__, f[0])) else f
+                   for f in factors]
+        sizes.update((name, len(keep)) for name, keep in cuts.items())
+        factors = _eliminate(frozenset(axes), closure, factors, sizes)
+    weights = _read_off(factors, columns, sizes, len(rows))
+    if condition is None:
+        return weights, None, scale
+    if c_axes != axes:
+        factors = _eliminate(frozenset(c_axes), [n for n in closure if n in outcomes],
+                             factors, sizes)
+    return weights, _read_off(factors, c_columns, sizes, len(c_rows)), scale
 
 
-def _cut(factor: _Factor, sizes: dict[str, int], cuts: dict[str, list[int]]) -> _Factor:
+def _cut(factor: _Factor, sizes: dict[_Axis, int], cuts: dict[str, list[int]]) -> _Factor:
     """``factor`` with each axis in ``cuts`` cut down to the positions it
     keeps, outermost first, which leaves the strides of the axes inside it
     as they were; an axis left with one position is dropped. An innermost
@@ -195,12 +261,12 @@ def _cut(factor: _Factor, sizes: dict[str, int], cuts: dict[str, list[int]]) -> 
 
 
 def _eliminate(
-    support: frozenset[str], closure: list[str], factors: list[_Factor], sizes: dict[str, int]
+    support: frozenset[str], axes: list[_Axis], factors: list[_Factor], sizes: dict[_Axis, int]
 ) -> list[_Factor]:
-    """Sum the experiments of ``closure`` (parents first) that are outside
-    the support out of ``factors``, in that order; returns the factors over
-    support experiments only."""
-    order = [name for name in closure if name not in support]
+    """Sum the axes of ``axes`` (in elimination order: parents first) that
+    are outside the support out of ``factors``, in that order; returns the
+    factors over support experiments only."""
+    order = [name for name in axes if name not in support]
     rank = {name: i for i, name in enumerate(order)}
     buckets: list[list[_Factor]] = [[] for _ in order]
     remaining: list[_Factor] = []
@@ -218,7 +284,7 @@ def _eliminate(
     return remaining
 
 
-def _sum_out(name: str, factors: list[_Factor], sizes: dict[str, int]) -> _Factor:
+def _sum_out(name: _Axis, factors: list[_Factor], sizes: dict[_Axis, int]) -> _Factor:
     """Multiply the factors that mention ``name`` and sum it out of them.
 
     The product runs over ``name`` outermost, then the other experiments
@@ -265,7 +331,7 @@ def _sum_out(name: str, factors: list[_Factor], sizes: dict[str, int]) -> _Facto
 
 
 def _place(
-    scope: tuple[str, ...], table: list[int], joint: tuple[str, ...], sizes: dict[str, int]
+    scope: tuple[_Axis, ...], table: list[int], joint: tuple[_Axis, ...], sizes: dict[_Axis, int]
 ) -> list[int]:
     """``table``, over ``scope``, at every position of ``joint``, which
     holds every experiment of ``scope``, in row-major order. The index
@@ -284,7 +350,7 @@ def _place(
 
 
 def _read_off(
-    factors: list[_Factor], columns: dict[str, list[int]], sizes: dict[str, int], count: int
+    factors: list[_Factor], columns: dict[_Axis, list[int]], sizes: dict[_Axis, int], count: int
 ) -> Iterator[int]:
     """Each of ``count`` points' product of ``factors``, which range over
     support axes only; ``columns`` holds each point's position on every
@@ -371,18 +437,39 @@ def _value(f: Formula, model: Model, explain: bool) -> _Step:
         return _complement(f, f.child, model, explain)
     if isinstance(f, ParOr):
         return _complement(f, ParAnd(Not(f.left), Not(f.right)), model, explain)
-    if isinstance(f, ParAnd) and not (
-        ancestral_closure(model, support(f.left, model))
-        & ancestral_closure(model, support(f.right, model))
-    ):
-        left, left_why = _value(f.left, model, explain)
-        right, right_why = _value(f.right, model, explain)
-        return _node(
-            explain, f, Determined(left.value * right.value),
-            (left_why, right_why), "independence: p(E) * p(F)",
-        )
+    if isinstance(f, ParAnd) and _independent(support(f.left, model), support(f.right, model), model):
+        left = _value(f.left, model, explain)
+        return _independence(f, left, _value(f.right, model, explain), explain)
     space = _space(f, model)
-    result = Determined(_space_prob(space, model))
+    return _read(f, space, _space_prob(space, model), model, explain)
+
+
+def _independent(left: frozenset[str], right: frozenset[str], model: Model) -> bool:
+    """Whether two supports have disjoint ancestral closures (R5)."""
+    return not ancestral_closure(model, left) & ancestral_closure(model, right)
+
+
+def _reads_space(f: Formula, model: Model) -> bool:
+    """Whether ``_value`` reads p(f) off f's space: f is not decided by R1,
+    R4 or independent R5."""
+    if isinstance(f, ParAnd):
+        return not _independent(support(f.left, model), support(f.right, model), model)
+    return not isinstance(f, (Not, ParOr))
+
+
+def _independence(f: ParAnd, left: _Step, right: _Step, explain: bool) -> _Step:
+    """R5 under independence: the product of the two sides' steps."""
+    return _node(explain, f, Determined(left[0].value * right[0].value),
+                 (left[1], right[1]), "independence: p(E) * p(F)")
+
+
+def _read(
+    f: Formula, space: _Space, mass: Fraction, model: Model, explain: bool,
+    condition: _Step | None = None,
+) -> _Step:
+    """p(f) = ``mass``, read off f's ``space``. ``condition``, when given,
+    is the step of f's right side, which a root conditional has taken."""
+    result = Determined(mass)
     if not explain or isinstance(f, AtomNode):
         return _node(explain, f, result)
     if isinstance(f, ChoiceOr):
@@ -391,8 +478,8 @@ def _value(f: Formula, model: Model, explain: bool) -> _Step:
         return _node(True, f, result, children, "p(E) + p(F) - p(E & F)")
     # R3, or R5 without independence: p(F) times a conditional read off the
     # spaces, unless p(F) = 0 leaves the space as the only justification.
-    condition, condition_why = _value(f.right, model, True)
-    if condition.value == 0:
+    p_condition, condition_why = condition or _value(f.right, model, True)
+    if p_condition.value == 0:
         axes, rows = space
         return result, Derivation(
             "enumeration", format_formula(f), result,
@@ -403,7 +490,7 @@ def _value(f: Formula, model: Model, explain: bool) -> _Step:
     ratio = Derivation(
         "enumeration",
         format_formula(given),
-        Determined(result.value / condition.value),
+        Determined(result.value / p_condition.value),
         note="conditional read off the event spaces",
     )
     word = "given" if isinstance(f, ChoiceAnd) else "pgiven"
@@ -421,7 +508,15 @@ def _conditional(
     f: GivenAdd | GivenPar, model: Model, explain: bool, shared: set[str] | None
 ) -> _Step:
     """The root ratio p(joint) / p(condition); ``given`` also needs the
-    event and the condition to share one support."""
+    event and the condition to share one support.
+
+    The condition is evaluated once. Under independence the joint is
+    p(event) times it. Otherwise the joint is read off its space. When the
+    condition is read off its space too (no rule decides it) and has
+    ancestors outside its support, both masses come from one elimination
+    (``_joint_weights``), and the condition's space is never lifted to the
+    joint's support. A condition that is its own closure is read off its
+    own tables, which costs less than summing the joint's other axes out."""
     event = _support(f.event, model, shared)
     if isinstance(event, Undetermined):
         return _node(explain, f, event)
@@ -436,17 +531,34 @@ def _conditional(
     if shared is not None and isinstance(f, GivenPar):
         _share(shared, event, condition, model)
     _warn_shared(shared, stacklevel=4)
-    p_cond, cond_why = _value(f.condition, model, explain)
-    if p_cond.value == 0:
+    joint = (ChoiceAnd if isinstance(f, GivenAdd) else ParAnd)(f.event, f.condition)
+    closure = ancestral_closure(model, condition)
+    if isinstance(joint, ParAnd) and not ancestral_closure(model, event) & closure:
+        given = _nonnull(f, _value(f.condition, model, explain))
+        p_joint = _independence(joint, _value(f.event, model, explain), given, explain)
+    elif closure != condition and _reads_space(f.condition, model):
+        space, c_space = _space(joint, model), _space(f.condition, model)
+        weights, c_weights, scale = _joint_weights(space, c_space, model)
+        mass, c_mass = Fraction(sum(weights), scale), Fraction(sum(c_weights), scale)
+        given = _nonnull(f, _read(f.condition, c_space, c_mass, model, explain))
+        p_joint = _read(joint, space, mass, model, explain, given)
+    else:
+        given = _nonnull(f, _value(f.condition, model, explain))
+        space = _space(joint, model)
+        p_joint = _read(joint, space, _space_prob(space, model), model, explain, given)
+    return _node(
+        explain, f, Determined(p_joint[0].value / given[0].value),
+        (p_joint[1], given[1]), "ratio of the joint to the condition",
+    )
+
+
+def _nonnull(f: GivenAdd | GivenPar, step: _Step) -> _Step:
+    """The condition's step, unless its probability is zero."""
+    if step[0].value == 0:
         raise NullConditionError(
             f"conditioning on null event: p({format_formula(f.condition)}) = 0"
         )
-    joint = (ChoiceAnd if isinstance(f, GivenAdd) else ParAnd)(f.event, f.condition)
-    p_joint, joint_why = _value(joint, model, explain)
-    return _node(
-        explain, f, Determined(p_joint.value / p_cond.value),
-        (joint_why, cond_why), "ratio of the joint to the condition",
-    )
+    return step
 
 
 def _node(explain: bool, f: Formula, result: ProbResult, children=(), note="") -> _Step:

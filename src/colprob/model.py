@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate, chain, repeat
+from operator import add
 from typing import Container, Iterable, Mapping
 
 from .errors import EvalError
@@ -35,8 +37,10 @@ class ExperimentDecl:
     ``cpt`` maps a tuple of parent outcomes (aligned with ``parents``; the
     empty tuple for parentless experiments) to the distribution over this
     experiment's own outcomes. Every row must sum to exactly 1. The cpt
-    must not change once the decl has been queried: its integer form is
-    compiled then and kept.
+    must not change once the decl has been queried: its compiled forms are
+    built at their first use and kept. They are the evaluator's integer
+    table, with a noisy-OR cpt's per-cause factors (``_scaled``), and the
+    Monte Carlo sampler's cumulative rows (``_sampled``).
     """
 
     name: str
@@ -64,9 +68,10 @@ class ExperimentDecl:
         )
 
     @cached_property
-    def _scaled(self) -> tuple[list[int], int, dict[str, int]]:
+    def _scaled(self) -> tuple[list[int], int, dict[str, int], _PerCause | None]:
         """The cpt as integers over the lcm of its denominators, that lcm,
-        and each outcome's position on this experiment's axis.
+        each outcome's position on this experiment's axis, and the
+        per-cause form of a noisy-OR cpt (``_per_cause``), else None.
 
         The table is flat, in row-major order over ``parents + (name,)``,
         the last fastest, and an omitted outcome weighs 0. Each axis runs
@@ -77,10 +82,77 @@ class ExperimentDecl:
         Built at the first query, not in the constructor, because
         ``parse_model`` fills the cpt afterwards."""
         outcomes = sorted(self.outcomes)
-        rows = [self.cpt[key] for key in sorted(self.cpt)]
+        keys = sorted(self.cpt)
+        rows = [self.cpt[key] for key in keys]
         lcm = math.lcm(*[w.denominator for row in rows for w in row.values()])
         table = [int(row.get(o, 0) * lcm) for row in rows for o in outcomes]
-        return table, lcm, dict(zip(outcomes, range(len(outcomes))))
+        sizes = [len({key[j] for key in keys}) for j in range(len(self.parents))]
+        positions = dict(zip(outcomes, range(len(outcomes))))
+        return table, lcm, positions, _per_cause(table, lcm, sizes)
+
+    @cached_property
+    def _sampled(self) -> dict[tuple[str, ...], list[float]]:
+        """Each cpt row, keyed as in ``cpt``, as the cumulative floats of
+        its weights over the outcomes in declared order, the last set to
+        1.0 against round-off: what the Monte Carlo sampler bisects.
+        Built at the first sample, as ``_scaled`` is at the first query."""
+        sampled = {}
+        for key, row in self.cpt.items():
+            cumulative = list(accumulate(map(float, [row.get(o, 0) for o in self.outcomes])))
+            cumulative[-1] = 1.0
+            sampled[key] = cumulative
+        return sampled
+
+
+# A noisy-OR cpt's per-cause form: per parent a table over (parent, aux),
+# a table over (aux, experiment), and the factor by which their product
+# exceeds the cpt's integer table. ``aux`` is an axis of two positions.
+_PerCause = tuple[list[list[int]], list[int], int]
+
+
+def _per_cause(table: list[int], lcm: int, sizes: list[int]) -> _PerCause | None:
+    """The per-cause form of a cpt's integer ``table`` (over ``lcm``,
+    row-major over parents of ``sizes`` outcomes, then two outcomes of its
+    own), or None where the table stays the cheaper form.
+
+    Causal independence (noisy-OR, and noisy-MAX through an auxiliary
+    variable: Díez & Galán 2003) makes one outcome's column T rank one
+    over the parents. With T* the first row's entry and T_j(v) the entry
+    of the row that moves only parent j, to position v, the test is exact
+    on the integers: T[a] * T*^(n-1) = prod_j T_j(a_j) for every row a,
+    T* is not 0, and each row sums to ``lcm``. Then the table, times
+    T*^n, is the sum over aux of prod_j h_j(a_j, aux) * D(aux, e), where
+    h_j(v, 0) = T_j(v) and h_j(v, 1) = T*; D(0, e) is T* on T's outcome
+    and -T* on the other, D(1, e) is 0 on T's outcome and ``lcm`` on the
+    other. Summing a cause out of that form costs its own 2 * size
+    entries, not a pass over the whole table.
+
+    The form is kept when the effect has two outcomes, there are at least
+    two parents, a column passes the test, and its 2 * sum(sizes) + 4
+    entries are fewer than the table's. Every other cpt, one whose column
+    is perturbed off rank one among them, keeps its table."""
+    n = len(sizes)
+    if n < 2 or len(table) != 2 * math.prod(sizes) or 2 * sum(sizes) + 4 >= len(table):
+        return None
+    strides = [math.prod(sizes[j + 1:]) for j in range(n)]
+    for column in (0, 1):
+        entries = table[column::2]
+        first = entries[0]
+        if first == 0:
+            continue
+        causes = [entries[0:stride * size:stride] for stride, size in zip(strides, sizes)]
+        product = [1]
+        for cause in causes:  # the outer product, row-major like the table
+            product = [p * t for p in product for t in cause]
+        power = first ** (n - 1)
+        if ([t * power for t in entries] != product
+                or any(map(lcm.__ne__, map(add, table[0::2], table[1::2])))):
+            continue
+        per_cause = [list(chain.from_iterable(zip(cause, repeat(first)))) for cause in causes]
+        other = [0, lcm] if column == 0 else [lcm, 0]
+        delta = ([first, -first] if column == 0 else [-first, first]) + other
+        return per_cause, delta, first ** n
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +322,8 @@ def parents_first(
     Only the closure is walked, so a cycle elsewhere in the model is no
     error. An experiment that reaches a cycle, or with ``within`` a parent
     outside it, cannot be placed; the error names every such experiment,
-    which are the names the sweeps of ``topological_order`` leave unplaced.
+    which are the names the sweeps of ``oracle.topological_order`` leave
+    unplaced.
     """
     order: list[str] = []
     seen: set[str] = set()
@@ -279,22 +352,3 @@ def parents_first(
     if stuck:
         raise EvalError("dependency cycle among: " + ", ".join(sorted(stuck)))
     return order
-
-
-def topological_order(model: Model, names: Iterable[str]) -> list[str]:
-    """Parents-first ordering of ``names`` (which must be ancestrally
-    closed), deterministic: ties broken by experiment name.
-
-    The order is that of sweeps over the sorted names, each placing every
-    name whose parents are already placed, earlier in the sweep or before
-    it. A name's sweep is its rank: the largest of its parents' ranks, one
-    more for a parent that sorts after it. ``parents_first`` gives every
-    parent's rank before its child's, and sorting by (rank, name) gives the
-    order in O(n log n).
-    """
-    names = set(names)
-    rank: dict[str, int] = {}
-    for name in parents_first(model, names, names):
-        parents = model.decl(name).parents
-        rank[name] = max((rank[p] + (p > name) for p in parents), default=0)
-    return sorted(rank, key=lambda name: (rank[name], name))

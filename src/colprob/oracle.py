@@ -21,9 +21,9 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, islice, product, repeat
+from itertools import compress, islice, product, repeat
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import EvalError, NullConditionError, OracleError
 from .evaluator import Determined
@@ -38,7 +38,7 @@ from .formula import (
     ParAnd,
     ParOr,
 )
-from .model import Model, ancestral_closure, topological_order
+from .model import Model, ancestral_closure, parents_first
 from .semantics import Undetermined
 
 STATE_SPACE_BOUND = 10_000_000
@@ -122,6 +122,26 @@ def _atoms(f: Formula) -> set[AtomNode]:
         else:
             raise TypeError(f"not a formula node: {node!r}")
     return atoms
+
+
+def topological_order(model: Model, names: Iterable[str]) -> list[str]:
+    """Parents-first ordering of ``names`` (which must be ancestrally
+    closed), deterministic: ties broken by experiment name. It is the
+    column order of both oracles, so Monte Carlo estimates depend on it.
+
+    The order is that of sweeps over the sorted names, each placing every
+    name whose parents are already placed, earlier in the sweep or before
+    it. A name's sweep is its rank: the largest of its parents' ranks, one
+    more for a parent that sorts after it. ``parents_first`` gives every
+    parent's rank before its child's, and sorting by (rank, name) gives the
+    order in O(n log n).
+    """
+    names = set(names)
+    rank: dict[str, int] = {}
+    for name in parents_first(model, names, names):
+        parents = model.decl(name).parents
+        rank[name] = max((rank[p] + (p > name) for p in parents), default=0)
+    return sorted(rank, key=lambda name: (rank[name], name))
 
 
 def _prepare(f: Formula, model: Model):
@@ -277,8 +297,11 @@ def enumerate_prob(f: Formula, model: Model):
 def mc_estimate(f: Formula, model: Model, cfg: SampleConfig) -> McEstimate:
     """Seeded Monte Carlo estimate of p(f) with its binomial standard error.
 
-    Experiments are sampled ancestors-first from their cpt rows; the same
-    seed, model and formula always reproduce the same estimate bit for bit.
+    Experiments are sampled ancestors-first from their cpt rows, which
+    each decl compiles once, at its first sample, into cumulative floats
+    (``ExperimentDecl._sampled``); a call only keys them by the parents'
+    outcome indices. The same seed, model and formula always reproduce
+    the same estimate bit for bit.
     A block's uniforms are drawn sample-major, one per experiment in
     parents-first order, so the estimate does not depend on the block size.
     Undetermined formulas cannot be sampled and are rejected.
@@ -289,14 +312,14 @@ def mc_estimate(f: Formula, model: Model, cfg: SampleConfig) -> McEstimate:
         raise OracleError(
             f"cannot sample an undetermined formula: {mismatch.sampled}"
         ) from None
-    samplers = []
-    for parents, rows in _cpts(model, order):
-        cumulative_rows = {}
-        for key, row in rows.items():
-            cumulative = list(accumulate(map(float, row)))
-            cumulative[-1] = 1.0  # guard against float round-off
-            cumulative_rows[key] = cumulative
-        samplers.append((parents, cumulative_rows))
+    column = {name: j for j, name in enumerate(order)}
+    samplers = []  # per experiment: its parents' columns, and its rows by their indices
+    for name in order:
+        decl = model.decl(name)
+        domains = [model.outcomes(p) for p in decl.parents]
+        keys = product(*[range(len(d)) for d in domains])
+        rows = dict(zip(keys, map(decl._sampled.__getitem__, product(*domains))))
+        samplers.append((tuple([column[p] for p in decl.parents]), rows))
 
     uniforms = iter(random.Random(cfg.seed).random, None)
     k = len(order)

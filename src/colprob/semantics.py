@@ -113,11 +113,15 @@ class EventSpace:
     points: frozenset[Point]
 
     def __post_init__(self):
+        # A Point's items are sorted by experiment, one per experiment, so
+        # each point's names must be exactly the sorted support.
+        names = tuple(sorted(self.support))
+        first = itemgetter(0)
         for p in self.points:
-            if p.experiments != self.support:
-                raise ValueError(
-                    f"point {p} does not cover support {format_support(self.support)}"
-                )
+            if tuple(map(first, p.items)) != names:
+                fault = ("does not cover support" if p.experiments != self.support
+                         else "repeats or misorders an experiment of support")
+                raise ValueError(f"point {p} {fault} {format_support(self.support)}")
 
     @staticmethod
     def of(support: Iterable[str], points: Iterable[Point]) -> "EventSpace":

@@ -25,17 +25,19 @@ from colprob import (
     cond_parallel,
     denote,
     enumerate_prob,
+    format_formula,
     parse_formula,
     parse_model,
     prob,
     prob_explain,
     space_prob,
 )
-from colprob import semantics
+from colprob import evaluator, semantics
 from colprob.bayes import Partition, posteriors
 from colprob.oracle import _atoms
 from _corpus import (
     SCALING_MODELS,
+    child_first_chain,
     lift_and_sum,
     noisy_or,
     random_dag_model,
@@ -541,3 +543,87 @@ def test_first_use_compile_is_thread_safe():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == {k: expected for k in range(8)}
+
+
+# A coin h that drives a signal s, whose outcome "never" has weight 0.
+SIGNAL = parse_model(
+    "experiment h : H=1/3, T=2/3\nexperiment s : lo, hi, never depends h\n"
+    "cpt lo | h=H = 1/4\ncpt hi | h=H = 3/4\ncpt lo | h=T = 3/5\ncpt hi | h=T = 2/5\n"
+    "experiment c0 : H, T\nexperiment c1 : H, T\n"
+)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The conditions that ``_joint_weights`` is called with: None for a
+    space weighed alone."""
+    calls = []
+    real = evaluator._joint_weights
+
+    def counted(joint, condition, model):
+        calls.append(condition)
+        return real(joint, condition, model)
+
+    monkeypatch.setattr(evaluator, "_joint_weights", counted)
+    return calls
+
+
+@pytest.mark.parametrize("text", [
+    "0@x3 pgiven 1@x9",  # backward along the chain
+    "1@x9 pgiven 0@x3",  # forward
+    "(0@x2 | 1@x2) && 1@x7 pgiven 0@x9 | 1@x9",
+    "0@x8 given 0@x8 | 1@x8",
+])
+def test_a_root_conditional_takes_one_elimination(eliminations, text):
+    # Both masses come from one call, which receives the condition's space.
+    # The explanation weighs its subformulas besides, each alone.
+    model = parse_model(child_first_chain(10))
+    f = parse_formula(text)
+    assert prob(f, model) == enumerate_prob(f, model)
+    assert len(eliminations) == 1 and eliminations[0] is not None
+    eliminations.clear()
+    assert prob_explain(f, model)[0] == enumerate_prob(f, model)
+    assert eliminations[0] is not None and all(c is None for c in eliminations[1:])
+
+
+def test_a_rule_decided_condition_keeps_its_rule_path(eliminations):
+    # R4 decides the condition from its complement; the joint is weighed
+    # alone, and the explanation shows R4 under the ratio.
+    f = parse_formula("H@c0 pgiven (H@c0 || H@c1 || lo@s)")
+    assert quiet_prob(f, SIGNAL) == enumerate_prob(f, SIGNAL)
+    assert eliminations and all(condition is None for condition in eliminations)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SharedExperimentWarning)
+        _, why = prob_explain(f, SIGNAL)
+    assert [child.rule for child in why.children] == ["R5", "R4"]
+
+
+def test_an_independent_pgiven_evaluates_its_condition_once(monkeypatch):
+    seen = []
+    real = evaluator._value
+
+    def recorded(f, model, explain):
+        seen.append(format_formula(f))
+        return real(f, model, explain)
+
+    monkeypatch.setattr(evaluator, "_value", recorded)
+    f = parse_formula("H@c0 pgiven (lo@s | hi@s)")
+    assert prob(f, SIGNAL) == Determined(F(1, 2))
+    assert seen.count("lo@s | hi@s") == 1
+
+
+@pytest.mark.parametrize("text", [
+    "never@s given never@s",
+    "(lo@s | never@s) given never@s",
+    "H@h pgiven never@s",
+    "lo@s pgiven (H@h && never@s)",
+])
+def test_a_condition_of_zero_mass_is_a_null_condition(text):
+    f = parse_formula(text)
+    for run in (quiet_prob, lambda f, model: prob_explain(f, model)[0]):
+        with pytest.raises(NullConditionError, match=r"^conditioning on null event: p\("), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", SharedExperimentWarning)
+            run(f, SIGNAL)
+    with pytest.raises(NullConditionError):
+        enumerate_prob(f, SIGNAL)

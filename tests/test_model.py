@@ -24,8 +24,15 @@ from colprob import (
     prob_explain,
     validate_model,
 )
-from colprob.model import parents_first, topological_order
-from _corpus import child_first_chain, noisy_or, random_dag_model, random_model
+from colprob.model import _per_cause, parents_first
+from colprob.oracle import topological_order
+from _corpus import (
+    child_first_chain,
+    noisy_or,
+    noisy_or_model,
+    random_dag_model,
+    random_model,
+)
 
 
 def fair(name, *outcomes):
@@ -346,3 +353,101 @@ def test_queries_leave_the_model_as_built():
     enumerate_prob(f("true@e given true@e"), model)
     mc_estimate(f("a1 pgiven true@e"), model, SampleConfig(300, seed=2))
     assert vars(model).keys() == {"experiments"}
+
+
+# Causes a0..a3 of a noisy-OR: two predicates-like binary causes and two
+# 3-valued ones, with their inhibitors per outcome.
+BINARY = {"true": Fraction(1, 3), "false": Fraction(2, 3)}
+TERNARY = {"0": Fraction(1, 2), "1": Fraction(1, 3), "2": Fraction(1, 6)}
+STOP = {"true": Fraction(1, 4), "false": Fraction(1)}
+STOP3 = {"0": Fraction(1), "1": Fraction(1, 2), "2": Fraction(0)}
+
+
+def per_cause(text):
+    return parse_model(text).decl("e")._scaled[3]
+
+
+def expand(per_cause_form, sizes):
+    """The table that a per-cause form stands for, times its factor:
+    sum over aux of prod_j h_j(a_j, aux) * D(aux, e), row-major."""
+    causes, delta, _ = per_cause_form
+    table = []
+    for row in product(*[range(n) for n in sizes]):
+        for e in (0, 1):
+            total = 0
+            for aux in (0, 1):
+                term = delta[2 * aux + e]
+                for h, v in zip(causes, row):
+                    term *= h[2 * v + aux]
+                total += term
+            table.append(total)
+    return table
+
+
+def test_a_noisy_or_that_factors_and_is_smaller_compiles_per_cause():
+    # Four binary causes: a 32-entry table against 4 * 4 + 4 entries.
+    decl = parse_model(noisy_or(4)).decl("e")
+    table, _, _, form = decl._scaled
+    assert form is not None
+    causes, delta, factor = form
+    assert [len(h) for h in causes] == [4] * 4 and len(delta) == 4
+    assert min(delta) < 0
+    assert expand(form, [2] * 4) == [t * factor for t in table]
+
+
+def test_three_valued_causes_factor_with_two_parents():
+    text = noisy_or_model([TERNARY, TERNARY], [STOP3, STOP3], Fraction(1, 7))
+    decl = parse_model(text).decl("e")
+    table, _, _, form = decl._scaled
+    assert expand(form, [3, 3]) == [t * form[2] for t in table]
+
+
+def test_a_noisy_or_that_factors_but_is_not_smaller_keeps_its_table():
+    # Two binary causes: 8 entries against 2 * 4 + 4.
+    assert per_cause(noisy_or(2)) is None
+
+
+def test_a_perturbed_noisy_or_keeps_its_table():
+    priors, stops = [BINARY] * 5, [STOP] * 5
+    assert per_cause(noisy_or_model(priors, stops, Fraction(1, 20))) is not None
+    moved = noisy_or_model(priors, stops, Fraction(1, 20), (11, Fraction(1, 97)))
+    assert per_cause(moved) is None
+
+
+def test_a_zero_first_row_entry_keeps_the_table():
+    # a0's first outcome ("0") lets the effect through for certain, so the
+    # false column's first entry is 0, and the true column is not rank one.
+    stop = {"0": Fraction(0), "1": Fraction(1, 2), "2": Fraction(1)}
+    text = noisy_or_model([TERNARY, BINARY, BINARY, BINARY], [stop, STOP, STOP, STOP],
+                          Fraction(1, 20))
+    table = parse_model(text).decl("e")._scaled[0]
+    assert table[0] == 0
+    assert per_cause(text) is None
+
+
+def test_an_effect_of_three_outcomes_keeps_its_table():
+    causes = [f"a{i}" for i in range(4)]
+    lines = [f"predicate {c} = 1/3" for c in causes]
+    lines.append(f"experiment e : none, mild, severe depends {', '.join(causes)}")
+    for row in product(("true", "false"), repeat=4):
+        given = ", ".join(f"{c}={o}" for c, o in zip(causes, row))
+        off = Fraction(1, 2) ** row.count("true")
+        lines += [f"cpt none | {given} = {off}", f"cpt mild | {given} = {(1 - off) / 2}",
+                  f"cpt severe | {given} = {(1 - off) / 2}"]
+    assert per_cause("\n".join(lines) + "\n") is None
+
+
+def test_the_cost_rule_reads_only_the_integer_table():
+    # The same rule on a hand-made table: over two parents of three
+    # outcomes, a rank-one first column and rows that sum to the lcm.
+    column = [a * b for a in (3, 2, 1) for b in (3, 1, 0)]
+    table = [t for c in column for t in (c, 16 - c)]
+    causes, delta, factor = _per_cause(table, 16, [3, 3])
+    assert causes == [[9, 9, 6, 9, 3, 9], [9, 9, 3, 9, 0, 9]]
+    assert delta == [9, -9, 0, 16] and factor == 81
+    assert expand((causes, delta, factor), [3, 3]) == [t * 81 for t in table]
+    swapped = [t for c in column for t in (16 - c, c)]  # the second column factors
+    causes, delta, factor = _per_cause(swapped, 16, [3, 3])
+    assert delta == [-9, 9, 16, 0]
+    assert expand((causes, delta, factor), [3, 3]) == [t * 81 for t in swapped]
+    assert _per_cause([1] + table[1:], 16, [3, 3]) is None  # a row off the lcm

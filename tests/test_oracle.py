@@ -31,8 +31,8 @@ from colprob import (
     parse_model,
     prob,
 )
-from colprob.model import topological_order
-from colprob.oracle import _BLOCK
+from colprob import model as model_module
+from colprob.oracle import _BLOCK, topological_order
 from _corpus import (
     child_first_chain,
     noisy_channel,
@@ -396,6 +396,20 @@ class TestBlocks:
         # a list comprehension, before its columns were built by map.
         got = mc_estimate(parse_formula(query), PINNED_MODELS[model], SampleConfig(samples, seed))
         assert (got.estimate, got.stderr) == (estimate, stderr)
+
+    def test_each_decl_compiles_its_sample_rows_once(self, monkeypatch):
+        # The closure of {a1, e} holds three one-row causes and e's eight
+        # rows; a second estimate converts no row again.
+        model = parse_model(noisy_or(3))
+        calls = []
+        real = model_module.accumulate
+        monkeypatch.setattr(model_module, "accumulate",
+                            lambda weights: calls.append(1) or real(weights))
+        f, cfg = parse_formula("a1 pgiven true@e"), SampleConfig(600, seed=4)
+        first = mc_estimate(f, model, cfg)
+        assert len(calls) == 11
+        assert mc_estimate(f, model, cfg) == first == per_sample_mc(f, model, cfg)
+        assert len(calls) == 11
 
     def test_enumeration_over_many_blocks_of_coins(self):
         model = coins(14)

@@ -1,16 +1,20 @@
 """Property tests: both parsers are total, printing round-trips, the
 evaluator and the enumeration oracle give the same answer, verdict or
 error, variable elimination gives each space its lifted sum on
-generated Bayes-net models, and ``denote`` gives the space that a
-point-by-point reading of the definitions gives.
+generated Bayes-net models, ``denote`` gives the space that a
+point-by-point reading of the definitions gives, the explanation's root
+is ``prob``, both forms of the parallel Bayes rule agree, and generated
+noisy-OR models, factored or perturbed, evaluate as the oracle does.
 
 Runs are derandomized and keep no example database, so every run checks
 the same inputs and writes nothing to the checkout (``conftest.py`` moves
 hypothesis's other cache to a temporary directory).
 """
 
+import math
 import warnings
 from contextlib import suppress
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -34,15 +38,26 @@ from colprob import (
     ParOr,
     Point,
     SharedExperimentWarning,
+    bayes_parallel,
     denote,
     enumerate_prob,
     format_formula,
     parse_formula,
     parse_model,
     prob,
+    prob_explain,
     space_prob,
 )
-from _corpus import lift_and_sum, random_dag_model, random_query, random_space
+from _corpus import (
+    draw_cells,
+    lift_and_sum,
+    noisy_or_model,
+    random_dag_model,
+    random_formula,
+    random_model,
+    random_query,
+    random_space,
+)
 
 
 DETERMINISTIC = settings(derandomize=True, database=None, max_examples=200)
@@ -219,3 +234,78 @@ def test_denote_agrees_with_pointwise_reference(f):
 def test_denote_agrees_with_pointwise_reference_on_random_dags(rng):
     model = random_dag_model(rng, max_experiments=6, max_outcomes=4, max_parents=3)
     check_denotation(random_query(rng, model, depth=4), model)
+
+
+def verdict(run):
+    """What ``run`` returns, or the type and message of its ColprobError."""
+    try:
+        return run()
+    except ColprobError as err:
+        return type(err), str(err)
+
+
+@DETERMINISTIC
+@given(SMALL_FORMULAS)
+@example(parse_formula("0@T pgiven 1@R"))
+@example(parse_formula("(0@R & 1@R) given (0@R & 1@R)"))
+def test_explain_root_equals_prob(f):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SharedExperimentWarning)
+        explained = verdict(lambda: prob_explain(f, SMALL_MODEL)[0])
+        assert explained == verdict(lambda: prob(f, SMALL_MODEL))
+
+
+@DETERMINISTIC
+@given(st.randoms(use_true_random=False))
+def test_bayes_parallel_forms_agree_on_random_partitions(rng):
+    # Cells over up to three experiments, overlapping now and then, and
+    # evidence over one experiment or any: the same posteriors, or the
+    # same error, from p(cell && F) as from p(cell) * p(F pgiven cell).
+    model = (random_dag_model(rng) if rng.random() < 0.5 else
+             random_model(rng, max_experiments=3, max_outcomes=4, edge_prob=0.8))
+    cells, _ = draw_cells(rng, model, "parallel")
+    evidence = random_formula(rng, model, 2, rng.choice([None, *sorted(model.experiments)]))
+    joint = verdict(lambda: bayes_parallel(cells, evidence, model, "joint"))
+    assert joint == verdict(lambda: bayes_parallel(cells, evidence, model, "prior-likelihood"))
+
+
+WEIGHTS = [Fraction(k, 6) for k in range(7)]  # 0 and 1 among them
+
+
+@st.composite
+def noisy_or_models(draw):
+    """A noisy-OR of 2 to 5 binary or 3-valued causes with a leak and
+    inhibitors drawn from WEIGHTS, and, half the time, one cpt entry moved
+    between the effect's outcomes so that no column factors. Returns the
+    model and an atom of each cause."""
+    causes = draw(st.integers(2, 5))
+    priors, inhibitors = [], []
+    for _ in range(causes):
+        outcomes = draw(st.sampled_from([("true", "false"), ("0", "1", "2")]))
+        cut = sorted(draw(st.lists(st.sampled_from(WEIGHTS), min_size=len(outcomes) - 1,
+                                   max_size=len(outcomes) - 1)))
+        priors.append({o: b - a for o, a, b in zip(outcomes, [0, *cut], [*cut, 1])})
+        inhibitors.append({o: draw(st.sampled_from(WEIGHTS)) for o in outcomes})
+    leak = draw(st.sampled_from(WEIGHTS))
+    moved = None
+    if draw(st.booleans()):
+        rows = list(product(*priors))
+        k = draw(st.integers(0, len(rows) - 1))
+        off = (1 - leak) * math.prod([inhibitors[i][o] for i, o in enumerate(rows[k])])
+        moved = (k, off / 2 if off else Fraction(-1, 2))
+    model = parse_model(noisy_or_model(priors, inhibitors, leak, moved))
+    atoms = [f"{draw(st.sampled_from(sorted(p)))}@a{i}" for i, p in enumerate(priors)]
+    return model, atoms
+
+
+@DETERMINISTIC
+@given(noisy_or_models(), st.data())
+def test_noisy_or_models_agree_with_enumeration(case, data):
+    model, atoms = case
+    a = data.draw(st.sampled_from(atoms))
+    e = data.draw(st.sampled_from(["true@e", "false@e"]))
+    for text in (e, f"{a} pgiven {e}", f"{e} pgiven {a}", f"{a} && {e}", f"~({a} || {e})"):
+        f = parse_formula(text)
+        expected = answer(lambda: enumerate_prob(f, model))
+        assert answer(lambda: prob(f, model)) == expected, text
+        assert answer(lambda: prob_explain(f, model)[0]) == expected, text

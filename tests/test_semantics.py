@@ -193,6 +193,22 @@ def test_public_construction_checks_every_point(build):
     assert str(info.value) == "point {c=H} does not cover support {c, d}"
 
 
+@pytest.mark.parametrize("support,items,fault", [
+    ({"c"}, (("c", "H"), ("c", "T")), "repeats or misorders an experiment of support {c}"),
+    ({"c", "d"}, (("d", "T"), ("c", "H")), "repeats or misorders an experiment of support {c, d}"),
+    ({"c", "d"}, (("c", "H"), ("c", "T"), ("d", "T")),
+     "repeats or misorders an experiment of support {c, d}"),
+    ({"c"}, (("c", "H"), ("d", "T")), "does not cover support {c}"),
+])
+def test_a_point_that_cannot_occur_is_rejected(support, items, fault):
+    # A repeated or unsorted experiment breaks Point's invariant; such a
+    # point is no outcome of the support, and no space may hold it.
+    point = Point(items)
+    with pytest.raises(ValueError) as info:
+        EventSpace(frozenset(support), frozenset({point}))
+    assert str(info.value) == f"point {point} {fault}"
+
+
 def test_denoted_spaces_pass_the_public_check():
     # The denotation builds its spaces without the per-point check; every
     # one must still pass it.
