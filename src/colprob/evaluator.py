@@ -437,23 +437,19 @@ def _value(f: Formula, model: Model, explain: bool) -> _Step:
         return _complement(f, f.child, model, explain)
     if isinstance(f, ParOr):
         return _complement(f, ParAnd(Not(f.left), Not(f.right)), model, explain)
-    if isinstance(f, ParAnd) and _independent(support(f.left, model), support(f.right, model), model):
+    if not _reads_space(f, model):  # independent R5
         left = _value(f.left, model, explain)
         return _independence(f, left, _value(f.right, model, explain), explain)
     space = _space(f, model)
     return _read(f, space, _space_prob(space, model), model, explain)
 
 
-def _independent(left: frozenset[str], right: frozenset[str], model: Model) -> bool:
-    """Whether two supports have disjoint ancestral closures (R5)."""
-    return not ancestral_closure(model, left) & ancestral_closure(model, right)
-
-
 def _reads_space(f: Formula, model: Model) -> bool:
     """Whether ``_value`` reads p(f) off f's space: f is not decided by R1,
-    R4 or independent R5."""
+    R4 or independent R5 (an ``&&`` whose sides' closures are disjoint)."""
     if isinstance(f, ParAnd):
-        return not _independent(support(f.left, model), support(f.right, model), model)
+        return bool(ancestral_closure(model, support(f.left, model))
+                    & ancestral_closure(model, support(f.right, model)))
     return not isinstance(f, (Not, ParOr))
 
 

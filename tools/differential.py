@@ -308,12 +308,13 @@ def noisy_or_cases(corpus) -> dict[str, tuple[str, int]]:
     factors, a zero leak with inhibitors of 0 and 1, and 3-valued causes."""
     ten = [{"true": Fraction(1, i + 2), "false": 1 - Fraction(1, i + 2)} for i in range(10)]
     stop = [{"true": Fraction(2, i + 3), "false": Fraction(1)} for i in range(10)]
-    three = [{"0": Fraction(1, i + 2), "1": Fraction(1, 3), "2": Fraction(2, 3) - Fraction(1, i + 2)}
-             for i in range(5)]
+    three = [{"0": Fraction(1, i + 2), "1": Fraction(1, 3),
+              "2": Fraction(2, 3) - Fraction(1, i + 2)} for i in range(5)]
     weaken = [{"0": Fraction(1), "1": Fraction(i, 5), "2": Fraction(1, i + 2)} for i in range(5)]
     return {
         "noisy-or10": (corpus.noisy_or(10), 10),
-        "perturbed10": (corpus.noisy_or_model(ten, stop, Fraction(1, 20), (613, Fraction(1, 997))), 10),
+        "perturbed10": (corpus.noisy_or_model(ten, stop, Fraction(1, 20),
+                                              (613, Fraction(1, 997))), 10),
         "zero-leak": (corpus.noisy_or_model(ten[:6], stop[:2] + [{"true": 0, "false": 1},
                       {"true": 1, "false": 1}] + stop[4:6], 0), 6),
         "three-valued": (corpus.noisy_or_model(three, weaken, Fraction(1, 7)), 5),
