@@ -249,7 +249,7 @@ def _weigh(spaces: list[_Space], model: Model) -> list[_Table]:
         distinct.setdefault(axes, {}).update(dict.fromkeys(rows))
     tables = {}
     for axes, rows in distinct.items():
-        weights, scale = _point_weights(axes, rows.keys(), model)
+        weights, _, scale = _point_weights(axes, rows.keys(), model)
         tables[axes] = dict(zip(rows, weights)), scale
     return [tables[axes] for axes, _ in spaces]
 

@@ -31,7 +31,7 @@ root conditional that reads both its joint and its condition off their
 spaces takes one elimination for both: the closure outside the joint's
 support is summed out once, the joint's rows are read off, and the
 joint's axes outside the condition's support are summed out of the same
-factors before the condition's rows are read (``_joint_weights``).
+factors before the condition's rows are read (``_point_weights``).
 ``prob_explain`` runs the same recursion and records each step, showing
 R2, R3 and dependent R5 as their decomposition of the value read off the
 space, or as one "enumeration" leaf when the condition has probability
@@ -108,7 +108,7 @@ def space_prob(space: EventSpace, model: Model) -> Fraction:
 
 def _space_prob(space: _Space, model: Model) -> Fraction:
     """``space_prob`` of a space in the engine's form."""
-    weights, scale = _point_weights(*space, model)
+    weights, _, scale = _point_weights(*space, model)
     return Fraction(sum(weights), scale)
 
 
@@ -124,11 +124,14 @@ _Factor = tuple[tuple[_Axis, ...], list[int]]
 
 
 def _point_weights(
-    axes: tuple[str, ...], rows: Collection[tuple[str, ...]], model: Model
-) -> tuple[Iterator[int], int]:
+    axes: tuple[str, ...], rows: Collection[tuple[str, ...]], model: Model,
+    condition: _Space | None = None,
+) -> tuple[Iterator[int], Iterator[int] | None, int]:
     """The marginal probability of each of ``rows`` (distinct points over
     the sorted support ``axes``, as tuples of outcomes aligned with it), as
-    integers in the order ``rows`` iterates, over one common scale.
+    integers in the order ``rows`` iterates, over one common scale; and,
+    given a ``condition``, the same for its rows (else None), from the
+    same elimination.
 
     Every experiment in the ancestral closure of the support contributes
     its cpt as a factor: the decl's flat integer table, scaled by the lcm
@@ -144,27 +147,15 @@ def _point_weights(
     that cause's own entries. The arithmetic is on integers throughout;
     the scale is the product of the lcms, and of the per-cause forms'
     factors.
+
+    A condition is a space over a subset C of the support that holds
+    every row's projection onto C: a root conditional's condition beside
+    its joint. The cuts then follow the condition's rows on C and keep
+    every outcome on the rest of the support, which the condition's mass
+    sums over. After the rows are read off, the support's axes outside C
+    are summed out of the same factors, and the condition's rows are
+    read off what remains.
     """
-    weights, _, scale = _joint_weights((axes, rows), None, model)
-    return weights, scale
-
-
-def _joint_weights(
-    joint: tuple[tuple[str, ...], Collection[tuple[str, ...]]],
-    condition: tuple[tuple[str, ...], Collection[tuple[str, ...]]] | None,
-    model: Model,
-) -> tuple[Iterator[int], Iterator[int] | None, int]:
-    """``_point_weights`` of the rows of ``joint`` and of ``condition``, a
-    space over a subset C of the joint's support J that holds every joint
-    row's projection onto C, over one scale and from one elimination.
-
-    The closure outside J is summed out once and the joint's rows are read
-    off what remains; then the axes of J outside C are summed out of the
-    same factors, and the condition's rows are read off. The cuts follow
-    the condition's rows on C and keep every outcome on the rest of J,
-    which the condition's mass sums over. With no condition this is
-    ``_point_weights``, and the second iterator is None."""
-    (axes, rows), (c_axes, c_rows) = joint, condition or joint
     if any([model.decl(name).parents for name in axes]):
         closure = parents_first(model, axes)
     else:  # the support is its own closure, parents-first in any order
@@ -192,12 +183,13 @@ def _joint_weights(
             factors.append(((aux, name), delta))
     for aux in auxiliary:  # eliminated after its parents, before its effect
         closure.insert(closure.index(aux[0]), aux)
-    if not c_rows:  # nor, then, has the joint any row
-        return iter(()), condition and iter(()), scale
-    columns = {}  # each joint row's position on each axis that factors keep
+    c_axes, c_rows = condition or (axes, rows)
+    if not c_rows:  # nor, then, has ``rows`` any row
+        return iter(()), None if condition is None else iter(()), scale
+    columns = {}  # each row's position on each axis that factors keep
     if condition is None:  # the rows are their own condition
         c_columns, outcomes, c_outcomes = columns, {}, zip(axes, zip(*rows))
-    else:  # the joint's rows, by axis, and the condition's
+    else:  # the rows, by axis, and the condition's
         c_columns, outcomes = {}, dict(zip(axes, zip(*rows) if rows else repeat(())))
         c_outcomes = zip(c_axes, zip(*c_rows))
     if whole:
@@ -208,7 +200,7 @@ def _joint_weights(
     else:
         # The positions each cut axis keeps: the outcomes the condition's
         # rows use, or the one outcome of an experiment that has no other.
-        # The joint's axes outside C keep every outcome.
+        # The support's axes outside C keep every outcome.
         cuts = {name: [0] for name, n in sizes.items() if n == 1}
         for name, column in c_outcomes:
             used = sorted(set(column), key=positions[name].__getitem__)
@@ -218,7 +210,7 @@ def _joint_weights(
             if len(keep) > 1:
                 local = dict(zip(used, range(len(used))))
                 c_columns[name] = list(map(local.__getitem__, column))
-                if outcomes:
+                if condition is not None:
                     columns[name] = list(map(local.__getitem__, outcomes[name]))
         for name, column in outcomes.items():
             if name not in c_axes and name not in cuts:
@@ -437,7 +429,7 @@ def _value(f: Formula, model: Model, explain: bool) -> _Step:
         return _complement(f, f.child, model, explain)
     if isinstance(f, ParOr):
         return _complement(f, ParAnd(Not(f.left), Not(f.right)), model, explain)
-    if not _reads_space(f, model):  # independent R5
+    if isinstance(f, ParAnd) and not _reads_space(f, model):  # independent R5
         left = _value(f.left, model, explain)
         return _independence(f, left, _value(f.right, model, explain), explain)
     space = _space(f, model)
@@ -510,7 +502,7 @@ def _conditional(
     p(event) times it. Otherwise the joint is read off its space. When the
     condition is read off its space too (no rule decides it) and has
     ancestors outside its support, both masses come from one elimination
-    (``_joint_weights``), and the condition's space is never lifted to the
+    (``_point_weights``), and the condition's space is never lifted to the
     joint's support. A condition that is its own closure is read off its
     own tables, which costs less than summing the joint's other axes out."""
     event = _support(f.event, model, shared)
@@ -534,7 +526,7 @@ def _conditional(
         p_joint = _independence(joint, _value(f.event, model, explain), given, explain)
     elif closure != condition and _reads_space(f.condition, model):
         space, c_space = _space(joint, model), _space(f.condition, model)
-        weights, c_weights, scale = _joint_weights(space, c_space, model)
+        weights, c_weights, scale = _point_weights(*space, model, c_space)
         mass, c_mass = Fraction(sum(weights), scale), Fraction(sum(c_weights), scale)
         given = _nonnull(f, _read(f.condition, c_space, c_mass, model, explain))
         p_joint = _read(joint, space, mass, model, explain, given)

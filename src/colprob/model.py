@@ -132,7 +132,8 @@ def _per_cause(table: list[int], lcm: int, sizes: list[int]) -> _PerCause | None
     entries are fewer than the table's. Every other cpt, one whose column
     is perturbed off rank one among them, keeps its table."""
     n = len(sizes)
-    if n < 2 or len(table) != 2 * math.prod(sizes) or 2 * sum(sizes) + 4 >= len(table):
+    if (n < 2 or len(table) != 2 * math.prod(sizes) or 2 * sum(sizes) + 4 >= len(table)
+            or any(map(lcm.__ne__, map(add, table[0::2], table[1::2])))):
         return None
     strides = [math.prod(sizes[j + 1:]) for j in range(n)]
     for column in (0, 1):
@@ -145,8 +146,7 @@ def _per_cause(table: list[int], lcm: int, sizes: list[int]) -> _PerCause | None
         for cause in causes:  # the outer product, row-major like the table
             product = [p * t for p in product for t in cause]
         power = first ** (n - 1)
-        if ([t * power for t in entries] != product
-                or any(map(lcm.__ne__, map(add, table[0::2], table[1::2])))):
+        if [t * power for t in entries] != product:
             continue
         per_cause = [list(chain.from_iterable(zip(cause, repeat(first)))) for cause in causes]
         other = [0, lcm] if column == 0 else [lcm, 0]

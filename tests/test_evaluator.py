@@ -18,6 +18,7 @@ from colprob import (
     NullConditionError,
     ParAnd,
     ParOr,
+    SampleConfig,
     SharedExperimentWarning,
     Undetermined,
     ancestral_closure,
@@ -26,6 +27,7 @@ from colprob import (
     denote,
     enumerate_prob,
     format_formula,
+    mc_estimate,
     parse_formula,
     parse_model,
     prob,
@@ -516,20 +518,26 @@ def test_integer_scaled_cpts_are_exact(name):
 
 
 def test_first_use_compile_is_thread_safe():
-    # Every thread queries a model nothing has touched yet, so the cpt
-    # tables, the one thing a query keeps, are compiled while the threads
-    # race.
+    # Every thread queries a model nothing has touched yet, so each decl's
+    # compiled forms, the one thing a query keeps (the integer tables, the
+    # noisy-OR's per-cause factors and the Monte Carlo rows), are compiled
+    # while the threads race.
     queries = [parse_formula(q) for i in range(6)
                for q in (f"a{i} pgiven true@e", f"true@e pgiven a{i}")]
-    reference = parse_model(noisy_or(6))
-    expected = [prob(f, reference) for f in queries]
+    sampled = SampleConfig(300, seed=3)
+
+    def answers(model):
+        return ([prob(f, model) for f in queries]
+                + [mc_estimate(f, model, sampled) for f in queries[:2]])
+
+    expected = answers(parse_model(noisy_or(6)))
     model = parse_model(noisy_or(6))
     start = threading.Barrier(8)
     results = {}
 
     def worker(k):
         start.wait(timeout=30)
-        results[k] = [prob(f, model) for f in queries]
+        results[k] = answers(model)
 
     threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
     interval = sys.getswitchinterval()
@@ -555,16 +563,15 @@ SIGNAL = parse_model(
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """The conditions that ``_joint_weights`` is called with: None for a
-    space weighed alone."""
+    """The condition of every elimination: None for a space weighed alone."""
     calls = []
-    real = evaluator._joint_weights
+    real = evaluator._point_weights
 
-    def counted(joint, condition, model):
+    def counted(axes, rows, model, condition=None):
         calls.append(condition)
-        return real(joint, condition, model)
+        return real(axes, rows, model, condition)
 
-    monkeypatch.setattr(evaluator, "_joint_weights", counted)
+    monkeypatch.setattr(evaluator, "_point_weights", counted)
     return calls
 
 
