@@ -206,7 +206,7 @@ def noisy_or_model(priors, inhibitors, leak, moved=None):
     over true and false, is false with probability (1 - leak) times, per
     cause, ``inhibitors[i]`` at its outcome. ``moved``, a pair (row, w),
     moves the weight w from false to true in that row of the cpt (w < 0
-    moves it back), so that the false column no longer factors."""
+    moves it back), which as a rule leaves no column that factors."""
     causes = [f"a{i}" for i in range(len(priors))]
     lines = [f"experiment {c} : " + ", ".join(f"{o}={w}" for o, w in dist.items())
              for c, dist in zip(causes, priors)]

@@ -39,7 +39,6 @@ from colprob.bayes import Partition, posteriors
 from colprob.oracle import _atoms
 from _corpus import (
     SCALING_MODELS,
-    child_first_chain,
     lift_and_sum,
     noisy_or,
     random_dag_model,
@@ -575,6 +574,14 @@ def eliminations(monkeypatch):
     return calls
 
 
+# A binary Markov chain x0 -> ... -> x9 with a different cpt at each step.
+MARKOV10 = parse_model("experiment x0 : 0=1/3, 1=2/3\n" + "".join(
+    f"experiment x{i} : 0, 1 depends x{i - 1}\n"
+    f"cpt 0 | x{i - 1}=0 = {i}/{i + 2}\ncpt 1 | x{i - 1}=0 = 2/{i + 2}\n"
+    f"cpt 0 | x{i - 1}=1 = 1/{i + 3}\ncpt 1 | x{i - 1}=1 = {i + 2}/{i + 3}\n"
+    for i in range(1, 10)))
+
+
 @pytest.mark.parametrize("text", [
     "0@x3 pgiven 1@x9",  # backward along the chain
     "1@x9 pgiven 0@x3",  # forward
@@ -584,12 +591,11 @@ def eliminations(monkeypatch):
 def test_a_root_conditional_takes_one_elimination(eliminations, text):
     # Both masses come from one call, which receives the condition's space.
     # The explanation weighs its subformulas besides, each alone.
-    model = parse_model(child_first_chain(10))
     f = parse_formula(text)
-    assert prob(f, model) == enumerate_prob(f, model)
+    assert prob(f, MARKOV10) == enumerate_prob(f, MARKOV10)
     assert len(eliminations) == 1 and eliminations[0] is not None
     eliminations.clear()
-    assert prob_explain(f, model)[0] == enumerate_prob(f, model)
+    assert prob_explain(f, MARKOV10)[0] == enumerate_prob(f, MARKOV10)
     assert eliminations[0] is not None and all(c is None for c in eliminations[1:])
 
 

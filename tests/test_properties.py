@@ -276,8 +276,8 @@ WEIGHTS = [Fraction(k, 6) for k in range(7)]  # 0 and 1 among them
 def noisy_or_models(draw):
     """A noisy-OR of 2 to 5 binary or 3-valued causes with a leak and
     inhibitors drawn from WEIGHTS, and, half the time, one cpt entry moved
-    between the effect's outcomes so that no column factors. Returns the
-    model and an atom of each cause."""
+    between the effect's outcomes, which as a rule leaves no column that
+    factors. Returns the model and an atom of each cause."""
     causes = draw(st.integers(2, 5))
     priors, inhibitors = [], []
     for _ in range(causes):
