@@ -43,9 +43,11 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNDETERMINED = 2
 
-# The support walks, ``_value`` and ``render_derivation`` recurse on the
-# formula's depth; past Python's recursion limit that is reported as one
-# error line. Parentheses alone build no node and so add no depth.
+# The evaluator's rule recursion (``evaluator._value``) goes one level per
+# ``~`` and per term of a chain over independent experiments; past
+# Python's recursion limit that is reported as one error line. The parser,
+# the support walk, spaces and both derivation printers keep their own
+# stacks, and parentheses alone build no node.
 TOO_DEEP = "formula is nested too deeply"
 
 

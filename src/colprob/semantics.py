@@ -22,8 +22,13 @@ The denotation is structural:
 
 ``support`` decides from the syntax alone whether a formula is determined,
 before any space is built. Conditionals have no denotation; they are
-probability-level constructs and are rejected there. A determined query
-warns once, naming what that walk collects; building a space never warns.
+probability-level constructs and are rejected there. The decision is one
+post-order walk on an explicit stack (``_walk``), so a deep formula costs
+no Python frames. For the evaluator the same walk fills a table, keyed
+by ``id()``, of the support and ancestral closure of each node that
+rules R4 and R5 ask about, with each closure the union of its children's,
+so a query computes each fact once. A determined query warns once,
+naming what that walk collects; building a space never warns.
 
 The engine builds every space in one compact form, ``(axes, rows)``:
 ``axes`` holds the support's experiment names, sorted, and ``rows`` is a
@@ -59,7 +64,7 @@ from .formula import (
     ParAnd,
     ParOr,
 )
-from .model import Model
+from .model import Model, ancestral_closure
 
 
 class SharedExperimentWarning(UserWarning):
@@ -256,48 +261,165 @@ def support(f: Formula, model: Model) -> frozenset[str] | Undetermined:
     embedded conditional is an error, not a verdict. A query's root walk
     also collects the shared experiments that its one warning names.
     """
-    return _support(f, model, None)
+    return _walk(f, model, None, False, False)[0]
 
 
-def _support(f: Formula, model: Model, shared: set[str] | None) -> frozenset[str] | Undetermined:
-    """``support``, adding to ``shared`` (if a set) the non-predicate
-    experiments that the two sides of each ``&&`` and ``||`` share."""
-    if isinstance(f, AtomNode):
-        decl = model.decl(f.experiment)
-        if f.outcome not in decl.outcomes:
+# What one walk learns of each node, by ``id()``: the node itself, which
+# keeps that id from being reused while the table lives, its support and
+# its ancestral closure. A node is never a key: ``hash()`` of a deep
+# formula recurses.
+_Facts = dict[int, tuple[Formula, frozenset[str], frozenset[str]]]
+
+
+def _walk(
+    f: Formula, model: Model, shared: set[str] | None, closures: bool, ruled: bool = True
+) -> tuple[frozenset[str] | Undetermined, _Facts]:
+    """``support``, and a table of facts: each node's support and
+    ancestral closure, for every node with ``closures`` set, else for each
+    ``&&`` and ``||`` outside every choice connective whose sides share no
+    experiment, and each side of one, when ``ruled``: these are the nodes
+    whose closures R4 and R5 ask for, since a choice, and a connective
+    whose sides share an experiment, is read off its space (an atom there
+    whose experiment has no parents is its own closure and gets an entry
+    at once). ``ruled`` is false where no rule evaluates ``f``:
+    ``support``, ``denote``, and the event of a ``given``, whose joint
+    ``&`` is read off its space. Given a set ``shared``, it gains the
+    non-predicate experiments that the two sides of each ``&&`` and ``||``
+    share.
+
+    One post-order walk on an explicit stack, children left to right: a
+    connective goes back on the stack, ready (in a 1-tuple), under its
+    children, and when it comes off again combines their supports from the
+    top of ``done``. A ``~`` has its child's support, so it needs no step
+    of its own unless it gets an entry. A closure is the union of the
+    children's, or of the closures of the experiments of a side without
+    an entry (``_closure_at``), each computed once per walk. The table is
+    complete only when the verdict is a support."""
+    if type(f) is AtomNode and not closures:  # the commonest query, without a stack
+        return _atom(f, model), {}
+    facts: _Facts = {}
+    above: dict[str, frozenset[str]] = {}  # each atom experiment's closure
+    done: list[frozenset[str]] = []  # the supports of the nodes finished, in order
+    inside = 0 if ruled else 1  # the choice connectives above the node at hand
+    stack: list[Formula | tuple[Formula]] = [f]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is AtomNode:
+            decl = model.decl(node.experiment)
+            if node.outcome not in decl.outcomes:
+                _atom(node, model)  # raises the error
+            names = frozenset((node.experiment,))
+            done.append(names)
+            if closures:
+                facts[id(node)] = node, names, _closure_of(names, above, model)
+            elif not (inside or decl.parents):  # its own closure
+                facts[id(node)] = node, names, names
+        elif kind is tuple:
+            node, = node
+            kind = type(node)
+            if kind is Not:  # only when every node gets an entry
+                _, names, closure = facts[id(node.child)]
+                facts[id(node)] = node, names, closure
+                continue
+            right = done.pop()
+            names = done[-1]
+            if kind is ParAnd or kind is ParOr:
+                union = done[-1] = names | right
+                overlap = len(union) < len(names) + len(right)
+                if shared is not None and overlap:
+                    _share(shared, names, right, model)
+                if inside and not closures:
+                    continue
+                entry, r_entry = facts.get(id(node.left)), facts.get(id(node.right))
+                if overlap and not closures and (entry is None or r_entry is None):
+                    continue  # read off its space; a parent takes its support's closure
+                closure = entry[2] if entry else _closure_at(facts, node.left, names, above, model)
+                r_closure = (r_entry[2] if r_entry
+                             else _closure_at(facts, node.right, right, above, model))
+                # the union again when both closures are the supports
+                facts[id(node)] = node, union, (
+                    union if closure is names and r_closure is right else closure | r_closure)
+            elif names != right:
+                op = "choice-and (&)" if kind is ChoiceAnd else "choice-or (|)"
+                return Undetermined(
+                    f"{op} across distinct supports "
+                    f"{format_support(names)} and {format_support(right)}"
+                ), facts
+            else:
+                inside -= 1
+                if closures:  # equal supports have equal closures
+                    facts[id(node)] = node, names, facts[id(node.left)][2]
+        elif kind is Not:
+            if closures:
+                stack += ((node,), node.child)
+            else:
+                stack.append(node.child)
+        elif kind is ParAnd or kind is ParOr:
+            stack += ((node,), node.right, node.left)
+        elif kind is ChoiceAnd or kind is ChoiceOr:
+            inside += 1
+            stack += ((node,), node.right, node.left)
+        elif kind in (GivenAdd, GivenPar):
             raise EvalError(
-                f"unknown outcome '{f.outcome}' of experiment '{f.experiment}'"
+                "conditionals ('given'/'pgiven') are only allowed at the root "
+                "of a query; they have no event space"
             )
-        return frozenset((f.experiment,))
-    if isinstance(f, Not):
-        return _support(f.child, model, shared)
-    if isinstance(f, (ChoiceAnd, ChoiceOr, ParAnd, ParOr)):
-        left = _support(f.left, model, shared)
-        if isinstance(left, Undetermined):
-            return left
-        right = _support(f.right, model, shared)
-        if isinstance(right, Undetermined):
-            return right
-        if shared is not None and isinstance(f, (ParAnd, ParOr)):
-            _share(shared, left, right, model)
-        if isinstance(f, (ParAnd, ParOr)) or left == right:
-            return left | right
-        op = "choice-and (&)" if isinstance(f, ChoiceAnd) else "choice-or (|)"
-        return Undetermined(
-            f"{op} across distinct supports "
-            f"{format_support(left)} and {format_support(right)}"
-        )
-    if isinstance(f, (GivenAdd, GivenPar)):
-        raise EvalError(
-            "conditionals ('given'/'pgiven') are only allowed at the root "
-            "of a query; they have no event space"
-        )
-    raise TypeError(f"not a formula node: {f!r}")
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+    return done[0], facts
+
+
+def _atom(node: AtomNode, model: Model) -> frozenset[str]:
+    """An atom's support; an outcome its experiment lacks is an error."""
+    if node.outcome not in model.decl(node.experiment).outcomes:
+        raise EvalError(f"unknown outcome '{node.outcome}' of experiment '{node.experiment}'")
+    return frozenset((node.experiment,))
+
+
+def _closure_at(
+    facts: _Facts, node: Formula, names: frozenset[str], above: dict[str, frozenset[str]],
+    model: Model,
+) -> frozenset[str]:
+    """The closure of ``node``, of support ``names``, which has no entry in
+    a walk's table: the union of its experiments' closures, entered for it."""
+    if len(names) == 1:
+        closure = _closure_of(names, above, model)
+    else:
+        closure = frozenset().union(
+            *[_closure_of(frozenset((name,)), above, model) for name in names])
+    facts[id(node)] = node, names, closure
+    return closure
+
+
+def _closure_of(
+    names: frozenset[str], above: dict[str, frozenset[str]], model: Model
+) -> frozenset[str]:
+    """The ancestral closure of a support of one experiment, kept in
+    ``above`` by name, so that each is computed once per walk."""
+    (name,) = names
+    closure = above.get(name)
+    if closure is None:
+        closure = above[name] = (ancestral_closure(model, names)
+                                 if model.decl(name).parents else names)
+    return closure
+
+
+def _enter(facts: _Facts, node: Formula, like: Formula) -> Formula:
+    """Add to ``facts`` an entry for ``node``, built during evaluation,
+    with the support and closure of ``like``, which spans what ``node``
+    spans, if ``like`` has one; returns ``node``."""
+    entry = facts.get(id(like))
+    if entry is not None:
+        facts[id(node)] = node, entry[1], entry[2]
+    return node
 
 
 def _share(shared: set[str], left: frozenset[str], right: frozenset[str], model: Model) -> None:
     """Add to ``shared`` the non-predicate experiments in both ``left`` and ``right``."""
-    shared.update(e for e in left & right if not model.decl(e).is_predicate)
+    both = left & right
+    if both:
+        shared.update(e for e in both if not model.decl(e).is_predicate)
 
 
 def _warn_shared(shared: set[str] | None, stacklevel: int) -> None:
@@ -311,7 +433,7 @@ def denote(f: Formula, model: Model) -> Denotation:
     """The event space of ``f`` under ``model``, or the Undetermined verdict
     (or error) that ``support`` gives before any space is built."""
     shared: set[str] = set()
-    verdict = _support(f, model, shared)
+    verdict = _walk(f, model, shared, False, False)[0]
     if isinstance(verdict, Undetermined):
         return verdict
     _warn_shared(shared, stacklevel=2)

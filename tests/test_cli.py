@@ -17,12 +17,23 @@ CHANNEL = str(MODELS / "channel.colp")
 DICE = str(MODELS / "dice.colp")
 
 # Inputs deeper than Python's recursion limit allows the evaluator to go;
-# each must end in one error line, never a traceback.
+# each must end in one error line, never a traceback. R1 recurses once per
+# ``~``, and R4 and R5 once per term of a chain over independent
+# experiments, here the coins that ``deep_model`` adds.
 DEEP = {
     "negations": "~" * 3000 + "H@c",
-    "or-chain": " || ".join(["H@c"] * 2000),
+    "or-chain": " || ".join(f"H@k{i}" for i in range(2000)),
 }
 TOO_DEEP = "error: formula is nested too deeply\n"
+
+
+@pytest.fixture(scope="module")
+def deep_model(tmp_path_factory):
+    """examples.colp and the 2,000 coins k0..k1999 of DEEP's or-chain."""
+    path = tmp_path_factory.mktemp("deep") / "deep.colp"
+    coins = "".join(f"experiment k{i} : H, T\n" for i in range(2000))
+    path.write_text((MODELS / "examples.colp").read_text() + coins)
+    return str(path)
 
 
 def run(capsys, *argv):
@@ -333,17 +344,37 @@ def test_bayes_checks_the_partition_once(capsys, monkeypatch):
 
 class TestDeepInput:
     @pytest.mark.parametrize("query", DEEP.values(), ids=DEEP.keys())
-    def test_eval_reports_one_line(self, capsys, query):
-        assert run(capsys, "eval", "--model", EXAMPLES, "--query", query) == (
+    def test_eval_reports_one_line(self, capsys, deep_model, query):
+        assert run(capsys, "eval", "--model", deep_model, "--query", query) == (
             1, "", TOO_DEEP,
         )
 
     def test_bayes_reports_one_line(self, capsys):
+        # The cells are independent of the evidence, whose probability the
+        # evaluator then takes by R1, once per ``~``.
+        got = run(
+            capsys, "bayes", "--model", EXAMPLES, "--variant", "parallel",
+            "--cell", "H@c1", "--cell", "T@c1", "--evidence", DEEP["negations"],
+        )
+        assert got == (1, "", TOO_DEEP)
+
+    def test_bayes_reads_deep_dependent_evidence_off_its_space(self, capsys):
+        # Evidence that shares the cells' experiment is conjoined with them
+        # as spaces, which are built without recursion.
         got = run(
             capsys, "bayes", "--model", EXAMPLES, "--variant", "parallel",
             "--cell", "H@c", "--cell", "T@c", "--evidence", DEEP["negations"],
         )
-        assert got == (1, "", TOO_DEEP)
+        assert got == (0, "partition: disjoint, exhaustive\nH@c: 1 (≈1)\nT@c: 0 (≈0)\n", "")
+
+    @pytest.mark.parametrize("op", ["||", "&&"])
+    def test_long_chain_over_one_experiment_evaluates(self, capsys, op):
+        # R4 and R5 read a chain whose sides share an experiment off its
+        # space, and the support walk keeps its own stack.
+        query = f" {op} ".join(["alien"] * 5000)
+        assert run(capsys, "eval", "--model", EXAMPLES, "--query", query) == (
+            0, "1/1000 (≈0.001)\n", "",
+        )
 
     def test_deep_parentheses_evaluate(self, capsys):
         # Parentheses build no AST node, and the parser keeps its own stack.
@@ -508,9 +539,9 @@ class TestRepl:
         assert code == 0
         assert out == BAYES_GOLDEN[2][2]
 
-    def test_deep_input_does_not_terminate_the_loop(self, capsys, monkeypatch):
+    def test_deep_input_does_not_terminate_the_loop(self, capsys, monkeypatch, deep_model):
         script = "".join(q + "\n" for q in DEEP.values()) + "4@d | 5@d\n"
-        code, out = self.repl(capsys, monkeypatch, EXAMPLES, script)
+        code, out = self.repl(capsys, monkeypatch, deep_model, script)
         assert code == 0
         assert out == TOO_DEEP * 2 + "1/3 (≈0.3333)\n"
 

@@ -127,6 +127,46 @@ def test_parallel_or_chain_is_linear(text, expected):
     assert value(result) == value(d.result) == expected
 
 
+# Each coin c{i} under its own parent r{i}, so that every closure is a
+# walk up one edge and the closures of distinct coins are disjoint.
+PARENTED = parse_model("".join(
+    f"experiment r{i} : H, T\nexperiment c{i} : H, T depends r{i}\n"
+    f"cpt H | r{i}=H = 1/3\ncpt T | r{i}=H = 2/3\ncpt H | r{i}=T = 2/3\ncpt T | r{i}=T = 1/3\n"
+    for i in range(600)
+))
+PLAIN = parse_model("".join(f"experiment c{i} : H, T\n" for i in range(600)))
+
+
+@pytest.mark.parametrize("model", [PLAIN, PARENTED], ids=["plain", "parented"])
+@pytest.mark.parametrize("op, n, expected", [
+    ("&&", 600, F(1, 2**600)),
+    ("||", 150, 1 - F(1, 2**150)),
+])
+def test_a_chain_takes_one_walk_and_one_closure_per_experiment(monkeypatch, model, op, n,
+                                                               expected):
+    walks, closures = [], []
+    real_walk, real_closure = evaluator._walk, semantics.ancestral_closure
+
+    def walk(f, *args):
+        walks.append(f)
+        return real_walk(f, *args)
+
+    def closure(model, names):
+        closures.append(names)
+        return real_closure(model, names)
+
+    monkeypatch.setattr(evaluator, "_walk", walk)
+    monkeypatch.setattr(semantics, "ancestral_closure", closure)
+    f = parse_formula(f" {op} ".join(f"H@c{i}" for i in range(n)))
+    assert prob(f, model) == Determined(expected)
+    assert len(walks) == 1 and walks[0] is f
+    # A coin without parents is its own closure; each parented coin's is
+    # computed once, for its one atom.
+    assert sorted(closures, key=sorted) == (
+        sorted([frozenset([f"c{i}"]) for i in range(n)], key=sorted)
+        if model is PARENTED else [])
+
+
 class TestCondAdditive:
     def test_two_dice_posterior(self, examples_model):
         e = parse_formula("6@d1 && 5@d2 | 6@d2 && 5@d1")
@@ -615,9 +655,9 @@ def test_an_independent_pgiven_evaluates_its_condition_once(monkeypatch):
     seen = []
     real = evaluator._value
 
-    def recorded(f, model, explain):
+    def recorded(f, facts, model, explain):
         seen.append(format_formula(f))
-        return real(f, model, explain)
+        return real(f, facts, model, explain)
 
     monkeypatch.setattr(evaluator, "_value", recorded)
     f = parse_formula("H@c0 pgiven (lo@s | hi@s)")
@@ -640,3 +680,18 @@ def test_a_condition_of_zero_mass_is_a_null_condition(text):
             run(f, SIGNAL)
     with pytest.raises(NullConditionError):
         enumerate_prob(f, SIGNAL)
+
+
+def test_render_derivation_keeps_its_own_stack():
+    # A hand-built chain 5,000 levels deep: one line per level, each two
+    # spaces in from the one above it.
+    depth = 5000
+    d = evaluator.Derivation("cpt", "H@c", Determined(F(1, 2)))
+    for k in range(1, depth + 1):
+        text = "~" * k + "H@c"
+        d = evaluator.Derivation("R1", text, Determined(F(1, 2)), (d,), f"1 - p({text[1:]})")
+    lines = evaluator.render_derivation(d).split("\n")
+    assert len(lines) == depth + 1
+    assert lines[0] == f"[R1] p({'~' * depth}H@c) = 1/2   (1 - p({'~' * (depth - 1)}H@c))"
+    assert lines[-1] == "  " * depth + "[cpt] p(H@c) = 1/2"
+    assert all(line.startswith("  " * k + "[") for k, line in enumerate(lines))

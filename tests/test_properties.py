@@ -3,8 +3,10 @@ evaluator and the enumeration oracle give the same answer, verdict or
 error, variable elimination gives each space its lifted sum on
 generated Bayes-net models, ``denote`` gives the space that a
 point-by-point reading of the definitions gives, the explanation's root
-is ``prob``, both forms of the parallel Bayes rule agree, and generated
-noisy-OR models, factored or perturbed, evaluate as the oracle does.
+is ``prob``, both forms of the parallel Bayes rule agree, generated
+noisy-OR models, factored or perturbed, evaluate as the oracle does, and
+the support walk's table gives each node the support and ancestral
+closure that a recursion over the formula gives.
 
 Runs are derandomized and keep no example database, so every run checks
 the same inputs and writes nothing to the checkout (``conftest.py`` moves
@@ -24,6 +26,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from colprob import semantics
 from colprob import (
     AtomNode,
     ChoiceAnd,
@@ -309,3 +312,75 @@ def test_noisy_or_models_agree_with_enumeration(case, data):
         expected = answer(lambda: enumerate_prob(f, model))
         assert answer(lambda: prob(f, model)) == expected, text
         assert answer(lambda: prob_explain(f, model)[0]) == expected, text
+
+
+def reference_facts(f, model):
+    """(node, support, closure, whether a choice connective is above it) of
+    every node of ``f``, in post-order, by a recursion that shares no code
+    with the walk: each closure follows the parents of the node's
+    experiments up to the roots."""
+    out = []
+
+    def closure(names):
+        found, frontier = set(), list(names)
+        while frontier:
+            name = frontier.pop()
+            if name not in found:
+                found.add(name)
+                frontier += model.experiments[name].parents
+        return frozenset(found)
+
+    def visit(g, inside):
+        if isinstance(g, AtomNode):
+            names = frozenset([g.experiment])
+        elif isinstance(g, Not):
+            names = visit(g.child, inside)
+        else:
+            below = inside or isinstance(g, (ChoiceAnd, ChoiceOr))
+            names = visit(g.left, below) | visit(g.right, below)
+        out.append((g, names, closure(names), inside))
+        return names
+
+    visit(f, False)
+    return out
+
+
+def check_walk(f, model):
+    """On a determined formula (each side of a root conditional), the
+    walk's table holds every node's support and closure; without
+    ``closures``, each side of an ``&&`` or ``||`` outside every choice
+    connective whose sides share no experiment at least, and nothing
+    wrong."""
+    for side in (f.event, f.condition) if isinstance(f, (GivenAdd, GivenPar)) else (f,):
+        try:
+            verdict, full = semantics._walk(side, model, None, True)
+        except ColprobError:
+            return
+        if not isinstance(verdict, frozenset):
+            continue
+        _, lean = semantics._walk(side, model, None, False)
+        expected = reference_facts(side, model)
+        supports = {id(g): names for g, names, *_ in expected}
+        assert verdict == expected[-1][1]
+        assert len(full) == len({id(g) for g, *_ in expected})
+        for g, names, closure, inside in expected:
+            assert full[id(g)] == (g, names, closure) and full[id(g)][0] is g
+            assert lean.get(id(g), full[id(g)]) == full[id(g)]
+            if isinstance(g, (ParAnd, ParOr)) and not inside and not (
+                    supports[id(g.left)] & supports[id(g.right)]):
+                assert id(g.left) in lean and id(g.right) in lean
+
+
+@DETERMINISTIC
+@given(SMALL_FORMULAS)
+@example(parse_formula("(0@R | 1@R) && ~(0@T || 0@R) && p"))
+@example(parse_formula("~~(H@c & T@c) || 1@R pgiven (0@T && ~(0@R | 1@R))"))
+def test_walk_facts_agree_with_recursive_reference(f):
+    check_walk(f, SMALL_MODEL)
+
+
+@DETERMINISTIC
+@given(st.randoms(use_true_random=False))
+def test_walk_facts_agree_with_recursive_reference_on_random_dags(rng):
+    model = random_dag_model(rng, max_experiments=6, max_outcomes=4, max_parents=3)
+    check_walk(random_query(rng, model, depth=5), model)

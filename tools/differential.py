@@ -31,6 +31,11 @@ cpt is perturbed so that it does not factor, one with a zero leak and
 inhibitors of 0 and 1, one with 3-valued causes), on both conditionals
 of a chain and on conditions of zero mass, and Monte Carlo on the
 10-cause noisy-OR at sample counts around the oracle's blocks;
+values and explanations of ``&&`` chains of 200 and 600 terms and ``||``
+chains of 12, 40 and 190 over distinct coins, at the default recursion
+limit, the verdict or error of chains where an undetermined choice meets
+an unknown atom or an embedded conditional on either side, and the
+experiments that the shared-experiment warnings name on 50-term chains;
 random and fixed Bayes partitions under both
 variants and both parallel forms, and a Bayes section: the k-bit noisy
 channel at k = 3..7, overlapping partitions (zero-weight overlaps among
@@ -369,6 +374,78 @@ def noisy_or_rows(cp, corpus, emit) -> None:
             cfg = cp.SampleConfig(samples, seed=rng.randrange(2**64))
             emit("noisy-or-mc", f"{query} n={samples}",
                  attempt(lambda: cp.mc_estimate(f, model, cfg)))
+
+
+CHAIN_MODEL = "".join(
+    [f"experiment c{i} : H, T\n" for i in range(600)]
+    + ["predicate alien = 1/1000\n", "experiment y : 0, 1 depends c1\n"
+       "cpt 0 | c1=H = 1/3\ncpt 1 | c1=H = 2/3\ncpt 0 | c1=T = 3/4\ncpt 1 | c1=T = 1/4\n"]
+)
+
+
+def chain(op: str, terms) -> str:
+    return f" {op} ".join(terms)
+
+
+def coins(n: int, start: int = 0) -> list[str]:
+    return [f"H@c{i}" for i in range(start, start + n)]
+
+
+CHOICE = "(H@c0 | H@c1)"  # undetermined: a choice across two supports
+CHAIN_VALUES = {f"{op} n={n}": chain(op, coins(n))
+                for op, n in (("&&", 200), ("&&", 600), ("||", 12), ("||", 40), ("||", 190))}
+CHAIN_ORDER = {  # what a walk meets first decides: a verdict, or an error left of it
+    "unknown experiment right": chain("&&", coins(20) + [CHOICE, "X@zzz"]),
+    "unknown outcome right": chain("||", coins(20) + [CHOICE, "bogus@c2"]),
+    "conditional right": chain("&&", coins(20) + [CHOICE, "(H@c2 given H@c3)"]),
+    "conditional right, nested":
+        chain("||", coins(5) + [f"~~({CHOICE} && ~(H@c4 pgiven H@c5))"]),
+    "unknown outcome left": chain("&&", ["bogus@c5"] + coins(20) + [CHOICE]),
+    "unknown outcome in the chain":
+        chain("&&", coins(10) + ["bogus@c5"] + coins(10, 10) + [CHOICE]),
+    "unknown experiment left": chain("||", ["X@zzz", CHOICE]),
+    "event undetermined": f"{CHOICE} pgiven X@zzz",
+    "event unknown": f"X@zzz pgiven {CHOICE}",
+    "condition undetermined": f"H@c9 pgiven ({chain('&&', coins(20) + [CHOICE, 'X@zzz'])})",
+    "undetermined event, unknown condition": f"({CHOICE} | {CHOICE}) given bogus@c0",
+}
+CHAIN_SHARED = {  # 50 terms; no space built spans more than 8 coins
+    "&& repeats": chain("&&", [f"H@c{i % 20}" for i in range(50)]),
+    "|| repeats": chain("||", [f"T@c{i % 6}" for i in range(50)]),
+    "&& one repeat": chain("&&", coins(49) + ["T@c7"]),
+    "predicate and child": chain("&&", ["alien", "0@y"] + coins(46, 2) + ["alien", "1@y"]),
+    "|| under &&": chain("&&", coins(43) + [f"({chain('||', coins(7, 40))})"]),
+    "pgiven": f"({chain('&&', coins(25))}) pgiven ({chain('&&', coins(25, 24))})",
+}
+
+
+def chain_rows(cp, emit) -> None:
+    """Values of long ``&&`` and ``||`` chains over distinct coins at the
+    default recursion limit (``CHAIN_VALUES``); the verdict or error of
+    chains where an undetermined choice and an unknown atom or an
+    embedded conditional compete (``CHAIN_ORDER``); and the experiments
+    that the shared-experiment warnings name on 50-term chains
+    (``CHAIN_SHARED``)."""
+    model = cp.parse_model(CHAIN_MODEL)
+    for key, text in CHAIN_VALUES.items():
+        f = cp.parse_formula(text)
+        emit("chains", key, attempt(lambda: cp.prob(f, model)))
+        emit("chains-explain", key, attempt(
+            lambda: cp.render_derivation(cp.prob_explain(f, model)[1])))
+    for key, text in CHAIN_ORDER.items():
+        f = cp.parse_formula(text)
+        emit("chains", key, attempt(lambda: cp.prob(f, model)))
+        emit("chains-explain", key, attempt(
+            lambda: cp.render_derivation(cp.prob_explain(f, model)[1])))
+        if not has_conditional(text):
+            emit("chains-denote", key, attempt(lambda: denoted(cp, f, model)))
+    for key, text in CHAIN_SHARED.items():
+        f = cp.parse_formula(text)
+        for name, run in (("prob", cp.prob), ("explain", cp.prob_explain),
+                          ("denote", cp.denote)):
+            if name != "denote" or not has_conditional(text):
+                emit("chains-warnings", f"{key} {name}",
+                     str(shared_named(cp, lambda: run(f, model))))
 
 
 def random_graph(rng, cp, cyclic: bool):
@@ -809,6 +886,7 @@ def main(argv: list[str]) -> int:
         block_rows(cp, corpus, emit)
         space_prob_rows(cp, corpus, emit)
         noisy_or_rows(cp, corpus, emit)
+        chain_rows(cp, emit)
         model_graph_rows(cp, emit)
         partition_rows(cp, corpus, emit)
         bayes_rows(cp, corpus, emit)
