@@ -33,7 +33,8 @@ of a chain and on conditions of zero mass, and Monte Carlo on the
 10-cause noisy-OR at sample counts around the oracle's blocks;
 values and explanations of ``&&`` chains of 200 and 600 terms and ``||``
 chains of 12, 40 and 190 over distinct coins, at the default recursion
-limit, the verdict or error of chains where an undetermined choice meets
+limit, and of ``||`` over a Markov chain's prefixes and beside a child
+of a coin, the verdict or error of chains where an undetermined choice meets
 an unknown atom or an embedded conditional on either side, and the
 experiments that the shared-experiment warnings name on 50-term chains;
 random and fixed Bayes partitions under both
@@ -379,7 +380,11 @@ def noisy_or_rows(cp, corpus, emit) -> None:
 CHAIN_MODEL = "".join(
     [f"experiment c{i} : H, T\n" for i in range(600)]
     + ["predicate alien = 1/1000\n", "experiment y : 0, 1 depends c1\n"
-       "cpt 0 | c1=H = 1/3\ncpt 1 | c1=H = 2/3\ncpt 0 | c1=T = 3/4\ncpt 1 | c1=T = 1/4\n"]
+       "cpt 0 | c1=H = 1/3\ncpt 1 | c1=H = 2/3\ncpt 0 | c1=T = 3/4\ncpt 1 | c1=T = 1/4\n",
+       "experiment x0 : 0=1/3, 1=2/3\n"]
+    + [f"experiment x{i} : 0, 1 depends x{i - 1}\ncpt 0 | x{i - 1}=0 = 3/4\n"
+       f"cpt 1 | x{i - 1}=0 = 1/4\ncpt 0 | x{i - 1}=1 = 2/5\ncpt 1 | x{i - 1}=1 = 3/5\n"
+       for i in range(1, 8)]
 )
 
 
@@ -409,6 +414,17 @@ CHAIN_ORDER = {  # what a walk meets first decides: a verdict, or an error left 
     "condition undetermined": f"H@c9 pgiven ({chain('&&', coins(20) + [CHOICE, 'X@zzz'])})",
     "undetermined event, unknown condition": f"({CHOICE} | {CHOICE}) given bogus@c0",
 }
+MARKOV = [f"0@x{i}" for i in range(8)]
+CHAIN_PARENTED = {  # ``||`` whose sides' closures are parented: x0 -> ... -> x7, and c1 -> y
+    "|| markov n=4": chain("||", MARKOV[:4]),
+    "|| markov n=8": chain("||", MARKOV),
+    "|| markov, certain right": "0@x2 || (0@x5 | 1@x5)",
+    "|| disjoint closures, certain right": "0@y || (0@x3 | 1@x3)",
+    "|| disjoint closures": chain("||", ["0@y", "1@x7", "H@c5"]),
+    "|| markov under &&": f"({chain('||', MARKOV[:3])}) && 0@y",
+    "|| markov, negated": f"~({chain('||', MARKOV[2:6])})",
+    "|| markov as a condition": f"0@x4 pgiven ({chain('||', MARKOV[1:3])})",
+}
 CHAIN_SHARED = {  # 50 terms; no space built spans more than 8 coins
     "&& repeats": chain("&&", [f"H@c{i % 20}" for i in range(50)]),
     "|| repeats": chain("||", [f"T@c{i % 6}" for i in range(50)]),
@@ -421,13 +437,15 @@ CHAIN_SHARED = {  # 50 terms; no space built spans more than 8 coins
 
 def chain_rows(cp, emit) -> None:
     """Values of long ``&&`` and ``||`` chains over distinct coins at the
-    default recursion limit (``CHAIN_VALUES``); the verdict or error of
+    default recursion limit (``CHAIN_VALUES``); values and explanations
+    of ``||`` over parented closures, dependent and not
+    (``CHAIN_PARENTED``); the verdict or error of
     chains where an undetermined choice and an unknown atom or an
     embedded conditional compete (``CHAIN_ORDER``); and the experiments
     that the shared-experiment warnings name on 50-term chains
     (``CHAIN_SHARED``)."""
     model = cp.parse_model(CHAIN_MODEL)
-    for key, text in CHAIN_VALUES.items():
+    for key, text in {**CHAIN_VALUES, **CHAIN_PARENTED}.items():
         f = cp.parse_formula(text)
         emit("chains", key, attempt(lambda: cp.prob(f, model)))
         emit("chains-explain", key, attempt(
