@@ -44,10 +44,10 @@ EXIT_ERROR = 1
 EXIT_UNDETERMINED = 2
 
 # The evaluator's rule recursion (``evaluator._value``) goes one level per
-# ``~`` and per term of a chain over independent experiments; past
-# Python's recursion limit that is reported as one error line. The parser,
-# the support walk, spaces and both derivation printers keep their own
-# stacks, and parentheses alone build no node.
+# ``~`` and per term of a chain over independent experiments, ``&&`` or
+# ``||``; past Python's recursion limit that is reported as one error line.
+# The parser, the support walks, spaces, an undetermined verdict's
+# derivation and the printers keep their own stacks; parentheses build no node.
 TOO_DEEP = "formula is nested too deeply"
 
 

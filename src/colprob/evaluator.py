@@ -12,11 +12,16 @@ One recursion (``_value``) applies the rewrite rules top-down:
 The verdict is decided once per root (once per side of a conditional) by
 one walk of the formula on an explicit stack (``semantics._walk``); below
 it the recursion meets only determined formulas. The walk also hands the
-recursion a table of each node's support and ancestral closure, so R5's
-independence test, and R4's through ``~E && ~F``, look facts up instead
-of walking subtrees again: a chain of n terms costs O(n) rule steps, not
-O(n^2). R1, R4 and independent R5 (disjoint ancestral closures)
-compute a node from its children; every other node's value is read off
+recursion a table of the support and ancestral closure of each side of
+an ``&&`` or ``||`` whose sides share no experiment, so the independence
+test of R4 and R5 looks facts up instead of walking subtrees again: a
+chain of n terms costs O(n) rule steps, not O(n^2). R1 computes a node
+from its child, and R4 and R5 an ``||`` or ``&&`` whose sides have
+disjoint ancestral closures from its sides: R5 takes their product, and
+R4, R5 on the complements, one minus the product of their complements'
+(the nodes of ``~E && ~F`` are built only for the explanation). A
+dependent ``||`` is one minus the mass of the space of ``~E && ~F``.
+Every other node's value is read off
 its own event space, in the engine's form (``semantics._space``: sorted
 axes and a set of outcome rows; no ``Point`` is built), by
 ``_space_prob``: variable elimination sums the ancestors outside the
@@ -68,7 +73,6 @@ from .semantics import (
     EventSpace,
     Undetermined,
     _encode,
-    _enter,
     _Facts,
     _share,
     _Space,
@@ -427,41 +431,60 @@ def _evaluate(f: Formula, model: Model, explain: bool, shared: set[str] | None) 
 
 
 def _undetermined(f: Formula, verdict: Undetermined) -> Derivation:
-    """The verdict as one R1 node per leading ``~`` over a leaf."""
-    children = (_undetermined(f.child, verdict),) if isinstance(f, Not) else ()
-    return Derivation(_RULE[type(f)], format_formula(f), verdict, children)
+    """The verdict as one R1 node per leading ``~`` over a leaf, built from
+    the leaf up, so a deep formula costs no Python frames."""
+    nots = []
+    while isinstance(f, Not):
+        nots.append(f)
+        f = f.child
+    d = Derivation(_RULE[type(f)], format_formula(f), verdict)
+    for f in reversed(nots):
+        d = Derivation("R1", format_formula(f), verdict, (d,))
+    return d
 
 
 def _value(f: Formula, facts: _Facts, model: Model, explain: bool) -> _Step:
     """p(f) for a formula the walk has found determined; ``facts`` is that
-    walk's table, which gains entries for the nodes that R4 and the
-    explanation of R2 build."""
+    walk's table."""
     if isinstance(f, Not):
-        return _complement(f, f.child, facts, model, explain)
-    if isinstance(f, ParOr):
-        inner = ParAnd(_enter(facts, Not(f.left), f.left), _enter(facts, Not(f.right), f.right))
-        return _complement(f, _enter(facts, inner, f), facts, model, explain)
-    if isinstance(f, ParAnd) and not _reads_space(f, facts):  # independent R5
+        return _complement(f, _value(f.child, facts, model, explain), explain)
+    if isinstance(f, (ParAnd, ParOr)) and _independent(f, facts):
         left = _value(f.left, facts, model, explain)
         return _independence(f, left, _value(f.right, facts, model, explain), explain)
+    if isinstance(f, ParOr):  # R4: one minus the mass of the space of ~E && ~F
+        both = ParAnd(Not(f.left), Not(f.right))
+        space = _space(both, model)
+        step = _read(both, space, _space_prob(space, model), facts, model, explain)
+        return _complement(f, step, explain)
     space = _space(f, model)
     return _read(f, space, _space_prob(space, model), facts, model, explain)
 
 
+def _independent(f: ParAnd | ParOr, facts: _Facts) -> bool:
+    """Whether the sides of ``f`` have disjoint closures; the walk enters
+    no closures for sides that share an experiment."""
+    left, right = facts.get(id(f.left)), facts.get(id(f.right))
+    return left is not None and right is not None and not left[2] & right[2]
+
+
 def _reads_space(f: Formula, facts: _Facts) -> bool:
     """Whether ``_value`` reads p(f) off f's space: f is not decided by R1,
-    R4 or independent R5 (an ``&&`` whose sides' closures are disjoint;
-    the walk enters no closures for sides that share an experiment)."""
+    R4 or independent R5."""
+    return not (isinstance(f, (Not, ParOr)) or isinstance(f, ParAnd) and _independent(f, facts))
+
+
+def _independence(f: ParAnd | ParOr, left: _Step, right: _Step, explain: bool) -> _Step:
+    """R5 under independence: the product of the two sides' steps; R4 under
+    it: one minus the product of their complements', whose nodes only the
+    explanation builds."""
     if isinstance(f, ParAnd):
-        left, right = facts.get(id(f.left)), facts.get(id(f.right))
-        return left is None or right is None or bool(left[2] & right[2])
-    return not isinstance(f, (Not, ParOr))
-
-
-def _independence(f: ParAnd, left: _Step, right: _Step, explain: bool) -> _Step:
-    """R5 under independence: the product of the two sides' steps."""
-    return _node(explain, f, Determined(left[0].value * right[0].value),
-                 (left[1], right[1]), "independence: p(E) * p(F)")
+        return _node(explain, f, Determined(left[0].value * right[0].value),
+                     (left[1], right[1]), "independence: p(E) * p(F)")
+    if not explain:
+        return Determined(1 - (1 - left[0].value) * (1 - right[0].value)), None
+    both = ParAnd(Not(f.left), Not(f.right))
+    left, right = _complement(both.left, left, True), _complement(both.right, right, True)
+    return _complement(f, _independence(both, left, right, True), True)
 
 
 def _read(
@@ -474,8 +497,8 @@ def _read(
     if not explain or isinstance(f, AtomNode):
         return _node(explain, f, result)
     if isinstance(f, ChoiceOr):
-        both = _enter(facts, ChoiceAnd(f.left, f.right), f.left)
-        children = tuple(_value(g, facts, model, True)[1] for g in (f.left, f.right, both))
+        terms = f.left, f.right, ChoiceAnd(f.left, f.right)
+        children = tuple(_value(g, facts, model, True)[1] for g in terms)
         return _node(True, f, result, children, "p(E) + p(F) - p(E & F)")
     # R3, or R5 without independence: p(F) times a conditional read off the
     # spaces, unless p(F) = 0 leaves the space as the only justification.
@@ -485,7 +508,7 @@ def _read(
         return result, Derivation(
             "enumeration", format_formula(f), result,
             note=f"{len(rows)} point(s) over {format_support(axes)}, "
-                 f"summed over {format_support(facts[id(f)][2])}",
+                 f"summed over {format_support(ancestral_closure(model, axes))}",
         )
     given = (GivenAdd if isinstance(f, ChoiceAnd) else GivenPar)(f.left, f.right)
     ratio = Derivation(
@@ -498,13 +521,11 @@ def _read(
     return _node(True, f, result, (condition_why, ratio), f"p(F) * p(E {word} F)")
 
 
-def _complement(
-    f: Not | ParOr, inner: Formula, facts: _Facts, model: Model, explain: bool
-) -> _Step:
-    """R1 and R4: one minus the probability of ``inner``."""
-    result, why = _value(inner, facts, model, explain)
-    note = f"1 - p({why.formula})" if explain else ""
-    return _node(explain, f, Determined(1 - result.value), (why,), note)
+def _complement(f: Not | ParOr, step: _Step, explain: bool) -> _Step:
+    """R1 and R4: one minus the probability of ``step``, which is that of
+    f's child or of ~E && ~F."""
+    note = f"1 - p({step[1].formula})" if explain else ""
+    return _node(explain, f, Determined(1 - step[0].value), (step[1],), note)
 
 
 def _conditional(

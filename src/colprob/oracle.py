@@ -79,49 +79,40 @@ def _fmt(support: frozenset[str]) -> str:
     return "{" + ", ".join(sorted(support)) + "}"
 
 
-def _support(f: Formula, model: Model) -> frozenset[str]:
+def _support(f: Formula, model: Model, atoms: set[AtomNode]) -> frozenset[str]:
     """Syntactic support, replicating the undeterminedness conditions:
     choice connectives demand equal supports on both sides. Atoms are
     checked against ``model`` left to right, so an unknown atom is an
-    error only when no undetermined connective comes before it."""
-    if isinstance(f, AtomNode):
-        if f.outcome not in model.decl(f.experiment).outcomes:
-            raise EvalError(
-                f"unknown outcome '{f.outcome}' of experiment '{f.experiment}'"
-            )
-        return frozenset((f.experiment,))
-    if isinstance(f, Not):
-        return _support(f.child, model)
-    if isinstance(f, (ChoiceAnd, ChoiceOr)):
-        left, right = _support(f.left, model), _support(f.right, model)
-        if left != right:
-            op = "choice-and (&)" if isinstance(f, ChoiceAnd) else "choice-or (|)"
-            raise _SupportMismatch(
-                f"{op} spans distinct supports {_fmt(left)} vs {_fmt(right)}"
-            )
-        return left
-    if isinstance(f, (ParAnd, ParOr)):
-        return _support(f.left, model) | _support(f.right, model)
-    raise EvalError("conditionals are only allowed at the root of a query")
-
-
-def _atoms(f: Formula) -> set[AtomNode]:
-    """The atoms ``f`` mentions."""
-    atoms = set()
-    stack = [f]
+    error only when no undetermined connective comes before it; ``atoms``
+    gains each atom met. One post-order walk on an explicit stack: a
+    connective goes back on the stack, ready (in a 1-tuple), under its
+    children, and combines their supports from the top of ``done``."""
+    done: list[frozenset[str]] = []
+    stack: list[Formula | tuple[Formula]] = [f]
     while stack:
         node = stack.pop()
         if isinstance(node, AtomNode):
+            if node.outcome not in model.decl(node.experiment).outcomes:
+                raise EvalError(
+                    f"unknown outcome '{node.outcome}' of experiment '{node.experiment}'"
+                )
             atoms.add(node)
+            done.append(frozenset((node.experiment,)))
         elif isinstance(node, Not):
             stack.append(node.child)
         elif isinstance(node, (ChoiceAnd, ChoiceOr, ParAnd, ParOr)):
-            stack += (node.right, node.left)
-        elif isinstance(node, (GivenAdd, GivenPar)):
-            stack += (node.condition, node.event)
+            stack += ((node,), node.right, node.left)
+        elif isinstance(node, tuple):
+            right, left = done.pop(), done.pop()
+            if left != right and isinstance(node[0], (ChoiceAnd, ChoiceOr)):
+                op = "choice-and (&)" if isinstance(node[0], ChoiceAnd) else "choice-or (|)"
+                raise _SupportMismatch(
+                    f"{op} spans distinct supports {_fmt(left)} vs {_fmt(right)}"
+                )
+            done.append(left | right)
         else:
-            raise TypeError(f"not a formula node: {node!r}")
-    return atoms
+            raise EvalError("conditionals are only allowed at the root of a query")
+    return done[0]
 
 
 def topological_order(model: Model, names: Iterable[str]) -> list[str]:
@@ -151,9 +142,10 @@ def _prepare(f: Formula, model: Model):
     with its column, outcome index and outcome count, and the
     conditional-free event and condition (None unless ``f`` is a root
     conditional)."""
+    atoms: set[AtomNode] = set()
     if isinstance(f, (GivenAdd, GivenPar)):
-        event_support = _support(f.event, model)
-        condition_support = _support(f.condition, model)
+        event_support = _support(f.event, model, atoms)
+        condition_support = _support(f.condition, model, atoms)
         if isinstance(f, GivenAdd) and event_support != condition_support:
             spans = f"{_fmt(event_support)} vs {_fmt(condition_support)}"
             raise _SupportMismatch(
@@ -162,9 +154,8 @@ def _prepare(f: Formula, model: Model):
             )
         event, condition = f.event, f.condition
     else:
-        _support(f, model)
+        _support(f, model, atoms)
         event, condition = f, None
-    atoms = _atoms(f)
     closure = ancestral_closure(model, {atom.experiment for atom in atoms})
     order = topological_order(model, closure)
     column = {name: j for j, name in enumerate(order)}

@@ -274,33 +274,36 @@ _Facts = dict[int, tuple[Formula, frozenset[str], frozenset[str]]]
 def _walk(
     f: Formula, model: Model, shared: set[str] | None, closures: bool, ruled: bool = True
 ) -> tuple[frozenset[str] | Undetermined, _Facts]:
-    """``support``, and a table of facts: each node's support and
-    ancestral closure, for every node with ``closures`` set, else for each
-    ``&&`` and ``||`` outside every choice connective whose sides share no
-    experiment, and each side of one, when ``ruled``: these are the nodes
-    whose closures R4 and R5 ask for, since a choice, and a connective
-    whose sides share an experiment, is read off its space (an atom there
-    whose experiment has no parents is its own closure and gets an entry
-    at once). ``ruled`` is false where no rule evaluates ``f``:
-    ``support``, ``denote``, and the event of a ``given``, whose joint
-    ``&`` is read off its space. Given a set ``shared``, it gains the
-    non-predicate experiments that the two sides of each ``&&`` and ``||``
-    share.
+    """``support``, and a table of facts: the support and ancestral closure
+    of each ``&&`` and ``||`` outside every choice connective whose sides
+    share no experiment, and of each side of one, when ``ruled``: these
+    are the nodes whose closures R4 and R5 ask for, since a choice, and a
+    connective whose sides share an experiment, is read off its space (an
+    atom there whose experiment has no parents is its own closure and gets
+    an entry at once). With ``closures`` set, the explanation's mode, the
+    same holds under choice connectives too, whose sides it evaluates.
+    ``ruled`` is false where no rule evaluates ``f``: ``support``,
+    ``denote``, and the event of a ``given``, whose joint ``&`` is read
+    off its space. Given a set ``shared``, it gains the non-predicate
+    experiments that the two sides of each ``&&`` and ``||`` share.
 
     One post-order walk on an explicit stack, children left to right: a
     connective goes back on the stack, ready (in a 1-tuple), under its
     children, and when it comes off again combines their supports from the
     top of ``done``. A ``~`` has its child's support, so it needs no step
-    of its own unless it gets an entry. A closure is the union of the
-    children's, or of the closures of the experiments of a side without
-    an entry (``_closure_at``), each computed once per walk. The table is
-    complete only when the verdict is a support."""
-    if type(f) is AtomNode and not closures:  # the commonest query, without a stack
+    of its own. A closure is the union of the children's, or of the
+    closures of the experiments of a side without an entry
+    (``_closure_at``), each computed once per walk. The table is complete
+    only when the verdict is a support."""
+    if type(f) is AtomNode:  # the commonest query, without a stack
         return _atom(f, model), {}
     facts: _Facts = {}
     above: dict[str, frozenset[str]] = {}  # each atom experiment's closure
     done: list[frozenset[str]] = []  # the supports of the nodes finished, in order
-    inside = 0 if ruled else 1  # the choice connectives above the node at hand
+    # Nonzero where the walk makes no entry: under a choice connective
+    # without ``closures``, everywhere when not ``ruled``.
+    inside = 0 if ruled else 1
+    nested = 0 if closures else 1  # what each choice connective above adds
     stack: list[Formula | tuple[Formula]] = [f]
     while stack:
         node = stack.pop()
@@ -311,17 +314,11 @@ def _walk(
                 _atom(node, model)  # raises the error
             names = frozenset((node.experiment,))
             done.append(names)
-            if closures:
-                facts[id(node)] = node, names, _closure_of(names, above, model)
-            elif not (inside or decl.parents):  # its own closure
+            if not (inside or decl.parents):  # its own closure
                 facts[id(node)] = node, names, names
         elif kind is tuple:
             node, = node
             kind = type(node)
-            if kind is Not:  # only when every node gets an entry
-                _, names, closure = facts[id(node.child)]
-                facts[id(node)] = node, names, closure
-                continue
             right = done.pop()
             names = done[-1]
             if kind is ParAnd or kind is ParOr:
@@ -329,10 +326,10 @@ def _walk(
                 overlap = len(union) < len(names) + len(right)
                 if shared is not None and overlap:
                     _share(shared, names, right, model)
-                if inside and not closures:
+                if inside:
                     continue
                 entry, r_entry = facts.get(id(node.left)), facts.get(id(node.right))
-                if overlap and not closures and (entry is None or r_entry is None):
+                if overlap and (entry is None or r_entry is None):
                     continue  # read off its space; a parent takes its support's closure
                 closure = entry[2] if entry else _closure_at(facts, node.left, names, above, model)
                 r_closure = (r_entry[2] if r_entry
@@ -347,18 +344,13 @@ def _walk(
                     f"{format_support(names)} and {format_support(right)}"
                 ), facts
             else:
-                inside -= 1
-                if closures:  # equal supports have equal closures
-                    facts[id(node)] = node, names, facts[id(node.left)][2]
+                inside -= nested
         elif kind is Not:
-            if closures:
-                stack += ((node,), node.child)
-            else:
-                stack.append(node.child)
+            stack.append(node.child)
         elif kind is ParAnd or kind is ParOr:
             stack += ((node,), node.right, node.left)
         elif kind is ChoiceAnd or kind is ChoiceOr:
-            inside += 1
+            inside += nested
             stack += ((node,), node.right, node.left)
         elif kind in (GivenAdd, GivenPar):
             raise EvalError(
@@ -403,16 +395,6 @@ def _closure_of(
         closure = above[name] = (ancestral_closure(model, names)
                                  if model.decl(name).parents else names)
     return closure
-
-
-def _enter(facts: _Facts, node: Formula, like: Formula) -> Formula:
-    """Add to ``facts`` an entry for ``node``, built during evaluation,
-    with the support and closure of ``like``, which spans what ``node``
-    spans, if ``like`` has one; returns ``node``."""
-    entry = facts.get(id(like))
-    if entry is not None:
-        facts[id(node)] = node, entry[1], entry[2]
-    return node
 
 
 def _share(shared: set[str], left: frozenset[str], right: frozenset[str], model: Model) -> None:

@@ -376,6 +376,36 @@ class TestDeepInput:
             0, "1/1000 (≈0.001)\n", "",
         )
 
+    def test_long_or_chain_over_distinct_coins_evaluates(self, deep_model):
+        # R4 on independent sides takes one frame per term, as R5 does; run
+        # as the command, at Python's default recursion limit.
+        n = 900
+        query = " || ".join(f"H@k{i}" for i in range(n))
+        done = subprocess.run(
+            [sys.executable, "-m", "colprob", "eval", "--model", deep_model, "--query", query],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == f"{2 ** n - 1}/{2 ** n} (≈1)\n"
+
+    @pytest.mark.parametrize("flag", ["--explain", "--oracle"])
+    def test_deep_undetermined_query_keeps_its_verdict(self, capsys, flag):
+        # The explanation's R1 nodes and the oracle's support check are
+        # built without recursion, so both report the verdict.
+        query = "~" * 3000 + "(H@c | H@c1)"
+        code, out, err = run(capsys, "eval", "--model", EXAMPLES, "--query", query, flag)
+        reason = "choice-or (|) across distinct supports {c} and {c1}"
+        assert (code, err) == (2, "")
+        lines = out.splitlines()
+        assert lines[0] == f"undetermined: {reason}"
+        if flag == "--explain":
+            assert len(lines) == 3002
+            assert lines[1] == f"[R1] p({query}) = undetermined ({reason})"
+            assert lines[-1] == "  " * 3000 + f"[R2] p(H@c | H@c1) = undetermined ({reason})"
+        else:
+            assert lines[1:] == ["oracle: undetermined (agree)"]
+
     def test_deep_parentheses_evaluate(self, capsys):
         # Parentheses build no AST node, and the parser keeps its own stack.
         query = "(" * 10_000 + "H@c" + ")" * 10_000

@@ -36,7 +36,7 @@ from colprob import (
 )
 from colprob import evaluator, semantics
 from colprob.bayes import Partition, posteriors
-from colprob.oracle import _atoms
+from colprob.oracle import _prepare
 from _corpus import (
     SCALING_MODELS,
     lift_and_sum,
@@ -158,13 +158,16 @@ def test_a_chain_takes_one_walk_and_one_closure_per_experiment(monkeypatch, mode
     monkeypatch.setattr(evaluator, "_walk", walk)
     monkeypatch.setattr(semantics, "ancestral_closure", closure)
     f = parse_formula(f" {op} ".join(f"H@c{i}" for i in range(n)))
-    assert prob(f, model) == Determined(expected)
-    assert len(walks) == 1 and walks[0] is f
-    # A coin without parents is its own closure; each parented coin's is
-    # computed once, for its one atom.
-    assert sorted(closures, key=sorted) == (
-        sorted([frozenset([f"c{i}"]) for i in range(n)], key=sorted)
-        if model is PARENTED else [])
+    for run in (prob, lambda f, model: prob_explain(f, model)[0]):
+        walks.clear()
+        closures.clear()
+        assert run(f, model) == Determined(expected)
+        assert len(walks) == 1 and walks[0] is f
+        # A coin without parents is its own closure; each parented coin's
+        # is computed once, for its one atom.
+        assert sorted(closures, key=sorted) == (
+            sorted([frozenset([f"c{i}"]) for i in range(n)], key=sorted)
+            if model is PARENTED else [])
 
 
 class TestCondAdditive:
@@ -433,7 +436,7 @@ def test_prob_matches_oracle_on_multi_parent_models():
                 assert type(ev) is type(orc), (f, ev, orc)
                 if isinstance(ev, Determined):
                     assert ev == orc, f
-                    names = {atom.experiment for atom in _atoms(f)}
+                    names = {atom.experiment for atom, *_ in _prepare(f, model)[1]}
                     eliminated += ancestral_closure(model, names) != names
                 checked += 1
     assert checked == 800 and eliminated > 150

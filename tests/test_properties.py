@@ -346,11 +346,15 @@ def reference_facts(f, model):
 
 
 def check_walk(f, model):
-    """On a determined formula (each side of a root conditional), the
-    walk's table holds every node's support and closure; without
-    ``closures``, each side of an ``&&`` or ``||`` outside every choice
-    connective whose sides share no experiment at least, and nothing
-    wrong."""
+    """On a determined formula (each side of a root conditional), every
+    entry of the walk's table, with ``closures`` (the explanation's table)
+    or without (the lean one), is the node's own support and closure.
+    Every side of an ``&&`` or ``||`` whose sides share no experiment has
+    an entry: outside every choice connective in the lean table,
+    everywhere in the explanation's. An entry is for such a connective, a
+    side of one, or an atom whose experiment has no parents, never for a
+    node only because it is a ``~``, a choice or a parented atom; and the
+    lean table is the explanation's outside every choice connective."""
     for side in (f.event, f.condition) if isinstance(f, (GivenAdd, GivenPar)) else (f,):
         try:
             verdict, full = semantics._walk(side, model, None, True)
@@ -360,15 +364,24 @@ def check_walk(f, model):
             continue
         _, lean = semantics._walk(side, model, None, False)
         expected = reference_facts(side, model)
-        supports = {id(g): names for g, names, *_ in expected}
+        reference = {id(g): (g, names, closure) for g, names, closure, _ in expected}
         assert verdict == expected[-1][1]
-        assert len(full) == len({id(g) for g, *_ in expected})
-        for g, names, closure, inside in expected:
-            assert full[id(g)] == (g, names, closure) and full[id(g)][0] is g
-            assert lean.get(id(g), full[id(g)]) == full[id(g)]
-            if isinstance(g, (ParAnd, ParOr)) and not inside and not (
-                    supports[id(g.left)] & supports[id(g.right)]):
-                assert id(g.left) in lean and id(g.right) in lean
+        for table in (full, lean):
+            for key, entry in table.items():
+                assert entry == reference[key] and entry[0] is reference[key][0]
+        sides = set()
+        for g, _, _, inside in expected:
+            if isinstance(g, (ParAnd, ParOr)):
+                sides |= {id(g.left), id(g.right)}
+                if not reference[id(g.left)][1] & reference[id(g.right)][1]:
+                    assert id(g.left) in full and id(g.right) in full
+                    if not inside:
+                        assert id(g.left) in lean and id(g.right) in lean
+        outside = {id(g) for g, _, _, inside in expected if not inside}
+        assert lean == {key: entry for key, entry in full.items() if key in outside}
+        for key, (g, _, _) in full.items():
+            assert key in sides or isinstance(g, (ParAnd, ParOr)) or (
+                isinstance(g, AtomNode) and not model.decl(g.experiment).parents)
 
 
 @DETERMINISTIC
