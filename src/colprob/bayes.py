@@ -17,10 +17,14 @@ variable elimination per distinct support (``evaluator._point_weights``),
 which weighs every point of the spaces over that support at once. A
 partition check weighs its cells, and over different supports their
 pairwise joints, in one such pass; the joint weights of the cells and
-the evidence take one more per support they lie over. The
-prior-likelihood form keeps its own prob call per cell, as a second
-computation to check the joint form against. The formulas built here are
-engine plumbing, not user queries: this module's ``prob`` never warns.
+the evidence take one more per support they lie over. Each cell and the
+evidence are walked once (``semantics._walk``), which decides the
+verdict and gives the ancestral closure that R5's independence test
+reads, and p(evidence), when R5 needs it, is evaluated on that walk's
+facts. The prior-likelihood form keeps its own prob call per cell, as a
+second computation to check the joint form against. The formulas built
+here are engine plumbing, not user queries: this module's ``prob`` never
+warns.
 
 Picking the wrong variant is a reported error, never a silent zero: for a
 transmitted/received pair the additive rule is rejected with a support
@@ -34,10 +38,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import PartitionError
-from .evaluator import ProbResult, _evaluate, _point_weights
+from .evaluator import ProbResult, _evaluate, _point_weights, _value
 from .formula import Formula, GivenPar, format_formula
-from .model import ZERO, Model, ancestral_closure
-from .semantics import Undetermined, _conj, _Space, _space, format_support, support
+from .model import ZERO, Model
+from .semantics import Undetermined, _conj, _Space, _space, _walk, format_support
 
 ADDITIVE = "additive"
 PARALLEL = "parallel"
@@ -79,8 +83,8 @@ def check_partition(p: Partition, model: Model, variant: str) -> PartitionReport
     return _check(p, model, variant)[0]
 
 
-# What a partition check knows of each cell: its support, event space (in
-# the engine's form) and probability.
+# What a partition check knows of each cell: its ancestral closure, event
+# space (in the engine's form) and probability.
 _Cells = list[tuple[frozenset[str], _Space, Fraction]]
 
 
@@ -88,14 +92,15 @@ def _check(p: Partition, model: Model, variant: str) -> tuple[PartitionReport, _
     """``check_partition``'s report, and what it learned of each cell."""
     if variant not in (ADDITIVE, PARALLEL):
         raise ValueError(f"unknown variant {variant!r}")
-    supports = []
+    supports, closures = [], []
     for i, cell in enumerate(p.cells, start=1):
-        verdict = support(cell, model)  # raises on a conditional cell
+        verdict, closure, _ = _walk(cell, model, None)  # raises on a conditional cell
         if isinstance(verdict, Undetermined):
             raise PartitionError(
                 f"cell {i} ({format_formula(cell)}) is undetermined: {verdict.reason}"
             )
         supports.append(verdict)
+        closures.append(closure)
     first = supports[0]
     mismatch = next((i for i, s in enumerate(supports, start=1) if s != first), None)
     if variant == ADDITIVE and mismatch is not None:
@@ -131,7 +136,7 @@ def _check(p: Partition, model: Model, variant: str) -> tuple[PartitionReport, _
         total=total,
         support=first if variant == ADDITIVE else None,
     )
-    return report, list(zip(supports, spaces, masses))
+    return report, list(zip(closures, spaces, masses))
 
 
 def posteriors(
@@ -150,7 +155,7 @@ def posteriors(
     report, cells = _check(p, model, variant)
     if not report.ok:
         raise PartitionError("partition cells overlap", report.violations)
-    ev = support(evidence, model)
+    ev, ev_closure, independent = _walk(evidence, model, None)
     if variant == ADDITIVE:
         if isinstance(ev, Undetermined):
             raise PartitionError(f"evidence is undetermined: {ev.reason}")
@@ -162,17 +167,13 @@ def posteriors(
             )
     elif isinstance(ev, Undetermined):
         raise PartitionError(f"undetermined weight: {ev.reason}")
-    ev_closure = ancestral_closure(model, ev)
-    closures: dict[frozenset[str], frozenset[str]] = {}
     p_evidence = ev_space = None
     weights: list[Fraction] = []
     joints: dict[int, _Space] = {}  # by cell index, weighed together below
-    for i, (cell_support, space, mass) in enumerate(cells):
-        if cell_support not in closures:
-            closures[cell_support] = ancestral_closure(model, cell_support)
-        if variant == PARALLEL and not closures[cell_support] & ev_closure:
+    for i, (closure, space, mass) in enumerate(cells):
+        if variant == PARALLEL and closure.isdisjoint(ev_closure):
             if p_evidence is None:
-                p_evidence = prob(evidence, model).value
+                p_evidence = _value(evidence, independent, model, False)[0].value
             weights.append(mass * p_evidence)
             continue
         if ev_space is None:

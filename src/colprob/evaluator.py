@@ -12,10 +12,11 @@ One recursion (``_value``) applies the rewrite rules top-down:
 The verdict is decided once per root (once per side of a conditional) by
 one walk of the formula on an explicit stack (``semantics._walk``); below
 it the recursion meets only determined formulas. The walk also hands the
-recursion a table of the support and ancestral closure of each side of
-an ``&&`` or ``||`` whose sides share no experiment, so the independence
-test of R4 and R5 looks facts up instead of walking subtrees again: a
-chain of n terms costs O(n) rule steps, not O(n^2). R1 computes a node
+recursion the set of the ``&&`` and ``||`` whose sides have disjoint
+ancestral closures, so the independence test of R4 and R5 is one lookup
+instead of a walk of the subtrees: a chain of n terms costs O(n) rule
+steps, not O(n^2), and a root conditional takes its sides' closures
+from their walks. R1 computes a node
 from its child, and R4 and R5 an ``||`` or ``&&`` whose sides have
 disjoint ancestral closures from its sides: R5 takes their product, and
 R4, R5 on the complements, one minus the product of their complements'
@@ -73,7 +74,6 @@ from .semantics import (
     EventSpace,
     Undetermined,
     _encode,
-    _Facts,
     _share,
     _Space,
     _space,
@@ -422,10 +422,10 @@ def _evaluate(f: Formula, model: Model, explain: bool, shared: set[str] | None) 
     if isinstance(f, (GivenAdd, GivenPar)):
         return _conditional(f, model, explain, shared)
     # raises on unknown atoms and nested conditionals
-    verdict, facts = _walk(f, model, shared, explain)
+    verdict, _, independent = _walk(f, model, shared)
     if isinstance(verdict, Undetermined):
         return verdict, _undetermined(f, verdict) if explain else None
-    step = _value(f, facts, model, explain)
+    step = _value(f, independent, model, explain)
     _warn_shared(shared, stacklevel=3)
     return step
 
@@ -443,34 +443,28 @@ def _undetermined(f: Formula, verdict: Undetermined) -> Derivation:
     return d
 
 
-def _value(f: Formula, facts: _Facts, model: Model, explain: bool) -> _Step:
-    """p(f) for a formula the walk has found determined; ``facts`` is that
-    walk's table."""
+def _value(f: Formula, independent: set[int], model: Model, explain: bool) -> _Step:
+    """p(f) for a formula the walk has found determined; ``independent``
+    is that walk's set of the ``&&`` and ``||`` whose sides have disjoint
+    closures."""
     if isinstance(f, Not):
-        return _complement(f, _value(f.child, facts, model, explain), explain)
-    if isinstance(f, (ParAnd, ParOr)) and _independent(f, facts):
-        left = _value(f.left, facts, model, explain)
-        return _independence(f, left, _value(f.right, facts, model, explain), explain)
+        return _complement(f, _value(f.child, independent, model, explain), explain)
+    if id(f) in independent:
+        left = _value(f.left, independent, model, explain)
+        return _independence(f, left, _value(f.right, independent, model, explain), explain)
     if isinstance(f, ParOr):  # R4: one minus the mass of the space of ~E && ~F
         both = ParAnd(Not(f.left), Not(f.right))
         space = _space(both, model)
-        step = _read(both, space, _space_prob(space, model), facts, model, explain)
+        step = _read(both, space, _space_prob(space, model), independent, model, explain)
         return _complement(f, step, explain)
     space = _space(f, model)
-    return _read(f, space, _space_prob(space, model), facts, model, explain)
+    return _read(f, space, _space_prob(space, model), independent, model, explain)
 
 
-def _independent(f: ParAnd | ParOr, facts: _Facts) -> bool:
-    """Whether the sides of ``f`` have disjoint closures; the walk enters
-    no closures for sides that share an experiment."""
-    left, right = facts.get(id(f.left)), facts.get(id(f.right))
-    return left is not None and right is not None and not left[2] & right[2]
-
-
-def _reads_space(f: Formula, facts: _Facts) -> bool:
+def _reads_space(f: Formula, independent: set[int]) -> bool:
     """Whether ``_value`` reads p(f) off f's space: f is not decided by R1,
     R4 or independent R5."""
-    return not (isinstance(f, (Not, ParOr)) or isinstance(f, ParAnd) and _independent(f, facts))
+    return not (isinstance(f, (Not, ParOr)) or id(f) in independent)
 
 
 def _independence(f: ParAnd | ParOr, left: _Step, right: _Step, explain: bool) -> _Step:
@@ -488,8 +482,8 @@ def _independence(f: ParAnd | ParOr, left: _Step, right: _Step, explain: bool) -
 
 
 def _read(
-    f: Formula, space: _Space, mass: Fraction, facts: _Facts, model: Model, explain: bool,
-    condition: _Step | None = None,
+    f: Formula, space: _Space, mass: Fraction, independent: set[int], model: Model,
+    explain: bool, condition: _Step | None = None,
 ) -> _Step:
     """p(f) = ``mass``, read off f's ``space``. ``condition``, when given,
     is the step of f's right side, which a root conditional has taken."""
@@ -498,11 +492,11 @@ def _read(
         return _node(explain, f, result)
     if isinstance(f, ChoiceOr):
         terms = f.left, f.right, ChoiceAnd(f.left, f.right)
-        children = tuple(_value(g, facts, model, True)[1] for g in terms)
+        children = tuple(_value(g, independent, model, True)[1] for g in terms)
         return _node(True, f, result, children, "p(E) + p(F) - p(E & F)")
     # R3, or R5 without independence: p(F) times a conditional read off the
     # spaces, unless p(F) = 0 leaves the space as the only justification.
-    p_condition, condition_why = condition or _value(f.right, facts, model, True)
+    p_condition, condition_why = condition or _value(f.right, independent, model, True)
     if p_condition.value == 0:
         axes, rows = space
         return result, Derivation(
@@ -541,10 +535,10 @@ def _conditional(
     (``_point_weights``), and the condition's space is never lifted to the
     joint's support. A condition that is its own closure is read off its
     own tables, which costs less than summing the joint's other axes out."""
-    event, facts = _walk(f.event, model, shared, explain, isinstance(f, GivenPar))
+    event, e_closure, independent = _walk(f.event, model, shared)
     if isinstance(event, Undetermined):
         return _node(explain, f, event)
-    condition, c_facts = _walk(f.condition, model, shared, explain)
+    condition, closure, c_independent = _walk(f.condition, model, shared)
     if isinstance(condition, Undetermined):
         return _node(explain, f, condition)
     if isinstance(f, GivenAdd) and event != condition:
@@ -554,34 +548,29 @@ def _conditional(
         ))
     if shared is not None and isinstance(f, GivenPar):
         _share(shared, event, condition, model)
-    facts.update(c_facts)
+    independent |= c_independent
     joint = (ChoiceAnd if isinstance(f, GivenAdd) else ParAnd)(f.event, f.condition)
-    closure = _closure(facts, f.condition, condition, model)
-    if isinstance(joint, ParAnd) and not _closure(facts, f.event, event, model) & closure:
-        given = _nonnull(f, _value(f.condition, facts, model, explain), shared)
-        p_joint = _independence(joint, _value(f.event, facts, model, explain), given, explain)
-    elif closure != condition and _reads_space(f.condition, facts):
+    if isinstance(joint, ParAnd) and e_closure.isdisjoint(closure):
+        given = _nonnull(f, _value(f.condition, independent, model, explain), shared)
+        p_joint = _independence(
+            joint, _value(f.event, independent, model, explain), given, explain)
+    elif closure != condition and _reads_space(f.condition, independent):
         space, c_space = _space(joint, model), _space(f.condition, model)
         weights, c_weights, scale = _point_weights(*space, model, c_space)
         mass, c_mass = Fraction(sum(weights), scale), Fraction(sum(c_weights), scale)
-        given = _nonnull(f, _read(f.condition, c_space, c_mass, facts, model, explain), shared)
-        p_joint = _read(joint, space, mass, facts, model, explain, given)
+        given = _nonnull(
+            f, _read(f.condition, c_space, c_mass, independent, model, explain), shared)
+        p_joint = _read(joint, space, mass, independent, model, explain, given)
     else:
-        given = _nonnull(f, _value(f.condition, facts, model, explain), shared)
+        given = _nonnull(f, _value(f.condition, independent, model, explain), shared)
         space = _space(joint, model)
-        p_joint = _read(joint, space, _space_prob(space, model), facts, model, explain, given)
+        p_joint = _read(
+            joint, space, _space_prob(space, model), independent, model, explain, given)
     _warn_shared(shared, stacklevel=4)
     return _node(
         explain, f, Determined(p_joint[0].value / given[0].value),
         (p_joint[1], given[1]), "ratio of the joint to the condition",
     )
-
-
-def _closure(facts: _Facts, f: Formula, names: frozenset[str], model: Model) -> frozenset[str]:
-    """The ancestral closure of a side of a root conditional, of support
-    ``names``: its entry's, where its walk made one."""
-    entry = facts.get(id(f))
-    return ancestral_closure(model, names) if entry is None else entry[2]
 
 
 def _nonnull(f: GivenAdd | GivenPar, step: _Step, shared: set[str] | None) -> _Step:

@@ -39,7 +39,7 @@ from .formula import (
     ParOr,
 )
 from .model import Model, ancestral_closure, parents_first
-from .semantics import Undetermined
+from .semantics import Undetermined, format_support
 
 STATE_SPACE_BOUND = 10_000_000
 _BLOCK = 256  # rows per block: what either oracle holds in memory at once
@@ -75,10 +75,6 @@ class _SupportMismatch(Exception):
         super().__init__(reason)
 
 
-def _fmt(support: frozenset[str]) -> str:
-    return "{" + ", ".join(sorted(support)) + "}"
-
-
 def _support(f: Formula, model: Model, atoms: set[AtomNode]) -> frozenset[str]:
     """Syntactic support, replicating the undeterminedness conditions:
     choice connectives demand equal supports on both sides. Atoms are
@@ -106,9 +102,8 @@ def _support(f: Formula, model: Model, atoms: set[AtomNode]) -> frozenset[str]:
             right, left = done.pop(), done.pop()
             if left != right and isinstance(node[0], (ChoiceAnd, ChoiceOr)):
                 op = "choice-and (&)" if isinstance(node[0], ChoiceAnd) else "choice-or (|)"
-                raise _SupportMismatch(
-                    f"{op} spans distinct supports {_fmt(left)} vs {_fmt(right)}"
-                )
+                raise _SupportMismatch(f"{op} spans distinct supports "
+                                       f"{format_support(left)} vs {format_support(right)}")
             done.append(left | right)
         else:
             raise EvalError("conditionals are only allowed at the root of a query")
@@ -147,7 +142,7 @@ def _prepare(f: Formula, model: Model):
         event_support = _support(f.event, model, atoms)
         condition_support = _support(f.condition, model, atoms)
         if isinstance(f, GivenAdd) and event_support != condition_support:
-            spans = f"{_fmt(event_support)} vs {_fmt(condition_support)}"
+            spans = f"{format_support(event_support)} vs {format_support(condition_support)}"
             raise _SupportMismatch(
                 f"additive conditional (given) spans distinct supports {spans}",
                 f"additive conditional spans {spans}",
@@ -241,8 +236,13 @@ def enumerate_prob(f: Formula, model: Model):
     sizes = [len(model.outcomes(n)) for n in order]
     size = math.prod(sizes)
     if size > STATE_SPACE_BOUND:
+        try:
+            count = str(size)
+        except ValueError:  # more digits than Python converts to text
+            power = int(math.log10(size))  # corrected below if the float rounded up
+            count = f"more than 10^{power - (10 ** power >= size)}"
         raise OracleError(
-            f"state-space bound exceeded: {size} joint assignments "
+            f"state-space bound exceeded: {count} joint assignments "
             f"(limit {STATE_SPACE_BOUND})"
         )
     factors = []

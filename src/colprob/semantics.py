@@ -24,11 +24,12 @@ The denotation is structural:
 before any space is built. Conditionals have no denotation; they are
 probability-level constructs and are rejected there. The decision is one
 post-order walk on an explicit stack (``_walk``), so a deep formula costs
-no Python frames. For the evaluator the same walk fills a table, keyed
-by ``id()``, of the support and ancestral closure of each node that
-rules R4 and R5 ask about, with each closure the union of its children's,
-so a query computes each fact once. A determined query warns once,
-naming what that walk collects; building a space never warns.
+no Python frames. For the evaluator and Bayes the same walk gives the
+root's ancestral closure, each node's the union of its children's, and
+the set of ``&&`` and ``||`` whose sides have disjoint closures, the one
+fact rules R4 and R5 ask of a node, so a query computes each fact once.
+A determined query warns once, naming what that walk collects; building
+a space never warns.
 
 The engine builds every space in one compact form, ``(axes, rows)``:
 ``axes`` holds the support's experiment names, sorted, and ``rows`` is a
@@ -261,49 +262,37 @@ def support(f: Formula, model: Model) -> frozenset[str] | Undetermined:
     embedded conditional is an error, not a verdict. A query's root walk
     also collects the shared experiments that its one warning names.
     """
-    return _walk(f, model, None, False, False)[0]
-
-
-# What one walk learns of each node, by ``id()``: the node itself, which
-# keeps that id from being reused while the table lives, its support and
-# its ancestral closure. A node is never a key: ``hash()`` of a deep
-# formula recurses.
-_Facts = dict[int, tuple[Formula, frozenset[str], frozenset[str]]]
+    return _walk(f, model, None)[0]
 
 
 def _walk(
-    f: Formula, model: Model, shared: set[str] | None, closures: bool, ruled: bool = True
-) -> tuple[frozenset[str] | Undetermined, _Facts]:
-    """``support``, and a table of facts: the support and ancestral closure
-    of each ``&&`` and ``||`` outside every choice connective whose sides
-    share no experiment, and of each side of one, when ``ruled``: these
-    are the nodes whose closures R4 and R5 ask for, since a choice, and a
-    connective whose sides share an experiment, is read off its space (an
-    atom there whose experiment has no parents is its own closure and gets
-    an entry at once). With ``closures`` set, the explanation's mode, the
-    same holds under choice connectives too, whose sides it evaluates.
-    ``ruled`` is false where no rule evaluates ``f``: ``support``,
-    ``denote``, and the event of a ``given``, whose joint ``&`` is read
-    off its space. Given a set ``shared``, it gains the non-predicate
-    experiments that the two sides of each ``&&`` and ``||`` share.
+    f: Formula, model: Model, shared: set[str] | None
+) -> tuple[frozenset[str] | Undetermined, frozenset[str] | None, set[int]]:
+    """``support``, the ancestral closure of ``f``, and the ``id()`` of
+    each ``&&`` and ``||`` in ``f`` whose sides have disjoint closures:
+    the one fact R4 and R5 ask of a node. The ids are of nodes of ``f``,
+    which the caller holds for as long as it reads the set, so no other
+    node can take one of them. Given a set ``shared``, it gains the
+    non-predicate experiments that the two sides of each ``&&`` and ``||``
+    share. The closure and the set are complete only when the verdict is
+    a support; else the closure is None.
 
     One post-order walk on an explicit stack, children left to right: a
     connective goes back on the stack, ready (in a 1-tuple), under its
-    children, and when it comes off again combines their supports from the
-    top of ``done``. A ``~`` has its child's support, so it needs no step
-    of its own. A closure is the union of the children's, or of the
-    closures of the experiments of a side without an entry
-    (``_closure_at``), each computed once per walk. The table is complete
-    only when the verdict is a support."""
+    children, and when it comes off again combines their supports and
+    closures from the top of ``done``. A ``~`` has its child's, so it
+    needs no step of its own; so has a choice connective its left side's,
+    since its sides have one support. An ``&&`` or ``||`` has the unions
+    of its sides'. An atom's closure is its experiment's, computed once
+    per walk; an experiment without parents is its own closure."""
     if type(f) is AtomNode:  # the commonest query, without a stack
-        return _atom(f, model), {}
-    facts: _Facts = {}
+        names = _atom(f, model)
+        parented = model.decl(f.experiment).parents
+        return names, ancestral_closure(model, names) if parented else names, set()
+    independent: set[int] = set()
     above: dict[str, frozenset[str]] = {}  # each atom experiment's closure
-    done: list[frozenset[str]] = []  # the supports of the nodes finished, in order
-    # Nonzero where the walk makes no entry: under a choice connective
-    # without ``closures``, everywhere when not ``ruled``.
-    inside = 0 if ruled else 1
-    nested = 0 if closures else 1  # what each choice connective above adds
+    # the support and closure of each node finished, in order
+    done: list[tuple[frozenset[str], frozenset[str]]] = []
     stack: list[Formula | tuple[Formula]] = [f]
     while stack:
         node = stack.pop()
@@ -313,44 +302,37 @@ def _walk(
             if node.outcome not in decl.outcomes:
                 _atom(node, model)  # raises the error
             names = frozenset((node.experiment,))
-            done.append(names)
-            if not (inside or decl.parents):  # its own closure
-                facts[id(node)] = node, names, names
+            if not decl.parents:  # its own closure
+                done.append((names, names))
+                continue
+            closure = above.get(node.experiment)
+            if closure is None:
+                closure = above[node.experiment] = ancestral_closure(model, names)
+            done.append((names, closure))
         elif kind is tuple:
             node, = node
             kind = type(node)
-            right = done.pop()
-            names = done[-1]
+            right, r_closure = done.pop()
+            names, closure = done[-1]
             if kind is ParAnd or kind is ParOr:
-                union = done[-1] = names | right
-                overlap = len(union) < len(names) + len(right)
-                if shared is not None and overlap:
-                    _share(shared, names, right, model)
-                if inside:
-                    continue
-                entry, r_entry = facts.get(id(node.left)), facts.get(id(node.right))
-                if overlap and (entry is None or r_entry is None):
-                    continue  # read off its space; a parent takes its support's closure
-                closure = entry[2] if entry else _closure_at(facts, node.left, names, above, model)
-                r_closure = (r_entry[2] if r_entry
-                             else _closure_at(facts, node.right, right, above, model))
+                union = names | right
+                if len(union) < len(names) + len(right):  # the sides overlap
+                    if shared is not None:
+                        _share(shared, names, right, model)
+                elif closure.isdisjoint(r_closure):
+                    independent.add(id(node))
                 # the union again when both closures are the supports
-                facts[id(node)] = node, union, (
+                done[-1] = union, (
                     union if closure is names and r_closure is right else closure | r_closure)
             elif names != right:
                 op = "choice-and (&)" if kind is ChoiceAnd else "choice-or (|)"
                 return Undetermined(
                     f"{op} across distinct supports "
                     f"{format_support(names)} and {format_support(right)}"
-                ), facts
-            else:
-                inside -= nested
+                ), None, independent
         elif kind is Not:
             stack.append(node.child)
-        elif kind is ParAnd or kind is ParOr:
-            stack += ((node,), node.right, node.left)
-        elif kind is ChoiceAnd or kind is ChoiceOr:
-            inside += nested
+        elif kind in (ParAnd, ParOr, ChoiceAnd, ChoiceOr):
             stack += ((node,), node.right, node.left)
         elif kind in (GivenAdd, GivenPar):
             raise EvalError(
@@ -359,7 +341,7 @@ def _walk(
             )
         else:
             raise TypeError(f"not a formula node: {node!r}")
-    return done[0], facts
+    return done[0][0], done[0][1], independent
 
 
 def _atom(node: AtomNode, model: Model) -> frozenset[str]:
@@ -367,34 +349,6 @@ def _atom(node: AtomNode, model: Model) -> frozenset[str]:
     if node.outcome not in model.decl(node.experiment).outcomes:
         raise EvalError(f"unknown outcome '{node.outcome}' of experiment '{node.experiment}'")
     return frozenset((node.experiment,))
-
-
-def _closure_at(
-    facts: _Facts, node: Formula, names: frozenset[str], above: dict[str, frozenset[str]],
-    model: Model,
-) -> frozenset[str]:
-    """The closure of ``node``, of support ``names``, which has no entry in
-    a walk's table: the union of its experiments' closures, entered for it."""
-    if len(names) == 1:
-        closure = _closure_of(names, above, model)
-    else:
-        closure = frozenset().union(
-            *[_closure_of(frozenset((name,)), above, model) for name in names])
-    facts[id(node)] = node, names, closure
-    return closure
-
-
-def _closure_of(
-    names: frozenset[str], above: dict[str, frozenset[str]], model: Model
-) -> frozenset[str]:
-    """The ancestral closure of a support of one experiment, kept in
-    ``above`` by name, so that each is computed once per walk."""
-    (name,) = names
-    closure = above.get(name)
-    if closure is None:
-        closure = above[name] = (ancestral_closure(model, names)
-                                 if model.decl(name).parents else names)
-    return closure
 
 
 def _share(shared: set[str], left: frozenset[str], right: frozenset[str], model: Model) -> None:
@@ -415,7 +369,7 @@ def denote(f: Formula, model: Model) -> Denotation:
     """The event space of ``f`` under ``model``, or the Undetermined verdict
     (or error) that ``support`` gives before any space is built."""
     shared: set[str] = set()
-    verdict = _walk(f, model, shared, False, False)[0]
+    verdict = _walk(f, model, shared)[0]
     if isinstance(verdict, Undetermined):
         return verdict
     _warn_shared(shared, stacklevel=2)

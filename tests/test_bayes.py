@@ -24,7 +24,7 @@ from colprob import (
     parse_model,
     prob,
 )
-from colprob import semantics
+from colprob import evaluator, semantics
 from colprob.semantics import Undetermined, support
 from colprob.bayes import posteriors
 from _corpus import draw_cells, random_dag_model, random_formula, random_model
@@ -412,10 +412,47 @@ class TestPosteriorWeights:
         priors = [F(1, 8), F(3, 8), F(1, 3), F(1, 6)]
         monkeypatch.setattr(semantics, "_full", no_full_space)
         calls = count_prob_calls(monkeypatch)
+        walks = count_walks(monkeypatch)
+        evaluated = []
+        real_value = bayes._value
+
+        def value(f, *args):
+            evaluated.append(f)
+            return real_value(f, *args)
+
+        monkeypatch.setattr(bayes, "_value", value)
         report, values = posteriors(cells, evidence, model, "parallel")
         assert report.ok and report.exhaustive
         assert values == priors
-        assert calls == [evidence]
+        assert [f for f in walks if f is evidence] == [evidence]
+        assert evaluated == [evidence] and calls == []
+
+    def test_the_evidence_is_walked_once(self, monkeypatch):
+        # Cell 1 shares no ancestor with the evidence, so it weighs
+        # p(cell) * p(evidence); cells 2 and 3 are joined with the
+        # evidence's space. Whichever module walks it, the evidence is
+        # walked once, for its support, closure and p(evidence) at once.
+        model = parse_model(
+            "experiment a : 0=1/3, 1=2/3\n"
+            "experiment b : 0, 1 depends a\n"
+            "cpt 0 | a=0 = 1/5\ncpt 1 | a=0 = 4/5\n"
+            "cpt 0 | a=1 = 7/10\ncpt 1 | a=1 = 3/10\n"
+            "experiment c : 0=1/4, 1=3/4\n"
+        )
+        p, ev = partition("0@c", "1@c && 0@a", "1@c && 1@a"), parse_formula("0@b || 0@a")
+        walks = []
+        real = semantics._walk
+
+        def walk(f, *args):
+            walks.append(f)
+            return real(f, *args)
+
+        for module in (semantics, evaluator, bayes):
+            monkeypatch.setattr(module, "_walk", walk, raising=False)
+        report, values = posteriors(p, ev, model, "parallel")
+        weights = [enumerate_prob(ParAnd(c, ev), model).value for c in p.cells]
+        assert report.ok and values == [w / sum(weights) for w in weights]
+        assert [f for f in walks if f is ev] == [ev]
 
     def test_mixed_supports_with_evidence_on_some_cells(self):
         # Cell 1 lies over c alone, which shares no ancestor with the
@@ -505,16 +542,16 @@ class TestPosteriorWeights:
         assert sorted(map(id, built)) == sorted(map(id, p.cells + (ev,)))
 
 
-def count_support_calls(monkeypatch) -> list:
-    """Count the support calls that the bayes module makes."""
+def count_walks(monkeypatch) -> list:
+    """Record the formula of every walk that the bayes module makes."""
     calls = []
-    real = bayes.support
+    real = bayes._walk
 
-    def counted(f, model):
+    def counted(f, model, shared):
         calls.append(f)
-        return real(f, model)
+        return real(f, model, shared)
 
-    monkeypatch.setattr(bayes, "support", counted)
+    monkeypatch.setattr(bayes, "_walk", counted)
     return calls
 
 
@@ -537,14 +574,15 @@ class TestErrorPrecedence:
         assert calls == []
 
     @pytest.mark.parametrize("variant", ["additive", "parallel"])
-    def test_one_support_call_per_cell(self, examples_model, monkeypatch, variant):
+    def test_one_walk_per_cell(self, examples_model, monkeypatch, variant):
         cells = {
             "additive": ("1@d", "2@d | 3@d", "~(1@d | 2@d | 3@d)"),
             "parallel": ("H@c1 && H@c2", "T@c1", "H@c1 && T@c2", "H@c1 && H@c2"),
         }[variant]
-        calls = count_support_calls(monkeypatch)
-        check_partition(partition(*cells), examples_model, variant)
-        assert len(calls) == len(cells)
+        p = partition(*cells)
+        calls = count_walks(monkeypatch)
+        check_partition(p, examples_model, variant)
+        assert list(map(id, calls)) == list(map(id, p.cells))
 
     @pytest.mark.parametrize("variant", ["additive", "parallel"])
     @pytest.mark.parametrize("cells", [

@@ -141,6 +141,14 @@ class TestEval:
             "status": "undetermined", "value": None, "agrees": True,
         }
 
+    def test_oracle_bound_past_the_printable_ints(self, capsys, tmp_path):
+        chain = tmp_path / "chain.colp"
+        chain.write_text(child_first_chain(15000))
+        args = ("eval", "--model", str(chain), "--query", "0@x14999", "--oracle")
+        assert run(capsys, *args) == (1, "", (
+            "error: state-space bound exceeded: "
+            "more than 10^4515 joint assignments (limit 10000000)\n"))
+
     def test_channel_conditional(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--model", CHANNEL, "--query", "0@T pgiven 0@R"

@@ -141,6 +141,7 @@ PLAIN = parse_model("".join(f"experiment c{i} : H, T\n" for i in range(600)))
 @pytest.mark.parametrize("op, n, expected", [
     ("&&", 600, F(1, 2**600)),
     ("||", 150, 1 - F(1, 2**150)),
+    ("|", 150, F(1, 2**149)),
 ])
 def test_a_chain_takes_one_walk_and_one_closure_per_experiment(monkeypatch, model, op, n,
                                                                expected):
@@ -157,17 +158,24 @@ def test_a_chain_takes_one_walk_and_one_closure_per_experiment(monkeypatch, mode
 
     monkeypatch.setattr(evaluator, "_walk", walk)
     monkeypatch.setattr(semantics, "ancestral_closure", closure)
-    f = parse_formula(f" {op} ".join(f"H@c{i}" for i in range(n)))
+    if op == "|":  # (H@c0 && ...) | (T@c0 && ...): every experiment on both sides
+        rest = "".join(f" && H@c{i}" for i in range(1, n))
+        f = parse_formula(f"(H@c0{rest}) | (T@c0{rest})")
+    else:
+        f = parse_formula(f" {op} ".join(f"H@c{i}" for i in range(n)))
     for run in (prob, lambda f, model: prob_explain(f, model)[0]):
         walks.clear()
         closures.clear()
         assert run(f, model) == Determined(expected)
         assert len(walks) == 1 and walks[0] is f
         # A coin without parents is its own closure; each parented coin's
-        # is computed once, for its one atom.
-        assert sorted(closures, key=sorted) == (
-            sorted([frozenset([f"c{i}"]) for i in range(n)], key=sorted)
-            if model is PARENTED else [])
+        # is computed at most once, however many atoms it has, and once
+        # for its one atom in a chain.
+        coins = [frozenset([f"c{i}"]) for i in range(n)] if model is PARENTED else []
+        if op == "|":
+            assert len(set(closures)) == len(closures) and set(closures) <= set(coins)
+        else:
+            assert sorted(closures, key=sorted) == sorted(coins, key=sorted)
 
 
 class TestCondAdditive:

@@ -209,6 +209,16 @@ class TestPinnedMessages:
             "state-space bound exceeded: 100000000 joint assignments (limit 10000000)"
         )
 
+    def test_state_space_bound_past_the_printable_ints(self):
+        # 2^15000 joint assignments has 4516 digits, more than Python
+        # converts an int to text; the bound names its power of ten.
+        model = parse_model(child_first_chain(15000))
+        with pytest.raises(OracleError) as info:
+            enumerate_prob(parse_formula("0@x14999"), model)
+        assert str(info.value) == (
+            "state-space bound exceeded: more than 10^4515 joint assignments (limit 10000000)"
+        )
+
     @pytest.mark.parametrize("query,message", [
         ("bogus@c && H@zz", "unknown outcome 'bogus' of experiment 'c'"),
         ("H@zz && bogus@c", "unknown experiment 'zz'"),

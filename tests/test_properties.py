@@ -5,8 +5,8 @@ generated Bayes-net models, ``denote`` gives the space that a
 point-by-point reading of the definitions gives, the explanation's root
 is ``prob``, both forms of the parallel Bayes rule agree, generated
 noisy-OR models, factored or perturbed, evaluate as the oracle does, and
-the support walk's table gives each node the support and ancestral
-closure that a recursion over the formula gives.
+the support walk gives the support and ancestral closure, and the
+independent ``&&`` and ``||``, that a recursion over the formula gives.
 
 Runs are derandomized and keep no example database, so every run checks
 the same inputs and writes nothing to the checkout (``conftest.py`` moves
@@ -315,10 +315,9 @@ def test_noisy_or_models_agree_with_enumeration(case, data):
 
 
 def reference_facts(f, model):
-    """(node, support, closure, whether a choice connective is above it) of
-    every node of ``f``, in post-order, by a recursion that shares no code
-    with the walk: each closure follows the parents of the node's
-    experiments up to the roots."""
+    """(node, support, closure) of every node of ``f``, in post-order, by a
+    recursion that shares no code with the walk: each closure follows the
+    parents of the node's experiments up to the roots."""
     out = []
 
     def closure(names):
@@ -330,64 +329,47 @@ def reference_facts(f, model):
                 frontier += model.experiments[name].parents
         return frozenset(found)
 
-    def visit(g, inside):
+    def visit(g):
         if isinstance(g, AtomNode):
             names = frozenset([g.experiment])
         elif isinstance(g, Not):
-            names = visit(g.child, inside)
+            names = visit(g.child)
         else:
-            below = inside or isinstance(g, (ChoiceAnd, ChoiceOr))
-            names = visit(g.left, below) | visit(g.right, below)
-        out.append((g, names, closure(names), inside))
+            names = visit(g.left) | visit(g.right)
+        out.append((g, names, closure(names)))
         return names
 
-    visit(f, False)
+    visit(f)
     return out
 
 
 def check_walk(f, model):
-    """On a determined formula (each side of a root conditional), every
-    entry of the walk's table, with ``closures`` (the explanation's table)
-    or without (the lean one), is the node's own support and closure.
-    Every side of an ``&&`` or ``||`` whose sides share no experiment has
-    an entry: outside every choice connective in the lean table,
-    everywhere in the explanation's. An entry is for such a connective, a
-    side of one, or an atom whose experiment has no parents, never for a
-    node only because it is a ``~``, a choice or a parented atom; and the
-    lean table is the explanation's outside every choice connective."""
+    """On a determined formula (each side of a root conditional), the walk
+    gives the root's support and closure, and its set holds exactly the
+    ids of the ``&&`` and ``||`` nodes, everywhere in the formula (under
+    choice connectives too), whose sides have disjoint closures."""
     for side in (f.event, f.condition) if isinstance(f, (GivenAdd, GivenPar)) else (f,):
         try:
-            verdict, full = semantics._walk(side, model, None, True)
+            verdict, closure, independent = semantics._walk(side, model, None)
         except ColprobError:
             return
         if not isinstance(verdict, frozenset):
             continue
-        _, lean = semantics._walk(side, model, None, False)
         expected = reference_facts(side, model)
-        reference = {id(g): (g, names, closure) for g, names, closure, _ in expected}
-        assert verdict == expected[-1][1]
-        for table in (full, lean):
-            for key, entry in table.items():
-                assert entry == reference[key] and entry[0] is reference[key][0]
-        sides = set()
-        for g, _, _, inside in expected:
-            if isinstance(g, (ParAnd, ParOr)):
-                sides |= {id(g.left), id(g.right)}
-                if not reference[id(g.left)][1] & reference[id(g.right)][1]:
-                    assert id(g.left) in full and id(g.right) in full
-                    if not inside:
-                        assert id(g.left) in lean and id(g.right) in lean
-        outside = {id(g) for g, _, _, inside in expected if not inside}
-        assert lean == {key: entry for key, entry in full.items() if key in outside}
-        for key, (g, _, _) in full.items():
-            assert key in sides or isinstance(g, (ParAnd, ParOr)) or (
-                isinstance(g, AtomNode) and not model.decl(g.experiment).parents)
+        reference = {id(g): (names, closure) for g, names, closure in expected}
+        assert (verdict, closure) == expected[-1][1:]
+        assert independent == {
+            id(g) for g, _, _ in expected
+            if isinstance(g, (ParAnd, ParOr))
+            and not reference[id(g.left)][1] & reference[id(g.right)][1]
+        }
 
 
 @DETERMINISTIC
 @given(SMALL_FORMULAS)
 @example(parse_formula("(0@R | 1@R) && ~(0@T || 0@R) && p"))
 @example(parse_formula("~~(H@c & T@c) || 1@R pgiven (0@T && ~(0@R | 1@R))"))
+@example(parse_formula("(1@R && H@c | 0@R && T@c) || ~(p & ~p) && 0@T"))
 def test_walk_facts_agree_with_recursive_reference(f):
     check_walk(f, SMALL_MODEL)
 
