@@ -19,12 +19,12 @@ partition check weighs its cells, and over different supports their
 pairwise joints, in one such pass; the joint weights of the cells and
 the evidence take one more per support they lie over. Each cell and the
 evidence are walked once (``semantics._walk``), which decides the
-verdict and gives the ancestral closure that R5's independence test
-reads, and p(evidence), when R5 needs it, is evaluated on that walk's
-facts. The prior-likelihood form keeps its own prob call per cell, as a
-second computation to check the joint form against. The formulas built
-here are engine plumbing, not user queries: this module's ``prob`` never
-warns.
+verdict, gives the ancestral closure that R5's independence test reads,
+and compiles the program that the space and p(evidence), when R5 needs
+it, are read from. The prior-likelihood form keeps its own prob call per
+cell, as a second computation to check the joint form against. The
+formulas built here are engine plumbing, not user queries: this module's
+``prob`` never warns.
 
 Picking the wrong variant is a reported error, never a silent zero: for a
 transmitted/received pair the additive rule is rejected with a support
@@ -92,15 +92,16 @@ def _check(p: Partition, model: Model, variant: str) -> tuple[PartitionReport, _
     """``check_partition``'s report, and what it learned of each cell."""
     if variant not in (ADDITIVE, PARALLEL):
         raise ValueError(f"unknown variant {variant!r}")
-    supports, closures = [], []
+    supports, closures, runs = [], [], []
     for i, cell in enumerate(p.cells, start=1):
-        verdict, closure, _ = _walk(cell, model, None)  # raises on a conditional cell
+        verdict, closure, program = _walk(cell, model, None)  # raises on a conditional cell
         if isinstance(verdict, Undetermined):
             raise PartitionError(
                 f"cell {i} ({format_formula(cell)}) is undetermined: {verdict.reason}"
             )
         supports.append(verdict)
         closures.append(closure)
+        runs.append(program[0])
     first = supports[0]
     mismatch = next((i for i, s in enumerate(supports, start=1) if s != first), None)
     if variant == ADDITIVE and mismatch is not None:
@@ -108,7 +109,7 @@ def _check(p: Partition, model: Model, variant: str) -> tuple[PartitionReport, _
             f"support mismatch between cells: cell 1 over {format_support(first)} "
             f"but cell {mismatch} over {format_support(supports[mismatch - 1])}"
         )
-    spaces = [_space(cell, model) for cell in p.cells]
+    spaces = [_space(nodes, model) for nodes in runs]
     joints = {} if mismatch is None else {  # parallel cells over different supports
         (i, j): _conj(spaces[i], spaces[j])
         for i, j in combinations(range(len(spaces)), 2)
@@ -155,7 +156,7 @@ def posteriors(
     report, cells = _check(p, model, variant)
     if not report.ok:
         raise PartitionError("partition cells overlap", report.violations)
-    ev, ev_closure, independent = _walk(evidence, model, None)
+    ev, ev_closure, program = _walk(evidence, model, None)
     if variant == ADDITIVE:
         if isinstance(ev, Undetermined):
             raise PartitionError(f"evidence is undetermined: {ev.reason}")
@@ -173,11 +174,11 @@ def posteriors(
     for i, (closure, space, mass) in enumerate(cells):
         if variant == PARALLEL and closure.isdisjoint(ev_closure):
             if p_evidence is None:
-                p_evidence = _value(evidence, independent, model, False)[0].value
+                p_evidence = _value(program, model, False)[0].value
             weights.append(mass * p_evidence)
             continue
         if ev_space is None:
-            ev_space = _space(evidence, model)
+            ev_space = _space(program[0], model)
         if variant == PARALLEL:
             joints[i] = _conj(space, ev_space)
         else:  # one support

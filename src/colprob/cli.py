@@ -3,7 +3,8 @@
 Exit codes: 0 for a determined result, 2 when the calculus leaves the
 query undetermined, 1 for any error (bad file, parse failure, invalid
 model, null conditioning event, partition violations, bad Monte Carlo
-arguments, a formula nested too deeply). ``main`` maps errors to that
+arguments). Every walk of a formula is a loop, so depth alone is never
+an error. ``main`` maps errors to that
 exit and one ``error:`` line the same way for every subcommand; only
 partition violations and ``check``'s model issues add lines, and the
 REPL reports each bad line and reads on.
@@ -42,13 +43,6 @@ from .semantics import Undetermined, denote, format_support, to_set_normal_form
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNDETERMINED = 2
-
-# The evaluator's rule recursion (``evaluator._value``) goes one level per
-# ``~`` and per term of a chain over independent experiments, ``&&`` or
-# ``||``; past Python's recursion limit that is reported as one error line.
-# The parser, the support walks, spaces, an undetermined verdict's
-# derivation and the printers keep their own stacks; parentheses build no node.
-TOO_DEEP = "formula is nested too deeply"
 
 
 def fraction_pq(value: Fraction) -> str:
@@ -279,8 +273,6 @@ def _cmd_repl(args) -> int:
             _repl_dispatch(line, model)
         except (ColprobError, ValueError) as err:
             print(f"error: {err}")
-        except RecursionError:
-            print(f"error: {TOO_DEEP}")
 
 
 def _repl_dispatch(line: str, model: Model) -> None:
@@ -374,8 +366,6 @@ def main(argv=None) -> int:
         for v in getattr(err, "violations", ()):
             print(f"  {v}", file=sys.stderr)
         return code
-    except RecursionError:
-        return _fail(TOO_DEEP)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Probability evaluation over a model, with an optional derivation.
 
-One recursion (``_value``) applies the rewrite rules top-down:
+The rules rewrite a query top-down; ``_value`` runs them as two loops
+over the query's program:
 
     R1  p(~E)     = 1 - p(E)
     R2  p(E | F)  = p(E) + p(F) - p(E & F)        (equal supports)
@@ -10,14 +11,16 @@ One recursion (``_value``) applies the rewrite rules top-down:
                     else p(F) * p(E pgiven F)
 
 The verdict is decided once per root (once per side of a conditional) by
-one walk of the formula on an explicit stack (``semantics._walk``); below
-it the recursion meets only determined formulas. The walk also hands the
-recursion the set of the ``&&`` and ``||`` whose sides have disjoint
-ancestral closures, so the independence test of R4 and R5 is one lookup
-instead of a walk of the subtrees: a chain of n terms costs O(n) rule
-steps, not O(n^2), and a root conditional takes its sides' closures
-from their walks. R1 computes a node
-from its child, and R4 and R5 an ``||`` or ``&&`` whose sides have
+one walk of the formula on an explicit stack (``semantics._walk``), which
+also compiles the root to its program: its nodes in post-order, where
+each node's subtree starts, and the indices of the ``&&`` and ``||``
+whose sides have disjoint ancestral closures, so the independence test
+of R4 and R5 is one lookup: a chain of n terms costs O(n) rule steps,
+and a root conditional takes its sides' closures from their walks. A
+pass from the root down lists the nodes whose steps the root reads; a
+pass children first takes those steps into a list, one per index. No pass
+recurses, so a formula of any depth costs no Python frames. R1 computes
+a node from its child, and R4 and R5 an ``||`` or ``&&`` whose sides have
 disjoint ancestral closures from its sides: R5 takes their product, and
 R4, R5 on the complements, one minus the product of their complements'
 (the nodes of ``~E && ~F`` are built only for the explanation). A
@@ -42,10 +45,11 @@ spaces takes one elimination for both: the closure outside the joint's
 support is summed out once, the joint's rows are read off, and the
 joint's axes outside the condition's support are summed out of the same
 factors before the condition's rows are read (``_point_weights``).
-``prob_explain`` runs the same recursion and records each step, showing
-R2, R3 and dependent R5 as their decomposition of the value read off the
+``prob_explain`` runs the same loops and records each step, showing R2,
+R3 and dependent R5 as their decomposition of the value read off the
 space, or as one "enumeration" leaf when the condition has probability
-zero. Conditionals are probability ratios, legal only at the root.
+zero; each step is taken once, however often the explanation shows it.
+Conditionals are probability ratios, legal only at the root.
 """
 
 from __future__ import annotations
@@ -74,6 +78,7 @@ from .semantics import (
     EventSpace,
     Undetermined,
     _encode,
+    _Program,
     _share,
     _Space,
     _space,
@@ -392,8 +397,8 @@ def cond_parallel(event: Formula, condition: Formula, model: Model) -> ProbResul
 def prob_explain(f: Formula, model: Model) -> tuple[ProbResult, Derivation]:
     """Evaluate ``f`` while recording the rule applied at every step.
 
-    The returned result is exactly the value ``prob`` gives: both run one
-    recursion, and the tree is its record, not an alternative answer.
+    The returned result is exactly the value ``prob`` gives: both run the
+    same loops, and the tree is their record, not an alternative answer.
     """
     return _evaluate(f, model, True, set())
 
@@ -414,20 +419,17 @@ _Step = tuple[ProbResult, "Derivation | None"]
 
 def _evaluate(f: Formula, model: Model, explain: bool, shared: set[str] | None) -> _Step:
     """p(f), with its Derivation when ``explain`` is set (else None).
-    Given a set ``shared``, a determined ``f`` warns once, naming the
-    non-predicate experiments shared by its parallel connectives or by a
-    root ``pgiven``'s event and condition: when its value is known, or
-    before a null condition is reported, but not before a value too deep
-    to evaluate."""
+    Given a set ``shared``, a determined ``f`` warns once, before it is
+    evaluated, naming the non-predicate experiments shared by its
+    parallel connectives or by a root ``pgiven``'s event and condition."""
     if isinstance(f, (GivenAdd, GivenPar)):
         return _conditional(f, model, explain, shared)
     # raises on unknown atoms and nested conditionals
-    verdict, _, independent = _walk(f, model, shared)
+    verdict, _, program = _walk(f, model, shared)
     if isinstance(verdict, Undetermined):
         return verdict, _undetermined(f, verdict) if explain else None
-    step = _value(f, independent, model, explain)
     _warn_shared(shared, stacklevel=3)
-    return step
+    return _value(program, model, explain)
 
 
 def _undetermined(f: Formula, verdict: Undetermined) -> Derivation:
@@ -443,60 +445,97 @@ def _undetermined(f: Formula, verdict: Undetermined) -> Derivation:
     return d
 
 
-def _value(f: Formula, independent: set[int], model: Model, explain: bool) -> _Step:
-    """p(f) for a formula the walk has found determined; ``independent``
-    is that walk's set of the ``&&`` and ``||`` whose sides have disjoint
-    closures."""
-    if isinstance(f, Not):
-        return _complement(f, _value(f.child, independent, model, explain), explain)
-    if id(f) in independent:
-        left = _value(f.left, independent, model, explain)
-        return _independence(f, left, _value(f.right, independent, model, explain), explain)
-    if isinstance(f, ParOr):  # R4: one minus the mass of the space of ~E && ~F
-        both = ParAnd(Not(f.left), Not(f.right))
-        space = _space(both, model)
-        step = _read(both, space, _space_prob(space, model), independent, model, explain)
-        return _complement(f, step, explain)
-    space = _space(f, model)
-    return _read(f, space, _space_prob(space, model), independent, model, explain)
+def _value(
+    program: _Program, model: Model, explain: bool,
+    mass: tuple[_Space, Fraction] | None = None,
+) -> _Step:
+    """p(f) for a formula the walk has found determined and compiled to
+    ``program``; ``mass``, when given, is f's space and its mass, which a
+    root conditional has weighed.
+
+    Two passes over the program. The first, from the root down, lists the
+    indices whose steps the root reads: the child of a ``~``, both sides
+    of an independent ``&&`` or ``||``, and, for the explanation, the
+    right side of every other connective (its condition, or the ``~F`` of
+    R4) and both sides of ``|``. The second runs over that list reversed,
+    children first, and takes those steps: R1 from the child's, R4 and R5
+    under independence from the sides', a dependent ``||`` from the space
+    of ``~E && ~F``, and every other node off its own space."""
+    nodes, start, independent = program
+    n = len(nodes)
+    needed = [n - 1]  # grows as it is read: each index after the node that reads it
+    for i in needed:  # a node's right side, or child, is i - 1; its left side start[i - 1] - 1
+        kind = type(nodes[i])
+        if i in independent or explain and kind is ChoiceOr:
+            needed += (i - 1, start[i - 1] - 1)
+        elif kind is Not or explain and kind is not AtomNode:
+            needed.append(i - 1)
+    steps: list = [None] * n
+    for i in reversed(needed):
+        node, kind, right = nodes[i], type(nodes[i]), steps[i - 1]
+        if kind is Not:
+            steps[i] = _complement(node, right, explain)
+        elif i in independent:
+            steps[i] = _independence(node, steps[start[i - 1] - 1], right, explain)
+        elif kind is ParOr:  # R4: one minus the mass of the space of ~E && ~F
+            both = ParAnd(Not(node.left), Not(node.right))
+            at = start[i - 1]  # where the right side starts
+            run = chain(nodes[start[i]:at], (both.left,), nodes[at:i], (both.right, both))
+            given = _complement(both.right, right, True) if explain else None
+            step = _read(both, *_weighed(run, model), model, explain, given)
+            steps[i] = _complement(node, step, explain)
+        else:  # off its own space
+            space, p = mass if i == n - 1 and mass else _weighed(nodes[start[i]:i + 1], model)
+            if explain and kind is ChoiceOr:  # R2, with E & F read off its space
+                both = ChoiceAnd(node.left, node.right)
+                step = _read(both, *_weighed(chain(nodes[start[i]:i], (both,)), model),
+                             model, True, right)
+                steps[i] = _node(True, node, Determined(p),
+                                 (steps[start[i - 1] - 1][1], right[1], step[1]),
+                                 "p(E) + p(F) - p(E & F)")
+            else:  # given its right side's step under explain
+                steps[i] = _read(node, space, p, model, explain, right)
+    return steps[-1]
 
 
-def _reads_space(f: Formula, independent: set[int]) -> bool:
+def _weighed(nodes: Iterable[Formula], model: Model) -> tuple[_Space, Fraction]:
+    """The space of a post-order run of nodes, and its mass."""
+    space = _space(nodes, model)
+    return space, _space_prob(space, model)
+
+
+def _reads_space(program: _Program) -> bool:
     """Whether ``_value`` reads p(f) off f's space: f is not decided by R1,
     R4 or independent R5."""
-    return not (isinstance(f, (Not, ParOr)) or id(f) in independent)
+    nodes, _, independent = program
+    return not (type(nodes[-1]) in (Not, ParOr) or len(nodes) - 1 in independent)
 
 
 def _independence(f: ParAnd | ParOr, left: _Step, right: _Step, explain: bool) -> _Step:
     """R5 under independence: the product of the two sides' steps; R4 under
     it: one minus the product of their complements', whose nodes only the
     explanation builds."""
-    if isinstance(f, ParAnd):
-        return _node(explain, f, Determined(left[0].value * right[0].value),
-                     (left[1], right[1]), "independence: p(E) * p(F)")
-    if not explain:
-        return Determined(1 - (1 - left[0].value) * (1 - right[0].value)), None
-    both = ParAnd(Not(f.left), Not(f.right))
-    left, right = _complement(both.left, left, True), _complement(both.right, right, True)
-    return _complement(f, _independence(both, left, right, True), True)
+    node = f
+    if isinstance(f, ParOr):
+        if not explain:
+            return Determined(1 - (1 - left[0].value) * (1 - right[0].value)), None
+        node = ParAnd(Not(f.left), Not(f.right))
+        left, right = _complement(node.left, left, True), _complement(node.right, right, True)
+    step = _node(explain, node, Determined(left[0].value * right[0].value),
+                 (left[1], right[1]), "independence: p(E) * p(F)")
+    return step if node is f else _complement(f, step, True)
 
 
-def _read(
-    f: Formula, space: _Space, mass: Fraction, independent: set[int], model: Model,
-    explain: bool, condition: _Step | None = None,
-) -> _Step:
-    """p(f) = ``mass``, read off f's ``space``. ``condition``, when given,
-    is the step of f's right side, which a root conditional has taken."""
+def _read(f: Formula, space: _Space, mass: Fraction, model: Model, explain: bool,
+          condition: _Step | None) -> _Step:
+    """p(f) = ``mass``, read off f's ``space``. Under explain, a binary
+    ``f`` is shown as the step of its right side, ``condition``, times a
+    conditional read off the spaces (R3, or R5 without independence),
+    unless p(F) = 0 leaves the space as the only justification."""
     result = Determined(mass)
     if not explain or isinstance(f, AtomNode):
         return _node(explain, f, result)
-    if isinstance(f, ChoiceOr):
-        terms = f.left, f.right, ChoiceAnd(f.left, f.right)
-        children = tuple(_value(g, independent, model, True)[1] for g in terms)
-        return _node(True, f, result, children, "p(E) + p(F) - p(E & F)")
-    # R3, or R5 without independence: p(F) times a conditional read off the
-    # spaces, unless p(F) = 0 leaves the space as the only justification.
-    p_condition, condition_why = condition or _value(f.right, independent, model, True)
+    p_condition, condition_why = condition
     if p_condition.value == 0:
         axes, rows = space
         return result, Derivation(
@@ -529,16 +568,17 @@ def _conditional(
     event and the condition to share one support.
 
     The condition is evaluated once. Under independence the joint is
-    p(event) times it. Otherwise the joint is read off its space. When the
+    p(event) times it. Otherwise the joint is read off its space, whose
+    run is the event's nodes, the condition's and the joint's. When the
     condition is read off its space too (no rule decides it) and has
     ancestors outside its support, both masses come from one elimination
     (``_point_weights``), and the condition's space is never lifted to the
     joint's support. A condition that is its own closure is read off its
     own tables, which costs less than summing the joint's other axes out."""
-    event, e_closure, independent = _walk(f.event, model, shared)
+    event, e_closure, e_program = _walk(f.event, model, shared)
     if isinstance(event, Undetermined):
         return _node(explain, f, event)
-    condition, closure, c_independent = _walk(f.condition, model, shared)
+    condition, closure, c_program = _walk(f.condition, model, shared)
     if isinstance(condition, Undetermined):
         return _node(explain, f, condition)
     if isinstance(f, GivenAdd) and event != condition:
@@ -548,36 +588,30 @@ def _conditional(
         ))
     if shared is not None and isinstance(f, GivenPar):
         _share(shared, event, condition, model)
-    independent |= c_independent
-    joint = (ChoiceAnd if isinstance(f, GivenAdd) else ParAnd)(f.event, f.condition)
-    if isinstance(joint, ParAnd) and e_closure.isdisjoint(closure):
-        given = _nonnull(f, _value(f.condition, independent, model, explain), shared)
-        p_joint = _independence(
-            joint, _value(f.event, independent, model, explain), given, explain)
-    elif closure != condition and _reads_space(f.condition, independent):
-        space, c_space = _space(joint, model), _space(f.condition, model)
-        weights, c_weights, scale = _point_weights(*space, model, c_space)
-        mass, c_mass = Fraction(sum(weights), scale), Fraction(sum(c_weights), scale)
-        given = _nonnull(
-            f, _read(f.condition, c_space, c_mass, independent, model, explain), shared)
-        p_joint = _read(joint, space, mass, independent, model, explain, given)
-    else:
-        given = _nonnull(f, _value(f.condition, independent, model, explain), shared)
-        space = _space(joint, model)
-        p_joint = _read(
-            joint, space, _space_prob(space, model), independent, model, explain, given)
     _warn_shared(shared, stacklevel=4)
+    joint = (ChoiceAnd if isinstance(f, GivenAdd) else ParAnd)(f.event, f.condition)
+    joint_run = chain(e_program[0], c_program[0], (joint,))
+    if isinstance(joint, ParAnd) and e_closure.isdisjoint(closure):
+        given = _nonnull(f, _value(c_program, model, explain))
+        p_joint = _independence(joint, _value(e_program, model, explain), given, explain)
+    elif closure != condition and _reads_space(c_program):
+        space, c_space = _space(joint_run, model), _space(c_program[0], model)
+        weights, c_weights, scale = _point_weights(*space, model, c_space)
+        c_mass = Fraction(sum(c_weights), scale)
+        given = _nonnull(f, _value(c_program, model, explain, (c_space, c_mass)))
+        p_joint = _read(joint, space, Fraction(sum(weights), scale), model, explain, given)
+    else:
+        given = _nonnull(f, _value(c_program, model, explain))
+        p_joint = _read(joint, *_weighed(joint_run, model), model, explain, given)
     return _node(
         explain, f, Determined(p_joint[0].value / given[0].value),
         (p_joint[1], given[1]), "ratio of the joint to the condition",
     )
 
 
-def _nonnull(f: GivenAdd | GivenPar, step: _Step, shared: set[str] | None) -> _Step:
-    """The condition's step, unless its probability is zero, which is an
-    error that the query's warning, if any, precedes."""
+def _nonnull(f: GivenAdd | GivenPar, step: _Step) -> _Step:
+    """The condition's step, unless its probability is zero, an error."""
     if step[0].value == 0:
-        _warn_shared(shared, stacklevel=5)
         raise NullConditionError(
             f"conditioning on null event: p({format_formula(f.condition)}) = 0"
         )

@@ -21,7 +21,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice, product, repeat
+from itertools import chain, compress, islice, product, repeat
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
@@ -75,14 +75,16 @@ class _SupportMismatch(Exception):
         super().__init__(reason)
 
 
-def _support(f: Formula, model: Model, atoms: set[AtomNode]) -> frozenset[str]:
-    """Syntactic support, replicating the undeterminedness conditions:
-    choice connectives demand equal supports on both sides. Atoms are
-    checked against ``model`` left to right, so an unknown atom is an
-    error only when no undetermined connective comes before it; ``atoms``
-    gains each atom met. One post-order walk on an explicit stack: a
-    connective goes back on the stack, ready (in a 1-tuple), under its
-    children, and combines their supports from the top of ``done``."""
+def _support(f: Formula, model: Model) -> tuple[frozenset[str], list[Formula]]:
+    """Syntactic support, and the nodes of ``f`` in post-order. The support
+    replicates the undeterminedness conditions: choice connectives demand
+    equal supports on both sides. Atoms are checked against ``model`` left
+    to right, so an unknown atom is an error only when no undetermined
+    connective comes before it. One post-order walk on an explicit stack:
+    a ``~`` or a connective goes back on the stack, ready (in a 1-tuple),
+    under its children, and a connective combines their supports from
+    the top of ``done``."""
+    order: list[Formula] = []
     done: list[frozenset[str]] = []
     stack: list[Formula | tuple[Formula]] = [f]
     while stack:
@@ -92,13 +94,16 @@ def _support(f: Formula, model: Model, atoms: set[AtomNode]) -> frozenset[str]:
                 raise EvalError(
                     f"unknown outcome '{node.outcome}' of experiment '{node.experiment}'"
                 )
-            atoms.add(node)
+            order.append(node)
             done.append(frozenset((node.experiment,)))
         elif isinstance(node, Not):
-            stack.append(node.child)
+            stack += ((node,), node.child)
         elif isinstance(node, (ChoiceAnd, ChoiceOr, ParAnd, ParOr)):
             stack += ((node,), node.right, node.left)
         elif isinstance(node, tuple):
+            order.append(node[0])
+            if isinstance(node[0], Not):
+                continue
             right, left = done.pop(), done.pop()
             if left != right and isinstance(node[0], (ChoiceAnd, ChoiceOr)):
                 op = "choice-and (&)" if isinstance(node[0], ChoiceAnd) else "choice-or (|)"
@@ -107,7 +112,7 @@ def _support(f: Formula, model: Model, atoms: set[AtomNode]) -> frozenset[str]:
             done.append(left | right)
         else:
             raise EvalError("conditionals are only allowed at the root of a query")
-    return done[0]
+    return done[0], order
 
 
 def topological_order(model: Model, names: Iterable[str]) -> list[str]:
@@ -134,23 +139,21 @@ def _prepare(f: Formula, model: Model):
     """What both oracles start from: the verdict (a _SupportMismatch when
     ``f`` is undetermined), the ancestral closure of the experiments ``f``
     mentions in parents-first order (one column per experiment), each atom
-    with its column, outcome index and outcome count, and the
-    conditional-free event and condition (None unless ``f`` is a root
-    conditional)."""
-    atoms: set[AtomNode] = set()
+    with its column, outcome index and outcome count, and the nodes of
+    the conditional-free event and of the condition in post-order (the
+    condition's None unless ``f`` is a root conditional)."""
     if isinstance(f, (GivenAdd, GivenPar)):
-        event_support = _support(f.event, model, atoms)
-        condition_support = _support(f.condition, model, atoms)
+        event_support, event = _support(f.event, model)
+        condition_support, condition = _support(f.condition, model)
         if isinstance(f, GivenAdd) and event_support != condition_support:
             spans = f"{format_support(event_support)} vs {format_support(condition_support)}"
             raise _SupportMismatch(
                 f"additive conditional (given) spans distinct supports {spans}",
                 f"additive conditional spans {spans}",
             )
-        event, condition = f.event, f.condition
     else:
-        _support(f, model, atoms)
-        event, condition = f, None
+        event, condition = _support(f, model)[1], None
+    atoms = {node for node in chain(event, condition or ()) if isinstance(node, AtomNode)}
     closure = ancestral_closure(model, {atom.experiment for atom in atoms})
     order = topological_order(model, closure)
     column = {name: j for j, name in enumerate(order)}
@@ -194,18 +197,20 @@ def _rows_equal(col: Sequence[int], value: int, count: int) -> int:
     return rows
 
 
-def _truth(f: Formula, masks: Mapping[AtomNode, int], full: int) -> int:
-    """The rows of a block where conditional-free ``f`` holds, given each
-    atom's rows and the block's ``full`` mask."""
-    if isinstance(f, AtomNode):
-        return masks[f]
-    if isinstance(f, Not):
-        return full ^ _truth(f.child, masks, full)
-    if isinstance(f, (ChoiceAnd, ParAnd)):
-        return _truth(f.left, masks, full) & _truth(f.right, masks, full)
-    if isinstance(f, (ChoiceOr, ParOr)):
-        return _truth(f.left, masks, full) | _truth(f.right, masks, full)
-    raise EvalError("conditionals are only allowed at the root of a query")
+def _truth(nodes: list[Formula], masks: Mapping[AtomNode, int], full: int) -> int:
+    """The rows of a block where the conditional-free formula whose nodes
+    in post-order are ``nodes`` holds, given each atom's rows and the
+    block's ``full`` mask: one fold over the nodes with a stack of rows."""
+    done: list[int] = []
+    for node in nodes:
+        if isinstance(node, AtomNode):
+            done.append(masks[node])
+        elif isinstance(node, Not):
+            done[-1] ^= full
+        else:  # the rows where both sides hold, or where either does
+            right, both = done.pop(), isinstance(node, (ChoiceAnd, ParAnd))
+            done[-1] = done[-1] & right if both else done[-1] | right
+    return done[0]
 
 
 def _block_truth(event, condition, targets, columns, size: int) -> tuple[int, int]:

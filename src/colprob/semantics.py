@@ -26,10 +26,12 @@ probability-level constructs and are rejected there. The decision is one
 post-order walk on an explicit stack (``_walk``), so a deep formula costs
 no Python frames. For the evaluator and Bayes the same walk gives the
 root's ancestral closure, each node's the union of its children's, and
-the set of ``&&`` and ``||`` whose sides have disjoint closures, the one
-fact rules R4 and R5 ask of a node, so a query computes each fact once.
-A determined query warns once, naming what that walk collects; building
-a space never warns.
+compiles the formula to its program: its nodes in post-order, where each
+node's subtree starts, and the indices of the ``&&`` and ``||`` whose
+sides have disjoint closures, the one fact rules R4 and R5 ask of a node,
+so a query computes each fact once and every later pass is a loop over
+the program. A determined query warns once, naming what that walk
+collects; building a space never warns.
 
 The engine builds every space in one compact form, ``(axes, rows)``:
 ``axes`` holds the support's experiment names, sorted, and ``rows`` is a
@@ -37,8 +39,10 @@ set of tuples of outcomes aligned with them, one per point. ``&`` and
 ``|`` are set operations on the rows, ``~`` is the product of the axes'
 outcomes minus the rows, ``&&`` is one hash join on the shared axes (a
 plain product when there are none), and ``||`` joins each side with the
-full product of the axes it lacks and takes the union. ``_space`` walks
-a formula with its own stack, so deep formulas cost no Python frames.
+full product of the axes it lacks and takes the union. ``_space`` is one
+fold over a post-order run of nodes with a stack of spaces: a subtree of
+a program, or runs joined with the nodes that the evaluator adds (a root
+conditional's joint, R4's ``~E && ~F``, R2's ``E & F``).
 ``Point`` and ``EventSpace`` are the public form: ``denote`` decodes its
 result once, and ``cartesian_conj``, ``lift``, ``full_space`` (and
 ``evaluator.space_prob``) encode their arguments, run the one engine
@@ -157,6 +161,13 @@ def format_support(support: Iterable[str]) -> str:
 # of its points as tuples of outcomes aligned with them.
 _Space = tuple[tuple[str, ...], set[tuple[str, ...]]]
 
+# A formula compiled by ``_walk``: its nodes in post-order, ``~`` among
+# them; for each node i, the index where its subtree starts, so that the
+# subtree is ``nodes[start[i]:i + 1]``, a connective's right side is
+# i - 1 and its left side start[i - 1] - 1; and the indices of the ``&&``
+# and ``||`` whose sides have disjoint ancestral closures.
+_Program = tuple[list[Formula], list[int], set[int]]
+
 
 def _encode(s: EventSpace) -> _Space:
     return tuple(sorted(s.support)), {tuple([o for _, o in sorted(p.items)]) for p in s.points}
@@ -267,31 +278,32 @@ def support(f: Formula, model: Model) -> frozenset[str] | Undetermined:
 
 def _walk(
     f: Formula, model: Model, shared: set[str] | None
-) -> tuple[frozenset[str] | Undetermined, frozenset[str] | None, set[int]]:
-    """``support``, the ancestral closure of ``f``, and the ``id()`` of
-    each ``&&`` and ``||`` in ``f`` whose sides have disjoint closures:
-    the one fact R4 and R5 ask of a node. The ids are of nodes of ``f``,
-    which the caller holds for as long as it reads the set, so no other
-    node can take one of them. Given a set ``shared``, it gains the
-    non-predicate experiments that the two sides of each ``&&`` and ``||``
-    share. The closure and the set are complete only when the verdict is
-    a support; else the closure is None.
+) -> tuple[frozenset[str] | Undetermined, frozenset[str] | None, _Program | None]:
+    """``support``, the ancestral closure of ``f``, and ``f``'s program:
+    its nodes in post-order, where each node's subtree starts, and the
+    indices of the ``&&`` and ``||`` whose sides have disjoint closures,
+    the one fact R4 and R5 ask of a node. Given a set ``shared``, it gains
+    the non-predicate experiments that the two sides of each ``&&`` and
+    ``||`` share. The closure and the program are complete only when the
+    verdict is a support; else both are None.
 
     One post-order walk on an explicit stack, children left to right: a
-    connective goes back on the stack, ready (in a 1-tuple), under its
-    children, and when it comes off again combines their supports and
-    closures from the top of ``done``. A ``~`` has its child's, so it
-    needs no step of its own; so has a choice connective its left side's,
-    since its sides have one support. An ``&&`` or ``||`` has the unions
-    of its sides'. An atom's closure is its experiment's, computed once
-    per walk; an experiment without parents is its own closure."""
+    ``~`` or a connective goes back on the stack, ready (in a 1-tuple),
+    under its children, and when it comes off again takes its place in
+    the program and combines their supports and closures from the top of
+    ``done``. A ``~`` has its child's; so has a choice connective its left
+    side's, since its sides have one support. An ``&&`` or ``||`` has the
+    unions of its sides'. An atom's closure is its experiment's, computed
+    once per walk; an experiment without parents is its own closure."""
     if type(f) is AtomNode:  # the commonest query, without a stack
         names = _atom(f, model)
         parented = model.decl(f.experiment).parents
-        return names, ancestral_closure(model, names) if parented else names, set()
+        return names, ancestral_closure(model, names) if parented else names, ([f], [0], set())
+    nodes: list[Formula] = []
+    start: list[int] = []
     independent: set[int] = set()
     above: dict[str, frozenset[str]] = {}  # each atom experiment's closure
-    # the support and closure of each node finished, in order
+    # the support and closure of each node finished and not yet combined
     done: list[tuple[frozenset[str], frozenset[str]]] = []
     stack: list[Formula | tuple[Formula]] = [f]
     while stack:
@@ -301,6 +313,8 @@ def _walk(
             decl = model.decl(node.experiment)
             if node.outcome not in decl.outcomes:
                 _atom(node, model)  # raises the error
+            start.append(len(nodes))
+            nodes.append(node)
             names = frozenset((node.experiment,))
             if not decl.parents:  # its own closure
                 done.append((names, names))
@@ -312,6 +326,12 @@ def _walk(
         elif kind is tuple:
             node, = node
             kind = type(node)
+            i = len(nodes)  # its index: its right side, or its child, is i - 1
+            nodes.append(node)
+            if kind is Not:
+                start.append(start[i - 1])
+                continue
+            start.append(start[start[i - 1] - 1])  # its left side's start
             right, r_closure = done.pop()
             names, closure = done[-1]
             if kind is ParAnd or kind is ParOr:
@@ -320,7 +340,7 @@ def _walk(
                     if shared is not None:
                         _share(shared, names, right, model)
                 elif closure.isdisjoint(r_closure):
-                    independent.add(id(node))
+                    independent.add(i)
                 # the union again when both closures are the supports
                 done[-1] = union, (
                     union if closure is names and r_closure is right else closure | r_closure)
@@ -329,9 +349,9 @@ def _walk(
                 return Undetermined(
                     f"{op} across distinct supports "
                     f"{format_support(names)} and {format_support(right)}"
-                ), None, independent
+                ), None, None
         elif kind is Not:
-            stack.append(node.child)
+            stack += ((node,), node.child)
         elif kind in (ParAnd, ParOr, ChoiceAnd, ChoiceOr):
             stack += ((node,), node.right, node.left)
         elif kind in (GivenAdd, GivenPar):
@@ -341,7 +361,7 @@ def _walk(
             )
         else:
             raise TypeError(f"not a formula node: {node!r}")
-    return done[0][0], done[0][1], independent
+    return done[0][0], done[0][1], (nodes, start, independent)
 
 
 def _atom(node: AtomNode, model: Model) -> frozenset[str]:
@@ -369,43 +389,38 @@ def denote(f: Formula, model: Model) -> Denotation:
     """The event space of ``f`` under ``model``, or the Undetermined verdict
     (or error) that ``support`` gives before any space is built."""
     shared: set[str] = set()
-    verdict = _walk(f, model, shared)[0]
+    verdict, _, program = _walk(f, model, shared)
     if isinstance(verdict, Undetermined):
         return verdict
     _warn_shared(shared, stacklevel=2)
-    return _decode(_space(f, model))
+    return _decode(_space(program[0], model))
 
 
-def _space(f: Formula, model: Model) -> _Space:
-    """The space of ``f``, which ``support`` has found determined, in the
-    engine's form; never warns. One post-order walk on an explicit stack:
-    a node goes back on the stack, marked ready, under its children, and
-    when it comes off again combines their spaces from the top of ``done``."""
+def _space(nodes: Iterable[Formula], model: Model) -> _Space:
+    """The space of the formula whose post-order run of nodes is ``nodes``
+    (``support`` has found it determined), in the engine's form; never
+    warns. One fold over the run: an atom pushes its space, a ``~``
+    complements the top of ``done``, and a connective combines the two
+    spaces on top of it."""
     done: list[_Space] = []
-    stack: list[tuple[Formula, bool]] = [(f, False)]
-    while stack:
-        node, ready = stack.pop()
-        if isinstance(node, AtomNode):
+    for node in nodes:
+        kind = type(node)
+        if kind is AtomNode:
             done.append(((node.experiment,), {(node.outcome,)}))
-        elif isinstance(node, Not):
-            if ready:
-                done.append(_complement(done.pop(), model))
-            else:
-                stack += ((node, True), (node.child, False))
-        elif not ready:
-            stack += ((node, True), (node.right, False), (node.left, False))
+        elif kind is Not:
+            done[-1] = _complement(done[-1], model)
         else:
             right = done.pop()
-            left = done.pop()
-            if isinstance(node, ChoiceAnd):
-                done.append((left[0], left[1] & right[1]))
-            elif isinstance(node, ChoiceOr):
-                done.append((left[0], left[1] | right[1]))
-            elif isinstance(node, ParAnd):
-                done.append(_conj(left, right))
+            left = done[-1]
+            if kind is ChoiceAnd:
+                done[-1] = left[0], left[1] & right[1]
+            elif kind is ChoiceOr:
+                done[-1] = left[0], left[1] | right[1]
+            elif kind is ParAnd:
+                done[-1] = _conj(left, right)
             else:  # ParOr: at least one side occurs, the union of both sides' lifts
                 axes = tuple(sorted(set(left[0]).union(right[0])))
-                done.append((axes, _lift(left, axes, model)[1] | _lift(right, axes, model)[1]))
+                done[-1] = axes, _lift(left, axes, model)[1] | _lift(right, axes, model)[1]
     return done[0]
 
 

@@ -413,12 +413,12 @@ class TestPosteriorWeights:
         monkeypatch.setattr(semantics, "_full", no_full_space)
         calls = count_prob_calls(monkeypatch)
         walks = count_walks(monkeypatch)
-        evaluated = []
+        evaluated = []  # the root node of each program evaluated
         real_value = bayes._value
 
-        def value(f, *args):
-            evaluated.append(f)
-            return real_value(f, *args)
+        def value(program, *args):
+            evaluated.append(program[0][-1])
+            return real_value(program, *args)
 
         monkeypatch.setattr(bayes, "_value", value)
         report, values = posteriors(cells, evidence, model, "parallel")
@@ -529,12 +529,12 @@ class TestPosteriorWeights:
         (("0@T && 0@R", "0@T && 1@R", "1@T"), "1@R"),
     ])
     def test_each_space_is_built_once(self, channel_model, monkeypatch, cells, evidence):
-        built = []
+        built = []  # the root node of each run of nodes built
         real = bayes._space
 
-        def counted(f, model):
-            built.append(f)
-            return real(f, model)
+        def counted(nodes, model):
+            built.append(nodes[-1])
+            return real(nodes, model)
 
         monkeypatch.setattr(bayes, "_space", counted)
         p, ev = partition(*cells), parse_formula(evidence)
@@ -610,12 +610,12 @@ class TestConcurrentChecks:
         gates = {"A": (a_in, b_in), "B": (b_in, a_out)}  # (set on entry, wait for)
         real = bayes._space
 
-        def gated(f, model):
+        def gated(nodes, model):
             gate = gates.pop(threading.current_thread().name, None)
             if gate is not None:
                 gate[0].set()
                 assert gate[1].wait(10)
-            return real(f, model)
+            return real(nodes, model)
 
         monkeypatch.setattr(bayes, "_space", gated)
         reports = {}

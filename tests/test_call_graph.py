@@ -1,0 +1,36 @@
+"""No function of ``colprob`` recurses: in each module, the graph of the
+calls by bare name among its functions has no cycle. Every walk of a
+formula keeps its own stack or folds over a post-order program, so a
+formula of any depth costs no Python frames."""
+
+import ast
+from graphlib import CycleError, TopologicalSorter
+
+import pytest
+
+from conftest import REPO
+
+MODULES = sorted((REPO / "src" / "colprob").glob("*.py"))
+
+
+def calls_by_name(path) -> dict[str, set[str]]:
+    """Each top-level function of the module at ``path``, with the
+    functions of the module that it, or a function nested in it, calls by
+    bare name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    return {
+        name: {call.func.id for call in ast.walk(node)
+               if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+               and call.func.id in functions}
+        for name, node in functions.items()
+    }
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_no_function_recurses(path):
+    try:
+        TopologicalSorter(calls_by_name(path)).prepare()
+    except CycleError as err:
+        pytest.fail(f"{path.name} recurses: {' -> '.join(err.args[1])}")

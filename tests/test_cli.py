@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -16,15 +17,18 @@ EXAMPLES = str(MODELS / "examples.colp")
 CHANNEL = str(MODELS / "channel.colp")
 DICE = str(MODELS / "dice.colp")
 
-# Inputs deeper than Python's recursion limit allows the evaluator to go;
-# each must end in one error line, never a traceback. R1 recurses once per
-# ``~``, and R4 and R5 once per term of a chain over independent
-# experiments, here the coins that ``deep_model`` adds.
+# Inputs nested deeper than Python's recursion limit: R1 takes one step
+# per ``~``, and R4 and R5 one per term of a chain over independent
+# experiments, here the coins that ``deep_model`` adds. Every pass is a
+# loop, so each evaluates.
 DEEP = {
     "negations": "~" * 3000 + "H@c",
     "or-chain": " || ".join(f"H@k{i}" for i in range(2000)),
 }
-TOO_DEEP = "error: formula is nested too deeply\n"
+DEEP_VALUES = {
+    "negations": "1/2 (≈0.5)\n",
+    "or-chain": f"{1 - Fraction(1, 2**2000)} (≈1)\n",
+}
 
 
 @pytest.fixture(scope="module")
@@ -351,10 +355,10 @@ def test_bayes_checks_the_partition_once(capsys, monkeypatch):
 
 
 class TestDeepInput:
-    @pytest.mark.parametrize("query", DEEP.values(), ids=DEEP.keys())
-    def test_eval_reports_one_line(self, capsys, deep_model, query):
-        assert run(capsys, "eval", "--model", deep_model, "--query", query) == (
-            1, "", TOO_DEEP,
+    @pytest.mark.parametrize("name", DEEP)
+    def test_eval_reports_one_line(self, capsys, deep_model, name):
+        assert run(capsys, "eval", "--model", deep_model, "--query", DEEP[name]) == (
+            0, DEEP_VALUES[name], "",
         )
 
     def test_bayes_reports_one_line(self, capsys):
@@ -364,7 +368,8 @@ class TestDeepInput:
             capsys, "bayes", "--model", EXAMPLES, "--variant", "parallel",
             "--cell", "H@c1", "--cell", "T@c1", "--evidence", DEEP["negations"],
         )
-        assert got == (1, "", TOO_DEEP)
+        assert got == (0, "partition: disjoint, exhaustive\nH@c1: 1/2 (≈0.5)\n"
+                          "T@c1: 1/2 (≈0.5)\n", "")
 
     def test_bayes_reads_deep_dependent_evidence_off_its_space(self, capsys):
         # Evidence that shares the cells' experiment is conjoined with them
@@ -385,7 +390,7 @@ class TestDeepInput:
         )
 
     def test_long_or_chain_over_distinct_coins_evaluates(self, deep_model):
-        # R4 on independent sides takes one frame per term, as R5 does; run
+        # R4 on independent sides takes one step per term, as R5 does; run
         # as the command, at Python's default recursion limit.
         n = 900
         query = " || ".join(f"H@k{i}" for i in range(n))
@@ -396,6 +401,28 @@ class TestDeepInput:
         )
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout == f"{2 ** n - 1}/{2 ** n} (≈1)\n"
+
+    def test_repl_evaluates_ten_thousand_levels(self, tmp_path):
+        # 10,000 ``~`` and chains of 10,000 independent terms, as the
+        # command at Python's default recursion limit: one step per level,
+        # no frame.
+        n = 10_000
+        model = tmp_path / "coins.colp"
+        model.write_text("".join(f"experiment k{i} : H, T\n" for i in range(n)))
+        script = "".join(q + "\n" for q in (
+            "~" * n + "H@k0",
+            " && ".join(f"H@k{i}" for i in range(n)),
+            " || ".join(f"H@k{i}" for i in range(n)),
+        ))
+        done = subprocess.run(
+            [sys.executable, "-m", "colprob", "repl", "--model", str(model)],
+            input=script, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == (
+            f"1/2 (≈0.5)\n1/{2 ** n} (≈0)\n{2 ** n - 1}/{2 ** n} (≈1)\n"
+        )
 
     @pytest.mark.parametrize("flag", ["--explain", "--oracle"])
     def test_deep_undetermined_query_keeps_its_verdict(self, capsys, flag):
@@ -581,7 +608,7 @@ class TestRepl:
         script = "".join(q + "\n" for q in DEEP.values()) + "4@d | 5@d\n"
         code, out = self.repl(capsys, monkeypatch, deep_model, script)
         assert code == 0
-        assert out == TOO_DEEP * 2 + "1/3 (≈0.3333)\n"
+        assert out == "".join(DEEP_VALUES.values()) + "1/3 (≈0.3333)\n"
 
     def test_errors_do_not_terminate_the_loop(self, capsys, monkeypatch):
         script = "4@d |\nH@zzz\n4@d | 5@d\n:quit\n"

@@ -663,12 +663,12 @@ def test_a_rule_decided_condition_keeps_its_rule_path(eliminations):
 
 
 def test_an_independent_pgiven_evaluates_its_condition_once(monkeypatch):
-    seen = []
+    seen = []  # the root node of each program evaluated, printed
     real = evaluator._value
 
-    def recorded(f, facts, model, explain):
-        seen.append(format_formula(f))
-        return real(f, facts, model, explain)
+    def recorded(program, *args):
+        seen.append(format_formula(program[0][-1]))
+        return real(program, *args)
 
     monkeypatch.setattr(evaluator, "_value", recorded)
     f = parse_formula("H@c0 pgiven (lo@s | hi@s)")

@@ -1,12 +1,14 @@
 """Property tests: both parsers are total, printing round-trips, the
 evaluator and the enumeration oracle give the same answer, verdict or
-error, variable elimination gives each space its lifted sum on
-generated Bayes-net models, ``denote`` gives the space that a
-point-by-point reading of the definitions gives, the explanation's root
+error, also on formulas thousands of levels deep, variable elimination
+gives each space its lifted sum on generated Bayes-net models, ``denote``
+gives the space that a point-by-point reading of the definitions gives,
+the explanation's root
 is ``prob``, both forms of the parallel Bayes rule agree, generated
 noisy-OR models, factored or perturbed, evaluate as the oracle does, and
-the support walk gives the support and ancestral closure, and the
-independent ``&&`` and ``||``, that a recursion over the formula gives.
+the support walk gives the support and ancestral closure, the
+post-order program and the independent ``&&`` and ``||``, that a
+recursion over the formula gives.
 
 Runs are derandomized and keep no example database, so every run checks
 the same inputs and writes nothing to the checkout (``conftest.py`` moves
@@ -14,6 +16,7 @@ hypothesis's other cache to a temporary directory).
 """
 
 import math
+import random
 import warnings
 from contextlib import suppress
 from fractions import Fraction
@@ -157,6 +160,57 @@ def answer(run):
 @example(parse_formula("0@R pgiven ((0@T | H@c) && bogus@c)"))
 @example(parse_formula("(0@R given 0@R) && bogus@c"))
 def test_prob_agrees_with_enumeration(f):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SharedExperimentWarning)
+        evaluated = answer(lambda: prob(f, SMALL_MODEL))
+    assert evaluated == answer(lambda: enumerate_prob(f, SMALL_MODEL))
+
+
+def deep_formula(rng, depth: int):
+    """A formula over SMALL_MODEL ``depth`` levels deep, built from a leaf
+    up without recursion: each level puts ``~`` over the formula so far,
+    or a connective with a shallow side on its left or its right. A
+    choice connective's shallow side is an ``&&`` of one atom per
+    experiment of the formula so far, so the sides share one support;
+    sometimes the whole is a root conditional, on such a side for
+    ``given``."""
+    atoms = [AtomNode(e, o) for e in SMALL_MODEL.experiments for o in SMALL_MODEL.outcomes(e)]
+
+    def over(names):  # a conjunction of one atom per experiment of ``names``
+        side = None
+        for name in sorted(names):
+            atom = AtomNode(name, rng.choice(SMALL_MODEL.outcomes(name)))
+            side = atom if side is None else ParAnd(side, atom)
+        return side
+
+    f = rng.choice(atoms)
+    names = {f.experiment}
+    for _ in range(depth):
+        kind = rng.choice((Not, Not, ChoiceAnd, ChoiceOr, ParAnd, ParOr))
+        if kind is Not:
+            f = Not(f)
+            continue
+        if kind in (ChoiceAnd, ChoiceOr):
+            side = over(names)
+        else:
+            side = rng.choice(atoms)
+            names.add(side.experiment)
+        if rng.random() < 0.5:
+            side = Not(side)
+        f = kind(f, side) if rng.random() < 0.5 else kind(side, f)
+    if rng.random() < 0.3:
+        f = GivenAdd(f, over(names)) if rng.random() < 0.5 else GivenPar(f, rng.choice(atoms))
+    return f
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3000, 5000))
+def test_prob_agrees_with_enumeration_thousands_deep(seed, depth):
+    # Deeper than the recursion limit that hypothesis allows a test: every
+    # pass of the evaluator and of the oracle is a loop. The formula's
+    # thousands of choices come from a seeded generator, not from
+    # hypothesis's own draws.
+    f = deep_formula(random.Random(seed), depth)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SharedExperimentWarning)
         evaluated = answer(lambda: prob(f, SMALL_MODEL))
@@ -345,23 +399,36 @@ def reference_facts(f, model):
 
 def check_walk(f, model):
     """On a determined formula (each side of a root conditional), the walk
-    gives the root's support and closure, and its set holds exactly the
-    ids of the ``&&`` and ``||`` nodes, everywhere in the formula (under
-    choice connectives too), whose sides have disjoint closures."""
+    gives the root's support and closure, and its program lists the nodes
+    in post-order, each with the start of its subtree, and holds exactly
+    the indices of the ``&&`` and ``||`` nodes, everywhere in the formula
+    (under choice connectives too), whose sides have disjoint closures."""
     for side in (f.event, f.condition) if isinstance(f, (GivenAdd, GivenPar)) else (f,):
         try:
-            verdict, closure, independent = semantics._walk(side, model, None)
+            verdict, closure, program = semantics._walk(side, model, None)
         except ColprobError:
             return
         if not isinstance(verdict, frozenset):
             continue
+        nodes, start, independent = program
         expected = reference_facts(side, model)
-        reference = {id(g): (names, closure) for g, names, closure in expected}
         assert (verdict, closure) == expected[-1][1:]
+        assert len(nodes) == len(start) == len(expected)
+        assert all(g is h for g, (h, _, _) in zip(nodes, expected))
+        for i, g in enumerate(nodes):  # each subtree starts where its first child's does
+            if isinstance(g, AtomNode):
+                assert start[i] == i
+            elif isinstance(g, Not):
+                assert nodes[i - 1] is g.child and start[i] == start[i - 1]
+            else:
+                left = start[i - 1] - 1
+                assert nodes[i - 1] is g.right and nodes[left] is g.left
+                assert start[i] == start[left]
+        reference = {id(g): closure for g, _, closure in expected}
         assert independent == {
-            id(g) for g, _, _ in expected
+            i for i, (g, _, _) in enumerate(expected)
             if isinstance(g, (ParAnd, ParOr))
-            and not reference[id(g.left)][1] & reference[id(g.right)][1]
+            and not reference[id(g.left)] & reference[id(g.right)]
         }
 
 

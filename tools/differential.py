@@ -1,14 +1,23 @@
 """Differential run: every answer, verdict and message of one source tree.
 
     python3 tools/differential.py TREE OUT
+    python3 tools/differential.py --check tools/differential.sha256
 
-imports ``colprob`` from ``TREE/src`` and writes one line per input to
-``OUT``. The inputs come from this checkout and are the same for every
-tree, so two runs compare with ``cmp``:
+The first form imports ``colprob`` from ``TREE/src``, writes one line per
+input to ``OUT`` and prints one ``section rows sha256`` line per section:
+its row count and the sha256 of its lines. The inputs come from this
+checkout and are the same for every tree, so two runs compare with
+``cmp``:
 
     python3 tools/differential.py /path/to/parent parent.txt
     python3 tools/differential.py . change.txt
     cmp parent.txt change.txt
+
+The second form runs this checkout, writes no rows, and compares its
+sections with the digest file, which the first form's output of a
+trusted tree makes (``python3 tools/differential.py . rows.txt >
+tools/differential.sha256``). It names each section that differs and
+exits 1 if any does.
 
 Inputs: every request of ``perfbench/workloads.py`` ``WORKLOADS[w](1)``
 (read, never changed); formula texts for the parser alone (seeded fuzz
@@ -69,6 +78,7 @@ import tempfile
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from typing import Any
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -878,13 +888,15 @@ def cli_rows(cp, corpus, emit) -> None:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
+    check = argv[:1] == ["--check"]
+    if len(argv) != 2 or argv[0].startswith("--") and not check:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     if os.environ.get("PYTHONHASHSEED") != "0":
         os.execve(sys.executable, [sys.executable, __file__, *argv],
                   {**os.environ, "PYTHONHASHSEED": "0"})
-    tree, out_path = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    tree = ROOT if check else Path(argv[0]).resolve()
+    out_path = os.devnull if check else Path(argv[1]).resolve()
     sys.dont_write_bytecode = True  # leave no __pycache__ in either tree
     sys.path[:0] = [str(tree / "src"), str(ROOT / "tests")]
     import colprob as cp
@@ -893,10 +905,13 @@ def main(argv: list[str]) -> int:
 
     warnings.simplefilter("ignore")
     counts: dict[str, int] = {}
+    hashes: dict[str, Any] = {}  # each section's running sha256
     with open(out_path, "w", encoding="utf-8") as out:
         def emit(section: str, key: str, result: str) -> None:
+            line = f"{section}\t{key}\t{result}".replace("\n", "\\n") + "\n"
             counts[section] = counts.get(section, 0) + 1
-            out.write(f"{section}\t{key}\t{result}".replace("\n", "\\n") + "\n")
+            hashes.setdefault(section, hashlib.sha256()).update(line.encode())
+            out.write(line)
 
         workload_rows(cp, emit)
         parse_rows(cp, corpus, emit)
@@ -910,9 +925,18 @@ def main(argv: list[str]) -> int:
         bayes_rows(cp, corpus, emit)
         model_file_rows(cp, emit)
         cli_rows(cp, corpus, emit)
-    print(f"{sum(counts.values())} rows: "
-          + ", ".join(f"{k} {v}" for k, v in sorted(counts.items())))
-    return 0
+    digest = [f"{k} {counts[k]} {hashes[k].hexdigest()}" for k in sorted(counts)]
+    if not check:
+        print("\n".join(digest))
+        return 0
+    expected = dict(line.split(" ", 1) for line in Path(argv[1]).read_text().splitlines())
+    got = dict(line.split(" ", 1) for line in digest)
+    sections = expected.keys() | got.keys()
+    differ = sorted(k for k in sections if expected.get(k) != got.get(k))
+    for k in differ:
+        print(f"differs: {k}")
+    print(f"{len(sections) - len(differ)} of {len(sections)} sections match")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
