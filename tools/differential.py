@@ -59,13 +59,15 @@ giving every decl's fields, the ParseError's position and message, or
 the ModelError's issues; and CLI runs of every subcommand,
 bad model files, a byte-order mark and a 1,500-node chain declared child
 first among them. A line holds the section, the input and the result, or
-the exception's type and text when one escapes.
+the exception's type and text when one escapes; a partition report's
+support is printed sorted.
 Stdlib only; the run re-executes itself with PYTHONHASHSEED=0.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -88,6 +90,17 @@ MC_SAMPLES = 300
 # Monte Carlo sample counts around the oracle's 256-row blocks.
 BLOCK_SAMPLES = (1, 255, 256, 257, 775, 3079)
 MODEL_FILE_COUNT = 1000
+
+
+def sorted_support(result):
+    """A PartitionReport, or ``posteriors``' (report, posteriors), with the
+    report's support as a sorted tuple: a frozenset prints its names in the
+    order they were added, which is no part of the answer."""
+    if isinstance(result, tuple):
+        return sorted_support(result[0]), result[1]
+    if result.support is None:
+        return result
+    return dataclasses.replace(result, support=tuple(sorted(result.support)))
 
 
 def attempt(run) -> str:
@@ -576,9 +589,9 @@ def partition_rows(cp, corpus, emit) -> None:
         evidence = cp.parse_formula(ev)
         for variant in ("additive", "parallel"):
             emit(f"check-{variant}", key, attempt(
-                lambda: cp.check_partition(cells, model, variant)))
+                lambda: sorted_support(cp.check_partition(cells, model, variant))))
             emit(f"posteriors-{variant}", key, attempt(
-                lambda: cp.bayes.posteriors(cells, evidence, model, variant)))
+                lambda: sorted_support(cp.bayes.posteriors(cells, evidence, model, variant))))
         emit("prior-likelihood", key, attempt(
             lambda: cp.bayes_parallel(cells, evidence, model, "prior-likelihood")))
 
@@ -662,9 +675,9 @@ def bayes_rows(cp, corpus, emit) -> None:
               f"{cp.format_formula(evidence)}"
         for variant in ("additive", "parallel"):
             emit(f"bayes-check-{variant}", key, attempt(
-                lambda: cp.check_partition(cells, model, variant)))
+                lambda: sorted_support(cp.check_partition(cells, model, variant))))
             emit(f"bayes-{variant}", key, attempt(
-                lambda: cp.bayes.posteriors(cells, evidence, model, variant)))
+                lambda: sorted_support(cp.bayes.posteriors(cells, evidence, model, variant))))
         emit("bayes-prior-likelihood", key, attempt(
             lambda: cp.bayes_parallel(cells, evidence, model, "prior-likelihood")))
 
