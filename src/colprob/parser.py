@@ -12,12 +12,13 @@ Formula grammar (whitespace-insensitive, '#' starts a comment):
 
 A bare lowercase identifier such as ``alien`` is sugar for ``true@alien``.
 The connectives and their precedence are read from the printer's tables in
-``formula``. One regex scan turns the text into ``(kind, text, offset)``
-tokens, where ``kind`` is the operator or keyword itself, ``int``,
-``ident`` or ``eof``; the 1-based line and column are computed from the
-offset only when a ParseError is raised. One loop over the tokens with an
-explicit stack (precedence climbing) builds the formula, so nesting costs
-no Python frames.
+``formula``. One regex scan (``findall``, in C) turns the text into its
+lexemes, then ``""`` for the end of input; an operator or keyword is its
+own kind, and any other lexeme is a name or an integer. Only when a
+ParseError is raised does a second scan with the same pattern find where
+its token starts, and from that its 1-based line and column. One loop over
+the lexemes with an explicit stack (precedence climbing) builds the
+formula, so nesting costs no Python frames.
 
 Model files are line-oriented ('#' comments):
 
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import islice
 
 from .errors import ModelError, ParseError
 from .formula import _BINARY, _COND, _LEVEL_COND, AtomNode, Formula, Not
@@ -47,45 +49,50 @@ from .model import ExperimentDecl, Model, validate_model
 _CONNECTIVES = {op: (node, level) for node, (op, level) in _BINARY.items()}
 _CONNECTIVES.update((word, (node, _LEVEL_COND)) for node, word in _COND.items())
 _KEYWORDS = frozenset(_COND.values())
+# Every lexeme that is its own kind, the end of input ("") among them; any
+# other is an outcome, an experiment name or a predicate.
+_NOT_ATOMS = frozenset(_CONNECTIVES) | {"~", "(", ")", "@", ""}
 
+# Whitespace and comments match outside the group, so ``findall`` gives
+# them as empty strings; the group's last alternative is an unknown token.
 _TOKEN_RE = re.compile(
     r"""[ \t\r\n]+ | \#[^\n]*
-      | (?P<op>&&|\|\||[~&|()@])
-      | (?P<int>[0-9]+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<unknown>.)
+      | (&&|\|\||[~&|()@]|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|.)
     """,
     re.VERBOSE | re.DOTALL,
 )
+# A character that no token, whitespace or comment starts with: an unknown
+# token, or a character inside a comment.
+_UNKNOWN_RE = re.compile(r"[^ \t\r\n#&|~()@0-9A-Za-z_]")
 
 
-def _error(text: str, offset: int, message: str, expected: str | None = None) -> ParseError:
-    """A ParseError at ``offset``, with its 1-based line and column."""
+def _error(text: str, index: int, message: str, expected: str | None = None) -> ParseError:
+    """A ParseError at the token numbered ``index`` (at the end of input
+    past the last one), with its 1-based line and column. Its offset comes
+    from scanning ``text`` again with the tokenizer's pattern."""
+    starts = (m.start() for m in _TOKEN_RE.finditer(text) if m.group(1))
+    offset = next(islice(starts, index, None), len(text))
     line = text.count("\n", 0, offset) + 1
     column = offset - text.rfind("\n", 0, offset)
     return ParseError(message, line, column, expected)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:  # whitespace or a comment
-            continue
-        lexeme = m.group()
-        if kind == "unknown":
-            raise _error(text, m.start(), f"unknown token {lexeme!r}")
-        if kind == "op" or lexeme in _KEYWORDS:
-            kind = lexeme
-        tokens.append((kind, lexeme, m.start()))
-    tokens.append(("eof", "", len(text)))
-    return tokens
+def _tokenize(text: str) -> list[str]:
+    """The lexemes of ``text``, then "" for the end of input; an unknown
+    token is an error."""
+    lexemes = list(filter(None, _TOKEN_RE.findall(text)))
+    if _UNKNOWN_RE.search(text):  # an unknown token, or only a comment's character
+        for i, lexeme in enumerate(lexemes):
+            if _UNKNOWN_RE.match(lexeme):
+                raise _error(text, i, f"unknown token {lexeme!r}")
+    lexemes.append("")
+    return lexemes
 
 
-def _unexpected(text: str, token: tuple[str, str, int], expected: str) -> ParseError:
-    kind, lexeme, offset = token
-    what = "end of input" if kind == "eof" else f"'{lexeme}'"
-    return _error(text, offset, f"unexpected {what}", expected)
+def _unexpected(text: str, tokens: list[str], index: int, expected: str) -> ParseError:
+    lexeme = tokens[index]
+    what = f"'{lexeme}'" if lexeme else "end of input"
+    return _error(text, index, f"unexpected {what}", expected)
 
 
 def parse_formula(text: str) -> Formula:
@@ -97,24 +104,25 @@ def parse_formula(text: str) -> Formula:
     pos = 0
     while True:
         # Operand position: any '~' and '(', then one atom.
-        kind, name, offset = tokens[pos]
-        while kind == "~" or kind == "(":
-            stack.append(kind)
+        name = tokens[pos]
+        while name == "~" or name == "(":
+            stack.append(name)
             pos += 1
-            kind, name, offset = tokens[pos]
-        if kind != "ident" and kind != "int":
-            raise _unexpected(text, tokens[pos], "an atom, '~', or '('")
+            name = tokens[pos]
+        if name in _NOT_ATOMS:
+            raise _unexpected(text, tokens, pos, "an atom, '~', or '('")
         pos += 1
-        if tokens[pos][0] == "@":
-            if tokens[pos + 1][0] != "ident":
-                raise _unexpected(text, tokens[pos + 1], "an experiment name")
-            operand = AtomNode(tokens[pos + 1][1], name)
+        if tokens[pos] == "@":
+            experiment = tokens[pos + 1]
+            if experiment in _NOT_ATOMS or experiment[0].isdigit():
+                raise _unexpected(text, tokens, pos + 1, "an experiment name")
+            operand = AtomNode(experiment, name)
             pos += 2
-        elif kind == "ident" and name[0].islower():
+        elif name[0].islower():
             operand = AtomNode(name, "true")  # bare predicate: `alien` is `true@alien`
         else:
             message = f"'{name}' is not a predicate name; outcomes must be tagged"
-            raise _error(text, offset, message, "'@'")
+            raise _error(text, pos - 1, message, "'@'")
         # Operator position: apply the pending '~'s, then combine every
         # pending connective that binds at least as tightly as the next
         # token (all are left-associative); ')', end of input and any
@@ -123,9 +131,9 @@ def parse_formula(text: str) -> Formula:
             while stack and stack[-1] == "~":
                 stack.pop()
                 operand = Not(operand)
-            kind, lexeme, offset = token = tokens[pos]
+            lexeme = tokens[pos]
             pos += 1
-            node, level = _CONNECTIVES.get(kind, (None, _LEVEL_COND - 1))
+            node, level = _CONNECTIVES.get(lexeme, (None, _LEVEL_COND - 1))
             while stack and type(stack[-1]) is tuple and stack[-1][1] >= level:
                 pending, pending_level, left = stack.pop()
                 operand = pending(left, operand)
@@ -134,17 +142,17 @@ def parse_formula(text: str) -> Formula:
             if node is not None:
                 stack.append((node, level, operand))
                 break
-            if stack and kind == ")":  # the group's '(' is on top
+            if stack and lexeme == ")":  # the group's '(' is on top
                 stack.pop()
             elif stack:
-                raise _unexpected(text, token, "')'")
-            elif kind == "eof":
+                raise _unexpected(text, tokens, pos - 1, "')'")
+            elif not lexeme:
                 return operand
-            elif kind in _KEYWORDS:
+            elif lexeme in _KEYWORDS:
                 message = "conditionals are non-associative; parenthesize the inner one"
-                raise _error(text, offset, message)
+                raise _error(text, pos - 1, message)
             else:
-                raise _error(text, offset, f"unexpected '{lexeme}' after complete formula")
+                raise _error(text, pos - 1, f"unexpected '{lexeme}' after complete formula")
 
 
 # ---------------------------------------------------------------------------

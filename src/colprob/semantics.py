@@ -55,7 +55,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import product, starmap
 from operator import add, itemgetter
-from typing import Callable, Iterable, Mapping
+from typing import AbstractSet, Callable, Iterable, Mapping
 
 from .errors import EmptySpaceError, EvalError
 from .formula import (
@@ -293,8 +293,12 @@ def _walk(
     the program and combines their supports and closures from the top of
     ``done``. A ``~`` has its child's; so has a choice connective its left
     side's, since its sides have one support. An ``&&`` or ``||`` has the
-    unions of its sides'. An atom's closure is its experiment's, computed
-    once per walk; an experiment without parents is its own closure."""
+    unions of its sides': each support is a set that only its node's
+    entry holds, so the union grows the larger side's set in place with
+    the smaller, and a chain of n atoms adds O(n log n) names in all, not
+    O(n^2). A closure that is its support is that set too. An atom's
+    closure is its experiment's, computed once per walk; an experiment
+    without parents is its own closure."""
     if type(f) is AtomNode:  # the commonest query, without a stack
         names = _atom(f, model)
         parented = model.decl(f.experiment).parents
@@ -304,7 +308,7 @@ def _walk(
     independent: set[int] = set()
     above: dict[str, frozenset[str]] = {}  # each atom experiment's closure
     # the support and closure of each node finished and not yet combined
-    done: list[tuple[frozenset[str], frozenset[str]]] = []
+    done: list[tuple[set[str], set[str] | frozenset[str]]] = []
     stack: list[Formula | tuple[Formula]] = [f]
     while stack:
         node = stack.pop()
@@ -315,13 +319,13 @@ def _walk(
                 _atom(node, model)  # raises the error
             start.append(len(nodes))
             nodes.append(node)
-            names = frozenset((node.experiment,))
+            names = {node.experiment}
             if not decl.parents:  # its own closure
                 done.append((names, names))
                 continue
             closure = above.get(node.experiment)
             if closure is None:
-                closure = above[node.experiment] = ancestral_closure(model, names)
+                closure = above[node.experiment] = ancestral_closure(model, frozenset(names))
             done.append((names, closure))
         elif kind is tuple:
             node, = node
@@ -335,15 +339,16 @@ def _walk(
             right, r_closure = done.pop()
             names, closure = done[-1]
             if kind is ParAnd or kind is ParOr:
-                union = names | right
-                if len(union) < len(names) + len(right):  # the sides overlap
+                if not names.isdisjoint(right):
                     if shared is not None:
                         _share(shared, names, right, model)
                 elif closure.isdisjoint(r_closure):
                     independent.add(i)
-                # the union again when both closures are the supports
-                done[-1] = union, (
-                    union if closure is names and r_closure is right else closure | r_closure)
+                if len(names) < len(right):  # grow the larger side's set
+                    names, right, closure, r_closure = right, names, r_closure, closure
+                closure = names if closure is names and r_closure is right else closure | r_closure
+                names |= right
+                done[-1] = names, closure
             elif names != right:
                 op = "choice-and (&)" if kind is ChoiceAnd else "choice-or (|)"
                 return Undetermined(
@@ -361,7 +366,10 @@ def _walk(
             )
         else:
             raise TypeError(f"not a formula node: {node!r}")
-    return done[0][0], done[0][1], (nodes, start, independent)
+    names, closure = done[0]
+    support = frozenset(names)
+    closure = support if closure is names else frozenset(closure)
+    return support, closure, (nodes, start, independent)
 
 
 def _atom(node: AtomNode, model: Model) -> frozenset[str]:
@@ -371,7 +379,9 @@ def _atom(node: AtomNode, model: Model) -> frozenset[str]:
     return frozenset((node.experiment,))
 
 
-def _share(shared: set[str], left: frozenset[str], right: frozenset[str], model: Model) -> None:
+def _share(
+    shared: set[str], left: AbstractSet[str], right: AbstractSet[str], model: Model
+) -> None:
     """Add to ``shared`` the non-predicate experiments in both ``left`` and ``right``."""
     both = left & right
     if both:

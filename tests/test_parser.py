@@ -1,3 +1,4 @@
+import ast
 import random
 import re
 import string
@@ -68,6 +69,8 @@ class TestParseFormula:
 
     def test_whitespace_and_comments_ignored(self):
         assert parse_formula(" 4@d|5@d  # tail comment") == parse_formula("4@d | 5@d")
+        # a character that starts no token is no error inside a comment
+        assert parse_formula("4@d # $é\n| 5@d") == parse_formula("4@d | 5@d")
 
     def test_bare_uppercase_is_an_error(self):
         with pytest.raises(ParseError) as info:
@@ -105,6 +108,12 @@ class TestParseFormula:
             ("@c", (1, 1), "unexpected '@'", "an atom, '~', or '('"),
             ("~", (1, 2), "unexpected end of input", "an atom, '~', or '('"),
             ("((H@c)", (1, 7), "unexpected end of input", "')'"),
+            ("# $\n4@d é 5@d", (2, 5), "unknown token 'é'", None),
+            ("4@d\x0b| 5@d", (1, 4), "unknown token '\\x0b'", None),
+            ("5@7", (1, 3), "unexpected '7'", "an experiment name"),
+            ("H@given", (1, 3), "unexpected 'given'", "an experiment name"),
+            ("(H@c # open\n", (2, 1), "unexpected end of input", "')'"),
+            ("H@c pgiven", (1, 11), "unexpected end of input", "an atom, '~', or '('"),
         ],
         ids=[
             "same-line",
@@ -121,6 +130,12 @@ class TestParseFormula:
             "tag-without-outcome",
             "negation-at-eof",
             "unclosed-outer-group",
+            "unknown-after-comment-with-stray-character",
+            "vertical-tab",
+            "integer-experiment",
+            "keyword-experiment",
+            "eof-after-comment",
+            "eof-after-keyword",
         ],
     )
     def test_error_position_points_into_source(self, text, position, message, expected):
@@ -182,6 +197,7 @@ def test_round_trip_on_random_asts():
 def test_parsing_is_total_on_fuzzed_input():
     rng = random.Random(7)
     alphabet = string.ascii_letters + string.digits + "@~&|() #pgiven\t\n\r/=_$é"
+    checked = {"token": 0, "end": 0}
     for _ in range(5000):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
         try:
@@ -191,6 +207,17 @@ def test_parsing_is_total_on_fuzzed_input():
             lines = text.split("\n")
             assert 1 <= err.line <= len(lines)
             assert 1 <= err.column <= len(lines[err.line - 1]) + 1
+            # A token the message names starts there; at the end of input,
+            # only whitespace and comments follow.
+            offset = sum(len(line) + 1 for line in lines[:err.line - 1]) + err.column - 1
+            named = re.match(r"(?:unexpected |unknown token )?('[^']*')", err.message)
+            if named:
+                assert text.startswith(ast.literal_eval(named[1]), offset), (text, err)
+                checked["token"] += 1
+            elif "end of input" in err.message:
+                assert re.fullmatch(r"(?:[ \t\r\n]+|#[^\n]*)*", text[offset:]), (text, err)
+                checked["end"] += 1
+    assert min(checked.values()) > 100
 
 
 @pytest.mark.parametrize("depth", [200, 10_000])

@@ -1,6 +1,7 @@
 import random
 import warnings
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -12,6 +13,7 @@ from colprob import (
     EventSpace,
     ExperimentDecl,
     Model,
+    ParAnd,
     Partition,
     Point,
     SharedExperimentWarning,
@@ -29,6 +31,7 @@ from colprob import (
     prob_explain,
     to_set_normal_form,
 )
+from colprob.semantics import support
 from _corpus import random_formula, random_model, random_space
 
 
@@ -84,6 +87,20 @@ class TestDenote:
     def test_undetermined_propagates_upward(self, two_coins_cd):
         d = denote(parse_formula("~(H@c | T@d)"), two_coins_cd)
         assert isinstance(d, Undetermined)
+
+
+@pytest.mark.parametrize("nesting", ["left", "right"])
+def test_support_of_a_twenty_thousand_term_chain(nesting):
+    # Each && grows the larger side's support with the smaller one, so the
+    # walk stays linear in the chain's length, however the chain nests.
+    names = [f"c{i}" for i in range(20_000)]
+    model = Model.of(*(ExperimentDecl.uniform(name, ("H", "T")) for name in names))
+    atoms = [AtomNode(name, "H") for name in names]
+    if nesting == "left":
+        f = reduce(ParAnd, atoms)
+    else:
+        f = reduce(lambda right, atom: ParAnd(atom, right), reversed(atoms))
+    assert support(f, model) == frozenset(names)
 
 
 class TestCartesianConj:
