@@ -41,7 +41,8 @@ from .errors import PartitionError
 from .evaluator import ProbResult, _evaluate, _point_weights, _value
 from .formula import Formula, GivenPar, format_formula
 from .model import ZERO, Model
-from .semantics import Undetermined, _conj, _Space, _space, _walk, format_support
+from .semantics import (Undetermined, _conj, _reject_conditional, _Space, _space, _walk,
+                        format_support)
 
 ADDITIVE = "additive"
 PARALLEL = "parallel"
@@ -94,7 +95,8 @@ def _check(p: Partition, model: Model, variant: str) -> tuple[PartitionReport, _
         raise ValueError(f"unknown variant {variant!r}")
     supports, closures, runs = [], [], []
     for i, cell in enumerate(p.cells, start=1):
-        verdict, closure, program = _walk(cell, model, None)  # raises on a conditional cell
+        _reject_conditional(cell)
+        verdict, closure, program = _walk(cell, model, None)
         if isinstance(verdict, Undetermined):
             raise PartitionError(
                 f"cell {i} ({format_formula(cell)}) is undetermined: {verdict.reason}"
@@ -156,6 +158,7 @@ def posteriors(
     report, cells = _check(p, model, variant)
     if not report.ok:
         raise PartitionError("partition cells overlap", report.violations)
+    _reject_conditional(evidence)
     ev, ev_closure, program = _walk(evidence, model, None)
     if variant == ADDITIVE:
         if isinstance(ev, Undetermined):
@@ -179,10 +182,7 @@ def posteriors(
             continue
         if ev_space is None:
             ev_space = _space(program[0], model)
-        if variant == PARALLEL:
-            joints[i] = _conj(space, ev_space)
-        else:  # one support
-            joints[i] = space[0], space[1] & ev_space[1]
+        joints[i] = _conj(space, ev_space)  # over one support, the intersection
         weights.append(ZERO)
     spaces = list(joints.values())
     for i, space, table in zip(joints, spaces, _weigh(spaces, model)):

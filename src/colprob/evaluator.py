@@ -10,21 +10,26 @@ over the query's program:
     R5  p(E && F) = p(E) * p(F) under independence,
                     else p(F) * p(E pgiven F)
 
-The verdict is decided once per root (once per side of a conditional) by
-one walk of the formula on an explicit stack (``semantics._walk``), which
-also compiles the root to its program: its nodes in post-order, where
-each node's subtree starts, and the indices of the ``&&`` and ``||``
-whose sides have disjoint ancestral closures, so the independence test
-of R4 and R5 is one lookup: a chain of n terms costs O(n) rule steps,
-and a root conditional takes its sides' closures from their walks. A
-pass from the root down lists the nodes whose steps the root reads; a
-pass children first takes those steps into a list, one per index. No pass
+The verdict is decided once per query by one walk of the formula on an
+explicit stack (``semantics._walk``), which also compiles the query to
+its one program: its nodes in post-order, where each node's subtree
+starts, and the indices of the ``&&``, ``||`` and root ``pgiven`` whose
+sides have disjoint ancestral closures, so the independence test of R4
+and R5 is one lookup: a chain of n terms costs O(n) rule steps. A pass
+from the root down lists the nodes whose steps the root reads; a pass
+children first takes those steps into a list, one per index. No pass
 recurses, so a formula of any depth costs no Python frames. R1 computes
 a node from its child, and R4 and R5 an ``||`` or ``&&`` whose sides have
 disjoint ancestral closures from its sides: R5 takes their product, and
 R4, R5 on the complements, one minus the product of their complements'
 (the nodes of ``~E && ~F`` are built only for the explanation). A
-dependent ``||`` is one minus the mass of the space of ``~E && ~F``.
+dependent ``||`` is one minus the mass of ``~E && ~F``, whose space is
+composed from its sides' (``semantics._complement`` and ``_conj``), as
+are R2's ``E & F`` under explain and a root conditional's joint.
+Conditionals are probability ratios, legal only at the root, where a
+conditional is its program's last node. Its joint, ``E & F`` or
+``E && F``, takes its place in both passes, so R5 or the joint's space
+decides it; the condition's step is always taken, and the ratio follows.
 Every other node's value is read off
 its own event space, in the engine's form (``semantics._space``: sorted
 axes and a set of outcome rows; no ``Point`` is built), by
@@ -40,16 +45,16 @@ space's value is the one Fraction of the integer sum over the product of
 the scales. A noisy-OR cpt that its decl compiled to per-cause factors
 (``ExperimentDecl._scaled``) enters an elimination as those factors, over
 an auxiliary axis summed out after the causes and before the effect. A
-root conditional that reads both its joint and its condition off their
-spaces takes one elimination for both: the closure outside the joint's
-support is summed out once, the joint's rows are read off, and the
-joint's axes outside the condition's support are summed out of the same
-factors before the condition's rows are read (``_point_weights``).
-``prob_explain`` runs the same loops and records each step, showing R2,
-R3 and dependent R5 as their decomposition of the value read off the
-space, or as one "enumeration" leaf when the condition has probability
-zero; each step is taken once, however often the explanation shows it.
-Conditionals are probability ratios, legal only at the root.
+root conditional whose condition is read off its space, and has a
+parent outside its support, takes one elimination for the joint and the
+condition: the closure outside the joint's support is summed out once,
+the joint's rows are read off, and the joint's axes outside the
+condition's support are summed out of the same factors before the
+condition's rows are read (``_point_weights``). ``prob_explain`` runs the
+same loops and records each step, showing R2, R3 and dependent R5 as
+their decomposition of the value read off the space, or as one
+"enumeration" leaf when the condition has probability zero; each step is
+taken once, however often the explanation shows it.
 """
 
 from __future__ import annotations
@@ -77,9 +82,10 @@ from .model import Model, ancestral_closure, parents_first
 from .semantics import (
     EventSpace,
     Undetermined,
+    _complement,
+    _conj,
     _encode,
     _Program,
-    _share,
     _Space,
     _space,
     _walk,
@@ -382,7 +388,7 @@ def prob(f: Formula, model: Model) -> ProbResult:
 def cond_additive(event: Formula, condition: Formula, model: Model) -> ProbResult:
     """p(event given condition) = p(event & condition) / p(condition),
     defined only when both sides share one support."""
-    return prob(GivenAdd(event, condition), model)
+    return _evaluate(GivenAdd(event, condition), model, False, set())[0]
 
 
 def cond_parallel(event: Formula, condition: Formula, model: Model) -> ProbResult:
@@ -391,7 +397,7 @@ def cond_parallel(event: Formula, condition: Formula, model: Model) -> ProbResul
     No support restriction; for experiments with no shared ancestry this
     collapses to p(event).
     """
-    return prob(GivenPar(event, condition), model)
+    return _evaluate(GivenPar(event, condition), model, False, set())[0]
 
 
 def prob_explain(f: Formula, model: Model) -> tuple[ProbResult, Derivation]:
@@ -421,9 +427,9 @@ def _evaluate(f: Formula, model: Model, explain: bool, shared: set[str] | None) 
     """p(f), with its Derivation when ``explain`` is set (else None).
     Given a set ``shared``, a determined ``f`` warns once, before it is
     evaluated, naming the non-predicate experiments shared by its
-    parallel connectives or by a root ``pgiven``'s event and condition."""
-    if isinstance(f, (GivenAdd, GivenPar)):
-        return _conditional(f, model, explain, shared)
+    parallel connectives or by a root ``pgiven``'s event and condition.
+    The warning points at the line that called this function's caller, so
+    each public entry point calls it directly."""
     # raises on unknown atoms and nested conditionals
     verdict, _, program = _walk(f, model, shared)
     if isinstance(verdict, Undetermined):
@@ -445,13 +451,9 @@ def _undetermined(f: Formula, verdict: Undetermined) -> Derivation:
     return d
 
 
-def _value(
-    program: _Program, model: Model, explain: bool,
-    mass: tuple[_Space, Fraction] | None = None,
-) -> _Step:
+def _value(program: _Program, model: Model, explain: bool) -> _Step:
     """p(f) for a formula the walk has found determined and compiled to
-    ``program``; ``mass``, when given, is f's space and its mass, which a
-    root conditional has weighed.
+    ``program``.
 
     Two passes over the program. The first, from the root down, lists the
     indices whose steps the root reads: the child of a ``~``, both sides
@@ -460,55 +462,97 @@ def _value(
     R4) and both sides of ``|``. The second runs over that list reversed,
     children first, and takes those steps: R1 from the child's, R4 and R5
     under independence from the sides', a dependent ``||`` from the space
-    of ``~E && ~F``, and every other node off its own space."""
+    of ``~E && ~F``, and every other node off its own space.
+
+    A root conditional's joint, ``E & F`` or ``E && F``, takes the root's
+    place in both passes, and its condition's step is always taken; the
+    ratio of the two follows the loop. A joint that is read off its space
+    is weighed ahead of the loop (``_joint``), and so is its condition
+    when that is read off its own space."""
     nodes, start, independent = program
-    n = len(nodes)
+    n, f = len(nodes), nodes[-1]
+    ratio = type(f) in (GivenAdd, GivenPar)
+    if ratio:  # its joint takes its place
+        nodes = nodes[:-1] + [(ChoiceAnd if type(f) is GivenAdd else ParAnd)(f.event, f.condition)]
+    weighed = _joint(program, model) if ratio and n - 1 not in independent else {}
     needed = [n - 1]  # grows as it is read: each index after the node that reads it
     for i in needed:  # a node's right side, or child, is i - 1; its left side start[i - 1] - 1
         kind = type(nodes[i])
         if i in independent or explain and kind is ChoiceOr:
             needed += (i - 1, start[i - 1] - 1)
-        elif kind is Not or explain and kind is not AtomNode:
+        elif kind is Not or (explain or ratio and i == n - 1) and kind is not AtomNode:
             needed.append(i - 1)
     steps: list = [None] * n
     for i in reversed(needed):
         node, kind, right = nodes[i], type(nodes[i]), steps[i - 1]
         if kind is Not:
-            steps[i] = _complement(node, right, explain)
+            steps[i] = _one_minus(node, right, explain)
         elif i in independent:
             steps[i] = _independence(node, steps[start[i - 1] - 1], right, explain)
         elif kind is ParOr:  # R4: one minus the mass of the space of ~E && ~F
             both = ParAnd(Not(node.left), Not(node.right))
-            at = start[i - 1]  # where the right side starts
-            run = chain(nodes[start[i]:at], (both.left,), nodes[at:i], (both.right, both))
-            given = _complement(both.right, right, True) if explain else None
-            step = _read(both, *_weighed(run, model), model, explain, given)
-            steps[i] = _complement(node, step, explain)
+            space = _conj(*[_complement(side, model) for side in _sides(nodes, start, i, model)])
+            given = _one_minus(both.right, right, True) if explain else None
+            step = _read(both, *_weighed(space, model), model, explain, given)
+            steps[i] = _one_minus(node, step, explain)
         else:  # off its own space
-            space, p = mass if i == n - 1 and mass else _weighed(nodes[start[i]:i + 1], model)
+            space, p = weighed.get(i) or _weighed(_space(nodes[start[i]:i + 1], model), model)
             if explain and kind is ChoiceOr:  # R2, with E & F read off its space
-                both = ChoiceAnd(node.left, node.right)
-                step = _read(both, *_weighed(chain(nodes[start[i]:i], (both,)), model),
+                both = _conj(*_sides(nodes, start, i, model))
+                step = _read(ChoiceAnd(node.left, node.right), *_weighed(both, model),
                              model, True, right)
                 steps[i] = _node(True, node, Determined(p),
                                  (steps[start[i - 1] - 1][1], right[1], step[1]),
                                  "p(E) + p(F) - p(E & F)")
             else:  # given its right side's step under explain
                 steps[i] = _read(node, space, p, model, explain, right)
-    return steps[-1]
+    if not ratio:
+        return steps[-1]
+    joint, condition = steps[-1], steps[-2]
+    if condition[0].value == 0:
+        raise NullConditionError(
+            f"conditioning on null event: p({format_formula(f.condition)}) = 0"
+        )
+    return _node(
+        explain, f, Determined(joint[0].value / condition[0].value),
+        (joint[1], condition[1]), "ratio of the joint to the condition",
+    )
 
 
-def _weighed(nodes: Iterable[Formula], model: Model) -> tuple[_Space, Fraction]:
-    """The space of a post-order run of nodes, and its mass."""
-    space = _space(nodes, model)
+def _sides(nodes: list[Formula], start: list[int], i: int, model: Model) -> list[_Space]:
+    """The spaces of the two sides of the connective at index ``i``."""
+    at = start[i - 1]  # where the right side starts
+    return [_space(nodes[start[i]:at], model), _space(nodes[at:i], model)]
+
+
+def _joint(program: _Program, model: Model) -> dict[int, tuple[_Space, Fraction]]:
+    """The space and mass of a root conditional's joint, at the root's
+    index, and of its condition, at its own, when the condition is read
+    off its space (no rule decides it).
+
+    The joint joins the event's space with the condition's, so the
+    condition's space is built once. When the condition has a parent
+    outside its support, both masses come from one elimination
+    (``_point_weights``), and the condition's space is never lifted to the
+    joint's support. A condition that is its own closure is read off its
+    own tables, which costs less than summing the joint's other axes out."""
+    nodes, start, independent = program
+    c = len(nodes) - 2
+    event, condition = _sides(nodes, start, c + 1, model)
+    joint = _conj(event, condition)
+    if type(nodes[c]) in (Not, ParOr) or c in independent:  # a rule decides the condition
+        return {c + 1: _weighed(joint, model)}
+    axes = set(condition[0])
+    if not any(p not in axes for name in axes for p in model.decl(name).parents):
+        return {c: _weighed(condition, model), c + 1: _weighed(joint, model)}
+    weights, c_weights, scale = _point_weights(*joint, model, condition)
+    return {c: (condition, Fraction(sum(c_weights), scale)),
+            c + 1: (joint, Fraction(sum(weights), scale))}
+
+
+def _weighed(space: _Space, model: Model) -> tuple[_Space, Fraction]:
+    """``space`` and its mass."""
     return space, _space_prob(space, model)
-
-
-def _reads_space(program: _Program) -> bool:
-    """Whether ``_value`` reads p(f) off f's space: f is not decided by R1,
-    R4 or independent R5."""
-    nodes, _, independent = program
-    return not (type(nodes[-1]) in (Not, ParOr) or len(nodes) - 1 in independent)
 
 
 def _independence(f: ParAnd | ParOr, left: _Step, right: _Step, explain: bool) -> _Step:
@@ -520,10 +564,10 @@ def _independence(f: ParAnd | ParOr, left: _Step, right: _Step, explain: bool) -
         if not explain:
             return Determined(1 - (1 - left[0].value) * (1 - right[0].value)), None
         node = ParAnd(Not(f.left), Not(f.right))
-        left, right = _complement(node.left, left, True), _complement(node.right, right, True)
+        left, right = _one_minus(node.left, left, True), _one_minus(node.right, right, True)
     step = _node(explain, node, Determined(left[0].value * right[0].value),
                  (left[1], right[1]), "independence: p(E) * p(F)")
-    return step if node is f else _complement(f, step, True)
+    return step if node is f else _one_minus(f, step, True)
 
 
 def _read(f: Formula, space: _Space, mass: Fraction, model: Model, explain: bool,
@@ -554,68 +598,11 @@ def _read(f: Formula, space: _Space, mass: Fraction, model: Model, explain: bool
     return _node(True, f, result, (condition_why, ratio), f"p(F) * p(E {word} F)")
 
 
-def _complement(f: Not | ParOr, step: _Step, explain: bool) -> _Step:
+def _one_minus(f: Not | ParOr, step: _Step, explain: bool) -> _Step:
     """R1 and R4: one minus the probability of ``step``, which is that of
     f's child or of ~E && ~F."""
     note = f"1 - p({step[1].formula})" if explain else ""
     return _node(explain, f, Determined(1 - step[0].value), (step[1],), note)
-
-
-def _conditional(
-    f: GivenAdd | GivenPar, model: Model, explain: bool, shared: set[str] | None
-) -> _Step:
-    """The root ratio p(joint) / p(condition); ``given`` also needs the
-    event and the condition to share one support.
-
-    The condition is evaluated once. Under independence the joint is
-    p(event) times it. Otherwise the joint is read off its space, whose
-    run is the event's nodes, the condition's and the joint's. When the
-    condition is read off its space too (no rule decides it) and has
-    ancestors outside its support, both masses come from one elimination
-    (``_point_weights``), and the condition's space is never lifted to the
-    joint's support. A condition that is its own closure is read off its
-    own tables, which costs less than summing the joint's other axes out."""
-    event, e_closure, e_program = _walk(f.event, model, shared)
-    if isinstance(event, Undetermined):
-        return _node(explain, f, event)
-    condition, closure, c_program = _walk(f.condition, model, shared)
-    if isinstance(condition, Undetermined):
-        return _node(explain, f, condition)
-    if isinstance(f, GivenAdd) and event != condition:
-        return _node(explain, f, Undetermined(
-            "additive conditional (given) across distinct supports "
-            f"{format_support(event)} and {format_support(condition)}"
-        ))
-    if shared is not None and isinstance(f, GivenPar):
-        _share(shared, event, condition, model)
-    _warn_shared(shared, stacklevel=4)
-    joint = (ChoiceAnd if isinstance(f, GivenAdd) else ParAnd)(f.event, f.condition)
-    joint_run = chain(e_program[0], c_program[0], (joint,))
-    if isinstance(joint, ParAnd) and e_closure.isdisjoint(closure):
-        given = _nonnull(f, _value(c_program, model, explain))
-        p_joint = _independence(joint, _value(e_program, model, explain), given, explain)
-    elif closure != condition and _reads_space(c_program):
-        space, c_space = _space(joint_run, model), _space(c_program[0], model)
-        weights, c_weights, scale = _point_weights(*space, model, c_space)
-        c_mass = Fraction(sum(c_weights), scale)
-        given = _nonnull(f, _value(c_program, model, explain, (c_space, c_mass)))
-        p_joint = _read(joint, space, Fraction(sum(weights), scale), model, explain, given)
-    else:
-        given = _nonnull(f, _value(c_program, model, explain))
-        p_joint = _read(joint, *_weighed(joint_run, model), model, explain, given)
-    return _node(
-        explain, f, Determined(p_joint[0].value / given[0].value),
-        (p_joint[1], given[1]), "ratio of the joint to the condition",
-    )
-
-
-def _nonnull(f: GivenAdd | GivenPar, step: _Step) -> _Step:
-    """The condition's step, unless its probability is zero, an error."""
-    if step[0].value == 0:
-        raise NullConditionError(
-            f"conditioning on null event: p({format_formula(f.condition)}) = 0"
-        )
-    return step
 
 
 def _node(explain: bool, f: Formula, result: ProbResult, children=(), note="") -> _Step:

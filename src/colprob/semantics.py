@@ -22,7 +22,8 @@ The denotation is structural:
 
 ``support`` decides from the syntax alone whether a formula is determined,
 before any space is built. Conditionals have no denotation; they are
-probability-level constructs and are rejected there. The decision is one
+probability-level constructs, which ``support``, ``denote`` and Bayes
+reject before the walk (``_reject_conditional``). The decision is one
 post-order walk on an explicit stack (``_walk``), so a deep formula costs
 no Python frames. For the evaluator and Bayes the same walk gives the
 root's ancestral closure, each node's the union of its children's, and
@@ -30,8 +31,10 @@ compiles the formula to its program: its nodes in post-order, where each
 node's subtree starts, and the indices of the ``&&`` and ``||`` whose
 sides have disjoint closures, the one fact rules R4 and R5 ask of a node,
 so a query computes each fact once and every later pass is a loop over
-the program. A determined query warns once, naming what that walk
-collects; building a space never warns.
+the program. A root conditional is its program's last node, over its
+event and condition, so every query has one program. A determined query
+warns once, naming what that walk collects; building a space never
+warns.
 
 The engine builds every space in one compact form, ``(axes, rows)``:
 ``axes`` holds the support's experiment names, sorted, and ``rows`` is a
@@ -40,9 +43,9 @@ set of tuples of outcomes aligned with them, one per point. ``&`` and
 outcomes minus the rows, ``&&`` is one hash join on the shared axes (a
 plain product when there are none), and ``||`` joins each side with the
 full product of the axes it lacks and takes the union. ``_space`` is one
-fold over a post-order run of nodes with a stack of spaces: a subtree of
-a program, or runs joined with the nodes that the evaluator adds (a root
-conditional's joint, R4's ``~E && ~F``, R2's ``E & F``).
+fold over a slice of a program with a stack of spaces: a subtree that
+holds no conditional. The spaces of R4's ``~E && ~F``, R2's ``E & F``
+and a root conditional's joint are composed from their sides' folds.
 ``Point`` and ``EventSpace`` are the public form: ``denote`` decodes its
 result once, and ``cartesian_conj``, ``lift``, ``full_space`` (and
 ``evaluator.space_prob``) encode their arguments, run the one engine
@@ -162,10 +165,11 @@ def format_support(support: Iterable[str]) -> str:
 _Space = tuple[tuple[str, ...], set[tuple[str, ...]]]
 
 # A formula compiled by ``_walk``: its nodes in post-order, ``~`` among
-# them; for each node i, the index where its subtree starts, so that the
-# subtree is ``nodes[start[i]:i + 1]``, a connective's right side is
-# i - 1 and its left side start[i - 1] - 1; and the indices of the ``&&``
-# and ``||`` whose sides have disjoint ancestral closures.
+# them, and a root conditional last, over its event and condition; for
+# each node i, the index where its subtree starts, so that the subtree is
+# ``nodes[start[i]:i + 1]``, a binary node's right side is i - 1 and its
+# left side start[i - 1] - 1; and the indices of the ``&&``, ``||`` and
+# root ``pgiven`` whose sides have disjoint ancestral closures.
 _Program = tuple[list[Formula], list[int], set[int]]
 
 
@@ -269,11 +273,31 @@ def support(f: Formula, model: Model) -> frozenset[str] | Undetermined:
 
     A formula is undetermined exactly when one of its choice connectives
     spans two different supports. The walk goes left to right and stops at
-    the first undetermined subformula; before it, an unknown atom or an
-    embedded conditional is an error, not a verdict. A query's root walk
-    also collects the shared experiments that its one warning names.
+    the first undetermined subformula; before it, an unknown atom or a
+    conditional is an error, not a verdict, and a root conditional is one
+    before anything is walked. A query's root walk also collects the
+    shared experiments that its one warning names.
     """
+    _reject_conditional(f)
     return _walk(f, model, None)[0]
+
+
+_CONDITIONALS = (GivenAdd, GivenPar)
+_NOT_AN_EVENT = ("conditionals ('given'/'pgiven') are only allowed at the root "
+                 "of a query; they have no event space")
+# The verdict's name for each connective whose sides must share one support.
+_CHOICE = {
+    ChoiceAnd: "choice-and (&)",
+    ChoiceOr: "choice-or (|)",
+    GivenAdd: "additive conditional (given)",
+}
+
+
+def _reject_conditional(f: Formula) -> None:
+    """Raise where an event is needed and ``f`` is a root conditional,
+    which ``_walk`` compiles but which has no event space."""
+    if type(f) in _CONDITIONALS:
+        raise EvalError(_NOT_AN_EVENT)
 
 
 def _walk(
@@ -281,11 +305,17 @@ def _walk(
 ) -> tuple[frozenset[str] | Undetermined, frozenset[str] | None, _Program | None]:
     """``support``, the ancestral closure of ``f``, and ``f``'s program:
     its nodes in post-order, where each node's subtree starts, and the
-    indices of the ``&&`` and ``||`` whose sides have disjoint closures,
-    the one fact R4 and R5 ask of a node. Given a set ``shared``, it gains
-    the non-predicate experiments that the two sides of each ``&&`` and
-    ``||`` share. The closure and the program are complete only when the
+    indices of the ``&&``, ``||`` and root ``pgiven`` whose sides have
+    disjoint closures, the one fact R4 and R5 ask of a node. Given a set
+    ``shared``, it gains the non-predicate experiments that the two sides
+    of each ``&&``, ``||`` and root ``pgiven`` share. The closure and the program are complete only when the
     verdict is a support; else both are None.
+
+    A root conditional is the program's last node, a binary node over its
+    event and condition: ``pgiven`` is decided as ``&&`` is (shared
+    experiments, and independence when the closures are disjoint),
+    ``given`` as a choice connective; its support is then the joint's. A
+    conditional anywhere else is an error.
 
     One post-order walk on an explicit stack, children left to right: a
     ``~`` or a connective goes back on the stack, ready (in a 1-tuple),
@@ -296,13 +326,10 @@ def _walk(
     unions of its sides': each support is a set that only its node's
     entry holds, so the union grows the larger side's set in place with
     the smaller, and a chain of n atoms adds O(n log n) names in all, not
-    O(n^2). A closure that is its support is that set too. An atom's
-    closure is its experiment's, computed once per walk; an experiment
-    without parents is its own closure."""
-    if type(f) is AtomNode:  # the commonest query, without a stack
-        names = _atom(f, model)
-        parented = model.decl(f.experiment).parents
-        return names, ancestral_closure(model, names) if parented else names, ([f], [0], set())
+    O(n^2). So does a closure, but an atom's is its experiment's, computed
+    once per walk and shared by its atoms, and one without parents is its
+    support: such a closure is copied once before it grows. When both
+    sides are their own closures, so is the union."""
     nodes: list[Formula] = []
     start: list[int] = []
     independent: set[int] = set()
@@ -310,13 +337,16 @@ def _walk(
     # the support and closure of each node finished and not yet combined
     done: list[tuple[set[str], set[str] | frozenset[str]]] = []
     stack: list[Formula | tuple[Formula]] = [f]
+    if type(f) in _CONDITIONALS:
+        stack = [(f,), f.condition, f.event]
     while stack:
         node = stack.pop()
         kind = type(node)
         if kind is AtomNode:
             decl = model.decl(node.experiment)
             if node.outcome not in decl.outcomes:
-                _atom(node, model)  # raises the error
+                raise EvalError(
+                    f"unknown outcome '{node.outcome}' of experiment '{node.experiment}'")
             start.append(len(nodes))
             nodes.append(node)
             names = {node.experiment}
@@ -338,45 +368,40 @@ def _walk(
             start.append(start[start[i - 1] - 1])  # its left side's start
             right, r_closure = done.pop()
             names, closure = done[-1]
-            if kind is ParAnd or kind is ParOr:
+            if kind is ParAnd or kind is ParOr or kind is GivenPar:
                 if not names.isdisjoint(right):
                     if shared is not None:
                         _share(shared, names, right, model)
                 elif closure.isdisjoint(r_closure):
                     independent.add(i)
-                if len(names) < len(right):  # grow the larger side's set
-                    names, right, closure, r_closure = right, names, r_closure, closure
-                closure = names if closure is names and r_closure is right else closure | r_closure
+                own = closure is names and r_closure is right
+                if len(closure) < len(r_closure):  # grow the larger side's sets
+                    closure, r_closure = r_closure, closure
+                if not own:
+                    if type(closure) is frozenset or closure is names or closure is right:
+                        closure = set(closure)
+                    closure |= r_closure
+                if len(names) < len(right):
+                    names, right = right, names
                 names |= right
-                done[-1] = names, closure
+                done[-1] = names, names if own else closure
             elif names != right:
-                op = "choice-and (&)" if kind is ChoiceAnd else "choice-or (|)"
                 return Undetermined(
-                    f"{op} across distinct supports "
+                    f"{_CHOICE[kind]} across distinct supports "
                     f"{format_support(names)} and {format_support(right)}"
                 ), None, None
         elif kind is Not:
             stack += ((node,), node.child)
         elif kind in (ParAnd, ParOr, ChoiceAnd, ChoiceOr):
             stack += ((node,), node.right, node.left)
-        elif kind in (GivenAdd, GivenPar):
-            raise EvalError(
-                "conditionals ('given'/'pgiven') are only allowed at the root "
-                "of a query; they have no event space"
-            )
+        elif kind in _CONDITIONALS:
+            raise EvalError(_NOT_AN_EVENT)
         else:
             raise TypeError(f"not a formula node: {node!r}")
     names, closure = done[0]
     support = frozenset(names)
     closure = support if closure is names else frozenset(closure)
     return support, closure, (nodes, start, independent)
-
-
-def _atom(node: AtomNode, model: Model) -> frozenset[str]:
-    """An atom's support; an outcome its experiment lacks is an error."""
-    if node.outcome not in model.decl(node.experiment).outcomes:
-        raise EvalError(f"unknown outcome '{node.outcome}' of experiment '{node.experiment}'")
-    return frozenset((node.experiment,))
 
 
 def _share(
@@ -398,6 +423,7 @@ def _warn_shared(shared: set[str] | None, stacklevel: int) -> None:
 def denote(f: Formula, model: Model) -> Denotation:
     """The event space of ``f`` under ``model``, or the Undetermined verdict
     (or error) that ``support`` gives before any space is built."""
+    _reject_conditional(f)
     shared: set[str] = set()
     verdict, _, program = _walk(f, model, shared)
     if isinstance(verdict, Undetermined):
@@ -407,11 +433,11 @@ def denote(f: Formula, model: Model) -> Denotation:
 
 
 def _space(nodes: Iterable[Formula], model: Model) -> _Space:
-    """The space of the formula whose post-order run of nodes is ``nodes``
-    (``support`` has found it determined), in the engine's form; never
-    warns. One fold over the run: an atom pushes its space, a ``~``
-    complements the top of ``done``, and a connective combines the two
-    spaces on top of it."""
+    """The space of the formula whose subtree in a program is ``nodes``
+    (the walk has found it determined, and it holds no conditional), in
+    the engine's form; never warns. One fold over the slice: an atom
+    pushes its space, a ``~`` complements the top of ``done``, and a
+    connective combines the two spaces on top of it."""
     done: list[_Space] = []
     for node in nodes:
         kind = type(node)

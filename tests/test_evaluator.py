@@ -663,17 +663,70 @@ def test_a_rule_decided_condition_keeps_its_rule_path(eliminations):
 
 
 def test_an_independent_pgiven_evaluates_its_condition_once(monkeypatch):
-    seen = []  # the root node of each program evaluated, printed
-    real = evaluator._value
+    # One program, whose root is the conditional; the condition's space
+    # is folded once, for its one step.
+    programs, folded = [], []  # the root of each program, and of each run folded, printed
+    real_value, real_space = evaluator._value, evaluator._space
 
-    def recorded(program, *args):
-        seen.append(format_formula(program[0][-1]))
-        return real(program, *args)
+    def value(program, *args):
+        programs.append(format_formula(program[0][-1]))
+        return real_value(program, *args)
 
-    monkeypatch.setattr(evaluator, "_value", recorded)
+    def space(nodes, model):
+        folded.append(format_formula(nodes[-1]))
+        return real_space(nodes, model)
+
+    monkeypatch.setattr(evaluator, "_value", value)
+    monkeypatch.setattr(evaluator, "_space", space)
     f = parse_formula("H@c0 pgiven (lo@s | hi@s)")
     assert prob(f, SIGNAL) == Determined(F(1, 2))
-    assert seen.count("lo@s | hi@s") == 1
+    assert programs == ["H@c0 pgiven lo@s | hi@s"]
+    assert folded.count("lo@s | hi@s") == 1
+
+
+@pytest.mark.parametrize("text", [
+    "H@c0 pgiven (lo@s | hi@s)",  # independent
+    "H@h pgiven lo@s",  # the condition shares an elimination with the joint
+    "H@h && H@c1 pgiven ~lo@s",  # a rule decides the condition
+    "lo@s given lo@s | hi@s",
+    "H@c0 given H@c0 | T@c0",  # the condition is its own closure
+])
+def test_a_root_conditional_takes_one_walk(monkeypatch, text):
+    walks = []
+    real = evaluator._walk
+
+    def walk(f, *args):
+        walks.append(f)
+        return real(f, *args)
+
+    monkeypatch.setattr(evaluator, "_walk", walk)
+    f = parse_formula(text)
+    for run in (prob, lambda f, model: prob_explain(f, model)[0]):
+        walks.clear()
+        assert run(f, SIGNAL) == enumerate_prob(f, SIGNAL)
+        assert len(walks) == 1 and walks[0] is f
+
+
+@pytest.mark.parametrize("text, event, condition", [
+    ("0@x3 pgiven 1@x9", 1, 1),
+    ("(0@x2 | 1@x2) && 1@x7 pgiven 0@x9 | 1@x9", 5, 3),
+    ("0@x8 given 0@x8 | 1@x8", 1, 3),
+    ("1@x4 && 0@x5 pgiven 0@x0 | 1@x0", 3, 3),  # the condition is its own closure
+])
+def test_a_dependent_conditional_folds_each_side_once(monkeypatch, text, event, condition):
+    # The joint's space joins the event's with the condition's, which is
+    # also the one the condition's mass is read off.
+    runs = []  # the length of each run of nodes folded
+    real = evaluator._space
+
+    def space(nodes, model):
+        runs.append(len(nodes))
+        return real(nodes, model)
+
+    monkeypatch.setattr(evaluator, "_space", space)
+    f = parse_formula(text)
+    assert prob(f, MARKOV10) == enumerate_prob(f, MARKOV10)
+    assert sorted(runs) == sorted([event, condition])
 
 
 @pytest.mark.parametrize("text", [

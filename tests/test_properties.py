@@ -368,6 +368,13 @@ def test_noisy_or_models_agree_with_enumeration(case, data):
         assert answer(lambda: prob_explain(f, model)[0]) == expected, text
 
 
+def sides(g):
+    """The two sides of a binary node: a conditional's event and condition."""
+    if isinstance(g, (GivenAdd, GivenPar)):
+        return g.event, g.condition
+    return g.left, g.right
+
+
 def reference_facts(f, model):
     """(node, support, closure) of every node of ``f``, in post-order, by a
     recursion that shares no code with the walk: each closure follows the
@@ -389,7 +396,8 @@ def reference_facts(f, model):
         elif isinstance(g, Not):
             names = visit(g.child)
         else:
-            names = visit(g.left) | visit(g.right)
+            left, right = sides(g)
+            names = visit(left) | visit(right)
         out.append((g, names, closure(names)))
         return names
 
@@ -398,38 +406,41 @@ def reference_facts(f, model):
 
 
 def check_walk(f, model):
-    """On a determined formula (each side of a root conditional), the walk
-    gives the root's support and closure, and its program lists the nodes
-    in post-order, each with the start of its subtree, and holds exactly
-    the indices of the ``&&`` and ``||`` nodes, everywhere in the formula
-    (under choice connectives too), whose sides have disjoint closures."""
-    for side in (f.event, f.condition) if isinstance(f, (GivenAdd, GivenPar)) else (f,):
-        try:
-            verdict, closure, program = semantics._walk(side, model, None)
-        except ColprobError:
-            return
-        if not isinstance(verdict, frozenset):
-            continue
-        nodes, start, independent = program
-        expected = reference_facts(side, model)
-        assert (verdict, closure) == expected[-1][1:]
-        assert len(nodes) == len(start) == len(expected)
-        assert all(g is h for g, (h, _, _) in zip(nodes, expected))
-        for i, g in enumerate(nodes):  # each subtree starts where its first child's does
-            if isinstance(g, AtomNode):
-                assert start[i] == i
-            elif isinstance(g, Not):
-                assert nodes[i - 1] is g.child and start[i] == start[i - 1]
-            else:
-                left = start[i - 1] - 1
-                assert nodes[i - 1] is g.right and nodes[left] is g.left
-                assert start[i] == start[left]
-        reference = {id(g): closure for g, _, closure in expected}
-        assert independent == {
-            i for i, (g, _, _) in enumerate(expected)
-            if isinstance(g, (ParAnd, ParOr))
-            and not reference[id(g.left)] & reference[id(g.right)]
-        }
+    """On a determined formula, the walk gives the root's support and
+    closure, and its program lists the nodes in post-order, each with the
+    start of its subtree, and holds exactly the indices of the ``&&``,
+    ``||`` and root ``pgiven`` nodes, everywhere in the formula (under
+    choice connectives too), whose sides have disjoint closures. A root
+    conditional is its program's last node, over its event and condition,
+    and a determined program holds no other conditional."""
+    try:
+        verdict, closure, program = semantics._walk(f, model, None)
+    except ColprobError:
+        return
+    if not isinstance(verdict, frozenset):
+        return
+    nodes, start, independent = program
+    expected = reference_facts(f, model)
+    assert (verdict, closure) == expected[-1][1:]
+    assert len(nodes) == len(start) == len(expected)
+    assert all(g is h for g, (h, _, _) in zip(nodes, expected))
+    for i, g in enumerate(nodes):  # each subtree starts where its first child's does
+        if isinstance(g, AtomNode):
+            assert start[i] == i
+        elif isinstance(g, Not):
+            assert nodes[i - 1] is g.child and start[i] == start[i - 1]
+        else:
+            left = start[i - 1] - 1
+            first, second = sides(g)
+            assert nodes[left] is first and nodes[i - 1] is second
+            assert start[i] == start[left]
+            assert i == len(nodes) - 1 or not isinstance(g, (GivenAdd, GivenPar))
+    reference = {id(g): closure for g, _, closure in expected}
+    assert independent == {
+        i for i, (g, _, _) in enumerate(expected)
+        if isinstance(g, (ParAnd, ParOr, GivenPar))
+        and not reference[id(sides(g)[0])] & reference[id(sides(g)[1])]
+    }
 
 
 @DETERMINISTIC

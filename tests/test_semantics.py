@@ -22,6 +22,8 @@ from colprob import (
     bayes_parallel,
     cartesian_conj,
     check_partition,
+    cond_additive,
+    cond_parallel,
     denote,
     format_formula,
     full_space,
@@ -31,6 +33,7 @@ from colprob import (
     prob_explain,
     to_set_normal_form,
 )
+from colprob import semantics
 from colprob.semantics import support
 from _corpus import random_formula, random_model, random_space
 
@@ -89,6 +92,21 @@ class TestDenote:
         assert isinstance(d, Undetermined)
 
 
+@pytest.mark.parametrize("path", [support, denote], ids=["support", "denote"])
+@pytest.mark.parametrize("text", [
+    "H@c given T@c", "H@c pgiven T@c", "H@c given T@d", "(H@c | T@d) pgiven bogus@c",
+], ids=["given", "pgiven", "given-undetermined", "pgiven-undetermined"])
+def test_a_root_conditional_has_no_event_space(two_coins_cd, path, text):
+    # Rejected before the walk, which would compile it (and decide the
+    # last two undetermined) for the evaluator.
+    with pytest.raises(EvalError) as info:
+        path(parse_formula(text), two_coins_cd)
+    assert str(info.value) == (
+        "conditionals ('given'/'pgiven') are only allowed at the root of a query; "
+        "they have no event space"
+    )
+
+
 @pytest.mark.parametrize("nesting", ["left", "right"])
 def test_support_of_a_twenty_thousand_term_chain(nesting):
     # Each && grows the larger side's support with the smaller one, so the
@@ -101,6 +119,27 @@ def test_support_of_a_twenty_thousand_term_chain(nesting):
     else:
         f = reduce(lambda right, atom: ParAnd(atom, right), reversed(atoms))
     assert support(f, model) == frozenset(names)
+
+
+@pytest.mark.parametrize("nesting", ["left", "right"])
+def test_closure_of_a_ten_thousand_term_parented_chain(nesting):
+    # Each coin c{i} under its own parent r{i}: each && grows the larger
+    # side's closure too, copying an atom's shared closure once, so the
+    # walk stays linear on parented experiments.
+    n = 10_000
+    cpt = {(o,): {"H": Fraction(1, 3), "T": Fraction(2, 3)} for o in ("H", "T")}
+    model = Model.of(*(decl for i in range(n) for decl in (
+        ExperimentDecl.uniform(f"r{i}", ("H", "T")),
+        ExperimentDecl(f"c{i}", ("H", "T"), (f"r{i}",), cpt),
+    )))
+    atoms = [AtomNode(f"c{i}", "H") for i in range(n)] + [AtomNode("c0", "T")]
+    if nesting == "left":
+        f = reduce(ParAnd, atoms)
+    else:
+        f = reduce(lambda right, atom: ParAnd(atom, right), reversed(atoms))
+    verdict, closure, _ = semantics._walk(f, model, None)
+    assert support(f, model) == verdict == frozenset(f"c{i}" for i in range(n))
+    assert closure == frozenset(model.experiments)
 
 
 class TestCartesianConj:
@@ -315,6 +354,24 @@ class TestSharedExperimentWarning:
         with pytest.warns(SharedExperimentWarning, match=r"\{c\}") as caught:
             path(parse_formula("H@c pgiven T@c"), examples_model)
         assert len(caught) == 1
+
+    @pytest.mark.parametrize("call", [
+        lambda model: prob(parse_formula("H@c && T@c"), model),
+        lambda model: prob_explain(parse_formula("H@c && T@c"), model),
+        lambda model: denote(parse_formula("H@c && T@c"), model),
+        lambda model: cond_additive(parse_formula("H@c && T@c"), parse_formula("H@c | T@c"),
+                                    model),
+        lambda model: cond_parallel(parse_formula("H@c && T@c"), parse_formula("H@c | T@c"),
+                                    model),
+        lambda model: prob(parse_formula("H@c pgiven T@c"), model),
+        lambda model: prob_explain(parse_formula("H@c pgiven T@c"), model),
+        lambda model: cond_parallel(parse_formula("H@c"), parse_formula("T@c"), model),
+    ], ids=["prob-&&", "prob_explain-&&", "denote-&&", "cond_additive-&&", "cond_parallel-&&",
+            "prob-pgiven", "prob_explain-pgiven", "cond_parallel-pgiven"])
+    def test_the_warning_points_at_the_caller(self, examples_model, call):
+        with pytest.warns(SharedExperimentWarning, match=r"\{c\}") as caught:
+            call(examples_model)
+        assert [w.filename for w in caught] == [__file__]
 
     @pytest.mark.parametrize("text", [
         "(H@c && T@c) | H@c1", "~(H@c || T@c) & (H@c1 && T@c1)",
