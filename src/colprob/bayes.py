@@ -12,12 +12,12 @@ The parallel rule conditions across experiments:
 equivalently prior-times-likelihood, p(cell_i) * p(F pgiven cell_i), which
 agrees with the joint form exactly under rational arithmetic.
 
-There is no union query and no query per cell: the masses come from one
-variable elimination per distinct support (``evaluator._point_weights``),
-which weighs every point of the spaces over that support at once. A
-partition check weighs its cells, and over different supports their
-pairwise joints, in one such pass; the joint weights of the cells and
-the evidence take one more per support they lie over. Each cell and the
+There is no union query and no query per cell: this module reads
+masses only, from ``evaluator._masses``, which weighs a batch of spaces
+by one variable elimination per distinct support. Two cells overlap
+exactly when their joint has nonzero mass; a partition check weighs its
+cells and their candidate joints in one batch, and the joint weights of
+the cells and the evidence in one more. Each cell and the
 evidence are walked once (``semantics._walk``), which decides the
 verdict, gives the ancestral closure that R5's independence test reads,
 and compiles the program that the space and p(evidence), when R5 needs
@@ -38,7 +38,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import PartitionError
-from .evaluator import ProbResult, _evaluate, _point_weights, _value
+from .evaluator import ProbResult, _evaluate, _masses, _value
 from .formula import Formula, GivenPar, format_formula
 from .model import ZERO, Model
 from .semantics import (Undetermined, _conj, _reject_conditional, _Space, _space, _walk,
@@ -71,12 +71,12 @@ class PartitionReport:
 def check_partition(p: Partition, model: Model, variant: str) -> PartitionReport:
     """Decide disjointness and report exhaustiveness.
 
-    Each cell's space is built once, and its points are weighed by their
-    marginal probabilities, one elimination per distinct support. Over one
-    support (always so when additive), two cells overlap with nonzero
-    probability exactly when they share a point of nonzero weight; cells
-    over different supports are joined pairwise (``&&``'s hash join), and
-    the joints weighed in the same pass.
+    Each cell's space is built once. Two cells overlap exactly when their
+    joint, under the variant's conjunction, has nonzero mass. Over one
+    support (always so when additive), the candidates are the pairs of
+    cells that share a point, and a joint is the points they share; over
+    different supports every pair is joined (``&&``'s hash join). The
+    cells and the joints are weighed in one batch (``evaluator._masses``).
     Exhaustiveness (cell probabilities summing to exactly 1) is reported
     but not required. Undetermined or conditional cells, or cells with
     differing supports under the additive variant, are errors.
@@ -112,26 +112,19 @@ def _check(p: Partition, model: Model, variant: str) -> tuple[PartitionReport, _
             f"but cell {mismatch} over {format_support(supports[mismatch - 1])}"
         )
     spaces = [_space(nodes, model) for nodes in runs]
-    joints = {} if mismatch is None else {  # parallel cells over different supports
-        (i, j): _conj(spaces[i], spaces[j])
-        for i, j in combinations(range(len(spaces)), 2)
-    }
-    tables = _weigh(spaces + list(joints.values()), model)
-    masses = [_mass(space, table) for space, table in zip(spaces, tables)]
-    total = sum(masses, start=ZERO)
-    if mismatch is None:
-        weights = tables[0][0]
+    if mismatch is None:  # over one support, only cells that share a row can overlap
         owners: dict[tuple[str, ...], list[int]] = {}  # by row
         for i, (_, rows) in enumerate(spaces):
             for row in rows:
-                if weights[row]:
-                    owners.setdefault(row, []).append(i)
+                owners.setdefault(row, []).append(i)
         pairs = sorted({pair for cells in owners.values() for pair in combinations(cells, 2)})
     else:
-        pairs = [pair for (pair, (_, rows)), (weights, _)
-                 in zip(joints.items(), tables[len(spaces):])
-                 if any(map(weights.__getitem__, rows))]
-    violations = tuple(f"cells {i + 1},{j + 1} not disjoint" for i, j in pairs)
+        pairs = list(combinations(range(len(spaces)), 2))
+    masses = _masses(spaces + [_conj(spaces[i], spaces[j]) for i, j in pairs], model)
+    masses, joints = masses[:len(spaces)], masses[len(spaces):]
+    total = sum(masses, start=ZERO)
+    violations = tuple(f"cells {i + 1},{j + 1} not disjoint"
+                       for (i, j), joint in zip(pairs, joints) if joint)
     report = PartitionReport(
         ok=not violations,
         violations=violations,
@@ -152,8 +145,7 @@ def posteriors(
     root. A parallel cell whose ancestral closure is disjoint from the
     evidence's weighs p(cell) * p(evidence) (R5), with p(evidence)
     evaluated once. Every other cell is conjoined with the evidence's
-    space, built once, and these joint spaces are weighed by one
-    elimination per distinct support.
+    space, built once, and these joint spaces are weighed in one batch.
     """
     report, cells = _check(p, model, variant)
     if not report.ok:
@@ -184,9 +176,8 @@ def posteriors(
             ev_space = _space(program[0], model)
         joints[i] = _conj(space, ev_space)  # over one support, the intersection
         weights.append(ZERO)
-    spaces = list(joints.values())
-    for i, space, table in zip(joints, spaces, _weigh(spaces, model)):
-        weights[i] = _mass(space, table)
+    for i, mass in zip(joints, _masses(list(joints.values()), model)):
+        weights[i] = mass
     return report, _normalize(weights)
 
 
@@ -238,24 +229,3 @@ def _determined(result) -> Fraction:
     if isinstance(result, Undetermined):
         raise PartitionError(f"undetermined weight: {result.reason}")
     return result.value
-
-
-_Table = tuple[dict[tuple[str, ...], int], int]  # each row's weight, and their scale
-
-
-def _weigh(spaces: list[_Space], model: Model) -> list[_Table]:
-    """Each space's row weights and their scale, as ``_point_weights``
-    gives them, from one elimination per distinct support."""
-    distinct: dict[tuple[str, ...], dict[tuple[str, ...], None]] = {}
-    for axes, rows in spaces:
-        distinct.setdefault(axes, {}).update(dict.fromkeys(rows))
-    tables = {}
-    for axes, rows in distinct.items():
-        weights, _, scale = _point_weights(axes, rows.keys(), model)
-        tables[axes] = dict(zip(rows, weights)), scale
-    return [tables[axes] for axes, _ in spaces]
-
-
-def _mass(space: _Space, table: _Table) -> Fraction:
-    weights, scale = table
-    return Fraction(sum(map(weights.__getitem__, space[1])), scale)

@@ -30,6 +30,7 @@ from .evaluator import (
     Derivation,
     Determined,
     ProbResult,
+    _preorder,
     prob,
     prob_explain,
     render_derivation,
@@ -134,17 +135,17 @@ def _oracle_json(out: QueryOutput):
 
 def _derivation_json(d: Derivation | None) -> str:
     """The derivation tree as the JSON text ``json.dumps`` gives for its
-    nested dicts, built with an explicit stack: a derivation as deep as
-    the evaluator could reach must not hit the recursion limit here."""
+    nested dicts, built from its pre-order walk (``_preorder``): a node
+    that is no deeper than the one before it first closes the nodes left
+    open at its depth and below. A derivation as deep as the evaluator
+    could reach must not hit the recursion limit here."""
     if d is None:
         return "null"
     parts = []
-    stack: list[Derivation | str] = [d]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            parts.append(node)
-            continue
+    last = -1
+    for depth, node in _preorder(d):
+        if depth <= last:  # a later sibling of the node at ``depth``
+            parts.append("]}" * (last - depth + 1) + ", ")
         determined = isinstance(node.result, Determined)
         fields = json.dumps({
             "rule": node.rule,
@@ -154,11 +155,8 @@ def _derivation_json(d: Derivation | None) -> str:
             "note": node.note or None,
         })
         parts.append(f'{fields[:-1]}, "children": [')
-        stack.append("]}")
-        for i, child in enumerate(reversed(node.children)):
-            if i:
-                stack.append(", ")
-            stack.append(child)
+        last = depth
+    parts.append("]}" * (last + 1))
     return "".join(parts)
 
 

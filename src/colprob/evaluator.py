@@ -25,7 +25,7 @@ R4, R5 on the complements, one minus the product of their complements'
 (the nodes of ``~E && ~F`` are built only for the explanation). A
 dependent ``||`` is one minus the mass of ``~E && ~F``, whose space is
 composed from its sides' (``semantics._complement`` and ``_conj``), as
-are R2's ``E & F`` under explain and a root conditional's joint.
+is a root conditional's joint.
 Conditionals are probability ratios, legal only at the root, where a
 conditional is its program's last node. Its joint, ``E & F`` or
 ``E && F``, takes its place in both passes, so R5 or the joint's space
@@ -54,7 +54,10 @@ condition's rows are read (``_point_weights``). ``prob_explain`` runs the
 same loops and records each step, showing R2, R3 and dependent R5 as
 their decomposition of the value read off the space, or as one
 "enumeration" leaf when the condition has probability zero; each step is
-taken once, however often the explanation shows it.
+taken once, however often the explanation shows it. R2's ``E & F`` is
+not weighed: p(E & F) = p(E) + p(F) - p(E | F), exact in Fractions, from
+the sides' steps and the node's own mass. ``_masses`` weighs a batch of
+spaces, one elimination per distinct support, for the Bayes rules.
 """
 
 from __future__ import annotations
@@ -130,6 +133,24 @@ def _space_prob(space: _Space, model: Model) -> Fraction:
     """``space_prob`` of a space in the engine's form."""
     weights, _, scale = _point_weights(*space, model)
     return Fraction(sum(weights), scale)
+
+
+def _masses(spaces: list[_Space], model: Model) -> list[Fraction]:
+    """``_space_prob`` of each of ``spaces``, from one elimination per
+    distinct support: the rows of every space over that support are
+    weighed at once, and each space sums its own."""
+    distinct: dict[tuple[str, ...], dict[tuple[str, ...], None]] = {}
+    for axes, rows in spaces:
+        distinct.setdefault(axes, {}).update(dict.fromkeys(rows))
+    tables = {}
+    for axes, rows in distinct.items():
+        weights, _, scale = _point_weights(axes, rows.keys(), model)
+        tables[axes] = dict(zip(rows, weights)).__getitem__, scale
+    masses = []
+    for axes, rows in spaces:
+        weight, scale = tables[axes]
+        masses.append(Fraction(sum(map(weight, rows)), scale))
+    return masses
 
 
 # A factor: the axes it ranges over, and its integer values, flat in
@@ -497,12 +518,12 @@ def _value(program: _Program, model: Model, explain: bool) -> _Step:
             steps[i] = _one_minus(node, step, explain)
         else:  # off its own space
             space, p = weighed.get(i) or _weighed(_space(nodes[start[i]:i + 1], model), model)
-            if explain and kind is ChoiceOr:  # R2, with E & F read off its space
-                both = _conj(*_sides(nodes, start, i, model))
-                step = _read(ChoiceAnd(node.left, node.right), *_weighed(both, model),
-                             model, True, right)
-                steps[i] = _node(True, node, Determined(p),
-                                 (steps[start[i - 1] - 1][1], right[1], step[1]),
+            if explain and kind is ChoiceOr:  # R2: p(E & F) = p(E) + p(F) - p(E | F)
+                left = steps[start[i - 1] - 1]
+                both = _conj(*_sides(nodes, start, i, model))  # its rows, for a zero p(F)
+                step = _read(ChoiceAnd(node.left, node.right), both,
+                             left[0].value + right[0].value - p, model, True, right)
+                steps[i] = _node(True, node, Determined(p), (left[1], right[1], step[1]),
                                  "p(E) + p(F) - p(E & F)")
             else:  # given its right side's step under explain
                 steps[i] = _read(node, space, p, model, explain, right)
@@ -611,21 +632,28 @@ def _node(explain: bool, f: Formula, result: ProbResult, children=(), note="") -
     return result, Derivation(_RULE[type(f)], format_formula(f), result, children, note)
 
 
+def _preorder(d: Derivation) -> Iterator[tuple[int, Derivation]]:
+    """Each node of the tree ``d`` with its depth, in pre-order. The walk
+    keeps its own stack, so a deep tree costs no Python frames."""
+    stack = [(0, d)]
+    while stack:
+        depth, d = stack.pop()
+        yield depth, d
+        stack += [(depth + 1, child) for child in reversed(d.children)]
+
+
 def render_derivation(d: Derivation, indent: int = 0) -> str:
     """Indented, human-readable rendering of a derivation tree: one line per
-    node, in pre-order, each child two spaces in from its parent. The walk
-    keeps its own stack, so a deep tree costs no Python frames."""
+    node, in pre-order (``_preorder``), each child two spaces in from its
+    parent."""
     lines = []
-    stack = [(d, indent)]
-    while stack:
-        d, indent = stack.pop()
+    for depth, d in _preorder(d):
         if isinstance(d.result, Determined):
             value = str(d.result.value)
         else:
             value = f"undetermined ({d.result.reason})"
-        line = f"{'  ' * indent}[{d.rule}] p({d.formula}) = {value}"
+        line = f"{'  ' * (indent + depth)}[{d.rule}] p({d.formula}) = {value}"
         if d.note:
             line += f"   ({d.note})"
         lines.append(line)
-        stack += [(child, indent + 1) for child in reversed(d.children)]
     return "\n".join(lines)

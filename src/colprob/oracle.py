@@ -166,23 +166,19 @@ def _prepare(f: Formula, model: Model):
     return order, targets, event, condition
 
 
-def _cpts(model: Model, order: list[str]):
-    """For each experiment of ``order``: the columns of its parents, and its
-    cpt rows keyed by the parents' outcome indices, each row the weights of
-    the experiment's outcomes in declaration order."""
+def _by_parents(model: Model, order: list[str], row):
+    """For each experiment of ``order``: the columns of its parents, and
+    ``row(decl, parents)`` for each assignment ``parents`` of their
+    outcomes, keyed by the parents' outcome indices."""
     column = {name: j for j, name in enumerate(order)}
-    cpts = []
+    tables = []
     for name in order:
         decl = model.decl(name)
         domains = [model.outcomes(p) for p in decl.parents]
-        rows = {
-            key: [decl.cpt[parents].get(o, 0) for o in decl.outcomes]
-            for key, parents in zip(
-                product(*[range(len(d)) for d in domains]), product(*domains)
-            )
-        }
-        cpts.append((tuple([column[p] for p in decl.parents]), rows))
-    return cpts
+        keys = product(*[range(len(d)) for d in domains])
+        rows = {key: row(decl, parents) for key, parents in zip(keys, product(*domains))}
+        tables.append((tuple([column[p] for p in decl.parents]), rows))
+    return tables
 
 
 def _rows_equal(col: Sequence[int], value: int, count: int) -> int:
@@ -252,7 +248,9 @@ def enumerate_prob(f: Formula, model: Model):
         )
     factors = []
     scale = 1
-    for parents, rows in _cpts(model, order):
+    cpts = _by_parents(  # each row its outcomes' weights, in declared order
+        model, order, lambda decl, parents: [decl.cpt[parents].get(o, 0) for o in decl.outcomes])
+    for parents, rows in cpts:
         lcm = math.lcm(*[w.denominator for row in rows.values() for w in row])
         scaled = {
             key: [w.numerator * (lcm // w.denominator) for w in row]
@@ -308,15 +306,7 @@ def mc_estimate(f: Formula, model: Model, cfg: SampleConfig) -> McEstimate:
         raise OracleError(
             f"cannot sample an undetermined formula: {mismatch.sampled}"
         ) from None
-    column = {name: j for j, name in enumerate(order)}
-    samplers = []  # per experiment: its parents' columns, and its rows by their indices
-    for name in order:
-        decl = model.decl(name)
-        domains = [model.outcomes(p) for p in decl.parents]
-        keys = product(*[range(len(d)) for d in domains])
-        rows = dict(zip(keys, map(decl._sampled.__getitem__, product(*domains))))
-        samplers.append((tuple([column[p] for p in decl.parents]), rows))
-
+    samplers = _by_parents(model, order, lambda decl, parents: decl._sampled[parents])
     uniforms = iter(random.Random(cfg.seed).random, None)
     k = len(order)
     hits = 0

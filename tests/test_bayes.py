@@ -381,15 +381,15 @@ def no_full_space(model, experiments):
 
 def count_eliminations(monkeypatch) -> list:
     """Record the support and the number of points of every elimination
-    that the bayes module runs."""
+    that the evaluator runs, for the bayes module's masses among them."""
     calls = []
-    real = bayes._point_weights
+    real = evaluator._point_weights
 
-    def counted(axes, rows, model):
+    def counted(axes, rows, model, condition=None):
         calls.append((frozenset(axes), len(rows)))
-        return real(axes, rows, model)
+        return real(axes, rows, model, condition)
 
-    monkeypatch.setattr(bayes, "_point_weights", counted)
+    monkeypatch.setattr(evaluator, "_point_weights", counted)
     return calls
 
 

@@ -1,7 +1,10 @@
 """No function of ``colprob`` recurses: in each module, the graph of the
 calls by bare name among its functions has no cycle. Every walk of a
 formula keeps its own stack or folds over a post-order program, so a
-formula of any depth costs no Python frames."""
+formula of any depth costs no Python frames.
+
+Only the evaluator knows the row weights of an elimination: every other
+module reads masses."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -34,3 +37,12 @@ def test_no_function_recurses(path):
         TopologicalSorter(calls_by_name(path)).prepare()
     except CycleError as err:
         pytest.fail(f"{path.name} recurses: {' -> '.join(err.args[1])}")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_only_the_evaluator_names_point_weights(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+    assert path.name == "evaluator.py" or "_point_weights" not in names

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from colprob import bayes
+from colprob import bayes, parse_formula, prob_explain
 from colprob.cli import main
 
 from conftest import MODELS, REPO
@@ -471,6 +471,27 @@ class TestDeepInput:
         assert f'"derivation": {{"rule": "R5", "formula": "{query}", {value}, ' in out
         assert out.count('"rule": ') == 2 * n - 1
         assert out.endswith(']}]}, "oracle": null, "mc": null}\n')
+
+
+    @pytest.mark.parametrize("query", [
+        "1@d | 2@d",  # a node with three leaves
+        "(1@d | 2@d) | (2@d | 3@d)",  # closes two levels before a sibling
+        "~(H@c1 || H@c2) pgiven H@c",
+        "H@c1 | T@c2",  # undetermined: one leaf
+    ])
+    def test_explain_json_is_the_text_json_dumps_gives(self, capsys, examples_model, query):
+        code, out, _ = run(
+            capsys, "eval", "--model", EXAMPLES, "--query", query, "--explain", "--json",
+        )
+        assert code in (0, 2)
+        assert out == json.dumps(json.loads(out)) + "\n"
+        tree = json.loads(out)["derivation"]
+        stack = [(tree, prob_explain(parse_formula(query), examples_model)[1])]
+        while stack:
+            node, d = stack.pop()
+            assert (node["rule"], node["formula"]) == (d.rule, d.formula)
+            assert len(node["children"]) == len(d.children)
+            stack += zip(node["children"], d.children)
 
 
 class TestCheck:

@@ -662,6 +662,23 @@ def test_a_rule_decided_condition_keeps_its_rule_path(eliminations):
     assert [child.rule for child in why.children] == ["R5", "R4"]
 
 
+@pytest.mark.parametrize("text, weighed", [
+    ("1@d | 2@d", 3),  # 1@d, 2@d and the union; never 1@d & 2@d
+    ("(1@d | 2@d) | (2@d | 3@d)", 7),
+])
+def test_r2_under_explain_takes_e_and_f_from_its_sides(eliminations, examples_model,
+                                                       text, weighed):
+    # p(E & F) = p(E) + p(F) - p(E | F), from steps the explanation has
+    # taken anyway: E & F is never weighed.
+    f = parse_formula(text)
+    result, why = prob_explain(f, examples_model)
+    assert len(eliminations) == weighed
+    assert result == enumerate_prob(f, examples_model)
+    both = why.children[2]
+    assert both.formula == format_formula(ChoiceAnd(f.left, f.right))
+    assert both.result == enumerate_prob(ChoiceAnd(f.left, f.right), examples_model)
+
+
 def test_an_independent_pgiven_evaluates_its_condition_once(monkeypatch):
     # One program, whose root is the conditional; the condition's space
     # is folded once, for its one step.
