@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import PartitionError
 from .evaluator import ProbResult, _evaluate, _masses, _value
@@ -71,7 +71,8 @@ class PartitionReport:
 def check_partition(p: Partition, model: Model, variant: str) -> PartitionReport:
     """Decide disjointness and report exhaustiveness.
 
-    Each cell's space is built once. Two cells overlap exactly when their
+    Each cell's space is built once, all in one fold (``semantics._space``
+    over the cells' programs in turn). Two cells overlap exactly when their
     joint, under the variant's conjunction, has nonzero mass. Over one
     support (always so when additive), the candidates are the pairs of
     cells that share a point, and a joint is the points they share; over
@@ -111,7 +112,7 @@ def _check(p: Partition, model: Model, variant: str) -> tuple[PartitionReport, _
             f"support mismatch between cells: cell 1 over {format_support(first)} "
             f"but cell {mismatch} over {format_support(supports[mismatch - 1])}"
         )
-    spaces = [_space(nodes, model) for nodes in runs]
+    spaces = _space(chain.from_iterable(runs), model)  # one fold, one space per cell
     if mismatch is None:  # over one support, only cells that share a row can overlap
         owners: dict[tuple[str, ...], list[int]] = {}  # by row
         for i, (_, rows) in enumerate(spaces):
@@ -173,7 +174,7 @@ def posteriors(
             weights.append(mass * p_evidence)
             continue
         if ev_space is None:
-            ev_space = _space(program[0], model)
+            ev_space = _space(program[0], model)[0]
         joints[i] = _conj(space, ev_space)  # over one support, the intersection
         weights.append(ZERO)
     for i, mass in zip(joints, _masses(list(joints.values()), model)):

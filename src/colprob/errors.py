@@ -51,7 +51,8 @@ class NullConditionError(EvalError):
 
 
 class EmptySpaceError(EvalError):
-    """No choice-or / parallel-and formula denotes the empty event space."""
+    """No choice-or / parallel-and formula denotes the empty event space,
+    nor the one point over no experiments."""
 
 
 class PartitionError(ColprobError):

@@ -1,7 +1,6 @@
 """Probability evaluation over a model, with an optional derivation.
 
-The rules rewrite a query top-down; ``_value`` runs them as two loops
-over the query's program:
+The rules rewrite a query top-down:
 
     R1  p(~E)     = 1 - p(E)
     R2  p(E | F)  = p(E) + p(F) - p(E & F)        (equal supports)
@@ -10,54 +9,25 @@ over the query's program:
     R5  p(E && F) = p(E) * p(F) under independence,
                     else p(F) * p(E pgiven F)
 
-The verdict is decided once per query by one walk of the formula on an
-explicit stack (``semantics._walk``), which also compiles the query to
-its one program: its nodes in post-order, where each node's subtree
-starts, and the indices of the ``&&``, ``||`` and root ``pgiven`` whose
-sides have disjoint ancestral closures, so the independence test of R4
-and R5 is one lookup: a chain of n terms costs O(n) rule steps. A pass
-from the root down lists the nodes whose steps the root reads; a pass
-children first takes those steps into a list, one per index. No pass
-recurses, so a formula of any depth costs no Python frames. R1 computes
-a node from its child, and R4 and R5 an ``||`` or ``&&`` whose sides have
-disjoint ancestral closures from its sides: R5 takes their product, and
-R4, R5 on the complements, one minus the product of their complements'
-(the nodes of ``~E && ~F`` are built only for the explanation). A
-dependent ``||`` is one minus the mass of ``~E && ~F``, whose space is
-composed from its sides' (``semantics._complement`` and ``_conj``), as
-is a root conditional's joint.
-Conditionals are probability ratios, legal only at the root, where a
-conditional is its program's last node. Its joint, ``E & F`` or
-``E && F``, takes its place in both passes, so R5 or the joint's space
-decides it; the condition's step is always taken, and the ratio follows.
-Every other node's value is read off
-its own event space, in the engine's form (``semantics._space``: sorted
-axes and a set of outcome rows; no ``Point`` is built), by
-``_space_prob``: variable elimination sums the ancestors outside the
-space's support out of the cpt factors, and the space's rows, one
-column per axis, are summed against what remains. The factors are dense
-integer tables: each experiment's cpt, scaled by the lcm of its
-denominators, is compiled once, at its first query, into one flat list
-in row-major order over the experiment and its parents. The kernels
-work on whole tables and blocks of them with slices, ``map`` and index
-vectors built by C-level iterators, not on one keyed row at a time. A
-space's value is the one Fraction of the integer sum over the product of
-the scales. A noisy-OR cpt that its decl compiled to per-cause factors
-(``ExperimentDecl._scaled``) enters an elimination as those factors, over
-an auxiliary axis summed out after the causes and before the effect. A
-root conditional whose condition is read off its space, and has a
-parent outside its support, takes one elimination for the joint and the
-condition: the closure outside the joint's support is summed out once,
-the joint's rows are read off, and the joint's axes outside the
-condition's support are summed out of the same factors before the
-condition's rows are read (``_point_weights``). ``prob_explain`` runs the
-same loops and records each step, showing R2, R3 and dependent R5 as
-their decomposition of the value read off the space, or as one
-"enumeration" leaf when the condition has probability zero; each step is
-taken once, however often the explanation shows it. R2's ``E & F`` is
-not weighed: p(E & F) = p(E) + p(F) - p(E | F), exact in Fractions, from
-the sides' steps and the node's own mass. ``_masses`` weighs a batch of
-spaces, one elimination per distinct support, for the Bayes rules.
+A conditional, legal only at the root, is the ratio of its joint,
+``E & F`` or ``E && F``, to its condition. Each mechanism has one owner:
+
+  * ``semantics._walk``: the verdict, decided once per query, and the
+    query's one program, which marks the ``&&``, ``||`` and root
+    ``pgiven`` whose sides have disjoint ancestral closures;
+  * ``_value``: the rules, as two loops over the program (no recursion);
+    a node that no rule computes from its sides' steps is read off event
+    spaces that ``semantics._space`` folds;
+  * ``_joint``: a root conditional's joint and condition, weighed ahead
+    of the loops, from one elimination when they can share it;
+  * ``_point_weights``: the exact weights of a space's rows, by variable
+    elimination over dense integer cpt tables (``_cut``, ``_eliminate``,
+    ``_sum_out``, ``_place``, ``_read_off``); ``_weighed`` and
+    ``space_prob`` sum one space's, ``_masses`` a batch's for the Bayes
+    rules;
+  * ``prob_explain``: the same loops, recording each step as a
+    ``Derivation`` (``_read``, ``_independence``, ``_one_minus``, ``_node``)
+    that ``render_derivation`` prints; a record, not a second engine.
 """
 
 from __future__ import annotations
@@ -68,7 +38,7 @@ from itertools import chain, cycle, repeat
 from operator import add, mul
 from typing import Collection, Iterable, Iterator
 
-from .errors import NullConditionError
+from .errors import EvalError, NullConditionError
 from .formula import (
     AtomNode,
     ChoiceAnd,
@@ -125,18 +95,25 @@ def space_prob(space: EventSpace, model: Model) -> Fraction:
     """Exact probability mass of a space, by variable elimination: the sum
     of its points' weights (``_point_weights``) over their common scale.
     This equals summing the joint probability of every point of the space
-    lifted to the ancestral closure of its support."""
-    return _space_prob(_encode(space), model)
+    lifted to the ancestral closure of its support. An outcome that the
+    model does not declare is an EvalError naming the first, in sorted
+    order."""
+    axes, rows = encoded = _encode(space)
+    for name, column in zip(axes, zip(*rows)):
+        unknown = set(column).difference(model.outcomes(name))
+        if unknown:
+            raise EvalError(f"unknown outcome '{min(unknown)}' of experiment '{name}'")
+    return _weighed(encoded, model)[1]
 
 
-def _space_prob(space: _Space, model: Model) -> Fraction:
-    """``space_prob`` of a space in the engine's form."""
+def _weighed(space: _Space, model: Model) -> tuple[_Space, Fraction]:
+    """``space``, in the engine's form, and its mass."""
     weights, _, scale = _point_weights(*space, model)
-    return Fraction(sum(weights), scale)
+    return space, Fraction(sum(weights), scale)
 
 
 def _masses(spaces: list[_Space], model: Model) -> list[Fraction]:
-    """``_space_prob`` of each of ``spaces``, from one elimination per
+    """The mass of each of ``spaces``, from one elimination per
     distinct support: the rows of every space over that support are
     weighed at once, and each space sums its own."""
     distinct: dict[tuple[str, ...], dict[tuple[str, ...], None]] = {}
@@ -483,7 +460,10 @@ def _value(program: _Program, model: Model, explain: bool) -> _Step:
     R4) and both sides of ``|``. The second runs over that list reversed,
     children first, and takes those steps: R1 from the child's, R4 and R5
     under independence from the sides', a dependent ``||`` from the space
-    of ``~E && ~F``, and every other node off its own space.
+    of ``~E && ~F``, and every other node off its own space. The sides of
+    a dependent ``||``, and of an explained ``|``, come from one fold of
+    the node's run without the node: R2 takes E | F and E & F from them,
+    and p(E & F) = p(E) + p(F) - p(E | F) from the steps it has taken.
 
     A root conditional's joint, ``E & F`` or ``E && F``, takes the root's
     place in both passes, and its condition's step is always taken; the
@@ -512,21 +492,21 @@ def _value(program: _Program, model: Model, explain: bool) -> _Step:
             steps[i] = _independence(node, steps[start[i - 1] - 1], right, explain)
         elif kind is ParOr:  # R4: one minus the mass of the space of ~E && ~F
             both = ParAnd(Not(node.left), Not(node.right))
-            space = _conj(*[_complement(side, model) for side in _sides(nodes, start, i, model)])
+            space = _conj(*[_complement(side, model) for side in _space(nodes[start[i]:i], model)])
             given = _one_minus(both.right, right, True) if explain else None
             step = _read(both, *_weighed(space, model), model, explain, given)
             steps[i] = _one_minus(node, step, explain)
-        else:  # off its own space
-            space, p = weighed.get(i) or _weighed(_space(nodes[start[i]:i + 1], model), model)
-            if explain and kind is ChoiceOr:  # R2: p(E & F) = p(E) + p(F) - p(E | F)
-                left = steps[start[i - 1] - 1]
-                both = _conj(*_sides(nodes, start, i, model))  # its rows, for a zero p(F)
-                step = _read(ChoiceAnd(node.left, node.right), both,
-                             left[0].value + right[0].value - p, model, True, right)
-                steps[i] = _node(True, node, Determined(p), (left[1], right[1], step[1]),
-                                 "p(E) + p(F) - p(E & F)")
-            else:  # given its right side's step under explain
-                steps[i] = _read(node, space, p, model, explain, right)
+        elif explain and kind is ChoiceOr:  # R2: p(E & F) = p(E) + p(F) - p(E | F)
+            (axes, e_rows), (_, f_rows) = _space(nodes[start[i]:i], model)  # its sides
+            p = (weighed.get(i) or _weighed((axes, e_rows | f_rows), model))[1]
+            left = steps[start[i - 1] - 1]
+            step = _read(ChoiceAnd(node.left, node.right), (axes, e_rows & f_rows),
+                         left[0].value + right[0].value - p, model, True, right)
+            steps[i] = _node(True, node, Determined(p), (left[1], right[1], step[1]),
+                             "p(E) + p(F) - p(E & F)")
+        else:  # off its own space, given its right side's step under explain
+            space, p = weighed.get(i) or _weighed(_space(nodes[start[i]:i + 1], model)[0], model)
+            steps[i] = _read(node, space, p, model, explain, right)
     if not ratio:
         return steps[-1]
     joint, condition = steps[-1], steps[-2]
@@ -540,26 +520,20 @@ def _value(program: _Program, model: Model, explain: bool) -> _Step:
     )
 
 
-def _sides(nodes: list[Formula], start: list[int], i: int, model: Model) -> list[_Space]:
-    """The spaces of the two sides of the connective at index ``i``."""
-    at = start[i - 1]  # where the right side starts
-    return [_space(nodes[start[i]:at], model), _space(nodes[at:i], model)]
-
-
 def _joint(program: _Program, model: Model) -> dict[int, tuple[_Space, Fraction]]:
     """The space and mass of a root conditional's joint, at the root's
     index, and of its condition, at its own, when the condition is read
     off its space (no rule decides it).
 
-    The joint joins the event's space with the condition's, so the
-    condition's space is built once. When the condition has a parent
-    outside its support, both masses come from one elimination
-    (``_point_weights``), and the condition's space is never lifted to the
-    joint's support. A condition that is its own closure is read off its
+    One fold gives the event's space and the condition's, and the joint
+    joins them, so the condition's space is built once. When the condition
+    has a parent outside its support, both masses come from one
+    elimination (``_point_weights``), and the condition's space is never
+    lifted to the joint's support. A condition that is its own closure is read off its
     own tables, which costs less than summing the joint's other axes out."""
-    nodes, start, independent = program
+    nodes, _, independent = program
     c = len(nodes) - 2
-    event, condition = _sides(nodes, start, c + 1, model)
+    event, condition = _space(nodes[:-1], model)
     joint = _conj(event, condition)
     if type(nodes[c]) in (Not, ParOr) or c in independent:  # a rule decides the condition
         return {c + 1: _weighed(joint, model)}
@@ -569,11 +543,6 @@ def _joint(program: _Program, model: Model) -> dict[int, tuple[_Space, Fraction]
     weights, c_weights, scale = _point_weights(*joint, model, condition)
     return {c: (condition, Fraction(sum(c_weights), scale)),
             c + 1: (joint, Fraction(sum(weights), scale))}
-
-
-def _weighed(space: _Space, model: Model) -> tuple[_Space, Fraction]:
-    """``space`` and its mass."""
-    return space, _space_prob(space, model)
 
 
 def _independence(f: ParAnd | ParOr, left: _Step, right: _Step, explain: bool) -> _Step:

@@ -43,9 +43,12 @@ set of tuples of outcomes aligned with them, one per point. ``&`` and
 outcomes minus the rows, ``&&`` is one hash join on the shared axes (a
 plain product when there are none), and ``||`` joins each side with the
 full product of the axes it lacks and takes the union. ``_space`` is one
-fold over a slice of a program with a stack of spaces: a subtree that
-holds no conditional. The spaces of R4's ``~E && ~F``, R2's ``E & F``
-and a root conditional's joint are composed from their sides' folds.
+fold, with a stack of spaces, over a run of a program made of complete
+subtrees that hold no conditional, and returns the spaces the run
+leaves, one per subtree, left to right. A connective's run without the
+node gives both its sides from one fold, which is how R4's
+``~E && ~F``, R2's ``E | F`` and ``E & F`` and a root conditional's
+joint get their spaces, and a run of cells gives every cell's.
 ``Point`` and ``EventSpace`` are the public form: ``denote`` decodes its
 result once, and ``cartesian_conj``, ``lift``, ``full_space`` (and
 ``evaluator.space_prob``) encode their arguments, run the one engine
@@ -429,15 +432,17 @@ def denote(f: Formula, model: Model) -> Denotation:
     if isinstance(verdict, Undetermined):
         return verdict
     _warn_shared(shared, stacklevel=2)
-    return _decode(_space(program[0], model))
+    return _decode(_space(program[0], model)[0])
 
 
-def _space(nodes: Iterable[Formula], model: Model) -> _Space:
-    """The space of the formula whose subtree in a program is ``nodes``
-    (the walk has found it determined, and it holds no conditional), in
-    the engine's form; never warns. One fold over the slice: an atom
-    pushes its space, a ``~`` complements the top of ``done``, and a
-    connective combines the two spaces on top of it."""
+def _space(nodes: Iterable[Formula], model: Model) -> list[_Space]:
+    """The spaces, in the engine's form, of the complete subtrees that
+    make up the run ``nodes`` of a program, left to right: one for a
+    node's subtree, its two sides for a connective's subtree without the
+    node (the walk has found them determined, and they hold no
+    conditional); never warns. One fold over the run: an atom pushes its
+    space, a ``~`` complements the top of ``done``, and a connective
+    combines the two spaces on top of it."""
     done: list[_Space] = []
     for node in nodes:
         kind = type(node)
@@ -457,21 +462,23 @@ def _space(nodes: Iterable[Formula], model: Model) -> _Space:
             else:  # ParOr: at least one side occurs, the union of both sides' lifts
                 axes = tuple(sorted(set(left[0]).union(right[0])))
                 done[-1] = axes, _lift(left, axes, model)[1] | _lift(right, axes, model)[1]
-    return done[0]
+    return done
 
 
 def to_set_normal_form(s: EventSpace) -> Formula:
     """Rewrite a nonempty space as a choice-or of parallel-ands of atoms.
 
     The result is canonical (points and atoms in sorted order) and denotes
-    exactly ``s``. The empty space has no such formula; asking for one is
-    an EmptySpaceError.
+    exactly ``s``. The empty space, and the one point over no experiments,
+    have no such formula; asking for one is an EmptySpaceError.
     """
     if not s.points:
         raise EmptySpaceError(
             "the empty event space has no set normal form "
             "(no choice-or of atoms denotes it)"
         )
+    if not s.support:  # its one point is {}, and no formula names zero experiments
+        raise EmptySpaceError("the space over no experiments has no set normal form")
     disjuncts = []
     for point in sorted(s.points, key=lambda p: p.items):
         atoms = [AtomNode(e, o) for e, o in point.items]

@@ -529,17 +529,21 @@ class TestPosteriorWeights:
         (("0@T && 0@R", "0@T && 1@R", "1@T"), "1@R"),
     ])
     def test_each_space_is_built_once(self, channel_model, monkeypatch, cells, evidence):
-        built = []  # the root node of each run of nodes built
+        # One fold over every cell's nodes in turn, one over the evidence's.
+        built = []  # the nodes of each run folded
         real = bayes._space
 
         def counted(nodes, model):
-            built.append(nodes[-1])
+            nodes = list(nodes)
+            built.append(nodes)
             return real(nodes, model)
 
         monkeypatch.setattr(bayes, "_space", counted)
         p, ev = partition(*cells), parse_formula(evidence)
         posteriors(p, ev, channel_model, "parallel")
-        assert sorted(map(id, built)) == sorted(map(id, p.cells + (ev,)))
+        program = [semantics._walk(f, channel_model, None)[2][0] for f in p.cells + (ev,)]
+        assert [list(map(id, run)) for run in built] == [
+            [id(node) for nodes in program[:-1] for node in nodes], list(map(id, program[-1]))]
 
 
 def count_walks(monkeypatch) -> list:

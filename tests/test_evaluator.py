@@ -18,6 +18,7 @@ from colprob import (
     NullConditionError,
     ParAnd,
     ParOr,
+    Point,
     SampleConfig,
     SharedExperimentWarning,
     Undetermined,
@@ -27,6 +28,7 @@ from colprob import (
     denote,
     enumerate_prob,
     format_formula,
+    joint_point_prob,
     mc_estimate,
     parse_formula,
     parse_model,
@@ -424,6 +426,24 @@ def test_space_prob_matches_lift_and_sum_on_multi_parent_models():
     assert eliminated > 200 and zero_entries > 100
 
 
+@pytest.mark.parametrize("points", [
+    [{"c": "X"}],
+    [{"c": "X", "d": "Z"}, {"c": "H", "d": "H"}, {"c": "W", "d": "Y"}],
+    [{"c": "H", "d": "Z"}, {"c": "H", "d": "Y"}],
+])
+def test_space_prob_rejects_an_undeclared_outcome(two_coins_cd, points):
+    # The engine's message for an atom or a point, naming the first
+    # unknown outcome in sorted order, whatever order the points come in.
+    s = EventSpace.of(points[0], map(Point.of, points))
+    name, outcome = min((e, o) for p in points for e, o in p.items()
+                        if o not in two_coins_cd.outcomes(e))
+    message = f"unknown outcome '{outcome}' of experiment '{name}'"
+    with pytest.raises(EvalError, match=f"^{message}$"):
+        space_prob(s, two_coins_cd)
+    with pytest.raises(EvalError, match=f"^{message}$"):
+        joint_point_prob(two_coins_cd, {name: outcome})
+
+
 def test_prob_matches_oracle_on_multi_parent_models():
     rng = random.Random(32)
     checked = eliminated = 0
@@ -665,14 +685,27 @@ def test_a_rule_decided_condition_keeps_its_rule_path(eliminations):
 @pytest.mark.parametrize("text, weighed", [
     ("1@d | 2@d", 3),  # 1@d, 2@d and the union; never 1@d & 2@d
     ("(1@d | 2@d) | (2@d | 3@d)", 7),
+    ("1@d | (2@d | (3@d | (4@d | 5@d)))", 9),
 ])
 def test_r2_under_explain_takes_e_and_f_from_its_sides(eliminations, examples_model,
-                                                       text, weighed):
+                                                       monkeypatch, text, weighed):
     # p(E & F) = p(E) + p(F) - p(E | F), from steps the explanation has
-    # taken anyway: E & F is never weighed.
+    # taken anyway: E & F is never weighed. Each node is weighed once and
+    # folded once: an atom alone, a ``|`` as one run over both its sides,
+    # which gives E | F and E & F (the 5-deep chain: 9 folds, where a fold
+    # of the node's subtree and one of each side made 17).
+    folds = []
+    real = evaluator._space
+
+    def space(nodes, model):
+        folds.append(nodes)
+        return real(nodes, model)
+
+    monkeypatch.setattr(evaluator, "_space", space)
     f = parse_formula(text)
     result, why = prob_explain(f, examples_model)
     assert len(eliminations) == weighed
+    assert len(folds) == weighed
     assert result == enumerate_prob(f, examples_model)
     both = why.children[2]
     assert both.formula == format_formula(ChoiceAnd(f.left, f.right))
@@ -732,7 +765,8 @@ def test_a_root_conditional_takes_one_walk(monkeypatch, text):
 ])
 def test_a_dependent_conditional_folds_each_side_once(monkeypatch, text, event, condition):
     # The joint's space joins the event's with the condition's, which is
-    # also the one the condition's mass is read off.
+    # also the one the condition's mass is read off; both come from one
+    # fold over the event's nodes and then the condition's.
     runs = []  # the length of each run of nodes folded
     real = evaluator._space
 
@@ -743,7 +777,7 @@ def test_a_dependent_conditional_folds_each_side_once(monkeypatch, text, event, 
     monkeypatch.setattr(evaluator, "_space", space)
     f = parse_formula(text)
     assert prob(f, MARKOV10) == enumerate_prob(f, MARKOV10)
-    assert sorted(runs) == sorted([event, condition])
+    assert runs == [event + condition]
 
 
 @pytest.mark.parametrize("text", [

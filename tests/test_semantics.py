@@ -230,6 +230,15 @@ class TestSetNormalForm:
         with pytest.raises(EmptySpaceError):
             to_set_normal_form(EventSpace(frozenset({"c"}), frozenset()))
 
+    def test_the_point_over_no_experiments_is_a_designated_error(self, two_coins_cd):
+        # ``full_space`` over no experiments is { {} }: one point, but no
+        # formula names zero experiments.
+        s = full_space(two_coins_cd, [])
+        assert s.points == {Point.of({})}
+        with pytest.raises(EmptySpaceError,
+                           match="^the space over no experiments has no set normal form$"):
+            to_set_normal_form(s)
+
 
 def test_snf_round_trip_on_random_spaces():
     rng = random.Random(555)

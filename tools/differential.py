@@ -523,11 +523,7 @@ def model_graph_rows(cp, emit) -> None:
     """``topological_order`` of every closure of seeded random DAGs, and of
     seeded name sets over graphs with cycles, parents left out of the set
     among them, each giving a list or a message; then ``prob`` of every
-    outcome of each node of a diamond. The order is looked up in
-    ``colprob.oracle``, or in ``colprob.model`` for trees that keep it
-    there."""
-    topological_order = getattr(cp.oracle, "topological_order", None) \
-        or cp.model.topological_order
+    outcome of each node of a diamond."""
     rng = random.Random(2718)
     for cyclic in (False, True):
         for m in range(150):
@@ -539,7 +535,7 @@ def model_graph_rows(cp, emit) -> None:
                 sets = [sorted(cp.ancestral_closure(model, [n])) for n in graph]
             for names in sets:
                 emit("model-graph", f"{graph} order of {names}", attempt(
-                    lambda: topological_order(model, names)))
+                    lambda: cp.oracle.topological_order(model, names)))
     diamond = cp.parse_model(DIAMOND)
     for name, decl in sorted(diamond.experiments.items()):
         for outcome in decl.outcomes:
