@@ -3,9 +3,9 @@
 Exit codes: 0 for a determined result, 2 when the calculus leaves the
 query undetermined, 1 for any error (bad file, parse failure, invalid
 model, null conditioning event, partition violations, bad Monte Carlo
-arguments). Every walk of a formula is a loop, so depth alone is never
-an error. ``main`` maps errors to that
-exit and one ``error:`` line the same way for every subcommand; only
+arguments, usage errors). Every walk of a formula is a loop, so depth
+alone is never an error. ``main`` maps errors to that exit and one
+``error:`` line the same way for every subcommand; only
 partition violations and ``check``'s model issues add lines, and the
 REPL reports each bad line and reads on.
 
@@ -317,8 +317,16 @@ def _repl_bayes(text: str, model: Model) -> None:
     print(_bayes_text(report, cells, values))
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise, so that ``main`` maps
+    them like any other error; its subcommands' parsers are its class."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="colprob",
         description="Exact probabilities for event formulas over declared experiments.",
     )
@@ -356,8 +364,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
     try:
+        args = build_arg_parser().parse_args(argv)
         return args.func(args)
     except (OSError, ValueError, ColprobError) as err:
         code = _fail(str(err))

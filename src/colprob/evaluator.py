@@ -526,20 +526,15 @@ def _joint(program: _Program, model: Model) -> dict[int, tuple[_Space, Fraction]
     off its space (no rule decides it).
 
     One fold gives the event's space and the condition's, and the joint
-    joins them, so the condition's space is built once. When the condition
-    has a parent outside its support, both masses come from one
-    elimination (``_point_weights``), and the condition's space is never
-    lifted to the joint's support. A condition that is its own closure is read off its
-    own tables, which costs less than summing the joint's other axes out."""
+    joins them, so the condition's space is built once. Both masses come
+    from one elimination (``_point_weights``), and the condition's space
+    is never lifted to the joint's support."""
     nodes, _, independent = program
     c = len(nodes) - 2
     event, condition = _space(nodes[:-1], model)
     joint = _conj(event, condition)
     if type(nodes[c]) in (Not, ParOr) or c in independent:  # a rule decides the condition
         return {c + 1: _weighed(joint, model)}
-    axes = set(condition[0])
-    if not any(p not in axes for name in axes for p in model.decl(name).parents):
-        return {c: _weighed(condition, model), c + 1: _weighed(joint, model)}
     weights, c_weights, scale = _point_weights(*joint, model, condition)
     return {c: (condition, Fraction(sum(c_weights), scale)),
             c + 1: (joint, Fraction(sum(weights), scale))}
@@ -611,7 +606,7 @@ def _preorder(d: Derivation) -> Iterator[tuple[int, Derivation]]:
         stack += [(depth + 1, child) for child in reversed(d.children)]
 
 
-def render_derivation(d: Derivation, indent: int = 0) -> str:
+def render_derivation(d: Derivation) -> str:
     """Indented, human-readable rendering of a derivation tree: one line per
     node, in pre-order (``_preorder``), each child two spaces in from its
     parent."""
@@ -621,7 +616,7 @@ def render_derivation(d: Derivation, indent: int = 0) -> str:
             value = str(d.result.value)
         else:
             value = f"undetermined ({d.result.reason})"
-        line = f"{'  ' * (indent + depth)}[{d.rule}] p({d.formula}) = {value}"
+        line = f"{'  ' * depth}[{d.rule}] p({d.formula}) = {value}"
         if d.note:
             line += f"   ({d.note})"
         lines.append(line)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -292,7 +293,13 @@ def joint_point_prob(model: Model, assignment: Mapping[str, str]) -> Fraction:
     For mutually independent experiments this reduces to the plain product
     of marginals. The assignment is an unordered mapping; the result does
     not depend on iteration order.
+
+    Deprecated: ``space_prob`` of the one-point space over the assignment
+    gives the same value over an ancestrally closed domain.
     """
+    warnings.warn("joint_point_prob is deprecated; use space_prob(EventSpace.of(assignment, "
+                  "[Point.of(assignment)]), model), which gives the same value over an "
+                  "ancestrally closed domain", DeprecationWarning, stacklevel=2)
     for name in assignment:
         decl = model.decl(name)
         for p in decl.parents:

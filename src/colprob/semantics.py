@@ -38,17 +38,19 @@ warns.
 
 The engine builds every space in one compact form, ``(axes, rows)``:
 ``axes`` holds the support's experiment names, sorted, and ``rows`` is a
-set of tuples of outcomes aligned with them, one per point. ``&`` and
-``|`` are set operations on the rows, ``~`` is the product of the axes'
-outcomes minus the rows, ``&&`` is one hash join on the shared axes (a
-plain product when there are none), and ``||`` joins each side with the
-full product of the axes it lacks and takes the union. ``_space`` is one
-fold, with a stack of spaces, over a run of a program made of complete
-subtrees that hold no conditional, and returns the spaces the run
-leaves, one per subtree, left to right. A connective's run without the
-node gives both its sides from one fold, which is how R4's
-``~E && ~F``, R2's ``E | F`` and ``E & F`` and a root conditional's
-joint get their spaces, and a run of cells gives every cell's.
+set of tuples of outcomes aligned with them, one per point. ``~`` is the
+product of the axes' outcomes minus the rows. The fold joins ``&`` and
+``&&`` in one hash join on the shared axes, a plain product when there
+are none and an intersection over one support, which is ``&``'s case. It
+unites ``|`` and ``||``, first joining each side with the full product of
+the axes it lacks, which over one support, ``|``'s case, is none.
+``_space`` is one fold, with a stack of spaces, over a run of a program
+made of complete subtrees that hold no conditional, and returns the
+spaces the run leaves, one per subtree, left to right. A connective's
+run without the node gives both its sides from one fold, which is how
+R4's ``~E && ~F``, R2's ``E | F`` and ``E & F`` and a root
+conditional's joint get their spaces, and a run of cells gives every
+cell's.
 ``Point`` and ``EventSpace`` are the public form: ``denote`` decodes its
 result once, and ``cartesian_conj``, ``lift``, ``full_space`` (and
 ``evaluator.space_prob``) encode their arguments, run the one engine
@@ -61,7 +63,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import product, starmap
 from operator import add, itemgetter
-from typing import AbstractSet, Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import EmptySpaceError, EvalError
 from .formula import (
@@ -374,7 +376,7 @@ def _walk(
             if kind is ParAnd or kind is ParOr or kind is GivenPar:
                 if not names.isdisjoint(right):
                     if shared is not None:
-                        _share(shared, names, right, model)
+                        shared.update(e for e in names & right if not model.decl(e).is_predicate)
                 elif closure.isdisjoint(r_closure):
                     independent.add(i)
                 own = closure is names and r_closure is right
@@ -405,15 +407,6 @@ def _walk(
     support = frozenset(names)
     closure = support if closure is names else frozenset(closure)
     return support, closure, (nodes, start, independent)
-
-
-def _share(
-    shared: set[str], left: AbstractSet[str], right: AbstractSet[str], model: Model
-) -> None:
-    """Add to ``shared`` the non-predicate experiments in both ``left`` and ``right``."""
-    both = left & right
-    if both:
-        shared.update(e for e in both if not model.decl(e).is_predicate)
 
 
 def _warn_shared(shared: set[str] | None, stacklevel: int) -> None:
@@ -453,14 +446,10 @@ def _space(nodes: Iterable[Formula], model: Model) -> list[_Space]:
         else:
             right = done.pop()
             left = done[-1]
-            if kind is ChoiceAnd:
-                done[-1] = left[0], left[1] & right[1]
-            elif kind is ChoiceOr:
-                done[-1] = left[0], left[1] | right[1]
-            elif kind is ParAnd:
+            if kind is ParAnd or kind is ChoiceAnd:
                 done[-1] = _conj(left, right)
-            else:  # ParOr: at least one side occurs, the union of both sides' lifts
-                axes = tuple(sorted(set(left[0]).union(right[0])))
+            else:  # ParOr or ChoiceOr: the union, lifting the sides if their supports differ
+                axes = left[0] if left[0] == right[0] else tuple(sorted({*left[0], *right[0]}))
                 done[-1] = axes, _lift(left, axes, model)[1] | _lift(right, axes, model)[1]
     return done
 

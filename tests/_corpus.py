@@ -12,6 +12,7 @@ from colprob import (
     AtomNode,
     ChoiceAnd,
     ChoiceOr,
+    EvalError,
     EventSpace,
     ExperimentDecl,
     GivenAdd,
@@ -23,7 +24,6 @@ from colprob import (
     Partition,
     ancestral_closure,
     full_space,
-    joint_point_prob,
     lift,
 )
 
@@ -161,6 +161,27 @@ def random_space(rng, model, max_support=3):
     pts = sorted(full_space(model, support).points, key=lambda p: p.items)
     chosen = rng.sample(pts, rng.randint(1, len(pts)))
     return EventSpace(frozenset(support), frozenset(chosen))
+
+
+def joint_point_prob(model, assignment):
+    """Exact probability of one full assignment over an ancestrally closed
+    domain: the product of each experiment's cpt entry given its parents.
+    The tests' reference for ``space_prob`` and the oracle."""
+    for name in assignment:
+        for p in model.decl(name).parents:
+            if p not in assignment:
+                raise EvalError(
+                    f"assignment domain is not ancestrally closed: "
+                    f"'{name}' depends on '{p}', which is missing"
+                )
+    prob = Fraction(1)
+    for name, outcome in assignment.items():
+        decl = model.decl(name)
+        if outcome not in decl.outcomes:
+            raise EvalError(f"unknown outcome '{outcome}' of experiment '{name}'")
+        row = decl.cpt[tuple(assignment[p] for p in decl.parents)]
+        prob *= row.get(outcome, Fraction(0))
+    return prob
 
 
 def lift_and_sum(space, model):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import threading
 import warnings
 from fractions import Fraction
@@ -64,6 +65,10 @@ class TestCheckPartition:
         with pytest.raises(PartitionError, match="support mismatch"):
             check_partition(partition("H@c", "H@d"), two_coins_cd, "additive")
 
+    def test_an_unknown_variant_is_rejected(self, examples_model):
+        with pytest.raises(ValueError, match=r"^unknown variant 'nope'$"):
+            check_partition(partition("H@c", "T@c"), examples_model, "nope")
+
     def test_partition_needs_two_cells(self):
         with pytest.raises(ValueError, match="two cells"):
             Partition((AtomNode("c", "H"),))
@@ -95,6 +100,11 @@ class TestBayesAdditive:
             bayes_additive(
                 partition("0@T", "1@T"), parse_formula("0@R"), channel_model
             )
+
+    def test_undetermined_evidence_is_an_error(self, examples_model):
+        message = "evidence is undetermined: choice-or (|) across distinct supports {c1} and {c2}"
+        with pytest.raises(PartitionError, match=f"^{re.escape(message)}$"):
+            bayes_additive(partition("H@c", "T@c"), parse_formula("H@c1 | T@c2"), examples_model)
 
     def test_zero_denominator(self, examples_model):
         with pytest.raises(PartitionError, match="zero denominator"):

@@ -562,6 +562,27 @@ def test_bad_model_file_gives_one_error_line(tmp_path, command, bad):
         assert done.stderr == expected
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--model", EXAMPLES], "the following arguments are required: --query"),
+    (["eval", "--model", EXAMPLES, "--query", "H@c", "--mc-samples", "abc"],
+     "argument --mc-samples: invalid int value: 'abc'"),
+    (["bogus"], "argument command: invalid choice: 'bogus' (choose from "),
+], ids=["missing-query", "bad-int", "unknown-command"])
+def test_a_usage_error_exits_one_with_one_error_line(capsys, argv, message):
+    # argparse's message, whose list of choices Python versions quote differently
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["eval", "-h"]])
+def test_help_prints_usage_and_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: colprob")
+
+
 class TestRepl:
     def repl(self, capsys, monkeypatch, model, script):
         monkeypatch.setattr("sys.stdin", io.StringIO(script))
@@ -630,6 +651,22 @@ class TestRepl:
         code, out = self.repl(capsys, monkeypatch, deep_model, script)
         assert code == 0
         assert out == "".join(DEEP_VALUES.values()) + "1/3 (≈0.3333)\n"
+
+    @pytest.mark.parametrize("line, printed", [
+        (":bogus", "error: unknown command ':bogus'\n"),
+        (":bayes nope [H@c] H@c", "error: :bayes needs a variant: additive or parallel\n"),
+        (":bayes parallel H@c, T@c H@c",
+         "error: :bayes syntax: :bayes <variant> [cell, cell, ...] <evidence>\n"),
+        (":bayes parallel [H@c, T@c]",
+         "error: :bayes syntax: :bayes <variant> [cell, cell, ...] <evidence>\n"),
+        (":space H@c1 | T@c2",
+         "undetermined: choice-or (|) across distinct supports {c1} and {c2}\n"),
+        (":space H@c & T@c", "support: {c}\nspace: { }\nset normal form: none (the empty event "
+         "space has no set normal form (no choice-or of atoms denotes it))\n"),
+    ], ids=["unknown-command", "bayes-variant", "bayes-no-bracket", "bayes-no-evidence",
+            "space-undetermined", "space-empty"])
+    def test_a_command_prints_its_line_and_reads_on(self, capsys, monkeypatch, line, printed):
+        assert self.repl(capsys, monkeypatch, EXAMPLES, line + "\n:quit\n") == (0, printed)
 
     def test_errors_do_not_terminate_the_loop(self, capsys, monkeypatch):
         script = "4@d |\nH@zzz\n4@d | 5@d\n:quit\n"

@@ -28,7 +28,6 @@ from colprob import (
     denote,
     enumerate_prob,
     format_formula,
-    joint_point_prob,
     mc_estimate,
     parse_formula,
     parse_model,
@@ -41,6 +40,7 @@ from colprob.bayes import Partition, posteriors
 from colprob.oracle import _prepare
 from _corpus import (
     SCALING_MODELS,
+    joint_point_prob,
     lift_and_sum,
     noisy_or,
     random_dag_model,

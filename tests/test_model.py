@@ -4,30 +4,35 @@ from itertools import product
 
 import pytest
 
+import colprob
 from colprob import (
     Determined,
     EvalError,
+    EventSpace,
     ExperimentDecl,
     Model,
+    ModelError,
     Partition,
+    Point,
     SampleConfig,
     ancestral_closure,
     bayes_additive,
     bayes_parallel,
     check_partition,
     enumerate_prob,
-    joint_point_prob,
     mc_estimate,
     parse_formula,
     parse_model,
     prob,
     prob_explain,
+    space_prob,
     validate_model,
 )
 from colprob.model import _per_cause, parents_first
 from colprob.oracle import topological_order
 from _corpus import (
     child_first_chain,
+    joint_point_prob,
     noisy_or,
     noisy_or_model,
     random_dag_model,
@@ -108,6 +113,27 @@ def test_missing_cpt_row_is_reported():
     assert any("missing cpt row" in issue and "T=1" in issue for issue in issues)
 
 
+@pytest.mark.parametrize("decls, issues", [
+    ({"k": ExperimentDecl.uniform("c", ("H", "T"))},
+     ["experiment k: declared under mismatched key 'c'"]),
+    ({"e": ExperimentDecl("e", ())}, ["experiment e: no outcomes declared"]),
+], ids=["mismatched-key", "no-outcomes"])
+def test_what_the_parser_cannot_declare_is_reported(decls, issues):
+    assert validate_model(Model(decls)) == issues
+
+
+@pytest.mark.parametrize("text, issues", [
+    ("experiment c : H, T, H", ["line 1: experiment c: duplicate outcome 'H'"]),
+    ("experiment T : 0, 1\nexperiment R : 0, 1 depends T\ncpt 0 | T=0 = 1\ncpt 7 | T=1 = 1\n",
+     ["line 2: experiment R: cpt references unknown outcome '7'",
+      "line 2: experiment R: cpt row T=1 sums to 0"]),
+], ids=["duplicate-outcome", "unknown-cpt-outcome"])
+def test_a_model_file_lists_its_issues(text, issues):
+    with pytest.raises(ModelError) as info:
+        parse_model(text)
+    assert info.value.issues == issues
+
+
 def test_negative_weight_is_reported():
     decl = ExperimentDecl.weighted("x", {"a": Fraction(3, 2), "b": Fraction(-1, 2)})
     issues = validate_model(Model.of(decl))
@@ -178,6 +204,14 @@ class TestJointPointProb:
         a = joint_point_prob(channel, {"T": "0", "R": "1"})
         b = joint_point_prob(channel, {"R": "1", "T": "0"})
         assert a == b == Fraction(1, 20)
+
+    def test_the_export_is_deprecated_for_space_prob(self, channel):
+        assignment = {"R": "1", "T": "0"}
+        deprecated = r"^joint_point_prob is deprecated; use space_prob"
+        with pytest.warns(DeprecationWarning, match=deprecated):
+            value = colprob.joint_point_prob(channel, assignment)
+        point = EventSpace.of(assignment, [Point.of(assignment)])
+        assert value == space_prob(point, channel) == joint_point_prob(channel, assignment)
 
 
 def test_joint_sums_to_one_over_random_models():

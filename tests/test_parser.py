@@ -24,6 +24,11 @@ from colprob import (
 )
 from _corpus import random_ast
 
+CHANNEL = (
+    "experiment T : 0, 1\nexperiment R : 0, 1 depends T\n"
+    "cpt 0 | T=0 = 9/10\ncpt 1 | T=0 = 1/10\ncpt 0 | T=1 = 1/10\ncpt 1 | T=1 = 9/10\n"
+)
+
 
 class TestParseFormula:
     def test_choice_or_of_dice_outcomes(self):
@@ -354,20 +359,48 @@ class TestParseModel:
         assert "given" in info.value.message
 
     @pytest.mark.parametrize(
-        "text, column, message",
+        "text, line, column, message",
         [
             # The offending text also occurs earlier on the line.
-            ("experiment given2 : a, given", 24, "outcome 'given' is a reserved word"),
-            ("experiment d : 1=1/2, 2=1/2, 1=0", 30, "duplicate outcome '1'"),
+            ("experiment given2 : a, given", 1, 24, "outcome 'given' is a reserved word"),
+            ("experiment d : 1=1/2, 2=1/2, 1=0", 1, 30, "duplicate outcome '1'"),
             # Its first occurrence is the offending one.
-            ("experiment c : H, T\npredicate p = 1/0", 15, "rational with zero denominator"),
+            ("experiment c : H, T\npredicate p = 1/0", 2, 15, "rational with zero denominator"),
+            # One case per other line error.
+            ("experiment c : H=1/2/3, T=1/2", 1, 18, "malformed rational '1/2/3'"),
+            ("predicate p = " + "9" * 5000, 1, 15, "rational with too many digits"),
+            ("experiment 1c : H, T", 1, 12, "malformed experiment id '1c'"),
+            ("experiment c H, T", 1, 1, "experiment declaration needs ':' before its outcomes"),
+            ("experiment R : 0, 1 depends", 1, 1,
+             "'depends' needs at least one parent experiment"),
+            ("experiment c :", 1, 1, "experiment declares no outcomes"),
+            ("experiment T : 0, 1\nexperiment R : 0=1/2, 1=1/2 depends T\n", 2, 1,
+             "a dependent experiment takes its probabilities from cpt lines"),
+            (CHANNEL + "cpt 0 T=0 = 1/2\n", 7, 1,
+             "cpt line needs '|' between outcome and parent assignment"),
+            (CHANNEL + "cpt 0 | T\n", 7, 1, "cpt line needs '= <rational>' at the end"),
+            # The '=' of the assignment is read as the weight's.
+            (CHANNEL + "cpt 0 | T=0\n", 7, 1, "malformed parent assignment 'T'"),
+            (CHANNEL + "cpt 0 | T 0 = 1/2\n", 7, 1, "malformed parent assignment 'T 0'"),
+            ("experiment a : 0, 1\nexperiment b : 0, 1\n"
+             "experiment r : 0, 1 depends a, b\ncpt 0 | a=0 = 1/2\n", 4, 1,
+             "cpt row does not assign parent(s): b"),
+            (CHANNEL + "cpt 0 | T=0, S=1 = 1/2\n", 7, 1, "cpt row assigns non-parent(s): S"),
+            (CHANNEL + "cpt 0 | T=0 = 9/10\n", 7, 1,
+             "duplicate cpt entry for outcome '0' under this assignment"),
+            ("predicate p 1/2", 1, 1, "predicate declaration needs '= <rational>'"),
         ],
-        ids=["reserved-outcome", "duplicate-outcome", "first-occurrence"],
+        ids=["reserved-outcome", "duplicate-outcome", "first-occurrence",
+             "malformed-rational", "too-many-digits", "bad-id", "no-colon", "depends-nothing",
+             "no-outcomes", "weighted-dependent", "cpt-no-bar", "cpt-no-equals",
+             "cpt-no-weight", "cpt-bad-assignment", "cpt-missing-parent", "cpt-extra-parent",
+             "cpt-duplicate-entry", "predicate-no-weight"],
     )
-    def test_error_column_points_at_the_offending_entry(self, text, column, message):
+    def test_error_column_points_at_the_offending_entry(self, text, line, column, message):
         with pytest.raises(ParseError) as info:
             parse_model(text)
-        assert (info.value.column, info.value.message) == (column, message)
+        err = info.value
+        assert (err.line, err.column, err.message, err.expected) == (line, column, message, None)
 
     @pytest.mark.parametrize(
         "text, expected",
