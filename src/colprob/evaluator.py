@@ -16,15 +16,23 @@ A conditional, legal only at the root, is the ratio of its joint,
     query's one program, which marks the ``&&``, ``||`` and root
     ``pgiven`` whose sides have disjoint ancestral closures;
   * ``_value``: the rules, as two loops over the program (no recursion);
-    a node that no rule computes from its sides' steps is read off event
-    spaces that ``semantics._space`` folds;
-  * ``_joint``: a root conditional's joint and condition, weighed ahead
-    of the loops, from one elimination when they can share it;
+    a node that no rule computes from its sides' steps is weighed by
+    ``_weigh``, and so, ahead of the loops, is a root conditional's
+    joint, with its condition when no rule decides that, from one
+    elimination;
+  * ``_by_gates``: the one cost function that picks how ``_weigh``
+    weighs a run: as rows, the event spaces that ``semantics._space``
+    folds, or as gates;
   * ``_point_weights``: the exact weights of a space's rows, by variable
-    elimination over dense integer cpt tables (``_cut``, ``_eliminate``,
-    ``_sum_out``, ``_place``, ``_read_off``); ``_weighed`` and
-    ``space_prob`` sum one space's, ``_masses`` a batch's for the Bayes
-    rules;
+    elimination over dense integer cpt tables (``_cpts``, ``_cut``,
+    ``_eliminate``, ``_sum_out``, ``_place``, ``_read_off``); ``_weighed``
+    and ``space_prob`` sum one space's, ``_masses`` a batch's for the
+    Bayes rules;
+  * ``_gates``: a run's mass as a weighted model count (Tseitin 1968;
+    Chavira & Darwiche 2008): one ``_eliminate`` over the closure's cpt
+    factors and one 0/1 factor per node of the run (``_gate_form``), in
+    a greedy smallest-table order (``_order``), so a wide node costs no
+    space of its outcome combinations;
   * ``prob_explain``: the same loops, recording each step as a
     ``Derivation`` (``_read``, ``_independence``, ``_one_minus``, ``_node``)
     that ``render_derivation`` prints; a record, not a second engine.
@@ -34,9 +42,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, cycle, repeat
+from functools import partial
+from heapq import heapify, heappop, heappush
+from itertools import chain, repeat
+from math import prod
 from operator import add, mul
-from typing import Collection, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from .errors import EvalError, NullConditionError
 from .formula import (
@@ -55,7 +66,6 @@ from .model import Model, ancestral_closure, parents_first
 from .semantics import (
     EventSpace,
     Undetermined,
-    _complement,
     _conj,
     _encode,
     _Program,
@@ -135,9 +145,10 @@ def _masses(spaces: list[_Space], model: Model) -> list[Fraction]:
 # running over its outcomes in sorted order (``ExperimentDecl._scaled``)
 # or over the ones a cut keeps, or the auxiliary axis of a noisy-OR's
 # per-cause form, named by the 1-tuple of its effect's name, which no
-# experiment name can equal. An axis of one outcome is left out, so a
+# experiment name can equal, or a gate of a gate form (``_gate_form``),
+# named by its node's index. An axis of one outcome is left out, so a
 # factor over no axis is one number.
-_Axis = str | tuple[str]
+_Axis = str | tuple[str] | int
 _Factor = tuple[tuple[_Axis, ...], list[int]]
 
 
@@ -179,28 +190,11 @@ def _point_weights(
     else:  # the support is its own closure, parents-first in any order
         closure = list(axes)
     whole = len(closure) == len(axes)  # nothing to sum out: read the full tables
-    positions: dict[str, dict[str, int]] = {}
-    sizes: dict[_Axis, int] = {}
-    factors: list[_Factor] = []
-    auxiliary = []
-    scale = 1
-    for name in closure:
-        decl = model.decl(name)
-        table, lcm, positions[name], per_cause = decl._scaled
-        sizes[name] = len(positions[name])
-        scale *= lcm
-        if per_cause is None or whole:
-            factors.append((decl.parents + (name,), table))
-        else:
-            causes, delta, factor = per_cause
-            aux = (name,)
-            sizes[aux] = 2
-            auxiliary.append(aux)
-            scale *= factor
-            factors += [((p, aux), t) for p, t in zip(decl.parents, causes)]
-            factors.append(((aux, name), delta))
-    for aux in auxiliary:  # eliminated after its parents, before its effect
-        closure.insert(closure.index(aux[0]), aux)
+    factors, sizes, positions, scale = _cpts(model, closure, not whole)
+    if len(factors) > len(closure):  # per-cause forms: each auxiliary axis is
+        # eliminated after its parents, before its effect
+        for aux in [(name,) for name in closure if (name,) in sizes]:
+            closure.insert(closure.index(aux[0]), aux)
     c_axes, c_rows = condition or (axes, rows)
     if not c_rows:  # nor, then, has ``rows`` any row
         return iter(()), None if condition is None else iter(()), scale
@@ -246,6 +240,33 @@ def _point_weights(
     return weights, _read_off(factors, c_columns, sizes, len(c_rows)), scale
 
 
+def _cpts(model: Model, names: Iterable[str], per_cause: bool
+          ) -> tuple[list[_Factor], dict[_Axis, int], dict[str, dict[str, int]], int]:
+    """The cpts of ``names`` as factors, their axes' sizes, each
+    experiment's outcome positions, and the scale the factors carry: each
+    decl's integer table or, given ``per_cause`` and a per-cause form,
+    that form's factors over its auxiliary axis."""
+    factors: list[_Factor] = []
+    sizes: dict[_Axis, int] = {}
+    positions: dict[str, dict[str, int]] = {}
+    scale = 1
+    for name in names:
+        decl = model.decl(name)
+        table, lcm, positions[name], form = decl._scaled
+        sizes[name] = len(positions[name])
+        scale *= lcm
+        if form is None or not per_cause:
+            factors.append((decl.parents + (name,), table))
+        else:
+            causes, delta, factor = form
+            aux = (name,)
+            sizes[aux] = 2
+            scale *= factor
+            factors += [((p, aux), t) for p, t in zip(decl.parents, causes)]
+            factors.append(((aux, name), delta))
+    return factors, sizes, positions, scale
+
+
 def _cut(factor: _Factor, sizes: dict[_Axis, int], cuts: dict[str, list[int]]) -> _Factor:
     """``factor`` with each axis in ``cuts`` cut down to the positions it
     keeps, outermost first, which leaves the strides of the axes inside it
@@ -273,9 +294,10 @@ def _cut(factor: _Factor, sizes: dict[_Axis, int], cuts: dict[str, list[int]]) -
 def _eliminate(
     support: frozenset[str], axes: list[_Axis], factors: list[_Factor], sizes: dict[_Axis, int]
 ) -> list[_Factor]:
-    """Sum the axes of ``axes`` (in elimination order: parents first) that
-    are outside the support out of ``factors``, in that order; returns the
-    factors over support experiments only."""
+    """Sum the axes of ``axes`` (in elimination order: parents first, or
+    ``_order``'s) that are outside the support out of ``factors``, in that
+    order; returns the factors over the support's axes only: experiments,
+    or the gates a gate form keeps."""
     order = [name for name in axes if name not in support]
     rank = {name: i for i, name in enumerate(order)}
     buckets: list[list[_Factor]] = [[] for _ in order]
@@ -345,7 +367,7 @@ def _place(
 ) -> list[int]:
     """``table``, over ``scope``, at every position of ``joint``, which
     holds every experiment of ``scope``, in row-major order. The index
-    vector is built by C-level iterators, one pass per axis of ``joint``."""
+    vector is built by one comprehension per axis of ``joint``."""
     strides = {}
     stride = 1
     for name in reversed(scope):
@@ -353,9 +375,9 @@ def _place(
         stride *= sizes[name]
     index = [0]
     for name in joint:
-        size, stride = sizes[name], strides.get(name, 0)
-        index = list(map(add, chain.from_iterable(map(repeat, index, repeat(size))),
-                         cycle([k * stride for k in range(size)])))
+        stride = strides.get(name, 0)
+        steps = range(0, sizes[name] * stride, stride) if stride else [0] * sizes[name]
+        index = [i + k for i in index for k in steps]
     return list(map(table.__getitem__, index))
 
 
@@ -376,6 +398,175 @@ def _read_off(
             values = map(table.__getitem__, index)
         weights = values if weights is None else map(mul, weights, values)
     return repeat(1, count) if weights is None else weights
+
+
+# The truth table of a binary gate over (left, right, own), flat, for a
+# conjunction or a disjunction (``either``) and the position at which each
+# side holds: own is 1 exactly where the connective of the sides holds.
+_GATES = {
+    (either, hl, hr): [int(((a == hl) or (b == hr) if either else (a == hl) and (b == hr)) == g)
+                       for a in (0, 1) for b in (0, 1) for g in (0, 1)]
+    for either in (False, True) for hl in (0, 1) for hr in (0, 1)
+}
+
+
+def _gate_form(run: list[Formula], model: Model, weighted: bool, right: bool
+               ) -> tuple[list[_Factor], dict[_Axis, int], int, list[_Literal]]:
+    """The run's formula as factors whose product, summed over every
+    axis but the root's gate, is p(root) at the position where the root
+    holds and p(not root) at the other: its factors, their axes' sizes,
+    the scale, and the literals of the root and, given ``right``, of the
+    right side of the root, which is then binary.
+
+    Each node gets a gate axis of two positions, named by its index in
+    the run, which no other axis name can equal: an atom's factor is its
+    indicator over (experiment, gate), a binary node's its truth table
+    over its sides' gates and its own (``_GATES``). A ``~`` gets no axis:
+    its literal is its child's gate at the other position. Weighted, the
+    closure's cpts enter as ``_point_weights``' do, with every per-cause
+    form used; but an experiment that one atom names, that no closure
+    experiment has as a parent and whose cpt has no per-cause form is
+    summed into that atom's factor at once, which ranges over its
+    parents and its gate. Without parents, that factor is the atom's
+    weights alone, and such a literal stays closed: a binary node over
+    two closed sides takes its weights from theirs, and one over a
+    closed side sums that side into its table, so neither adds an axis;
+    the sides of the root are opened when ``right`` asks for one. Unweighted,
+    there are no cpts, nothing is folded, and the sum counts the
+    support's points where the root holds.
+    """
+    counts: dict[str, int] = {}
+    for node in run:
+        if type(node) is AtomNode:
+            counts[node.experiment] = counts.get(node.experiment, 0) + 1
+    folded = set()
+    if weighted:
+        closure = ancestral_closure(model, counts)
+        parents = {p for name in closure for p in model.decl(name).parents}
+        folded = {name for name in closure if counts.get(name) == 1 and name not in parents
+                  and model.decl(name)._scaled[3] is None}
+        factors, sizes, _, scale = _cpts(model, closure - folded, True)
+    else:
+        factors, sizes, scale = [], {}, 1
+    literals: list[_Literal] = []
+    last = len(run) - 1
+    for j, node in enumerate(run):
+        kind = type(node)
+        if kind is Not:
+            gate, holds, weights = literals[-1]
+            literals[-1] = gate, 1 - holds, weights
+            continue
+        if kind is AtomNode:
+            decl = model.decl(node.experiment)
+            table, lcm, positions, _ = decl._scaled
+            at, size = positions[node.outcome], len(positions)
+            if node.experiment in folded:  # each parent row: its mass off and on the outcome
+                scale *= lcm
+                gate = []
+                for block in range(0, len(table), size):
+                    w = table[block + at]
+                    gate += (sum(table[block:block + size]) - w, w)
+                if not decl.parents:
+                    literals.append((j, 1, gate))
+                    continue
+                factors.append((decl.parents + (j,), gate))
+            else:
+                sizes[node.experiment] = size
+                gate = [1, 0] * size
+                gate[2 * at:2 * at + 2] = 0, 1
+                factors.append(((node.experiment, j), gate))
+            sizes[j] = 2
+            literals.append((j, 1, None))
+            continue
+        (b, hb, wb), (a, ha, wa) = literals.pop(), literals.pop()
+        if right and j == last:  # both sides keep an axis
+            for gate, weights in ((a, wa), (b, wb)):
+                if weights is not None:
+                    sizes[gate] = 2
+                    factors.append(((gate,), weights))
+            wa = wb = None
+        table = _GATES[kind is ParOr or kind is ChoiceOr, ha, hb]  # at 4a + 2b + g
+        if wa is not None and wb is not None:
+            weights = [sum([wa[x] * wb[y] * table[4 * x + 2 * y + g]
+                            for x in (0, 1) for y in (0, 1)]) for g in (0, 1)]
+            literals.append((j, 1, weights))
+            continue
+        if wa is not None:  # the left side summed in: over (b, gate)
+            factors.append(((b, j), [wa[0] * table[k] + wa[1] * table[4 + k] for k in range(4)]))
+        elif wb is not None:  # the right side summed in: over (a, gate)
+            factors.append(((a, j), [wb[0] * table[k] + wb[1] * table[k + 2]
+                                     for k in (0, 1, 4, 5)]))
+        else:
+            factors.append(((a, b, j), table))
+        sizes[j] = 2
+        literals.append((j, 1, None))
+    return factors, sizes, scale, literals + ([(b, hb, wb)] if right else [])
+
+
+# A node's literal in the gate form: its gate axis, the position at which
+# the node holds, and, for a closed literal, its weights by position.
+_Literal = tuple[int, int, list[int] | None]
+
+
+def _gates(run: list[Formula], model: Model, right: bool = False, weighted: bool = True
+           ) -> tuple[list[int], int]:
+    """The weight of the run's root and, given ``right``, of its right
+    side, as integers over one scale, from one elimination of the gate
+    form (``_gate_form``): every axis is summed out but the gates kept,
+    in ``_order``'s order. Unweighted, the root's weight is its number of
+    points over the support."""
+    factors, sizes, scale, keep = _gate_form(run, model, weighted, right)
+    (a, ha, weights), *rest = keep
+    if weights is not None:  # closed: no axis to sum
+        return [weights[ha]], scale
+    kept = frozenset([gate for gate, _, _ in keep])
+    factors = _eliminate(kept, _order(factors, sizes, kept), factors, sizes)
+    if not right:
+        return [next(_read_off(factors, {a: [ha]}, sizes, 1))], scale
+    (c, hc, _), = rest
+    both, root_only, right_only = _read_off(
+        factors, {a: [ha, ha, 1 - ha], c: [hc, 1 - hc, hc]}, sizes, 3)
+    return [both + root_only, both + right_only], scale
+
+
+def _order(factors: list[_Factor], sizes: dict[_Axis, int], keep: frozenset) -> list[_Axis]:
+    """Every axis of ``factors`` outside ``keep``, in a greedy elimination
+    order: next, the axis whose sum builds the smallest table, the product
+    of its size and its neighbours' (the axes that share a factor with it,
+    as the sums so far have joined them). A heap holds the candidates; an
+    entry whose table has grown since it went in goes back at its size."""
+    neighbours: dict[_Axis, set[_Axis]] = {}
+    for scope, _ in factors:
+        for name in scope:
+            neighbours.setdefault(name, set()).update(scope)
+
+    def width(name: _Axis) -> int:
+        return prod(map(sizes.__getitem__, neighbours[name]))
+
+    heap = [(width(name), i, name) for i, name in enumerate(neighbours) if name not in keep]
+    heapify(heap)
+    serial = len(neighbours)
+    order = []
+    while heap:
+        size, _, name = heappop(heap)
+        if name not in neighbours:
+            continue
+        now = width(name)
+        if now > size:
+            heappush(heap, (now, serial, name))
+            serial += 1
+            continue
+        order.append(name)
+        joined = neighbours.pop(name)
+        joined.discard(name)
+        for other in joined:
+            around = neighbours[other]
+            around |= joined
+            around.discard(name)
+            if other not in keep:
+                heappush(heap, (width(other), serial, other))
+                serial += 1
+    return order
 
 
 def prob(f: Formula, model: Model) -> ProbResult:
@@ -459,23 +650,27 @@ def _value(program: _Program, model: Model, explain: bool) -> _Step:
     right side of every other connective (its condition, or the ``~F`` of
     R4) and both sides of ``|``. The second runs over that list reversed,
     children first, and takes those steps: R1 from the child's, R4 and R5
-    under independence from the sides', a dependent ``||`` from the space
-    of ``~E && ~F``, and every other node off its own space. The sides of
-    a dependent ``||``, and of an explained ``|``, come from one fold of
-    the node's run without the node: R2 takes E | F and E & F from them,
-    and p(E & F) = p(E) + p(F) - p(E | F) from the steps it has taken.
+    under independence from the sides', and every other node from its own
+    mass (``_weigh``); a dependent ``||`` is R4 with p(~E && ~F) one minus
+    it. Under explain the sides of a ``|`` come from one fold of the
+    node's run without the node: R2 takes E | F and E & F from them, and
+    p(E & F) = p(E) + p(F) - p(E | F) from the steps it has taken.
 
     A root conditional's joint, ``E & F`` or ``E && F``, takes the root's
     place in both passes, and its condition's step is always taken; the
-    ratio of the two follows the loop. A joint that is read off its space
-    is weighed ahead of the loop (``_joint``), and so is its condition
-    when that is read off its own space."""
+    ratio of the two follows the loop. A joint that no rule decides is
+    weighed ahead of the loop, and so is its condition when no rule
+    decides it either, from the same elimination (``_weigh``)."""
     nodes, start, independent = program
     n, f = len(nodes), nodes[-1]
     ratio = type(f) in (GivenAdd, GivenPar)
+    weighed: dict[int, tuple[Fraction, _Points]] = {}
     if ratio:  # its joint takes its place
         nodes = nodes[:-1] + [(ChoiceAnd if type(f) is GivenAdd else ParAnd)(f.event, f.condition)]
-    weighed = _joint(program, model) if ratio and n - 1 not in independent else {}
+        if n - 1 not in independent:
+            c = n - 2  # the condition's root
+            decided = type(nodes[c]) is Not or c in independent
+            weighed = dict(zip((n - 1, c), _weigh(nodes, model, None if decided else start[c])))
     needed = [n - 1]  # grows as it is read: each index after the node that reads it
     for i in needed:  # a node's right side, or child, is i - 1; its left side start[i - 1] - 1
         kind = type(nodes[i])
@@ -490,23 +685,24 @@ def _value(program: _Program, model: Model, explain: bool) -> _Step:
             steps[i] = _one_minus(node, right, explain)
         elif i in independent:
             steps[i] = _independence(node, steps[start[i - 1] - 1], right, explain)
-        elif kind is ParOr:  # R4: one minus the mass of the space of ~E && ~F
-            both = ParAnd(Not(node.left), Not(node.right))
-            space = _conj(*[_complement(side, model) for side in _space(nodes[start[i]:i], model)])
-            given = _one_minus(both.right, right, True) if explain else None
-            step = _read(both, *_weighed(space, model), model, explain, given)
-            steps[i] = _one_minus(node, step, explain)
         elif explain and kind is ChoiceOr:  # R2: p(E & F) = p(E) + p(F) - p(E | F)
             (axes, e_rows), (_, f_rows) = _space(nodes[start[i]:i], model)  # its sides
-            p = (weighed.get(i) or _weighed((axes, e_rows | f_rows), model))[1]
+            p = weighed[i][0] if i in weighed else _weighed((axes, e_rows | f_rows), model)[1]
             left = steps[start[i - 1] - 1]
-            step = _read(ChoiceAnd(node.left, node.right), (axes, e_rows & f_rows),
-                         left[0].value + right[0].value - p, model, True, right)
+            both = e_rows & f_rows
+            step = _read(ChoiceAnd(node.left, node.right), left[0].value + right[0].value - p,
+                         model, True, right, lambda: (axes, len(both)))
             steps[i] = _node(True, node, Determined(p), (left[1], right[1], step[1]),
                              "p(E) + p(F) - p(E & F)")
         else:  # off its own space, given its right side's step under explain
-            space, p = weighed.get(i) or _weighed(_space(nodes[start[i]:i + 1], model)[0], model)
-            steps[i] = _read(node, space, p, model, explain, right)
+            p, points = weighed.get(i) or _weigh(nodes[start[i]:i + 1], model)[0]
+            if kind is ParOr:  # R4: ~E && ~F holds where E || F does not
+                both = ParAnd(Not(node.left), Not(node.right))
+                given = _one_minus(both.right, right, True) if explain else None
+                step = _read(both, 1 - p, model, explain, given, lambda: _outside(points, model))
+                steps[i] = _one_minus(node, step, explain)
+            else:
+                steps[i] = _read(node, p, model, explain, right, points)
     if not ratio:
         return steps[-1]
     joint, condition = steps[-1], steps[-2]
@@ -520,24 +716,109 @@ def _value(program: _Program, model: Model, explain: bool) -> _Step:
     )
 
 
-def _joint(program: _Program, model: Model) -> dict[int, tuple[_Space, Fraction]]:
-    """The space and mass of a root conditional's joint, at the root's
-    index, and of its condition, at its own, when the condition is read
-    off its space (no rule decides it).
+# What an explanation's note prints of a space it did not need to build:
+# a function giving the space's support and number of points.
+_Points = Callable[[], tuple[tuple[str, ...], int]]
 
-    One fold gives the event's space and the condition's, and the joint
-    joins them, so the condition's space is built once. Both masses come
-    from one elimination (``_point_weights``), and the condition's space
-    is never lifted to the joint's support."""
-    nodes, _, independent = program
-    c = len(nodes) - 2
-    event, condition = _space(nodes[:-1], model)
+
+def _weigh(run: list[Formula], model: Model, split: int | None = None
+           ) -> list[tuple[Fraction, _Points]]:
+    """The mass of the root of ``run``, a complete subtree, and, given the
+    ``split`` where the right side of a conjunctive root starts, of that
+    side (a root conditional's condition beside its joint), each with its
+    space's points. ``_by_gates`` picks the way: one elimination of the
+    gate form (``_gates``), or rows. By rows, one fold gives the root's
+    space, or with ``split`` the sides' spaces, which the root joins, so
+    the right side's space is built once and both masses come from one
+    elimination (``_point_weights``' condition mode)."""
+    if _by_gates(run, model):
+        weights, scale = _gates(run, model, split is not None)
+        runs = [run] if split is None else [run, run[split:-1]]
+        return [(Fraction(w, scale), partial(_counted, r, model)) for w, r in zip(weights, runs)]
+    if split is None:
+        axes, rows = _space(run, model)[0]
+        weights, _, scale = _point_weights(axes, rows, model)
+        return [(Fraction(sum(weights), scale), lambda: (axes, len(rows)))]
+    event, condition = _space(run[:-1], model)
     joint = _conj(event, condition)
-    if type(nodes[c]) in (Not, ParOr) or c in independent:  # a rule decides the condition
-        return {c + 1: _weighed(joint, model)}
     weights, c_weights, scale = _point_weights(*joint, model, condition)
-    return {c: (condition, Fraction(sum(c_weights), scale)),
-            c + 1: (joint, Fraction(sum(weights), scale))}
+    return [(Fraction(sum(w), scale), lambda space=space: (space[0], len(space[1])))
+            for w, space in ((weights, joint), (c_weights, condition))]
+
+
+def _counted(run: list[Formula], model: Model) -> tuple[tuple[str, ...], int]:
+    """The support of the root of ``run`` and its space's number of points,
+    from the gate form with unit weights (no space is built)."""
+    axes = tuple(sorted({node.experiment for node in run if type(node) is AtomNode}))
+    return axes, _gates(run, model, weighted=False)[0][0]
+
+
+def _outside(points: _Points, model: Model) -> tuple[tuple[str, ...], int]:
+    """The support and number of points of the complement of a space
+    whose ``points`` are given."""
+    axes, count = points()
+    return axes, prod(len(model.outcomes(name)) for name in axes) - count
+
+
+def _by_gates(run: list[Formula], model: Model) -> bool:
+    """Whether the root of ``run`` is weighed by gates rather than rows:
+    the one cost function of the choice.
+
+    A run of fewer than ``_SHORT`` nodes, or one whose support has at
+    most ``_NARROW`` outcome combinations, takes rows: its fold builds
+    few rows, and its gate form costs more than that in fixed work, so
+    these cheap tests decide the common case without the pass below. Any
+    other run compares the rows that the fold may
+    build with the size of the gate form, both counted in one pass over
+    the run. A node's rows are bounded by its support's outcome
+    combinations: an atom has one row, a ``~`` that bound, a conjunction
+    at most the product of its sides' rows, and a union its sides' rows,
+    each lifted to the joint support. The gate form has an indicator of
+    two entries per outcome for each atom and a table of eight entries
+    for each binary node; each factor also costs a fixed amount of work,
+    which ``_GATE_COST`` counts in rows. The closure's cpts, which both
+    ways eliminate, are left out of both sides. Gates win when the rows
+    exceed the gate form's size."""
+    if len(run) < _SHORT:
+        return False
+    names = {node.experiment for node in run if type(node) is AtomNode}
+    outcomes = {name: len(model.outcomes(name)) for name in names}
+    if prod(outcomes.values()) <= _NARROW:
+        return False
+    rows = size = 0
+    done: list[tuple[set[str], int, int]] = []  # each subtree's support, its size, its bound
+    for node in run:
+        kind = type(node)
+        if kind is AtomNode:
+            done.append(({node.experiment}, outcomes[node.experiment], 1))
+            size += 2 * outcomes[node.experiment] + _GATE_COST
+            continue
+        if kind is Not:
+            names, whole, _ = done[-1]
+            done[-1] = names, whole, whole
+            rows += whole
+            continue
+        right, left = done.pop(), done[-1]
+        if len(left[0]) < len(right[0]):  # grow the larger side's set
+            left, right = right, left
+        (names, whole, l_rows), (r_names, r_whole, r_rows) = left, right
+        union = whole * prod([outcomes[name] for name in r_names if name not in names])
+        names |= r_names
+        if kind is ParAnd or kind is ChoiceAnd:
+            bound = min(l_rows * r_rows, union)
+        else:
+            bound = min(l_rows * (union // whole) + r_rows * (union // r_whole), union)
+        done[-1] = names, union, bound
+        rows += bound
+        size += 8 + _GATE_COST
+    return rows > size
+
+
+# Runs of fewer nodes, and supports of at most as many outcome
+# combinations, take rows without a count.
+_SHORT, _NARROW = 9, 64
+# The fixed work of one gate factor (ordering, placing, summing out), in rows.
+_GATE_COST = 16
 
 
 def _independence(f: ParAnd | ParOr, left: _Step, right: _Step, explain: bool) -> _Step:
@@ -555,10 +836,11 @@ def _independence(f: ParAnd | ParOr, left: _Step, right: _Step, explain: bool) -
     return step if node is f else _one_minus(f, step, True)
 
 
-def _read(f: Formula, space: _Space, mass: Fraction, model: Model, explain: bool,
-          condition: _Step | None) -> _Step:
-    """p(f) = ``mass``, read off f's ``space``. Under explain, a binary
-    ``f`` is shown as the step of its right side, ``condition``, times a
+def _read(f: Formula, mass: Fraction, model: Model, explain: bool,
+          condition: _Step | None, points: _Points) -> _Step:
+    """p(f) = ``mass``, read off f's space, whose ``points`` are counted
+    only for the note that needs them. Under explain, a binary ``f`` is
+    shown as the step of its right side, ``condition``, times a
     conditional read off the spaces (R3, or R5 without independence),
     unless p(F) = 0 leaves the space as the only justification."""
     result = Determined(mass)
@@ -566,10 +848,10 @@ def _read(f: Formula, space: _Space, mass: Fraction, model: Model, explain: bool
         return _node(explain, f, result)
     p_condition, condition_why = condition
     if p_condition.value == 0:
-        axes, rows = space
+        axes, count = points()
         return result, Derivation(
             "enumeration", format_formula(f), result,
-            note=f"{len(rows)} point(s) over {format_support(axes)}, "
+            note=f"{count} point(s) over {format_support(axes)}, "
                  f"summed over {format_support(ancestral_closure(model, axes))}",
         )
     given = (GivenAdd if isinstance(f, ChoiceAnd) else GivenPar)(f.left, f.right)

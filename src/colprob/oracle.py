@@ -21,7 +21,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, islice, product, repeat
+from itertools import chain, compress, islice, product, repeat, starmap
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
@@ -307,13 +307,13 @@ def mc_estimate(f: Formula, model: Model, cfg: SampleConfig) -> McEstimate:
             f"cannot sample an undetermined formula: {mismatch.sampled}"
         ) from None
     samplers = _by_parents(model, order, lambda decl, parents: decl._sampled[parents])
-    uniforms = iter(random.Random(cfg.seed).random, None)
+    uniform = random.Random(cfg.seed).random
     k = len(order)
     hits = 0
     eligible = 0
     for start in range(0, cfg.sample_count, _BLOCK):
         size = min(_BLOCK, cfg.sample_count - start)
-        draws = list(islice(uniforms, size * k))
+        draws = list(starmap(uniform, repeat((), size * k)))
         columns: list[list[int]] = []
         for j, (parents, rows) in enumerate(samplers):
             if parents:

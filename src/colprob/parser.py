@@ -267,7 +267,10 @@ def _parse_cpt_line(body: str, start: int, current: ExperimentDecl | None) -> No
     outcome = _parse_outcome(left, start)
     right_at = start + len(left) + len(sep)
     cond_part, sep, weight_part = right.rpartition("=")
-    if not sep:
+    # With no weight, the last '=' is the last assignment's: a bare name
+    # before it and an outcome after it.
+    if not sep or (_NAME_RE.match(cond_part.rpartition(",")[2].strip())
+                   and _OUTCOME_RE.match(weight_part.strip())):
         raise _LineError("cpt line needs '= <rational>' at the end")
     weight = _parse_rational(weight_part, right_at + len(cond_part) + len(sep))
     assignment: dict[str, str] = {}

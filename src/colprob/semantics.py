@@ -448,8 +448,10 @@ def _space(nodes: Iterable[Formula], model: Model) -> list[_Space]:
             left = done[-1]
             if kind is ParAnd or kind is ChoiceAnd:
                 done[-1] = _conj(left, right)
-            else:  # ParOr or ChoiceOr: the union, lifting the sides if their supports differ
-                axes = left[0] if left[0] == right[0] else tuple(sorted({*left[0], *right[0]}))
+            elif left[0] == right[0]:  # ParOr or ChoiceOr over one support: the union
+                done[-1] = left[0], left[1] | right[1]
+            else:  # the union of the sides, each lifted to the joint support
+                axes = tuple(sorted({*left[0], *right[0]}))
                 done[-1] = axes, _lift(left, axes, model)[1] | _lift(right, axes, model)[1]
     return done
 

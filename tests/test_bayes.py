@@ -28,7 +28,7 @@ from colprob import (
 from colprob import evaluator, semantics
 from colprob.semantics import Undetermined, support
 from colprob.bayes import posteriors
-from _corpus import draw_cells, random_dag_model, random_formula, random_model
+from _corpus import child_first_chain, draw_cells, random_dag_model, random_formula, random_model
 from _corpus import noisy_channel as corpus_channel
 
 F = Fraction
@@ -391,19 +391,36 @@ def no_full_space(model, experiments):
 
 def count_eliminations(monkeypatch) -> list:
     """Record the support and the number of points of every elimination
-    that the evaluator runs, for the bayes module's masses among them."""
+    that the evaluator runs, for the bayes module's masses among them; an
+    elimination of gates, which has no points, records None for them."""
     calls = []
-    real = evaluator._point_weights
+    rows, gates = evaluator._point_weights, evaluator._gates
 
-    def counted(axes, rows, model, condition=None):
-        calls.append((frozenset(axes), len(rows)))
-        return real(axes, rows, model, condition)
+    def by_rows(axes, points, model, condition=None):
+        calls.append((frozenset(axes), len(points)))
+        return rows(axes, points, model, condition)
 
-    monkeypatch.setattr(evaluator, "_point_weights", counted)
+    def by_gates(run, model, *args):
+        calls.append((frozenset(n.experiment for n in run if isinstance(n, AtomNode)), None))
+        return gates(run, model, *args)
+
+    monkeypatch.setattr(evaluator, "_point_weights", by_rows)
+    monkeypatch.setattr(evaluator, "_gates", by_gates)
     return calls
 
 
 class TestPosteriorWeights:
+    def test_wide_independent_evidence_is_one_gate_elimination(self, monkeypatch):
+        # p(evidence), a dependent || over ten steps of a chain, is one
+        # elimination of its gates; the cells are weighed as rows.
+        model = parse_model("experiment c : H=1/3, T=2/3\n" + child_first_chain(10))
+        evidence = parse_formula(" || ".join(f"0@x{i}" for i in range(10)))
+        eliminations = count_eliminations(monkeypatch)
+        report, values = posteriors(partition("H@c", "T@c"), evidence, model, "parallel")
+        assert report.ok and values == [F(1, 3), F(2, 3)]
+        assert eliminations == [(frozenset({"c"}), 2),
+                                (frozenset(f"x{i}" for i in range(10)), None)]
+
     def test_independent_evidence_leaves_the_priors(self, monkeypatch):
         # The evidence shares no ancestor with the cells, so each weight is
         # p(cell) * p(evidence), and p(evidence) is one prob call; the

@@ -624,33 +624,46 @@ def test_first_use_compile_is_thread_safe():
 
 
 # A coin h that drives a signal s, whose outcome "never" has weight 0.
-SIGNAL = parse_model(
+SIGNAL_TEXT = (
     "experiment h : H=1/3, T=2/3\nexperiment s : lo, hi, never depends h\n"
     "cpt lo | h=H = 1/4\ncpt hi | h=H = 3/4\ncpt lo | h=T = 3/5\ncpt hi | h=T = 2/5\n"
     "experiment c0 : H, T\nexperiment c1 : H, T\n"
 )
+SIGNAL = parse_model(SIGNAL_TEXT)
 
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """The condition of every elimination: None for a space weighed alone."""
+    """Every elimination, by rows or by gates: whether it weighed a
+    second mass beside the first (a condition beside its joint), or
+    None for a space weighed alone."""
     calls = []
-    real = evaluator._point_weights
+    rows, gates = evaluator._point_weights, evaluator._gates
 
-    def counted(axes, rows, model, condition=None):
-        calls.append(condition)
-        return real(axes, rows, model, condition)
+    def by_rows(axes, points, model, condition=None):
+        calls.append(None if condition is None else "rows")
+        return rows(axes, points, model, condition)
 
-    monkeypatch.setattr(evaluator, "_point_weights", counted)
+    def by_gates(run, model, right=False, weighted=True):
+        if weighted:  # a count of points for a note is no elimination of masses
+            calls.append("gates" if right else None)
+        return gates(run, model, right, weighted)
+
+    monkeypatch.setattr(evaluator, "_point_weights", by_rows)
+    monkeypatch.setattr(evaluator, "_gates", by_gates)
     return calls
 
 
 # A binary Markov chain x0 -> ... -> x9 with a different cpt at each step.
-MARKOV10 = parse_model("experiment x0 : 0=1/3, 1=2/3\n" + "".join(
+MARKOV10_TEXT = "experiment x0 : 0=1/3, 1=2/3\n" + "".join(
     f"experiment x{i} : 0, 1 depends x{i - 1}\n"
     f"cpt 0 | x{i - 1}=0 = {i}/{i + 2}\ncpt 1 | x{i - 1}=0 = 2/{i + 2}\n"
     f"cpt 0 | x{i - 1}=1 = 1/{i + 3}\ncpt 1 | x{i - 1}=1 = {i + 2}/{i + 3}\n"
-    for i in range(1, 10)))
+    for i in range(1, 10))
+MARKOV10 = parse_model(MARKOV10_TEXT)
+# A root conditional whose joint and condition are wide: the condition is
+# a dependent || over the chain's first nine steps.
+WIDE = "1@x9 pgiven " + " || ".join(f"0@x{i}" for i in range(9))
 
 
 @pytest.mark.parametrize("text", [
@@ -658,10 +671,12 @@ MARKOV10 = parse_model("experiment x0 : 0=1/3, 1=2/3\n" + "".join(
     "1@x9 pgiven 0@x3",  # forward
     "(0@x2 | 1@x2) && 1@x7 pgiven 0@x9 | 1@x9",
     "0@x8 given 0@x8 | 1@x8",
+    WIDE,
 ])
 def test_a_root_conditional_takes_one_elimination(eliminations, text):
-    # Both masses come from one call, which receives the condition's space.
-    # The explanation weighs its subformulas besides, each alone.
+    # Both masses come from one call, which receives the condition's space
+    # or keeps its gate. The explanation weighs its subformulas besides,
+    # each alone.
     f = parse_formula(text)
     assert prob(f, MARKOV10) == enumerate_prob(f, MARKOV10)
     assert len(eliminations) == 1 and eliminations[0] is not None
@@ -712,26 +727,60 @@ def test_r2_under_explain_takes_e_and_f_from_its_sides(eliminations, examples_mo
     assert both.result == enumerate_prob(ChoiceAnd(f.left, f.right), examples_model)
 
 
+def weighed_runs(monkeypatch) -> list:
+    """The root of every run weighed, printed: folded into rows by
+    ``_space``, or eliminated as gates."""
+    roots = []
+    real_space, real_gates = evaluator._space, evaluator._gates
+
+    def space(nodes, model):
+        roots.append(format_formula(nodes[-1]))
+        return real_space(nodes, model)
+
+    def gates(run, *args):
+        roots.append(format_formula(run[-1]))
+        return real_gates(run, *args)
+
+    monkeypatch.setattr(evaluator, "_space", space)
+    monkeypatch.setattr(evaluator, "_gates", gates)
+    return roots
+
+
 def test_an_independent_pgiven_evaluates_its_condition_once(monkeypatch):
-    # One program, whose root is the conditional; the condition's space
-    # is folded once, for its one step.
-    programs, folded = [], []  # the root of each program, and of each run folded, printed
-    real_value, real_space = evaluator._value, evaluator._space
+    # One program, whose root is the conditional; each side's space is
+    # folded once, for its one step.
+    programs = []  # the root of each program, printed
+    real_value = evaluator._value
 
     def value(program, *args):
         programs.append(format_formula(program[0][-1]))
         return real_value(program, *args)
 
-    def space(nodes, model):
-        folded.append(format_formula(nodes[-1]))
-        return real_space(nodes, model)
-
     monkeypatch.setattr(evaluator, "_value", value)
-    monkeypatch.setattr(evaluator, "_space", space)
+    weighed = weighed_runs(monkeypatch)
     f = parse_formula("H@c0 pgiven (lo@s | hi@s)")
     assert prob(f, SIGNAL) == Determined(F(1, 2))
     assert programs == ["H@c0 pgiven lo@s | hi@s"]
-    assert folded.count("lo@s | hi@s") == 1
+    assert weighed == ["H@c0", "lo@s | hi@s"]
+
+
+def test_a_wide_condition_is_weighed_once_by_gates(monkeypatch, eliminations):
+    # The condition, a dependent || over nine steps of the chain, is one
+    # elimination of its gates, beside the event's rows; under a dependent
+    # root, the joint keeps the condition's gate and folds no space.
+    weighed = weighed_runs(monkeypatch)
+    condition = " || ".join(f"0@x{i}" for i in range(1, 10))
+    model = parse_model(SIGNAL_TEXT + MARKOV10_TEXT)
+    f = parse_formula(f"H@c0 pgiven ({condition})")
+    assert prob(f, model) == Determined(F(1, 2))
+    assert weighed == ["H@c0", format_formula(f.condition)]
+    assert eliminations == [None, None]
+    weighed.clear()
+    eliminations.clear()
+    f = parse_formula(WIDE)
+    assert prob(f, MARKOV10) == enumerate_prob(f, MARKOV10)
+    assert weighed == [format_formula(ParAnd(f.event, f.condition))]
+    assert eliminations == ["gates"]
 
 
 @pytest.mark.parametrize("text", [
@@ -757,6 +806,41 @@ def test_a_root_conditional_takes_one_walk(monkeypatch, text):
         assert len(walks) == 1 and walks[0] is f
 
 
+@pytest.mark.parametrize("text, by_gates", [
+    (" || ".join(f"0@x{i}" for i in range(4)), False),  # a short run
+    ("(0@x0 | 1@x0) | ((0@x0 & 1@x0) | (~0@x0 | (1@x0 | 0@x0)))", False),  # a narrow one
+    (" && ".join(f"0@x{i}" for i in range(9)), False),  # wide, but each && keeps one row
+    (" || ".join(f"0@x{i}" for i in range(9)), True),  # wide, and each || lifts its sides
+], ids=["short", "narrow", "few-rows", "many-rows"])
+def test_the_cost_function_picks_rows_or_gates(monkeypatch, text, by_gates):
+    # Each branch of the one cost function, and the way the query then
+    # takes; both ways give the oracle's answer.
+    f = parse_formula(text)
+    run = semantics._walk(f, MARKOV10, None)[2][0]
+    assert evaluator._by_gates(run, MARKOV10) is by_gates
+    weighed = weighed_runs(monkeypatch)
+    real = evaluator._gates
+    gated = []
+    monkeypatch.setattr(evaluator, "_gates", lambda *args: gated.append(1) or real(*args))
+    assert prob(f, MARKOV10) == enumerate_prob(f, MARKOV10)
+    assert weighed == [format_formula(f)] and bool(gated) is by_gates
+
+
+def test_a_gate_decided_note_counts_the_points_of_the_space(monkeypatch):
+    # x9's outcome 2 has weight 0, so the && below is read off its space,
+    # and the note counts that space's points: by gates with unit
+    # weights, the number that the rows give.
+    model = parse_model(MARKOV10_TEXT.replace(
+        "experiment x9 : 0, 1 depends x8", "experiment x9 : 0, 1, 2 depends x8"))
+    f = parse_formula("(" + " || ".join(f"0@x{i}" for i in range(9)) + ") && 2@x9")
+    run = semantics._walk(f, model, None)[2][0]
+    assert evaluator._by_gates(run, model)
+    gated = evaluator.render_derivation(prob_explain(f, model)[1])
+    monkeypatch.setattr(evaluator, "_by_gates", lambda run, model: False)
+    assert evaluator.render_derivation(prob_explain(f, model)[1]) == gated
+    assert "(511 point(s) over {x0, x1, x2, x3, x4, x5, x6, x7, x8, x9}, " in gated
+
+
 @pytest.mark.parametrize("text, event, condition", [
     ("0@x3 pgiven 1@x9", 1, 1),
     ("(0@x2 | 1@x2) && 1@x7 pgiven 0@x9 | 1@x9", 5, 3),
@@ -766,15 +850,21 @@ def test_a_root_conditional_takes_one_walk(monkeypatch, text):
 def test_a_dependent_conditional_folds_each_side_once(monkeypatch, text, event, condition):
     # The joint's space joins the event's with the condition's, which is
     # also the one the condition's mass is read off; both come from one
-    # fold over the event's nodes and then the condition's.
-    runs = []  # the length of each run of nodes folded
-    real = evaluator._space
+    # fold over the event's nodes and then the condition's, and these
+    # narrow joints weigh no gates.
+    runs = []  # the length of each run of nodes folded, or gated
+    real_space, real_gates = evaluator._space, evaluator._gates
 
     def space(nodes, model):
         runs.append(len(nodes))
-        return real(nodes, model)
+        return real_space(nodes, model)
+
+    def gates(run, *args):
+        runs.append(("gates", len(run)))
+        return real_gates(run, *args)
 
     monkeypatch.setattr(evaluator, "_space", space)
+    monkeypatch.setattr(evaluator, "_gates", gates)
     f = parse_formula(text)
     assert prob(f, MARKOV10) == enumerate_prob(f, MARKOV10)
     assert runs == [event + condition]

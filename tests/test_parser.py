@@ -379,9 +379,11 @@ class TestParseModel:
             (CHANNEL + "cpt 0 T=0 = 1/2\n", 7, 1,
              "cpt line needs '|' between outcome and parent assignment"),
             (CHANNEL + "cpt 0 | T\n", 7, 1, "cpt line needs '= <rational>' at the end"),
-            # The '=' of the assignment is read as the weight's.
-            (CHANNEL + "cpt 0 | T=0\n", 7, 1, "malformed parent assignment 'T'"),
+            (CHANNEL + "cpt 0 | T=0\n", 7, 1, "cpt line needs '= <rational>' at the end"),
             (CHANNEL + "cpt 0 | T 0 = 1/2\n", 7, 1, "malformed parent assignment 'T 0'"),
+            ("experiment a : 0, 1\nexperiment b : 0, 1\n"
+             "experiment r : 0, 1 depends a, b\ncpt 0 | a=0, b=1\n", 4, 1,
+             "cpt line needs '= <rational>' at the end"),
             ("experiment a : 0, 1\nexperiment b : 0, 1\n"
              "experiment r : 0, 1 depends a, b\ncpt 0 | a=0 = 1/2\n", 4, 1,
              "cpt row does not assign parent(s): b"),
@@ -393,7 +395,8 @@ class TestParseModel:
         ids=["reserved-outcome", "duplicate-outcome", "first-occurrence",
              "malformed-rational", "too-many-digits", "bad-id", "no-colon", "depends-nothing",
              "no-outcomes", "weighted-dependent", "cpt-no-bar", "cpt-no-equals",
-             "cpt-no-weight", "cpt-bad-assignment", "cpt-missing-parent", "cpt-extra-parent",
+             "cpt-no-weight", "cpt-bad-assignment", "cpt-no-weight-two-parents",
+             "cpt-missing-parent", "cpt-extra-parent",
              "cpt-duplicate-entry", "predicate-no-weight"],
     )
     def test_error_column_points_at_the_offending_entry(self, text, line, column, message):

@@ -5,7 +5,8 @@ gives each space its lifted sum on generated Bayes-net models, ``denote``
 gives the space that a point-by-point reading of the definitions gives,
 the explanation's root
 is ``prob``, both forms of the parallel Bayes rule agree, generated
-noisy-OR models, factored or perturbed, evaluate as the oracle does, and
+noisy-OR models, factored or perturbed, evaluate as the oracle does, the
+gate weigher gives the rows' and the oracle's masses, and
 the support walk gives the support and ancestral closure, the
 post-order program and the independent ``&&`` and ``||``, that a
 recursion over the formula gives.
@@ -29,7 +30,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from colprob import semantics
+from colprob import evaluator, semantics
 from colprob import (
     AtomNode,
     ChoiceAnd,
@@ -57,6 +58,7 @@ from colprob import (
 from _corpus import (
     draw_cells,
     lift_and_sum,
+    noisy_or,
     noisy_or_model,
     random_dag_model,
     random_formula,
@@ -366,6 +368,37 @@ def test_noisy_or_models_agree_with_enumeration(case, data):
         expected = answer(lambda: enumerate_prob(f, model))
         assert answer(lambda: prob(f, model)) == expected, text
         assert answer(lambda: prob_explain(f, model)[0]) == expected, text
+
+
+@DETERMINISTIC
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_gates_agree_with_rows_and_enumeration(rng, noisy):
+    # The gate weigher, called directly, on random determined formulas:
+    # over a random DAG, where atoms share experiments, have parents, sit
+    # under ~, or name an experiment once and fold into their gate; or
+    # over a noisy-OR whose effect's cpt enters in its per-cause form.
+    # Each side's mass, and the conjunction's, equals the rows' and the
+    # oracle's, and its count of points the space's; the conjunction's
+    # right side gets its mass from the same elimination as the root.
+    model = (parse_model(noisy_or(4)) if noisy
+             else random_dag_model(rng, max_experiments=6, max_outcomes=3, max_parents=3))
+    f = ParAnd(random_formula(rng, model, 3), random_formula(rng, model, 3))
+    _, _, program = semantics._walk(f, model, None)
+    if program is None:  # undetermined
+        return
+    run, start, _ = program
+    split = start[-2]  # where the right side starts
+    for part in (run, run[:split], run[split:-1]):
+        expected = enumerate_prob(part[-1], model).value
+        axes, rows = semantics._space(part, model)[0]
+        weights, _, scale = evaluator._point_weights(axes, rows, model)
+        assert Fraction(sum(weights), scale) == expected
+        (weight,), scale = evaluator._gates(part, model)
+        assert Fraction(weight, scale) == expected
+        assert evaluator._counted(part, model) == (axes, len(rows))
+    (joint, side), scale = evaluator._gates(run, model, right=True)
+    assert Fraction(joint, scale) == enumerate_prob(f, model).value
+    assert Fraction(side, scale) == enumerate_prob(f.right, model).value
 
 
 def sides(g):
