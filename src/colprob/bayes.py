@@ -33,10 +33,10 @@ mismatch instead of dividing 0 by 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
+from ._record import Record
 from .errors import PartitionError
 from .evaluator import ProbResult, _evaluate, _masses, _value
 from .formula import Formula, GivenPar, format_formula
@@ -48,24 +48,26 @@ ADDITIVE = "additive"
 PARALLEL = "parallel"
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """An ordered list of at least two candidate events."""
 
-    cells: tuple[Formula, ...]
-
-    def __post_init__(self):
-        if len(self.cells) < 2:
+    def __init__(self, cells: tuple[Formula, ...]):
+        if len(cells) < 2:
             raise ValueError("a partition needs at least two cells")
+        object.__setattr__(self, "cells", cells)
 
 
-@dataclass(frozen=True)
-class PartitionReport:
-    ok: bool
-    violations: tuple[str, ...]
-    exhaustive: bool
-    total: Fraction
-    support: frozenset[str] | None = None  # the cells' common support; None if parallel
+class PartitionReport(Record):
+    """What ``check_partition`` found; ``support`` is the cells' common
+    support, None if parallel."""
+
+    def __init__(self, ok: bool, violations: tuple[str, ...], exhaustive: bool,
+                 total: Fraction, support: frozenset[str] | None = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "exhaustive", exhaustive)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "support", support)
 
 
 def check_partition(p: Partition, model: Model, variant: str) -> PartitionReport:

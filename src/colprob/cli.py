@@ -20,10 +20,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from ._record import Record
 from .bayes import Partition, PartitionReport, posteriors
 from .errors import ColprobError, EmptySpaceError, ModelError
 from .evaluator import (
@@ -54,13 +54,14 @@ def decimal4(value: Fraction) -> str:
     return f"{float(value):.4g}"
 
 
-@dataclass
-class QueryOutput:
-    query: str
-    result: ProbResult
-    derivation: Derivation | None = None
-    oracle: ProbResult | None = None
-    mc: McEstimate | None = None
+class QueryOutput(Record, frozen=False):
+    def __init__(self, query: str, result: ProbResult, derivation: Derivation | None = None,
+                 oracle: ProbResult | None = None, mc: McEstimate | None = None):
+        self.query = query
+        self.result = result
+        self.derivation = derivation
+        self.oracle = oracle
+        self.mc = mc
 
     def result_text(self) -> str:
         if isinstance(self.result, Determined):

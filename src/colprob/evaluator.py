@@ -40,7 +40,6 @@ A conditional, legal only at the root, is the ratio of its joint,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from heapq import heapify, heappop, heappush
@@ -49,6 +48,7 @@ from math import prod
 from operator import add, mul
 from typing import Callable, Collection, Iterable, Iterator
 
+from ._record import Record
 from .errors import EvalError, NullConditionError
 from .formula import (
     AtomNode,
@@ -77,16 +77,15 @@ from .semantics import (
 )
 
 
-@dataclass(frozen=True)
-class Determined:
-    value: Fraction
+class Determined(Record):
+    def __init__(self, value: Fraction):
+        object.__setattr__(self, "value", value)
 
 
 ProbResult = Determined | Undetermined
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Record):
     """One node of the explanation tree.
 
     ``rule`` is "R1".."R5" for the rewrite rules, "cpt" for atomic lookups,
@@ -94,11 +93,13 @@ class Derivation:
     equals ``prob`` of the same formula.
     """
 
-    rule: str
-    formula: str
-    result: ProbResult
-    children: tuple["Derivation", ...] = ()
-    note: str = ""
+    def __init__(self, rule: str, formula: str, result: ProbResult,
+                 children: tuple[Derivation, ...] = (), note: str = ""):
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "note", note)
 
 
 def space_prob(space: EventSpace, model: Model) -> Fraction:

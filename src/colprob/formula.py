@@ -5,20 +5,20 @@ single experiment; parallel connectives (`&&`, `||`) combine outcomes of
 different experiments; `given` / `pgiven` are the additive and parallel
 conditionals and only make sense at the root of a query.
 
-Nodes are frozen dataclasses: comparable structurally and safe to share
-between threads. Their ``hash()`` and ``==`` recurse once per nesting
-level, so a deep formula is unhashable in practice: the 900-term
-``alien && ...`` chain that ``colprob eval`` evaluates raises
+Nodes are frozen records (``_record.Record``): comparable structurally
+and safe to share between threads. Their ``hash()`` and ``==`` recurse
+once per nesting level, so a deep formula is unhashable in practice: the
+900-term ``alien && ...`` chain that ``colprob eval`` evaluates raises
 RecursionError in ``hash()``. The engine never hashes or compares whole
 formulas, only atoms, outcome tuples and supports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import Record
 
 
-class Formula:
+class Formula(Record):
     """Base class for all event-formula nodes."""
 
     __slots__ = ()
@@ -27,51 +27,55 @@ class Formula:
         return format_formula(self)
 
 
-@dataclass(frozen=True)
 class AtomNode(Formula):
-    experiment: str
-    outcome: str
+    def __init__(self, experiment: str, outcome: str):
+        object.__setattr__(self, "experiment", experiment)
+        object.__setattr__(self, "outcome", outcome)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    child: Formula
+    def __init__(self, child: Formula):
+        object.__setattr__(self, "child", child)
 
 
-@dataclass(frozen=True)
-class ChoiceAnd(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    """The shape of the four connectives."""
+
+    def __init__(self, left: Formula, right: Formula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class ChoiceOr(Formula):
-    left: Formula
-    right: Formula
+class ChoiceAnd(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class ParAnd(Formula):
-    left: Formula
-    right: Formula
+class ChoiceOr(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class ParOr(Formula):
-    left: Formula
-    right: Formula
+class ParAnd(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class GivenAdd(Formula):
-    event: Formula
-    condition: Formula
+class ParOr(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class GivenPar(Formula):
-    event: Formula
-    condition: Formula
+class _Conditional(Formula):
+    """The shape of the two conditionals."""
+
+    def __init__(self, event: Formula, condition: Formula):
+        object.__setattr__(self, "event", event)
+        object.__setattr__(self, "condition", condition)
+
+
+class GivenAdd(_Conditional):
+    pass
+
+
+class GivenPar(_Conditional):
+    pass
 
 
 # Printer precedence levels, matching the parser: conditionals bind loosest,

@@ -16,13 +16,13 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from operator import add
 from typing import Container, Iterable, Mapping
 
+from ._record import Record
 from .errors import EvalError
 
 Rational = Fraction
@@ -31,8 +31,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True, eq=False)
-class ExperimentDecl:
+class ExperimentDecl(Record, eq=False):
     """One declared experiment.
 
     ``cpt`` maps a tuple of parent outcomes (aligned with ``parents``; the
@@ -44,11 +43,14 @@ class ExperimentDecl:
     Monte Carlo sampler's cumulative rows (``_sampled``).
     """
 
-    name: str
-    outcomes: tuple[str, ...]
-    parents: tuple[str, ...] = ()
-    cpt: Mapping[tuple[str, ...], Mapping[str, Fraction]] = field(default_factory=dict)
-    is_predicate: bool = False
+    def __init__(self, name: str, outcomes: tuple[str, ...], parents: tuple[str, ...] = (),
+                 cpt: Mapping[tuple[str, ...], Mapping[str, Fraction]] | None = None,
+                 is_predicate: bool = False):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "parents", parents)
+        object.__setattr__(self, "cpt", {} if cpt is None else cpt)  # a fresh dict per decl
+        object.__setattr__(self, "is_predicate", is_predicate)
 
     @staticmethod
     def uniform(name: str, outcomes: Iterable[str]) -> "ExperimentDecl":
@@ -156,15 +158,15 @@ def _per_cause(table: list[int], lcm: int, sizes: list[int]) -> _PerCause | None
     return None
 
 
-@dataclass(frozen=True, eq=False)
-class Model:
+class Model(Record, eq=False):
     """Immutable collection of experiments keyed by name.
 
     Construct once, validate, then query from any number of threads; nothing
     here mutates after __init__.
     """
 
-    experiments: Mapping[str, ExperimentDecl]
+    def __init__(self, experiments: Mapping[str, ExperimentDecl]):
+        object.__setattr__(self, "experiments", experiments)
 
     @staticmethod
     def of(*decls: ExperimentDecl) -> "Model":

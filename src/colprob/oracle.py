@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, islice, product, repeat, starmap
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
+from ._record import Record
 from .errors import EvalError, NullConditionError, OracleError
 from .evaluator import Determined
 from .formula import (
@@ -45,24 +45,22 @@ STATE_SPACE_BOUND = 10_000_000
 _BLOCK = 256  # rows per block: what either oracle holds in memory at once
 
 
-@dataclass(frozen=True)
-class SampleConfig:
-    sample_count: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.sample_count < 1:
+class SampleConfig(Record):
+    def __init__(self, sample_count: int, seed: int = 0):
+        if sample_count < 1:
             raise ValueError("sample_count must be at least 1")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
+        object.__setattr__(self, "sample_count", sample_count)
+        object.__setattr__(self, "seed", seed)
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    estimate: float
-    stderr: float
-    samples: int
-    seed: int
+class McEstimate(Record):
+    def __init__(self, estimate: float, stderr: float, samples: int, seed: int):
+        object.__setattr__(self, "estimate", estimate)
+        object.__setattr__(self, "stderr", stderr)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
 
 
 class _SupportMismatch(Exception):

@@ -60,11 +60,11 @@ operation and decode, so every operation has one implementation.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from itertools import product, starmap
 from operator import add, itemgetter
 from typing import Callable, Iterable, Mapping
 
+from ._record import Record
 from .errors import EmptySpaceError, EvalError
 from .formula import (
     AtomNode,
@@ -90,14 +90,14 @@ class SharedExperimentWarning(UserWarning):
     """
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Record):
     """One outcome per experiment, stored as a sorted tuple of pairs.
 
     Its outcomes, in that order, are its row in the engine's form over the
     sorted support; the engine builds no Point until a space is decoded."""
 
-    items: tuple[tuple[str, str], ...]
+    def __init__(self, items: tuple[tuple[str, str], ...]):
+        object.__setattr__(self, "items", items)
 
     @staticmethod
     def of(assignment: Mapping[str, str]) -> "Point":
@@ -122,24 +122,22 @@ class Point:
         return "{" + ", ".join(f"{e}={o}" for e, o in self.items) + "}"
 
 
-@dataclass(frozen=True)
-class EventSpace:
+class EventSpace(Record):
     """A set of points over one support: the public form of a space, which
     ``denote`` and the public space operations return."""
 
-    support: frozenset[str]
-    points: frozenset[Point]
-
-    def __post_init__(self):
+    def __init__(self, support: frozenset[str], points: frozenset[Point]):
         # A Point's items are sorted by experiment, one per experiment, so
         # each point's names must be exactly the sorted support.
-        names = tuple(sorted(self.support))
+        names = tuple(sorted(support))
         first = itemgetter(0)
-        for p in self.points:
+        for p in points:
             if tuple(map(first, p.items)) != names:
-                fault = ("does not cover support" if p.experiments != self.support
+                fault = ("does not cover support" if p.experiments != support
                          else "repeats or misorders an experiment of support")
-                raise ValueError(f"point {p} {fault} {format_support(self.support)}")
+                raise ValueError(f"point {p} {fault} {format_support(support)}")
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "points", points)
 
     @staticmethod
     def of(support: Iterable[str], points: Iterable[Point]) -> "EventSpace":
@@ -151,11 +149,11 @@ class EventSpace:
         return "{ " + ", ".join(str(p) for p in sorted(self.points, key=lambda p: p.items)) + " }"
 
 
-@dataclass(frozen=True)
-class Undetermined:
+class Undetermined(Record):
     """First-class 'the calculus assigns no value here' verdict."""
 
-    reason: str
+    def __init__(self, reason: str):
+        object.__setattr__(self, "reason", reason)
 
 
 Denotation = EventSpace | Undetermined

@@ -4,9 +4,14 @@ formula keeps its own stack or folds over a post-order program, so a
 formula of any depth costs no Python frames.
 
 Only the evaluator knows the row weights of an elimination: every other
-module reads masses."""
+module reads masses.
+
+Importing colprob loads neither ``dataclasses`` nor ``inspect``: a CLI
+query pays its imports on every start."""
 
 import ast
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 
 import pytest
@@ -46,3 +51,13 @@ def test_only_the_evaluator_names_point_weights(path):
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
     assert path.name == "evaluator.py" or "_point_weights" not in names
+
+
+def test_importing_colprob_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            "import colprob, colprob.cli; print(' '.join(sorted(set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", code, str(REPO / "src")],
+                          capture_output=True, text=True, check=True)
+    loaded = done.stdout.split()
+    assert "colprob.cli" in loaded
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded)

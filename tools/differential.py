@@ -67,7 +67,6 @@ Stdlib only; the run re-executes itself with PYTHONHASHSEED=0.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -100,7 +99,8 @@ def sorted_support(result):
         return sorted_support(result[0]), result[1]
     if result.support is None:
         return result
-    return dataclasses.replace(result, support=tuple(sorted(result.support)))
+    return type(result)(result.ok, result.violations, result.exhaustive, result.total,
+                        tuple(sorted(result.support)))
 
 
 def attempt(run) -> str:
