@@ -17,7 +17,6 @@ rationals rendered as "p/q" strings.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
@@ -318,15 +317,16 @@ def _repl_bayes(text: str, model: Model) -> None:
     print(_bayes_text(report, cells, values))
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors raise, so that ``main`` maps
-    them like any other error; its subcommands' parsers are its class."""
+def build_arg_parser():
+    import argparse  # here, so that importing colprob.cli does not load it
 
-    def error(self, message: str):
-        raise ValueError(message)
+    class _Parser(argparse.ArgumentParser):
+        """An argument parser whose usage errors raise, so that ``main`` maps
+        them like any other error; its subcommands' parsers are its class."""
 
+        def error(self, message: str):
+            raise ValueError(message)
 
-def build_arg_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="colprob",
         description="Exact probabilities for event formulas over declared experiments.",

@@ -97,8 +97,11 @@ class ExperimentDecl(Record, eq=False):
     def _sampled(self) -> dict[tuple[str, ...], list[float]]:
         """Each cpt row, keyed as in ``cpt``, as the cumulative floats of
         its weights over the outcomes in declared order, the last set to
-        1.0 against round-off: what the Monte Carlo sampler bisects.
-        Built at the first sample, as ``_scaled`` is at the first query."""
+        1.0 against round-off: what the Monte Carlo sampler bisects, or,
+        in a row ``[c, 1.0]`` of two outcomes, the ``c`` that it compares
+        with its uniform. The sampler lists the rows by the code of their
+        parents' outcomes. Built at the first sample, as ``_scaled`` is at
+        the first query."""
         sampled = {}
         for key, row in self.cpt.items():
             cumulative = list(accumulate(map(float, [row.get(o, 0) for o in self.outcomes])))
@@ -235,6 +238,8 @@ def _check_cpt(model: Model, decl: ExperimentDecl) -> list[str]:
         for o in row:
             if o not in decl.outcomes:
                 issues.append(f"{prefix}: cpt references unknown outcome '{o}'")
+        if _row_is_valid(row, decl.outcomes):
+            continue
         for o, w in row.items():
             if w < 0 or w > 1:
                 issues.append(f"{prefix}: probability {w} for outcome '{o}' outside [0, 1]")
@@ -242,6 +247,19 @@ def _check_cpt(model: Model, decl: ExperimentDecl) -> list[str]:
         if total != 1:
             issues.append(f"{prefix}: cpt row {_row_label(decl, key)} sums to {total}")
     return issues
+
+
+def _row_is_valid(row: Mapping[str, Fraction], outcomes: tuple[str, ...]) -> bool:
+    """Whether every weight of ``row`` is an int or a Fraction in [0, 1]
+    and its weights of ``outcomes`` sum to 1, checked on the integers over
+    the lcm of the denominators: the Fraction comparisons and additions
+    that word a failing row's messages cost several times more."""
+    if not all(type(w) is Fraction or type(w) is int for w in row.values()):
+        return False
+    lcm = math.lcm(*[w.denominator for w in row.values()])
+    scaled = {o: w.numerator * (lcm // w.denominator) for o, w in row.items()}
+    return (all(0 <= n <= lcm for n in scaled.values())
+            and sum([scaled.get(o, 0) for o in outcomes]) == lcm)
 
 
 def _row_label(decl: ExperimentDecl, key: tuple[str, ...]) -> str:

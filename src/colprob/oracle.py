@@ -11,18 +11,25 @@ event-space path is evidence, not tautology.
 Both paths work on blocks of rows. A row is one joint assignment
 (enumeration) or one sample (Monte Carlo); a block holds each closure
 experiment's outcome indices as a column, and a formula is evaluated once
-per block on integer bitmasks (bit i = row i), not once per row.
+per block on integer bitmasks (bit i = row i), not once per row. Each
+query is compiled once into a post-order program of small integer
+opcodes, where an atom is a slot in the block's list of masks. Each
+experiment's cpt rows are listed by the code of their parents' outcomes
+(mixed-radix, the last parent fastest), and a block's codes are computed
+for all its rows at once, as lanes of one big integer.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
+from array import array
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import chain, compress, islice, product, repeat, starmap
-from operator import mul
-from typing import Iterable, Mapping, Sequence
+from itertools import compress, islice, product, repeat, starmap
+from operator import itemgetter, le, mul
+from typing import Iterable, Sequence
 
 from ._record import Record
 from .errors import EvalError, NullConditionError, OracleError
@@ -43,6 +50,7 @@ from .semantics import Undetermined, format_support
 
 STATE_SPACE_BOUND = 10_000_000
 _BLOCK = 256  # rows per block: what either oracle holds in memory at once
+_NOT, _AND, _OR = -1, -2, -3  # a truth program's opcodes; an atom's is its slot
 
 
 class SampleConfig(Record):
@@ -73,8 +81,11 @@ class _SupportMismatch(Exception):
         super().__init__(reason)
 
 
-def _support(f: Formula, model: Model) -> tuple[frozenset[str], list[Formula]]:
-    """Syntactic support, and the nodes of ``f`` in post-order. The support
+def _compile(f: Formula, model: Model,
+             slots: dict[tuple[str, str], int]) -> tuple[frozenset[str], list[int]]:
+    """Syntactic support, and the truth program of ``f``: its nodes in
+    post-order as opcodes, an atom as its slot in ``slots`` (keyed by
+    experiment and outcome, a new key taking the next slot). The support
     replicates the undeterminedness conditions: choice connectives demand
     equal supports on both sides. Atoms are checked against ``model`` left
     to right, so an unknown atom is an error only when no undetermined
@@ -82,7 +93,7 @@ def _support(f: Formula, model: Model) -> tuple[frozenset[str], list[Formula]]:
     a ``~`` or a connective goes back on the stack, ready (in a 1-tuple),
     under its children, and a connective combines their supports from
     the top of ``done``."""
-    order: list[Formula] = []
+    program: list[int] = []
     done: list[frozenset[str]] = []
     stack: list[Formula | tuple[Formula]] = [f]
     while stack:
@@ -92,25 +103,27 @@ def _support(f: Formula, model: Model) -> tuple[frozenset[str], list[Formula]]:
                 raise EvalError(
                     f"unknown outcome '{node.outcome}' of experiment '{node.experiment}'"
                 )
-            order.append(node)
+            program.append(slots.setdefault((node.experiment, node.outcome), len(slots)))
             done.append(frozenset((node.experiment,)))
         elif isinstance(node, Not):
             stack += ((node,), node.child)
         elif isinstance(node, (ChoiceAnd, ChoiceOr, ParAnd, ParOr)):
             stack += ((node,), node.right, node.left)
         elif isinstance(node, tuple):
-            order.append(node[0])
-            if isinstance(node[0], Not):
+            node = node[0]
+            if isinstance(node, Not):
+                program.append(_NOT)
                 continue
             right, left = done.pop(), done.pop()
-            if left != right and isinstance(node[0], (ChoiceAnd, ChoiceOr)):
-                op = "choice-and (&)" if isinstance(node[0], ChoiceAnd) else "choice-or (|)"
+            if left != right and isinstance(node, (ChoiceAnd, ChoiceOr)):
+                op = "choice-and (&)" if isinstance(node, ChoiceAnd) else "choice-or (|)"
                 raise _SupportMismatch(f"{op} spans distinct supports "
                                        f"{format_support(left)} vs {format_support(right)}")
             done.append(left | right)
+            program.append(_AND if isinstance(node, (ChoiceAnd, ParAnd)) else _OR)
         else:
             raise EvalError("conditionals are only allowed at the root of a query")
-    return done[0], order
+    return done[0], program
 
 
 def topological_order(model: Model, names: Iterable[str]) -> list[str]:
@@ -137,12 +150,13 @@ def _prepare(f: Formula, model: Model):
     """What both oracles start from: the verdict (a _SupportMismatch when
     ``f`` is undetermined), the ancestral closure of the experiments ``f``
     mentions in parents-first order (one column per experiment), each atom
-    with its column, outcome index and outcome count, and the nodes of
-    the conditional-free event and of the condition in post-order (the
-    condition's None unless ``f`` is a root conditional)."""
+    slot's column, outcome index and outcome count, and the truth programs
+    of the conditional-free event and of the condition (the condition's
+    None unless ``f`` is a root conditional)."""
+    slots: dict[tuple[str, str], int] = {}
     if isinstance(f, (GivenAdd, GivenPar)):
-        event_support, event = _support(f.event, model)
-        condition_support, condition = _support(f.condition, model)
+        event_support, event = _compile(f.event, model, slots)
+        condition_support, condition = _compile(f.condition, model, slots)
         if isinstance(f, GivenAdd) and event_support != condition_support:
             spans = f"{format_support(event_support)} vs {format_support(condition_support)}"
             raise _SupportMismatch(
@@ -150,33 +164,59 @@ def _prepare(f: Formula, model: Model):
                 f"additive conditional spans {spans}",
             )
     else:
-        event, condition = _support(f, model)[1], None
-    atoms = {node for node in chain(event, condition or ()) if isinstance(node, AtomNode)}
-    closure = ancestral_closure(model, {atom.experiment for atom in atoms})
+        event, condition = _compile(f, model, slots)[1], None
+    closure = ancestral_closure(model, {name for name, _ in slots})
     order = topological_order(model, closure)
     column = {name: j for j, name in enumerate(order)}
     targets = []
-    for atom in atoms:
-        outcomes = model.outcomes(atom.experiment)
-        targets.append(
-            (atom, column[atom.experiment], outcomes.index(atom.outcome), len(outcomes))
-        )
+    for name, outcome in slots:  # in slot order
+        outcomes = model.outcomes(name)
+        targets.append((column[name], outcomes.index(outcome), len(outcomes)))
     return order, targets, event, condition
 
 
-def _by_parents(model: Model, order: list[str], row):
-    """For each experiment of ``order``: the columns of its parents, and
-    ``row(decl, parents)`` for each assignment ``parents`` of their
-    outcomes, keyed by the parents' outcome indices."""
+def _by_parents(model: Model, order: list[str], table: str):
+    """For each experiment of ``order``: the columns of its parents, their
+    outcome counts, and the rows of its decl's ``table`` (``cpt`` or a
+    compiled form keyed as it is), listed by the code of their parents'
+    outcomes (``_coder``)."""
     column = {name: j for j, name in enumerate(order)}
     tables = []
     for name in order:
         decl = model.decl(name)
         domains = [model.outcomes(p) for p in decl.parents]
-        keys = product(*[range(len(d)) for d in domains])
-        rows = {key: row(decl, parents) for key, parents in zip(keys, product(*domains))}
-        tables.append((tuple([column[p] for p in decl.parents]), rows))
+        rows = list(map(getattr(decl, table).__getitem__, product(*domains)))
+        tables.append(([column[p] for p in decl.parents], [len(d) for d in domains], rows))
     return tables
+
+
+def _coder(radices: list[int]):
+    """The function from a block's digit columns, one per radix of
+    ``radices``, to the column of their mixed-radix codes, the last digit
+    fastest: the position of their assignment in ``product`` order. One
+    digit is its own code. Several are lanes of one integer per digit,
+    each lane wide enough for the largest code, so the sum of the integers
+    times their strides carries no lane into the next: a few operations on
+    whole integers per block, not a tuple and a lookup per row."""
+    if len(radices) <= 1:  # none: a parentless experiment, which needs no code
+        return itemgetter(0)
+    typecode = next(t for t in "BHIQ" if 256 ** array(t).itemsize >= math.prod(radices))
+    width = array(typecode).itemsize
+    strides = [math.prod(radices[i + 1:]) for i in range(len(radices))]
+    # Where each byte of a digit goes in its lane: the lanes are native
+    # integers, as the memoryview that reads the codes off sees them.
+    low, step = (0, 1) if sys.byteorder == "little" else (width - 1, -1)
+
+    def code(digits: list[Sequence[int]]) -> memoryview:
+        lanes = 0
+        for digit, stride, radix in zip(digits, strides, radices):
+            spread = bytearray(width * len(digit))
+            for shift in range(0, max(8, (radix - 1).bit_length()), 8):
+                spread[low + step * (shift >> 3)::width] = (
+                    digit if radix <= 256 else [i >> shift & 255 for i in digit])
+            lanes += int.from_bytes(spread, sys.byteorder) * stride
+        return memoryview(lanes.to_bytes(len(spread), sys.byteorder)).cast(typecode)
+    return code
 
 
 def _rows_equal(col: Sequence[int], value: int, count: int) -> int:
@@ -191,19 +231,19 @@ def _rows_equal(col: Sequence[int], value: int, count: int) -> int:
     return rows
 
 
-def _truth(nodes: list[Formula], masks: Mapping[AtomNode, int], full: int) -> int:
-    """The rows of a block where the conditional-free formula whose nodes
-    in post-order are ``nodes`` holds, given each atom's rows and the
-    block's ``full`` mask: one fold over the nodes with a stack of rows."""
+def _truth(program: list[int], masks: list[int], full: int) -> int:
+    """The rows of a block where the conditional-free formula compiled to
+    ``program`` holds, given each atom slot's rows and the block's
+    ``full`` mask: one fold over the opcodes with a stack of rows."""
     done: list[int] = []
-    for node in nodes:
-        if isinstance(node, AtomNode):
-            done.append(masks[node])
-        elif isinstance(node, Not):
+    for op in program:
+        if op >= 0:
+            done.append(masks[op])
+        elif op == _NOT:
             done[-1] ^= full
         else:  # the rows where both sides hold, or where either does
-            right, both = done.pop(), isinstance(node, (ChoiceAnd, ParAnd))
-            done[-1] = done[-1] & right if both else done[-1] | right
+            right = done.pop()
+            done[-1] = done[-1] & right if op == _AND else done[-1] | right
     return done[0]
 
 
@@ -211,10 +251,7 @@ def _block_truth(event, condition, targets, columns, size: int) -> tuple[int, in
     """The rows of a block of ``size`` rows where the event and the
     condition both hold, and the rows where the condition holds."""
     full = (1 << size) - 1
-    masks = {
-        atom: _rows_equal(columns[j], index, count)
-        for atom, j, index, count in targets
-    }
+    masks = [_rows_equal(columns[j], index, count) for j, index, count in targets]
     held = full if condition is None else _truth(condition, masks, full)
     return _truth(event, masks, full) & held, held
 
@@ -246,15 +283,14 @@ def enumerate_prob(f: Formula, model: Model):
         )
     factors = []
     scale = 1
-    cpts = _by_parents(  # each row its outcomes' weights, in declared order
-        model, order, lambda decl, parents: [decl.cpt[parents].get(o, 0) for o in decl.outcomes])
-    for parents, rows in cpts:
-        lcm = math.lcm(*[w.denominator for row in rows.values() for w in row])
-        scaled = {
-            key: [w.numerator * (lcm // w.denominator) for w in row]
-            for key, row in rows.items()
-        }
-        factors.append((parents, scaled))
+    for j, (parents, radices, rows) in enumerate(_by_parents(model, order, "cpt")):
+        # One table over the parents and the experiment itself, its own
+        # outcomes in declared order the fastest digit of the code.
+        outcomes = model.outcomes(order[j])
+        entries = [row.get(o, 0) for row in rows for o in outcomes]
+        lcm = math.lcm(*[w.denominator for w in entries])
+        scaled = [w.numerator * (lcm // w.denominator) for w in entries]
+        factors.append((parents + [j], _coder(radices + [sizes[j]]), scaled))
         scale *= lcm
     bits = bytes.maketrans(b"01", b"\0\1")
 
@@ -268,13 +304,9 @@ def enumerate_prob(f: Formula, model: Model):
     assignments = product(*[range(n) for n in sizes])
     while columns := list(zip(*list(islice(assignments, _BLOCK)))):
         weights = [1] * len(columns[0])
-        for (parents, scaled), col in zip(factors, columns):
-            if parents:
-                keys = zip(*[columns[p] for p in parents])
-                factor = [scaled[key][o] for key, o in zip(keys, col)]
-            else:
-                factor = map(scaled[()].__getitem__, col)
-            weights = list(map(mul, weights, factor))
+        for digits, code, scaled in factors:
+            codes = code([columns[c] for c in digits])
+            weights = list(map(mul, weights, map(scaled.__getitem__, codes)))
         both, held = _block_truth(event, condition, targets, columns, len(weights))
         numerator += mass(weights, both)
         if condition is not None:
@@ -291,9 +323,11 @@ def mc_estimate(f: Formula, model: Model, cfg: SampleConfig) -> McEstimate:
 
     Experiments are sampled ancestors-first from their cpt rows, which
     each decl compiles once, at its first sample, into cumulative floats
-    (``ExperimentDecl._sampled``); a call only keys them by the parents'
-    outcome indices. The same seed, model and formula always reproduce
-    the same estimate bit for bit.
+    (``ExperimentDecl._sampled``); a call only lists them by the code of
+    the parents' outcome indices. A draw is the number of a row's entries
+    at most its uniform u: ``bisect_right``, or, for a row ``[c, 1.0]`` of
+    two outcomes, the one comparison ``c <= u``, as u < 1.0. The same
+    seed, model and formula always reproduce the same estimate bit for bit.
     A block's uniforms are drawn sample-major, one per experiment in
     parents-first order, so the estimate does not depend on the block size.
     Undetermined formulas cannot be sampled and are rejected.
@@ -304,7 +338,12 @@ def mc_estimate(f: Formula, model: Model, cfg: SampleConfig) -> McEstimate:
         raise OracleError(
             f"cannot sample an undetermined formula: {mismatch.sampled}"
         ) from None
-    samplers = _by_parents(model, order, lambda decl, parents: decl._sampled[parents])
+    samplers = []
+    for parents, radices, rows in _by_parents(model, order, "_sampled"):
+        if len(rows[0]) == 2:  # each row's first entry, compared with u
+            samplers.append((parents, _coder(radices), [row[0] for row in rows], le))
+        else:
+            samplers.append((parents, _coder(radices), rows, bisect_right))
     uniform = random.Random(cfg.seed).random
     k = len(order)
     hits = 0
@@ -313,12 +352,12 @@ def mc_estimate(f: Formula, model: Model, cfg: SampleConfig) -> McEstimate:
         size = min(_BLOCK, cfg.sample_count - start)
         draws = list(starmap(uniform, repeat((), size * k)))
         columns: list[list[int]] = []
-        for j, (parents, rows) in enumerate(samplers):
+        for j, (parents, code, rows, draw) in enumerate(samplers):
             if parents:
-                cumulatives = map(rows.__getitem__, zip(*[columns[p] for p in parents]))
+                entries = map(rows.__getitem__, code([columns[p] for p in parents]))
             else:
-                cumulatives = repeat(rows[()], size)
-            columns.append(list(map(bisect_right, cumulatives, draws[j::k])))
+                entries = repeat(rows[0], size)
+            columns.append(list(map(draw, entries, draws[j::k])))
         both, held = _block_truth(event, condition, targets, columns, size)
         hits += both.bit_count()
         eligible += held.bit_count()

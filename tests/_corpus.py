@@ -153,6 +153,17 @@ def random_ast(rng, depth, conditionals=True):
     return node(left, right)
 
 
+def mentioned(f):
+    """The experiments that the atoms of ``f`` name."""
+    if isinstance(f, AtomNode):
+        return {f.experiment}
+    if isinstance(f, Not):
+        return mentioned(f.child)
+    if isinstance(f, (GivenAdd, GivenPar)):
+        return mentioned(f.event) | mentioned(f.condition)
+    return mentioned(f.left) | mentioned(f.right)
+
+
 def random_space(rng, model, max_support=3):
     """Random nonempty event space over a random support of the model."""
     names = sorted(model.experiments)

@@ -60,4 +60,4 @@ def test_importing_colprob_loads_neither_dataclasses_nor_inspect():
                           capture_output=True, text=True, check=True)
     loaded = done.stdout.split()
     assert "colprob.cli" in loaded
-    assert {"dataclasses", "inspect"}.isdisjoint(loaded)
+    assert {"argparse", "dataclasses", "inspect"}.isdisjoint(loaded)

@@ -37,11 +37,11 @@ from colprob import (
 )
 from colprob import evaluator, semantics
 from colprob.bayes import Partition, posteriors
-from colprob.oracle import _prepare
 from _corpus import (
     SCALING_MODELS,
     joint_point_prob,
     lift_and_sum,
+    mentioned,
     noisy_or,
     random_dag_model,
     random_formula,
@@ -464,7 +464,7 @@ def test_prob_matches_oracle_on_multi_parent_models():
                 assert type(ev) is type(orc), (f, ev, orc)
                 if isinstance(ev, Determined):
                     assert ev == orc, f
-                    names = {atom.experiment for atom, *_ in _prepare(f, model)[1]}
+                    names = mentioned(f)
                     eliminated += ancestral_closure(model, names) != names
                 checked += 1
     assert checked == 800 and eliminated > 150

@@ -35,6 +35,7 @@ from colprob import model as model_module
 from colprob.oracle import _BLOCK, topological_order
 from _corpus import (
     child_first_chain,
+    mentioned,
     noisy_channel,
     noisy_or,
     random_dag_model,
@@ -282,16 +283,6 @@ def holds(f, assignment):
     return holds(f.left, assignment) or holds(f.right, assignment)
 
 
-def mentioned(f):
-    if isinstance(f, AtomNode):
-        return {f.experiment}
-    if isinstance(f, Not):
-        return mentioned(f.child)
-    if isinstance(f, (GivenAdd, GivenPar)):
-        return mentioned(f.event) | mentioned(f.condition)
-    return mentioned(f.left) | mentioned(f.right)
-
-
 def per_sample_mc(f, model, cfg):
     """The reference sampler, one sample at a time: each closure experiment
     is drawn parents-first with one uniform from its cumulative cpt row,
@@ -347,6 +338,29 @@ def wide_model():
                     ExperimentDecl.uniform("v", ("a", "b")))
 
 
+@pytest.fixture(scope="module")
+def wide_cases():
+    """Queries whose cpt rows are looked up by codes of more than one byte:
+    an effect of nine causes (512 parent assignments), and an experiment
+    under a parent of 300 outcomes; then two-outcome rows weighted 1, 0
+    and 0, 1, whose thresholds are 1.0 and 0.0."""
+    w = ExperimentDecl.uniform("w", tuple(f"o{i}" for i in range(300)))
+    v = ExperimentDecl.uniform("v", ("a", "b"))
+    rows = {}
+    for i in range(300):
+        for j, side in enumerate("ab"):
+            x = F((i + 3 * j) % 7, 12)
+            rows[(f"o{i}", side)] = {"x": x, "y": F(1, 3), "z": F(2, 3) - x}
+    under = Model.of(w, v, ExperimentDecl("c", ("x", "y", "z"), ("w", "v"), rows))
+    k = ExperimentDecl.uniform("k", ("H", "T"))
+    copy = ExperimentDecl("m", ("H", "T"), ("k",),
+                          {("H",): {"H": F(1), "T": F(0)}, ("T",): {"H": F(0), "T": F(1)}})
+    sure = ExperimentDecl.weighted("s", {"no": F(0), "yes": F(1)})
+    return [(parse_model(noisy_or(9)), parse_formula("a1 pgiven true@e")),
+            (under, parse_formula("(x@c | z@c) && a@v || o299@w")),
+            (Model.of(k, copy, sure), parse_formula("H@m && yes@s"))]
+
+
 def dependent_corpus_queries():
     """Determined queries on seeded multi-parent models: four plain ones,
     then two parallel conditionals."""
@@ -388,9 +402,12 @@ PINNED_MC = [
 
 class TestBlocks:
     @pytest.mark.parametrize("samples", BLOCK_COUNTS)
-    def test_mc_matches_per_sample_loop(self, channel_model, samples):
+    def test_mc_matches_per_sample_loop(self, channel_model, wide_cases, samples):
+        for model, f in wide_cases[:2]:
+            assert enumerate_prob(f, model) == prob(f, model), f
         cases = [(channel_model, parse_formula(q)) for q in
                  ("0@T pgiven 0@R", "1@R given (0@R | 1@R)", "~(0@T && 1@R)")]
+        cases += wide_cases
         cases += dependent_corpus_queries()
         assert any(model.decl(name).parents
                    for model, f in cases[-2:]

@@ -3,7 +3,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from colprob import Determined
+from colprob import Determined, McEstimate
 from conftest import REPO
 
 
@@ -34,6 +34,16 @@ def test_walls_checks_its_smallest_rows():
     assert all(" prob " in line and " oracle " in line for line in lines)
 
 
+def test_walls_checks_its_monte_carlo_rows():
+    done = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "walls.py"), "mc/0@x8", "mc/0@x199"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split()[:2] for line in lines] == [["mc/0@x8", "mc"], ["mc/0@x199", "mc"]]
+
+
 def test_walls_exits_one_on_a_wrong_answer(monkeypatch, capsys):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the tool adds src/ and perfbench/
     monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
@@ -43,4 +53,7 @@ def test_walls_exits_one_on_a_wrong_answer(monkeypatch, capsys):
     monkeypatch.setattr(walls, "prob", lambda f, model: Determined(Fraction(0)))
     assert walls.main(["coin/n=12"]) == 1
     assert capsys.readouterr().out.startswith("WRONG coin/n=12 ")
+    monkeypatch.setattr(walls, "mc_estimate", lambda f, model, cfg: McEstimate(0.0, 0.0, 1, 0))
+    assert walls.main(["mc/0@x8"]) == 1
+    assert capsys.readouterr().out.startswith("WRONG mc/0@x8 ")
     assert walls.main(["no/such-row"]) == 2

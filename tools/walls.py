@@ -11,8 +11,11 @@ time ``prob`` takes (the best of three calls, or one call past 2 s), and
 how its answer was checked. Every answer is compared with a closed form,
 or a recursion along the chain, in Fractions; when the oracle's state
 space is at most ORACLE_STATES, with ``enumerate_prob`` too, whose time
-for one call is printed beside. A wrong answer prints a line starting ``WRONG`` and the
-exit code is 1.
+for one call is printed beside. The ``mc/`` rows time ``mc_estimate``
+instead (SAMPLES), on a marginal near the chain's root and on its last
+node, so the sampler's growth with the closure shows; each estimate must
+lie within SIGMAS standard errors of the exact marginal. A wrong answer
+prints a line starting ``WRONG`` and the exit code is 1.
 """
 
 from __future__ import annotations
@@ -20,18 +23,20 @@ from __future__ import annotations
 import sys
 import time
 from fractions import Fraction
-from math import prod
+from math import prod, sqrt
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # leave no caches in perfbench/ or src/
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from colprob import (  # noqa: E402
-    ancestral_closure, enumerate_prob, parse_formula, parse_model, prob)
+    SampleConfig, ancestral_closure, enumerate_prob, mc_estimate, parse_formula, parse_model, prob)
 from colprob.semantics import support  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 ORACLE_STATES = 2**18
+SAMPLES = SampleConfig(2000, seed=0)
+SIGMAS = 6
 HALF = Fraction(1, 2)
 
 
@@ -78,6 +83,8 @@ def rows():
         yield f"coin/n={n}", atoms("H@c{}", range(n)), coins, 1 - HALF**n
     for k in (13, 199):
         yield f"0@x{k}", f"0@x{k}", chain, marginal(k)[0]
+    for k in (8, 199):
+        yield f"mc/0@x{k}", f"0@x{k}", chain, marginal(k)[0]
 
 
 def timed(run, calls: int = 3) -> tuple[float, object]:
@@ -105,6 +112,16 @@ def main(argv: list[str]) -> int:
         if argv and name not in argv:
             continue
         f = parse_formula(text)
+        if name.startswith("mc/"):
+            seconds, result = timed(lambda: mc_estimate(f, model, SAMPLES))
+            sigma = sqrt(reference * (1 - reference) / SAMPLES.sample_count)
+            line = (f"{name:<18} mc   {seconds * 1e3:10.2f} ms   estimate "
+                    f"{result.estimate:.4f}, exact {float(reference):.4f} ± {sigma:.4f}")
+            if abs(result.estimate - reference) > SIGMAS * sigma:
+                wrong += 1
+                line = f"WRONG {line}: more than {SIGMAS} sigma off"
+            print(line, flush=True)
+            continue
         seconds, result = timed(lambda: prob(f, model))
         line = f"{name:<18} prob {seconds * 1e3:10.2f} ms"
         answers = [result.value]
