@@ -52,7 +52,6 @@ from .model import (
     Model,
     Rational,
     ancestral_closure,
-    joint_point_prob,
     validate_model,
 )
 from .oracle import McEstimate, SampleConfig, enumerate_prob, mc_estimate
@@ -116,7 +115,6 @@ __all__ = [
     "enumerate_prob",
     "format_formula",
     "full_space",
-    "joint_point_prob",
     "lift",
     "mc_estimate",
     "parse_formula",

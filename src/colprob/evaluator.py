@@ -19,14 +19,16 @@ A conditional, legal only at the root, is the ratio of its joint,
     a node that no rule computes from its sides' steps is weighed by
     ``_weigh``, and so, ahead of the loops, is a root conditional's
     joint, with its condition when no rule decides that, from one
-    elimination;
+    elimination; every mass the loops read comes from ``_weigh``, and a
+    note that prints a space's points counts them with ``_points``, the
+    way ``_weigh`` weighs that space;
   * ``_by_gates``: the one cost function that picks how ``_weigh``
     weighs a run: as rows, the event spaces that ``semantics._space``
     folds, or as gates;
   * ``_point_weights``: the exact weights of a space's rows, by variable
     elimination over dense integer cpt tables (``_cpts``, ``_cut``,
-    ``_eliminate``, ``_sum_out``, ``_place``, ``_read_off``); ``_weighed``
-    and ``space_prob`` sum one space's, ``_masses`` a batch's for the
+    ``_eliminate``, ``_sum_out``, ``_place``, ``_read_off``); ``space_prob``
+    sums one space's, ``_weigh`` one run's, ``_masses`` a batch's for the
     Bayes rules;
   * ``_gates``: a run's mass as a weighted model count (Tseitin 1968;
     Chavira & Darwiche 2008): one ``_eliminate`` over the closure's cpt
@@ -114,13 +116,8 @@ def space_prob(space: EventSpace, model: Model) -> Fraction:
         unknown = set(column).difference(model.outcomes(name))
         if unknown:
             raise EvalError(f"unknown outcome '{min(unknown)}' of experiment '{name}'")
-    return _weighed(encoded, model)[1]
-
-
-def _weighed(space: _Space, model: Model) -> tuple[_Space, Fraction]:
-    """``space``, in the engine's form, and its mass."""
-    weights, _, scale = _point_weights(*space, model)
-    return space, Fraction(sum(weights), scale)
+    weights, _, scale = _point_weights(*encoded, model)
+    return Fraction(sum(weights), scale)
 
 
 def _masses(spaces: list[_Space], model: Model) -> list[Fraction]:
@@ -653,9 +650,9 @@ def _value(program: _Program, model: Model, explain: bool) -> _Step:
     children first, and takes those steps: R1 from the child's, R4 and R5
     under independence from the sides', and every other node from its own
     mass (``_weigh``); a dependent ``||`` is R4 with p(~E && ~F) one minus
-    it. Under explain the sides of a ``|`` come from one fold of the
-    node's run without the node: R2 takes E | F and E & F from them, and
-    p(E & F) = p(E) + p(F) - p(E | F) from the steps it has taken.
+    it. Under explain a ``|`` is R2, with p(E & F) = p(E) + p(F) - p(E | F)
+    from the steps it has taken and its own mass. A note that prints a
+    space's points counts them (``_points``) only when it prints.
 
     A root conditional's joint, ``E & F`` or ``E && F``, takes the root's
     place in both passes, and its condition's step is always taken; the
@@ -665,13 +662,13 @@ def _value(program: _Program, model: Model, explain: bool) -> _Step:
     nodes, start, independent = program
     n, f = len(nodes), nodes[-1]
     ratio = type(f) in (GivenAdd, GivenPar)
-    weighed: dict[int, tuple[Fraction, _Points]] = {}
+    weighed: dict[int, Fraction] = {}
     if ratio:  # its joint takes its place
         nodes = nodes[:-1] + [(ChoiceAnd if type(f) is GivenAdd else ParAnd)(f.event, f.condition)]
         if n - 1 not in independent:
             c = n - 2  # the condition's root
             decided = type(nodes[c]) is Not or c in independent
-            weighed = dict(zip((n - 1, c), _weigh(nodes, model, None if decided else start[c])))
+            weighed = dict(zip((n - 1, c), _weigh(nodes, model, not decided)))
     needed = [n - 1]  # grows as it is read: each index after the node that reads it
     for i in needed:  # a node's right side, or child, is i - 1; its left side start[i - 1] - 1
         kind = type(nodes[i])
@@ -686,22 +683,22 @@ def _value(program: _Program, model: Model, explain: bool) -> _Step:
             steps[i] = _one_minus(node, right, explain)
         elif i in independent:
             steps[i] = _independence(node, steps[start[i - 1] - 1], right, explain)
-        elif explain and kind is ChoiceOr:  # R2: p(E & F) = p(E) + p(F) - p(E | F)
-            (axes, e_rows), (_, f_rows) = _space(nodes[start[i]:i], model)  # its sides
-            p = weighed[i][0] if i in weighed else _weighed((axes, e_rows | f_rows), model)[1]
-            left = steps[start[i - 1] - 1]
-            both = e_rows & f_rows
-            step = _read(ChoiceAnd(node.left, node.right), left[0].value + right[0].value - p,
-                         model, True, right, lambda: (axes, len(both)))
-            steps[i] = _node(True, node, Determined(p), (left[1], right[1], step[1]),
-                             "p(E) + p(F) - p(E & F)")
-        else:  # off its own space, given its right side's step under explain
-            p, points = weighed.get(i) or _weigh(nodes[start[i]:i + 1], model)[0]
+        else:  # off its own mass, given its right side's step under explain
+            run = nodes[start[i]:i + 1]
+            p = weighed[i] if i in weighed else _weigh(run, model)[0]
+            points = partial(_points, run, model)
             if kind is ParOr:  # R4: ~E && ~F holds where E || F does not
                 both = ParAnd(Not(node.left), Not(node.right))
                 given = _one_minus(both.right, right, True) if explain else None
                 step = _read(both, 1 - p, model, explain, given, lambda: _outside(points, model))
                 steps[i] = _one_minus(node, step, explain)
+            elif explain and kind is ChoiceOr:  # R2: p(E & F) = p(E) + p(F) - p(E | F)
+                left = steps[start[i - 1] - 1]
+                both = ChoiceAnd(node.left, node.right)
+                step = _read(both, left[0].value + right[0].value - p, model, True, right,
+                             partial(_points, run[:-1] + [both], model))
+                steps[i] = _node(True, node, Determined(p), (left[1], right[1], step[1]),
+                                 "p(E) + p(F) - p(E & F)")
             else:
                 steps[i] = _read(node, p, model, explain, right, points)
     if not ratio:
@@ -722,34 +719,34 @@ def _value(program: _Program, model: Model, explain: bool) -> _Step:
 _Points = Callable[[], tuple[tuple[str, ...], int]]
 
 
-def _weigh(run: list[Formula], model: Model, split: int | None = None
-           ) -> list[tuple[Fraction, _Points]]:
-    """The mass of the root of ``run``, a complete subtree, and, given the
-    ``split`` where the right side of a conjunctive root starts, of that
-    side (a root conditional's condition beside its joint), each with its
-    space's points. ``_by_gates`` picks the way: one elimination of the
-    gate form (``_gates``), or rows. By rows, one fold gives the root's
-    space, or with ``split`` the sides' spaces, which the root joins, so
-    the right side's space is built once and both masses come from one
-    elimination (``_point_weights``' condition mode)."""
+def _weigh(run: list[Formula], model: Model, condition: bool = False) -> list[Fraction]:
+    """The mass of the root of ``run``, a complete subtree, and, given
+    ``condition``, of the right side of its conjunctive root (a root
+    conditional's condition beside its joint). ``_by_gates`` picks the
+    way: one elimination of the gate form (``_gates``), or rows. By rows,
+    one fold gives the root's space, or with ``condition`` the sides'
+    spaces, which the root joins, so the right side's space is built once
+    and both masses come from one elimination (``_point_weights``'
+    condition mode)."""
     if _by_gates(run, model):
-        weights, scale = _gates(run, model, split is not None)
-        runs = [run] if split is None else [run, run[split:-1]]
-        return [(Fraction(w, scale), partial(_counted, r, model)) for w, r in zip(weights, runs)]
-    if split is None:
-        axes, rows = _space(run, model)[0]
-        weights, _, scale = _point_weights(axes, rows, model)
-        return [(Fraction(sum(weights), scale), lambda: (axes, len(rows)))]
-    event, condition = _space(run[:-1], model)
-    joint = _conj(event, condition)
-    weights, c_weights, scale = _point_weights(*joint, model, condition)
-    return [(Fraction(sum(w), scale), lambda space=space: (space[0], len(space[1])))
-            for w, space in ((weights, joint), (c_weights, condition))]
+        weights, scale = _gates(run, model, condition)
+        return [Fraction(w, scale) for w in weights]
+    if not condition:
+        weights, _, scale = _point_weights(*_space(run, model)[0], model)
+        return [Fraction(sum(weights), scale)]
+    event, right = _space(run[:-1], model)
+    weights, c_weights, scale = _point_weights(*_conj(event, right), model, right)
+    return [Fraction(sum(weights), scale), Fraction(sum(c_weights), scale)]
 
 
-def _counted(run: list[Formula], model: Model) -> tuple[tuple[str, ...], int]:
+def _points(run: list[Formula], model: Model) -> tuple[tuple[str, ...], int]:
     """The support of the root of ``run`` and its space's number of points,
-    from the gate form with unit weights (no space is built)."""
+    counted the way ``_weigh`` weighs it: the fold's rows, or, where
+    ``_by_gates`` picks gates, the gate form with unit weights, which
+    builds no space."""
+    if not _by_gates(run, model):
+        axes, rows = _space(run, model)[0]
+        return axes, len(rows)
     axes = tuple(sorted({node.experiment for node in run if type(node) is AtomNode}))
     return axes, _gates(run, model, weighted=False)[0][0]
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
@@ -304,38 +303,6 @@ def ancestral_closure(model: Model, support: Iterable[str]) -> frozenset[str]:
         closure.add(name)
         frontier.extend(model.decl(name).parents)
     return frozenset(closure)
-
-
-def joint_point_prob(model: Model, assignment: Mapping[str, str]) -> Fraction:
-    """Exact probability of one full assignment over an ancestrally closed
-    domain: the product of each experiment's cpt entry given its parents.
-
-    For mutually independent experiments this reduces to the plain product
-    of marginals. The assignment is an unordered mapping; the result does
-    not depend on iteration order.
-
-    Deprecated: ``space_prob`` of the one-point space over the assignment
-    gives the same value over an ancestrally closed domain.
-    """
-    warnings.warn("joint_point_prob is deprecated; use space_prob(EventSpace.of(assignment, "
-                  "[Point.of(assignment)]), model), which gives the same value over an "
-                  "ancestrally closed domain", DeprecationWarning, stacklevel=2)
-    for name in assignment:
-        decl = model.decl(name)
-        for p in decl.parents:
-            if p not in assignment:
-                raise EvalError(
-                    f"assignment domain is not ancestrally closed: "
-                    f"'{name}' depends on '{p}', which is missing"
-                )
-    prob = ONE
-    for name, outcome in assignment.items():
-        decl = model.decl(name)
-        if outcome not in decl.outcomes:
-            raise EvalError(f"unknown outcome '{outcome}' of experiment '{name}'")
-        row = decl.cpt[tuple(assignment[p] for p in decl.parents)]
-        prob *= row.get(outcome, ZERO)
-    return prob
 
 
 def parents_first(

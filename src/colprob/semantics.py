@@ -48,9 +48,9 @@ the axes it lacks, which over one support, ``|``'s case, is none.
 made of complete subtrees that hold no conditional, and returns the
 spaces the run leaves, one per subtree, left to right. A connective's
 run without the node gives both its sides from one fold, which is how
-R4's ``~E && ~F``, R2's ``E | F`` and ``E & F`` and a root
-conditional's joint get their spaces, and a run of cells gives every
-cell's.
+a root conditional's joint and its condition get their spaces, and a
+run of cells gives every cell's; every other node's run is its own
+subtree.
 ``Point`` and ``EventSpace`` are the public form: ``denote`` decodes its
 result once, and ``cartesian_conj``, ``lift``, ``full_space`` (and
 ``evaluator.space_prob``) encode their arguments, run the one engine

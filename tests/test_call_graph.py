@@ -4,7 +4,8 @@ formula keeps its own stack or folds over a post-order program, so a
 formula of any depth costs no Python frames.
 
 Only the evaluator knows the row weights of an elimination: every other
-module reads masses.
+module reads masses. Within it, the rule loops read every mass from
+``_weigh``, so explanation grows no second way to weigh a node.
 
 Importing colprob loads neither ``dataclasses`` nor ``inspect``: a CLI
 query pays its imports on every start."""
@@ -51,6 +52,15 @@ def test_only_the_evaluator_names_point_weights(path):
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
     assert path.name == "evaluator.py" or "_point_weights" not in names
+
+
+def test_the_rule_loops_weigh_only_through_weigh():
+    tree = ast.parse((REPO / "src" / "colprob" / "evaluator.py").read_text(encoding="utf-8"))
+    value, = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "_value"]
+    names = {node.id for node in ast.walk(value) if isinstance(node, ast.Name)}
+    assert "_weigh" in names
+    assert not names & {"_space", "_point_weights"}
 
 
 def test_importing_colprob_loads_neither_dataclasses_nor_inspect():

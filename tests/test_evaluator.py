@@ -706,9 +706,8 @@ def test_r2_under_explain_takes_e_and_f_from_its_sides(eliminations, examples_mo
                                                        monkeypatch, text, weighed):
     # p(E & F) = p(E) + p(F) - p(E | F), from steps the explanation has
     # taken anyway: E & F is never weighed. Each node is weighed once and
-    # folded once: an atom alone, a ``|`` as one run over both its sides,
-    # which gives E | F and E & F (the 5-deep chain: 9 folds, where a fold
-    # of the node's subtree and one of each side made 17).
+    # folded once, its own subtree, as ``prob`` weighs it (the 5-deep
+    # chain: 9 folds).
     folds = []
     real = evaluator._space
 
@@ -726,6 +725,54 @@ def test_r2_under_explain_takes_e_and_f_from_its_sides(eliminations, examples_mo
     assert both.formula == format_formula(ChoiceAnd(f.left, f.right))
     assert both.result == enumerate_prob(ChoiceAnd(f.left, f.right), examples_model)
 
+
+
+def complement(n):
+    """~(all heads) | (all tails) over coins c0..c{n-1}: the | covers
+    every point but one, over a support of 2^n points."""
+    heads = " && ".join(f"H@c{i}" for i in range(n))
+    tails = " && ".join(f"T@c{i}" for i in range(n))
+    return parse_formula(f"~({heads}) | ({tails})")
+
+
+@pytest.fixture
+def widest_fold(monkeypatch):
+    """The most rows of any space that ``_space`` builds, in a list that
+    holds one number, 0 until a fold."""
+    widest = [0]
+    real = evaluator._space
+
+    def space(nodes, model):
+        spaces = real(nodes, model)
+        widest[0] = max(widest[0], *(len(rows) for _, rows in spaces))
+        return spaces
+
+    monkeypatch.setattr(evaluator, "_space", space)
+    return widest
+
+
+def test_r2_under_explain_weighs_a_wide_union_as_prob_does(widest_fold):
+    # The | over 16 coins is weighed by gates under explain too: no fold
+    # of its sides, whose union has 2^16 - 1 rows.
+    f = complement(16)
+    result, why = prob_explain(f, COINS)
+    assert result == why.result == prob(f, COINS) == Determined(1 - F(1, 2**16))
+    assert widest_fold[0] <= 64
+
+
+def test_a_zero_mass_r2_note_counts_its_point_over_a_wide_support(widest_fold):
+    # The last coin never lands T, so R2's E & F has mass 0 and is read
+    # off its space, whose one point the note counts without a fold.
+    model = parse_model("".join(f"experiment c{i} : H, T\n" for i in range(19))
+                        + "experiment c19 : H=1, T=0\n")
+    f = complement(20)
+    result, why = prob_explain(f, model)
+    assert result == prob(f, model) == Determined(1 - F(1, 2**19))
+    both = why.children[2]
+    assert (both.rule, both.formula) == ("enumeration", format_formula(ChoiceAnd(f.left, f.right)))
+    support = "{" + ", ".join(sorted(f"c{i}" for i in range(20))) + "}"
+    assert both.note == f"1 point(s) over {support}, summed over {support}"
+    assert widest_fold[0] <= 64
 
 def weighed_runs(monkeypatch) -> list:
     """The root of every run weighed, printed: folded into rows by

@@ -205,13 +205,15 @@ class TestJointPointProb:
         b = joint_point_prob(channel, {"R": "1", "T": "0"})
         assert a == b == Fraction(1, 20)
 
-    def test_the_export_is_deprecated_for_space_prob(self, channel):
+    def test_space_prob_replaces_the_removed_export(self, channel):
+        # The export is gone; space_prob of the one-point space over an
+        # ancestrally closed assignment gives the reference's value.
+        assert not hasattr(colprob, "joint_point_prob")
+        assert not hasattr(colprob.model, "joint_point_prob")
         assignment = {"R": "1", "T": "0"}
-        deprecated = r"^joint_point_prob is deprecated; use space_prob"
-        with pytest.warns(DeprecationWarning, match=deprecated):
-            value = colprob.joint_point_prob(channel, assignment)
         point = EventSpace.of(assignment, [Point.of(assignment)])
-        assert value == space_prob(point, channel) == joint_point_prob(channel, assignment)
+        reference = joint_point_prob(channel, assignment)
+        assert space_prob(point, channel) == reference == Fraction(1, 20)
 
 
 def test_joint_sums_to_one_over_random_models():

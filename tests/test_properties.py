@@ -395,7 +395,8 @@ def test_gates_agree_with_rows_and_enumeration(rng, noisy):
         assert Fraction(sum(weights), scale) == expected
         (weight,), scale = evaluator._gates(part, model)
         assert Fraction(weight, scale) == expected
-        assert evaluator._counted(part, model) == (axes, len(rows))
+        assert evaluator._gates(part, model, weighted=False) == ([len(rows)], 1)
+        assert evaluator._points(part, model) == (axes, len(rows))
     (joint, side), scale = evaluator._gates(run, model, right=True)
     assert Fraction(joint, scale) == enumerate_prob(f, model).value
     assert Fraction(side, scale) == enumerate_prob(f.right, model).value

@@ -20,7 +20,8 @@ def test_paired_runs_a_tree_against_itself():
 
 
 # The smallest row of each wall; the whole run takes well under a second.
-SMALL_WALLS = ["prefix/n=14", "complement/n=14", "two-block/k=8", "coin/n=12", "0@x13"]
+SMALL_WALLS = ["prefix/n=14", "complement/n=14", "explain/complement/n=14", "two-block/k=8",
+               "coin/n=12", "0@x13"]
 
 
 def test_walls_checks_its_smallest_rows():
@@ -31,7 +32,9 @@ def test_walls_checks_its_smallest_rows():
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
     assert [line.split()[0] for line in lines] == SMALL_WALLS
-    assert all(" prob " in line and " oracle " in line for line in lines)
+    assert [line.split()[1] for line in lines] == [
+        "explain" if name.startswith("explain/") else "prob" for name in SMALL_WALLS]
+    assert all(" oracle " in line for line in lines)
 
 
 def test_walls_checks_its_monte_carlo_rows():

@@ -7,8 +7,9 @@ Run from the root of a checkout. ``colprob`` is imported from ``src/``;
 the Markov chain is the ``dependent`` workload's 200-node chain for seed 1,
 read from ``perfbench/workloads.py`` (never changed). Each ROW names a row
 below; the default is every row. Each row prints one line: its name, the
-time ``prob`` takes (the best of three calls, or one call past 2 s), and
-how its answer was checked. Every answer is compared with a closed form,
+time ``prob`` takes (the best of three calls, or one call past 2 s), or
+``prob_explain`` for the ``explain/`` rows, whose answer is the root of
+the derivation, and how its answer was checked. Every answer is compared with a closed form,
 or a recursion along the chain, in Fractions; when the oracle's state
 space is at most ORACLE_STATES, with ``enumerate_prob`` too, whose time
 for one call is printed beside. The ``mc/`` rows time ``mc_estimate``
@@ -30,7 +31,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # leave no caches in perfbench/ or src/
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from colprob import (  # noqa: E402
-    SampleConfig, ancestral_closure, enumerate_prob, mc_estimate, parse_formula, parse_model, prob)
+    SampleConfig, ancestral_closure, enumerate_prob, mc_estimate, parse_formula, parse_model, prob,
+    prob_explain)
 from colprob.semantics import support  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -69,12 +71,17 @@ def rows():
     def atoms(template: str, indices) -> str:
         return " || ".join(template.format(i) for i in indices)
 
-    for n in (14, 200):
-        yield f"prefix/n={n}", atoms("0@x{}", range(n)), chain, 1 - ones(0, n - 1)
-    for n in (14, 16, 20):  # ~(all heads) holds wherever all tails does
+    def complement(n: int) -> str:  # ~(all heads) holds wherever all tails does
         heads = " && ".join(f"H@c{i}" for i in range(n))
         tails = " && ".join(f"T@c{i}" for i in range(n))
-        yield f"complement/n={n}", f"~({heads}) | ({tails})", coins, 1 - HALF**n
+        return f"~({heads}) | ({tails})"
+
+    for n in (14, 200):
+        yield f"prefix/n={n}", atoms("0@x{}", range(n)), chain, 1 - ones(0, n - 1)
+    for n in (14, 16, 20):
+        yield f"complement/n={n}", complement(n), coins, 1 - HALF**n
+    for n in (14, 20):
+        yield f"explain/complement/n={n}", complement(n), coins, 1 - HALF**n
     for k in (8, 9, 20, 50):  # p(A && B) = 1 - p(~A) - p(~B) + p(~A && ~B)
         query = f"({atoms('0@x{}', range(k))}) && ({atoms('0@x{}', range(k, 2 * k))})"
         reference = 1 - ones(0, k - 1) - ones(k, 2 * k - 1) + ones(0, 2 * k - 1)
@@ -115,15 +122,19 @@ def main(argv: list[str]) -> int:
         if name.startswith("mc/"):
             seconds, result = timed(lambda: mc_estimate(f, model, SAMPLES))
             sigma = sqrt(reference * (1 - reference) / SAMPLES.sample_count)
-            line = (f"{name:<18} mc   {seconds * 1e3:10.2f} ms   estimate "
+            line = (f"{name:<23} mc      {seconds * 1e3:10.2f} ms   estimate "
                     f"{result.estimate:.4f}, exact {float(reference):.4f} ± {sigma:.4f}")
             if abs(result.estimate - reference) > SIGMAS * sigma:
                 wrong += 1
                 line = f"WRONG {line}: more than {SIGMAS} sigma off"
             print(line, flush=True)
             continue
-        seconds, result = timed(lambda: prob(f, model))
-        line = f"{name:<18} prob {seconds * 1e3:10.2f} ms"
+        if name.startswith("explain/"):
+            kind, evaluate = "explain", lambda: prob_explain(f, model)[1].result
+        else:
+            kind, evaluate = "prob", lambda: prob(f, model)
+        seconds, result = timed(evaluate)
+        line = f"{name:<23} {kind:<7} {seconds * 1e3:10.2f} ms"
         answers = [result.value]
         states = prod(len(model.outcomes(e)) for e in ancestral_closure(model, support(f, model)))
         if states <= ORACLE_STATES:
