@@ -22,14 +22,17 @@ A conditional, legal only at the root, is the ratio of its joint,
     elimination; every mass the loops read comes from ``_weigh``, and a
     note that prints a space's points counts them with ``_points``, the
     way ``_weigh`` weighs that space;
-  * ``_by_gates``: the one cost function that picks how ``_weigh``
-    weighs a run: as rows, the event spaces that ``semantics._space``
-    folds, or as gates;
+  * ``_CELLS``: the one bound that picks how ``_weigh`` weighs a run:
+    as masks when its support's grid of outcome combinations has at most
+    that many cells, else as gates;
+  * ``_masks``: a narrow run as one integer bitmask per node over its
+    grid, each connective one integer operation, weighed as the masked
+    sum of the grid's dense marginal (``_marginal``);
   * ``_point_weights``: the exact weights of a space's rows, by variable
-    elimination over dense integer cpt tables (``_cpts``, ``_cut``,
-    ``_eliminate``, ``_sum_out``, ``_place``, ``_read_off``); ``space_prob``
-    sums one space's, ``_weigh`` one run's, ``_masses`` a batch's for the
-    Bayes rules;
+    elimination over dense integer cpt tables (``_closure``, ``_cpts``,
+    ``_cut``, ``_eliminate``, ``_sum_out``, ``_read_off``); ``space_prob``
+    sums one space's, ``_masses`` a batch's for the Bayes rules, the
+    spaces that ``semantics._space`` folds; ``_weigh`` folds no rows;
   * ``_gates``: a run's mass as a weighted model count (Tseitin 1968;
     Chavira & Darwiche 2008): one ``_eliminate`` over the closure's cpt
     factors and one 0/1 factor per node of the run (``_gate_form``), in
@@ -45,7 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from heapq import heapify, heappop, heappush
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from math import prod
 from operator import add, mul
 from typing import Callable, Collection, Iterable, Iterator
@@ -68,11 +71,9 @@ from .model import Model, ancestral_closure, parents_first
 from .semantics import (
     EventSpace,
     Undetermined,
-    _conj,
     _encode,
     _Program,
     _Space,
-    _space,
     _walk,
     _warn_shared,
     format_support,
@@ -116,7 +117,7 @@ def space_prob(space: EventSpace, model: Model) -> Fraction:
         unknown = set(column).difference(model.outcomes(name))
         if unknown:
             raise EvalError(f"unknown outcome '{min(unknown)}' of experiment '{name}'")
-    weights, _, scale = _point_weights(*encoded, model)
+    weights, scale = _point_weights(*encoded, model)
     return Fraction(sum(weights), scale)
 
 
@@ -129,7 +130,7 @@ def _masses(spaces: list[_Space], model: Model) -> list[Fraction]:
         distinct.setdefault(axes, {}).update(dict.fromkeys(rows))
     tables = {}
     for axes, rows in distinct.items():
-        weights, _, scale = _point_weights(axes, rows.keys(), model)
+        weights, scale = _point_weights(axes, rows.keys(), model)
         tables[axes] = dict(zip(rows, weights)).__getitem__, scale
     masses = []
     for axes, rows in spaces:
@@ -151,91 +152,71 @@ _Factor = tuple[tuple[_Axis, ...], list[int]]
 
 
 def _point_weights(
-    axes: tuple[str, ...], rows: Collection[tuple[str, ...]], model: Model,
-    condition: _Space | None = None,
-) -> tuple[Iterator[int], Iterator[int] | None, int]:
+    axes: tuple[str, ...], rows: Collection[tuple[str, ...]], model: Model
+) -> tuple[Iterator[int], int]:
     """The marginal probability of each of ``rows`` (distinct points over
     the sorted support ``axes``, as tuples of outcomes aligned with it), as
-    integers in the order ``rows`` iterates, over one common scale; and,
-    given a ``condition``, the same for its rows (else None), from the
-    same elimination.
+    integers in the order ``rows`` iterates, over one common scale.
 
-    Every experiment in the ancestral closure of the support contributes
-    its cpt as a factor: the decl's flat integer table, scaled by the lcm
-    of the cpt's denominators (compiled once, at its first query). When
-    the closure is the support, each point is read off those tables.
-    Otherwise each support experiment's axis is first cut down to the
-    outcomes the points use (``_cut``), the closure experiments outside
-    the support are summed out (``_eliminate``), and each point weighs the
-    product of the remaining tables at its positions on the cut axes. A
-    noisy-OR cpt that the decl compiled to per-cause factors enters the
-    elimination as those factors, with its auxiliary axis ordered after
-    its parents and before its effect, so that summing out a cause costs
-    that cause's own entries. The arithmetic is on integers throughout;
-    the scale is the product of the lcms, and of the per-cause forms'
-    factors.
+    The closure's cpts enter as ``_closure`` gives them. When the closure
+    is the support, each point is read off those tables. Otherwise each
+    support experiment's axis is first cut down to the outcomes the points
+    use (``_cut``), the closure experiments outside the support are summed
+    out (``_eliminate``), and each point weighs the product of the
+    remaining tables at its positions on the cut axes."""
+    factors, sizes, positions, scale, order = _closure(axes, model)
+    if not rows:
+        return iter(()), scale
+    columns = {}  # each row's position on each axis that factors keep
+    if not order:
+        for name, column in zip(axes, zip(*rows)):
+            columns[name] = list(map(positions[name].__getitem__, column))
+        return _read_off(factors, columns, sizes, len(rows)), scale
+    # The positions each cut axis keeps: the outcomes the rows use, or the
+    # one outcome of an experiment that has no other.
+    cuts = {name: [0] for name, n in sizes.items() if n == 1}
+    for name, column in zip(axes, zip(*rows)):
+        used = sorted(set(column), key=positions[name].__getitem__)
+        keep = list(map(positions[name].__getitem__, used))
+        if len(keep) < sizes[name]:
+            cuts[name] = keep
+        if len(keep) > 1:
+            local = dict(zip(used, range(len(used))))
+            columns[name] = list(map(local.__getitem__, column))
+    factors = [_cut(f, sizes, cuts) if any(map(cuts.__contains__, f[0])) else f
+               for f in factors]
+    sizes.update((name, len(keep)) for name, keep in cuts.items())
+    factors = _eliminate(frozenset(axes), order, factors, sizes)
+    return _read_off(factors, columns, sizes, len(rows)), scale
 
-    A condition is a space over a subset C of the support that holds
-    every row's projection onto C: a root conditional's condition beside
-    its joint. The cuts then follow the condition's rows on C and keep
-    every outcome on the rest of the support, which the condition's mass
-    sums over. After the rows are read off, the support's axes outside C
-    are summed out of the same factors, and the condition's rows are
-    read off what remains.
-    """
+
+def _closure(axes: tuple[str, ...], model: Model
+             ) -> tuple[list[_Factor], dict[_Axis, int], dict[str, dict[str, int]], int,
+                        list[_Axis]]:
+    """The cpts of the ancestral closure of the support ``axes`` as
+    factors (``_cpts``), with their axes' sizes, each experiment's outcome
+    positions and the scale; and the closure in an elimination order, or
+    an empty list when the closure is the support and nothing is summed
+    out.
+
+    Each factor is the decl's flat integer table, scaled by the lcm of
+    the cpt's denominators (compiled once, at its first query). A noisy-OR
+    cpt that the decl compiled to per-cause factors enters an elimination
+    as those factors, with its auxiliary axis ordered after its parents
+    and before its effect, so that summing out a cause costs that cause's
+    own entries. The scale is the product of the lcms, and of the
+    per-cause forms' factors."""
     if any([model.decl(name).parents for name in axes]):
         closure = parents_first(model, axes)
     else:  # the support is its own closure, parents-first in any order
         closure = list(axes)
-    whole = len(closure) == len(axes)  # nothing to sum out: read the full tables
+    whole = len(closure) == len(axes)  # nothing to sum out
     factors, sizes, positions, scale = _cpts(model, closure, not whole)
     if len(factors) > len(closure):  # per-cause forms: each auxiliary axis is
         # eliminated after its parents, before its effect
         for aux in [(name,) for name in closure if (name,) in sizes]:
             closure.insert(closure.index(aux[0]), aux)
-    c_axes, c_rows = condition or (axes, rows)
-    if not c_rows:  # nor, then, has ``rows`` any row
-        return iter(()), None if condition is None else iter(()), scale
-    columns = {}  # each row's position on each axis that factors keep
-    if condition is None:  # the rows are their own condition
-        c_columns, outcomes, c_outcomes = columns, {}, zip(axes, zip(*rows))
-    else:  # the rows, by axis, and the condition's
-        c_columns, outcomes = {}, dict(zip(axes, zip(*rows) if rows else repeat(())))
-        c_outcomes = zip(c_axes, zip(*c_rows))
-    if whole:
-        for name, column in c_outcomes:
-            c_columns[name] = list(map(positions[name].__getitem__, column))
-        for name, column in outcomes.items():
-            columns[name] = list(map(positions[name].__getitem__, column))
-    else:
-        # The positions each cut axis keeps: the outcomes the condition's
-        # rows use, or the one outcome of an experiment that has no other.
-        # The support's axes outside C keep every outcome.
-        cuts = {name: [0] for name, n in sizes.items() if n == 1}
-        for name, column in c_outcomes:
-            used = sorted(set(column), key=positions[name].__getitem__)
-            keep = list(map(positions[name].__getitem__, used))
-            if len(keep) < sizes[name]:
-                cuts[name] = keep
-            if len(keep) > 1:
-                local = dict(zip(used, range(len(used))))
-                c_columns[name] = list(map(local.__getitem__, column))
-                if condition is not None:
-                    columns[name] = list(map(local.__getitem__, outcomes[name]))
-        for name, column in outcomes.items():
-            if name not in c_axes and name not in cuts:
-                columns[name] = list(map(positions[name].__getitem__, column))
-        factors = [_cut(f, sizes, cuts) if any(map(cuts.__contains__, f[0])) else f
-                   for f in factors]
-        sizes.update((name, len(keep)) for name, keep in cuts.items())
-        factors = _eliminate(frozenset(axes), closure, factors, sizes)
-    weights = _read_off(factors, columns, sizes, len(rows))
-    if condition is None:
-        return weights, None, scale
-    if c_axes != axes:
-        factors = _eliminate(frozenset(c_axes), [n for n in closure if n in outcomes],
-                             factors, sizes)
-    return weights, _read_off(factors, c_columns, sizes, len(c_rows)), scale
+    return factors, sizes, positions, scale, [] if whole else closure
 
 
 def _cpts(model: Model, names: Iterable[str], per_cause: bool
@@ -365,7 +346,14 @@ def _place(
 ) -> list[int]:
     """``table``, over ``scope``, at every position of ``joint``, which
     holds every experiment of ``scope``, in row-major order. The index
-    vector is built by one comprehension per axis of ``joint``."""
+    vector is built by one comprehension per axis of ``joint``; a table
+    over one axis needs none: each entry is repeated once per position of
+    the axes inside it, and the whole once per position of those outside."""
+    if len(scope) == 1:
+        at = joint.index(scope[0])
+        inner = prod([sizes[name] for name in joint[at + 1:]])
+        entries = chain.from_iterable(map(repeat, table, repeat(inner)))
+        return list(entries) * prod([sizes[name] for name in joint[:at]])
     strides = {}
     stride = 1
     for name in reversed(scope):
@@ -421,7 +409,7 @@ def _gate_form(run: list[Formula], model: Model, weighted: bool, right: bool
     indicator over (experiment, gate), a binary node's its truth table
     over its sides' gates and its own (``_GATES``). A ``~`` gets no axis:
     its literal is its child's gate at the other position. Weighted, the
-    closure's cpts enter as ``_point_weights``' do, with every per-cause
+    closure's cpts enter as ``_cpts`` gives them, with every per-cause
     form used; but an experiment that one atom names, that no closure
     experiment has as a parent and whose cpt has no per-cause form is
     summed into that atom's factor at once, which ranges over its
@@ -722,33 +710,31 @@ _Points = Callable[[], tuple[tuple[str, ...], int]]
 def _weigh(run: list[Formula], model: Model, condition: bool = False) -> list[Fraction]:
     """The mass of the root of ``run``, a complete subtree, and, given
     ``condition``, of the right side of its conjunctive root (a root
-    conditional's condition beside its joint). ``_by_gates`` picks the
-    way: one elimination of the gate form (``_gates``), or rows. By rows,
-    one fold gives the root's space, or with ``condition`` the sides'
-    spaces, which the root joins, so the right side's space is built once
-    and both masses come from one elimination (``_point_weights``'
-    condition mode)."""
-    if _by_gates(run, model):
+    conditional's condition beside its joint), from one elimination. A
+    run whose grid has at most ``_CELLS`` cells is weighed as masks: each
+    mass is the masked sum (``_masked_sum``) of the one dense marginal
+    over the grid (``_marginal``), and an atom's is its one cell. A wider
+    run is weighed by one elimination of its gate form (``_gates``)."""
+    axes, sizes = _grid(run, model)
+    if prod(sizes) > _CELLS:
         weights, scale = _gates(run, model, condition)
         return [Fraction(w, scale) for w in weights]
-    if not condition:
-        weights, _, scale = _point_weights(*_space(run, model)[0], model)
-        return [Fraction(sum(weights), scale)]
-    event, right = _space(run[:-1], model)
-    weights, c_weights, scale = _point_weights(*_conj(event, right), model, right)
-    return [Fraction(sum(weights), scale), Fraction(sum(c_weights), scale)]
+    table, scale = _marginal(axes, sizes, model)
+    if len(run) == 1:  # an atom: its outcome's cell of its one axis
+        return [Fraction(table[model.experiments[axes[0]]._scaled[2][run[0].outcome]], scale)]
+    masks = _masks(run, model, axes, sizes)[:1 + condition]
+    return [Fraction(_masked_sum(table, mask), scale) for mask in masks]
 
 
 def _points(run: list[Formula], model: Model) -> tuple[tuple[str, ...], int]:
     """The support of the root of ``run`` and its space's number of points,
-    counted the way ``_weigh`` weighs it: the fold's rows, or, where
-    ``_by_gates`` picks gates, the gate form with unit weights, which
-    builds no space."""
-    if not _by_gates(run, model):
-        axes, rows = _space(run, model)[0]
-        return axes, len(rows)
-    axes = tuple(sorted({node.experiment for node in run if type(node) is AtomNode}))
-    return axes, _gates(run, model, weighted=False)[0][0]
+    counted the way ``_weigh`` weighs it: the set bits of its mask, or,
+    past ``_CELLS`` cells, the gate form with unit weights; neither builds
+    a space."""
+    axes, sizes = _grid(run, model)
+    if prod(sizes) > _CELLS:
+        return axes, _gates(run, model, weighted=False)[0][0]
+    return axes, _masks(run, model, axes, sizes)[0].bit_count()
 
 
 def _outside(points: _Points, model: Model) -> tuple[tuple[str, ...], int]:
@@ -758,65 +744,76 @@ def _outside(points: _Points, model: Model) -> tuple[tuple[str, ...], int]:
     return axes, prod(len(model.outcomes(name)) for name in axes) - count
 
 
-def _by_gates(run: list[Formula], model: Model) -> bool:
-    """Whether the root of ``run`` is weighed by gates rather than rows:
-    the one cost function of the choice.
+# The most cells of a grid that ``_weigh`` weighs as masks; a wider run is
+# weighed by gates.
+_CELLS = 4096
 
-    A run of fewer than ``_SHORT`` nodes, or one whose support has at
-    most ``_NARROW`` outcome combinations, takes rows: its fold builds
-    few rows, and its gate form costs more than that in fixed work, so
-    these cheap tests decide the common case without the pass below. Any
-    other run compares the rows that the fold may
-    build with the size of the gate form, both counted in one pass over
-    the run. A node's rows are bounded by its support's outcome
-    combinations: an atom has one row, a ``~`` that bound, a conjunction
-    at most the product of its sides' rows, and a union its sides' rows,
-    each lifted to the joint support. The gate form has an indicator of
-    two entries per outcome for each atom and a table of eight entries
-    for each binary node; each factor also costs a fixed amount of work,
-    which ``_GATE_COST`` counts in rows. The closure's cpts, which both
-    ways eliminate, are left out of both sides. Gates win when the rows
-    exceed the gate form's size."""
-    if len(run) < _SHORT:
-        return False
-    names = {node.experiment for node in run if type(node) is AtomNode}
-    outcomes = {name: len(model.outcomes(name)) for name in names}
-    if prod(outcomes.values()) <= _NARROW:
-        return False
-    rows = size = 0
-    done: list[tuple[set[str], int, int]] = []  # each subtree's support, its size, its bound
+
+def _grid(run: list[Formula], model: Model) -> tuple[tuple[str, ...], list[int]]:
+    """The support of the root of ``run``, sorted, and each of its
+    experiments' number of outcomes: the axes of the run's grid, whose
+    cells, in row-major order (the last axis fastest, each over its
+    outcomes in sorted order), are the support's outcome combinations."""
+    axes = tuple(sorted({node.experiment for node in run if type(node) is AtomNode}))
+    return axes, [len(model.experiments[name].outcomes) for name in axes]
+
+
+def _masks(run: list[Formula], model: Model, axes: tuple[str, ...], sizes: list[int]
+           ) -> tuple[int, int | None]:
+    """The masks of the root of ``run`` and of its right side (None for
+    an atom or a ``~``) over the grid of ``axes``: bit i is set where the
+    node holds in cell i. The walk has checked the supports, so each node
+    lifted to the grid is a Boolean gate on it: an atom is a periodic
+    pattern, its axis's pattern for the first outcome (a block of ones as
+    long as the axis's stride, repeated every stride times its size; one
+    product builds it) shifted by its outcome's blocks; ``~`` is XOR with
+    the full mask, ``&`` and ``&&`` are AND, ``|`` and ``||`` OR."""
+    full = (1 << prod(sizes)) - 1
+    patterns = {}  # each axis's stride, first pattern and outcome positions
+    stride = 1
+    for name, size in zip(reversed(axes), reversed(sizes)):
+        first = full // ((1 << stride * size) - 1) * ((1 << stride) - 1)
+        patterns[name] = stride, first, model.experiments[name]._scaled[2]
+        stride *= size
+    done: list[int] = []
+    right = None
     for node in run:
         kind = type(node)
         if kind is AtomNode:
-            done.append(({node.experiment}, outcomes[node.experiment], 1))
-            size += 2 * outcomes[node.experiment] + _GATE_COST
-            continue
-        if kind is Not:
-            names, whole, _ = done[-1]
-            done[-1] = names, whole, whole
-            rows += whole
-            continue
-        right, left = done.pop(), done[-1]
-        if len(left[0]) < len(right[0]):  # grow the larger side's set
-            left, right = right, left
-        (names, whole, l_rows), (r_names, r_whole, r_rows) = left, right
-        union = whole * prod([outcomes[name] for name in r_names if name not in names])
-        names |= r_names
-        if kind is ParAnd or kind is ChoiceAnd:
-            bound = min(l_rows * r_rows, union)
+            stride, first, positions = patterns[node.experiment]
+            done.append(first << positions[node.outcome] * stride)
+        elif kind is Not:
+            done[-1] ^= full
         else:
-            bound = min(l_rows * (union // whole) + r_rows * (union // r_whole), union)
-        done[-1] = names, union, bound
-        rows += bound
-        size += 8 + _GATE_COST
-    return rows > size
+            right = done.pop()
+            if kind is ParAnd or kind is ChoiceAnd:
+                done[-1] &= right
+            else:
+                done[-1] |= right
+    return done[-1], right
 
 
-# Runs of fewer nodes, and supports of at most as many outcome
-# combinations, take rows without a count.
-_SHORT, _NARROW = 9, 64
-# The fixed work of one gate factor (ordering, placing, summing out), in rows.
-_GATE_COST = 16
+def _marginal(axes: tuple[str, ...], sizes: list[int], model: Model) -> tuple[list[int], int]:
+    """The joint probability of every cell of the grid of ``axes``, as
+    integers over one scale: the closure outside the support is eliminated
+    once (``_closure``, ``_eliminate``), and the remaining factors are
+    placed on the grid (``_place``) and multiplied."""
+    factors, axis_sizes, _, scale, order = _closure(axes, model)
+    if order:
+        factors = _eliminate(frozenset(axes), order, factors, axis_sizes)
+    table = None
+    for scope, values in factors:
+        if scope != axes:
+            values = _place(scope, values, axes, axis_sizes)
+        table = values if table is None else list(map(mul, table, values))
+    return table, scale
+
+
+def _masked_sum(table: list[int], mask: int) -> int:
+    """The sum of ``table``'s entries at the set bits of ``mask``: its
+    binary digits, lowest first, each as the byte of its value."""
+    bits = f"{mask:b}"[::-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
+    return sum(compress(table, bits))
 
 
 def _independence(f: ParAnd | ParOr, left: _Step, right: _Step, explain: bool) -> _Step:

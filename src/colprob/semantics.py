@@ -46,11 +46,11 @@ unites ``|`` and ``||``, first joining each side with the full product of
 the axes it lacks, which over one support, ``|``'s case, is none.
 ``_space`` is one fold, with a stack of spaces, over a run of a program
 made of complete subtrees that hold no conditional, and returns the
-spaces the run leaves, one per subtree, left to right. A connective's
-run without the node gives both its sides from one fold, which is how
-a root conditional's joint and its condition get their spaces, and a
-run of cells gives every cell's; every other node's run is its own
-subtree.
+spaces the run leaves, one per subtree, left to right: ``denote`` folds
+a formula's own run, and Bayes a run of cells, which gives every cell's
+space. Only they, and the public operations below, fold rows: the
+evaluator weighs a narrow node as one bitmask over its support's grid
+and a wide one as gates (``evaluator._weigh``).
 ``Point`` and ``EventSpace`` are the public form: ``denote`` decodes its
 result once, and ``cartesian_conj``, ``lift``, ``full_space`` (and
 ``evaluator.space_prob``) encode their arguments, run the one engine
@@ -111,7 +111,11 @@ class Point(Record):
         return dict(self.items)
 
     def merge(self, other: "Point") -> "Point | None":
-        """Combine two points; None when a shared experiment disagrees."""
+        """Combine two points; None when a shared experiment disagrees.
+        Deprecated: ``cartesian_conj`` of the two one-point spaces is the
+        conjunction the engine computes."""
+        warnings.warn("Point.merge is deprecated; use cartesian_conj of the one-point spaces",
+                      DeprecationWarning, stacklevel=2)
         merged = dict(self.items)
         for e, o in other.items:
             if merged.setdefault(e, o) != o:
@@ -429,11 +433,11 @@ def denote(f: Formula, model: Model) -> Denotation:
 def _space(nodes: Iterable[Formula], model: Model) -> list[_Space]:
     """The spaces, in the engine's form, of the complete subtrees that
     make up the run ``nodes`` of a program, left to right: one for a
-    node's subtree, its two sides for a connective's subtree without the
-    node (the walk has found them determined, and they hold no
-    conditional); never warns. One fold over the run: an atom pushes its
-    space, a ``~`` complements the top of ``done``, and a connective
-    combines the two spaces on top of it."""
+    formula's subtree, one per cell for a run of cells (the walk has
+    found them determined, and they hold no conditional); never warns.
+    One fold over the run: an atom pushes its space, a ``~`` complements
+    the top of ``done``, and a connective combines the two spaces on top
+    of it."""
     done: list[_Space] = []
     for node in nodes:
         kind = type(node)

@@ -392,34 +392,41 @@ def no_full_space(model, experiments):
 def count_eliminations(monkeypatch) -> list:
     """Record the support and the number of points of every elimination
     that the evaluator runs, for the bayes module's masses among them; an
-    elimination of gates, which has no points, records None for them."""
+    elimination of gates or of a grid's marginal, which has no points,
+    records None for them."""
     calls = []
-    rows, gates = evaluator._point_weights, evaluator._gates
+    rows, gates, marginal = evaluator._point_weights, evaluator._gates, evaluator._marginal
 
-    def by_rows(axes, points, model, condition=None):
+    def by_rows(axes, points, model):
         calls.append((frozenset(axes), len(points)))
-        return rows(axes, points, model, condition)
+        return rows(axes, points, model)
 
     def by_gates(run, model, *args):
         calls.append((frozenset(n.experiment for n in run if isinstance(n, AtomNode)), None))
         return gates(run, model, *args)
 
+    def by_masks(axes, *args):
+        calls.append((frozenset(axes), None))
+        return marginal(axes, *args)
+
     monkeypatch.setattr(evaluator, "_point_weights", by_rows)
     monkeypatch.setattr(evaluator, "_gates", by_gates)
+    monkeypatch.setattr(evaluator, "_marginal", by_masks)
     return calls
 
 
 class TestPosteriorWeights:
     def test_wide_independent_evidence_is_one_gate_elimination(self, monkeypatch):
-        # p(evidence), a dependent || over ten steps of a chain, is one
+        # p(evidence), a dependent || over thirteen steps of a chain, whose
+        # grid of 8,192 cells is past the bound of masks, is one
         # elimination of its gates; the cells are weighed as rows.
-        model = parse_model("experiment c : H=1/3, T=2/3\n" + child_first_chain(10))
-        evidence = parse_formula(" || ".join(f"0@x{i}" for i in range(10)))
+        model = parse_model("experiment c : H=1/3, T=2/3\n" + child_first_chain(13))
+        evidence = parse_formula(" || ".join(f"0@x{i}" for i in range(13)))
         eliminations = count_eliminations(monkeypatch)
         report, values = posteriors(partition("H@c", "T@c"), evidence, model, "parallel")
         assert report.ok and values == [F(1, 3), F(2, 3)]
         assert eliminations == [(frozenset({"c"}), 2),
-                                (frozenset(f"x{i}" for i in range(10)), None)]
+                                (frozenset(f"x{i}" for i in range(13)), None)]
 
     def test_independent_evidence_leaves_the_priors(self, monkeypatch):
         # The evidence shares no ancestor with the cells, so each weight is

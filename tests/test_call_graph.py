@@ -5,7 +5,9 @@ formula of any depth costs no Python frames.
 
 Only the evaluator knows the row weights of an elimination: every other
 module reads masses. Within it, the rule loops read every mass from
-``_weigh``, so explanation grows no second way to weigh a node.
+``_weigh``, so explanation grows no second way to weigh a node, and no
+row fold is left on its path: it names neither ``semantics._space`` nor
+``_conj``, and no cost function chooses rows (``_by_gates``).
 
 Importing colprob loads neither ``dataclasses`` nor ``inspect``: a CLI
 query pays its imports on every start."""
@@ -61,6 +63,15 @@ def test_the_rule_loops_weigh_only_through_weigh():
     names = {node.id for node in ast.walk(value) if isinstance(node, ast.Name)}
     assert "_weigh" in names
     assert not names & {"_space", "_point_weights"}
+
+
+def test_the_evaluator_names_no_row_fold():
+    tree = ast.parse((REPO / "src" / "colprob" / "evaluator.py").read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+    names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not names & {"_space", "_conj", "_by_gates"}
 
 
 def test_importing_colprob_loads_neither_dataclasses_nor_inspect():

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import threading
@@ -634,35 +635,54 @@ SIGNAL = parse_model(SIGNAL_TEXT)
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """Every elimination, by rows or by gates: whether it weighed a
-    second mass beside the first (a condition beside its joint), or
-    None for a space weighed alone."""
+    """Every weighing of masses, each of which runs exactly one
+    elimination, of a grid's marginal (``_marginal``) or of a gate form
+    (``_gates``): "masks" or "gates" for one that weighs a second mass
+    beside the first (a condition beside its joint), or None for a space
+    weighed alone."""
     calls = []
-    rows, gates = evaluator._point_weights, evaluator._gates
+    ways = []
+    weigh, marginal, gates = evaluator._weigh, evaluator._marginal, evaluator._gates
 
-    def by_rows(axes, points, model, condition=None):
-        calls.append(None if condition is None else "rows")
-        return rows(axes, points, model, condition)
+    def weighed(run, model, condition=False):
+        ways.clear()
+        masses = weigh(run, model, condition)
+        assert len(ways) == 1
+        calls.append(ways[0] if condition else None)
+        return masses
+
+    def by_masks(*args):
+        ways.append("masks")
+        return marginal(*args)
 
     def by_gates(run, model, right=False, weighted=True):
         if weighted:  # a count of points for a note is no elimination of masses
-            calls.append("gates" if right else None)
+            ways.append("gates")
         return gates(run, model, right, weighted)
 
-    monkeypatch.setattr(evaluator, "_point_weights", by_rows)
+    monkeypatch.setattr(evaluator, "_weigh", weighed)
+    monkeypatch.setattr(evaluator, "_marginal", by_masks)
     monkeypatch.setattr(evaluator, "_gates", by_gates)
     return calls
 
 
-# A binary Markov chain x0 -> ... -> x9 with a different cpt at each step.
-MARKOV10_TEXT = "experiment x0 : 0=1/3, 1=2/3\n" + "".join(
-    f"experiment x{i} : 0, 1 depends x{i - 1}\n"
-    f"cpt 0 | x{i - 1}=0 = {i}/{i + 2}\ncpt 1 | x{i - 1}=0 = 2/{i + 2}\n"
-    f"cpt 0 | x{i - 1}=1 = 1/{i + 3}\ncpt 1 | x{i - 1}=1 = {i + 2}/{i + 3}\n"
-    for i in range(1, 10))
+def markov_text(n):
+    """A binary Markov chain x0 -> ... -> x{n-1} with a different cpt at
+    each step."""
+    return "experiment x0 : 0=1/3, 1=2/3\n" + "".join(
+        f"experiment x{i} : 0, 1 depends x{i - 1}\n"
+        f"cpt 0 | x{i - 1}=0 = {i}/{i + 2}\ncpt 1 | x{i - 1}=0 = 2/{i + 2}\n"
+        f"cpt 0 | x{i - 1}=1 = 1/{i + 3}\ncpt 1 | x{i - 1}=1 = {i + 2}/{i + 3}\n"
+        for i in range(1, n))
+
+
+MARKOV10_TEXT = markov_text(10)
 MARKOV10 = parse_model(MARKOV10_TEXT)
-# A root conditional whose joint and condition are wide: the condition is
-# a dependent || over the chain's first nine steps.
+# Fourteen steps: a grid over thirteen of them has 8,192 cells, past the
+# bound of masks.
+MARKOV14 = parse_model(markov_text(14))
+# A root conditional whose condition is a dependent || over the chain's
+# first nine steps: its joint's grid has 1,024 cells.
 WIDE = "1@x9 pgiven " + " || ".join(f"0@x{i}" for i in range(9))
 
 
@@ -674,9 +694,9 @@ WIDE = "1@x9 pgiven " + " || ".join(f"0@x{i}" for i in range(9))
     WIDE,
 ])
 def test_a_root_conditional_takes_one_elimination(eliminations, text):
-    # Both masses come from one call, which receives the condition's space
-    # or keeps its gate. The explanation weighs its subformulas besides,
-    # each alone.
+    # Both masses come from one elimination: two masks over one marginal,
+    # or a gate form that keeps the condition's gate. The explanation
+    # weighs its subformulas besides, each alone.
     f = parse_formula(text)
     assert prob(f, MARKOV10) == enumerate_prob(f, MARKOV10)
     assert len(eliminations) == 1 and eliminations[0] is not None
@@ -705,21 +725,22 @@ def test_a_rule_decided_condition_keeps_its_rule_path(eliminations):
 def test_r2_under_explain_takes_e_and_f_from_its_sides(eliminations, examples_model,
                                                        monkeypatch, text, weighed):
     # p(E & F) = p(E) + p(F) - p(E | F), from steps the explanation has
-    # taken anyway: E & F is never weighed. Each node is weighed once and
-    # folded once, its own subtree, as ``prob`` weighs it (the 5-deep
-    # chain: 9 folds).
+    # taken anyway: E & F is never weighed. Each node is weighed once, as
+    # ``prob`` weighs it (the 5-deep chain: 9 weighings), and each but an
+    # atom, which reads its cell off the marginal, is folded to its masks
+    # once, its own subtree.
     folds = []
-    real = evaluator._space
+    real = evaluator._masks
 
-    def space(nodes, model):
-        folds.append(nodes)
-        return real(nodes, model)
+    def masks(run, *args):
+        folds.append(format_formula(run[-1]))
+        return real(run, *args)
 
-    monkeypatch.setattr(evaluator, "_space", space)
+    monkeypatch.setattr(evaluator, "_masks", masks)
     f = parse_formula(text)
     result, why = prob_explain(f, examples_model)
     assert len(eliminations) == weighed
-    assert len(folds) == weighed
+    assert len(folds) == len(set(folds)) == weighed - text.count("@")
     assert result == enumerate_prob(f, examples_model)
     both = why.children[2]
     assert both.formula == format_formula(ChoiceAnd(f.left, f.right))
@@ -736,33 +757,34 @@ def complement(n):
 
 
 @pytest.fixture
-def widest_fold(monkeypatch):
-    """The most rows of any space that ``_space`` builds, in a list that
-    holds one number, 0 until a fold."""
+def widest_grid(monkeypatch):
+    """The most cells of any grid whose marginal ``_marginal`` computes,
+    in a list that holds one number, 0 until a marginal."""
     widest = [0]
-    real = evaluator._space
+    real = evaluator._marginal
 
-    def space(nodes, model):
-        spaces = real(nodes, model)
-        widest[0] = max(widest[0], *(len(rows) for _, rows in spaces))
-        return spaces
+    def marginal(axes, sizes, model):
+        widest[0] = max(widest[0], math.prod(sizes))
+        return real(axes, sizes, model)
 
-    monkeypatch.setattr(evaluator, "_space", space)
+    monkeypatch.setattr(evaluator, "_marginal", marginal)
     return widest
 
 
-def test_r2_under_explain_weighs_a_wide_union_as_prob_does(widest_fold):
-    # The | over 16 coins is weighed by gates under explain too: no fold
-    # of its sides, whose union has 2^16 - 1 rows.
+def test_r2_under_explain_weighs_a_wide_union_as_prob_does(widest_grid):
+    # The | over 16 coins is weighed by gates under explain too: no
+    # marginal over its sides' grid of 2^16 cells; only single coins
+    # are weighed as masks.
     f = complement(16)
     result, why = prob_explain(f, COINS)
     assert result == why.result == prob(f, COINS) == Determined(1 - F(1, 2**16))
-    assert widest_fold[0] <= 64
+    assert widest_grid[0] == 2
 
 
-def test_a_zero_mass_r2_note_counts_its_point_over_a_wide_support(widest_fold):
+def test_a_zero_mass_r2_note_counts_its_point_over_a_wide_support(widest_grid):
     # The last coin never lands T, so R2's E & F has mass 0 and is read
-    # off its space, whose one point the note counts without a fold.
+    # off its space, whose one point the note counts by gates, with no
+    # marginal over its grid.
     model = parse_model("".join(f"experiment c{i} : H, T\n" for i in range(19))
                         + "experiment c19 : H=1, T=0\n")
     f = complement(20)
@@ -772,30 +794,37 @@ def test_a_zero_mass_r2_note_counts_its_point_over_a_wide_support(widest_fold):
     assert (both.rule, both.formula) == ("enumeration", format_formula(ChoiceAnd(f.left, f.right)))
     support = "{" + ", ".join(sorted(f"c{i}" for i in range(20))) + "}"
     assert both.note == f"1 point(s) over {support}, summed over {support}"
-    assert widest_fold[0] <= 64
+    assert widest_grid[0] == 2
 
 def weighed_runs(monkeypatch) -> list:
-    """The root of every run weighed, printed: folded into rows by
-    ``_space``, or eliminated as gates."""
+    """The way and the root, printed, of every run weighed (``_weigh``)
+    or counted (``_points``): "gates" where it eliminates its gate form,
+    else "masks"."""
     roots = []
-    real_space, real_gates = evaluator._space, evaluator._gates
+    gated = []
+    real_gates = evaluator._gates
 
-    def space(nodes, model):
-        roots.append(format_formula(nodes[-1]))
-        return real_space(nodes, model)
+    def gates(*args, **kwargs):
+        gated.append(True)
+        return real_gates(*args, **kwargs)
 
-    def gates(run, *args):
-        roots.append(format_formula(run[-1]))
-        return real_gates(run, *args)
+    def recorded(real):
+        def call(run, *args):
+            gated.clear()
+            result = real(run, *args)
+            roots.append(("gates" if gated else "masks", format_formula(run[-1])))
+            return result
+        return call
 
-    monkeypatch.setattr(evaluator, "_space", space)
     monkeypatch.setattr(evaluator, "_gates", gates)
+    monkeypatch.setattr(evaluator, "_weigh", recorded(evaluator._weigh))
+    monkeypatch.setattr(evaluator, "_points", recorded(evaluator._points))
     return roots
 
 
 def test_an_independent_pgiven_evaluates_its_condition_once(monkeypatch):
-    # One program, whose root is the conditional; each side's space is
-    # folded once, for its one step.
+    # One program, whose root is the conditional; each side is folded to
+    # its mask once, for its one step.
     programs = []  # the root of each program, printed
     real_value = evaluator._value
 
@@ -808,25 +837,26 @@ def test_an_independent_pgiven_evaluates_its_condition_once(monkeypatch):
     f = parse_formula("H@c0 pgiven (lo@s | hi@s)")
     assert prob(f, SIGNAL) == Determined(F(1, 2))
     assert programs == ["H@c0 pgiven lo@s | hi@s"]
-    assert weighed == ["H@c0", "lo@s | hi@s"]
+    assert weighed == [("masks", "H@c0"), ("masks", "lo@s | hi@s")]
 
 
 def test_a_wide_condition_is_weighed_once_by_gates(monkeypatch, eliminations):
-    # The condition, a dependent || over nine steps of the chain, is one
-    # elimination of its gates, beside the event's rows; under a dependent
-    # root, the joint keeps the condition's gate and folds no space.
+    # The condition, a dependent || over thirteen steps of the chain, is
+    # one elimination of its gates, beside the event's mask; under a
+    # dependent root, the joint keeps the condition's gate and folds no
+    # mask.
     weighed = weighed_runs(monkeypatch)
-    condition = " || ".join(f"0@x{i}" for i in range(1, 10))
-    model = parse_model(SIGNAL_TEXT + MARKOV10_TEXT)
+    condition = " || ".join(f"0@x{i}" for i in range(1, 14))
+    model = parse_model(SIGNAL_TEXT + markov_text(14))
     f = parse_formula(f"H@c0 pgiven ({condition})")
     assert prob(f, model) == Determined(F(1, 2))
-    assert weighed == ["H@c0", format_formula(f.condition)]
+    assert weighed == [("masks", "H@c0"), ("gates", format_formula(f.condition))]
     assert eliminations == [None, None]
     weighed.clear()
     eliminations.clear()
-    f = parse_formula(WIDE)
-    assert prob(f, MARKOV10) == enumerate_prob(f, MARKOV10)
-    assert weighed == [format_formula(ParAnd(f.event, f.condition))]
+    f = parse_formula("1@x13 pgiven " + " || ".join(f"0@x{i}" for i in range(13)))
+    assert prob(f, MARKOV14) == enumerate_prob(f, MARKOV14)
+    assert weighed == [("gates", format_formula(ParAnd(f.event, f.condition)))]
     assert eliminations == ["gates"]
 
 
@@ -853,39 +883,37 @@ def test_a_root_conditional_takes_one_walk(monkeypatch, text):
         assert len(walks) == 1 and walks[0] is f
 
 
-@pytest.mark.parametrize("text, by_gates", [
-    (" || ".join(f"0@x{i}" for i in range(4)), False),  # a short run
-    ("(0@x0 | 1@x0) | ((0@x0 & 1@x0) | (~0@x0 | (1@x0 | 0@x0)))", False),  # a narrow one
-    (" && ".join(f"0@x{i}" for i in range(9)), False),  # wide, but each && keeps one row
-    (" || ".join(f"0@x{i}" for i in range(9)), True),  # wide, and each || lifts its sides
-], ids=["short", "narrow", "few-rows", "many-rows"])
-def test_the_cost_function_picks_rows_or_gates(monkeypatch, text, by_gates):
-    # Each branch of the one cost function, and the way the query then
-    # takes; both ways give the oracle's answer.
-    f = parse_formula(text)
-    run = semantics._walk(f, MARKOV10, None)[2][0]
-    assert evaluator._by_gates(run, MARKOV10) is by_gates
+@pytest.mark.parametrize("n, way", [(12, "masks"), (13, "gates")],
+                         ids=["at-the-bound", "past-it"])
+def test_the_bound_picks_masks_or_gates(monkeypatch, n, way):
+    # A dependent || over n steps of the chain has a grid of 2^n cells:
+    # at the bound of 4,096, masks; past it, gates; and with the bound
+    # set to 0, gates. Every way gives the oracle's answer.
+    f = parse_formula(" || ".join(f"0@x{i}" for i in range(n)))
+    expected = enumerate_prob(f, MARKOV14)
     weighed = weighed_runs(monkeypatch)
-    real = evaluator._gates
-    gated = []
-    monkeypatch.setattr(evaluator, "_gates", lambda *args: gated.append(1) or real(*args))
-    assert prob(f, MARKOV10) == enumerate_prob(f, MARKOV10)
-    assert weighed == [format_formula(f)] and bool(gated) is by_gates
+    assert prob(f, MARKOV14) == expected
+    assert weighed == [(way, format_formula(f))]
+    weighed.clear()
+    monkeypatch.setattr(evaluator, "_CELLS", 0)
+    assert prob(f, MARKOV14) == expected
+    assert weighed == [("gates", format_formula(f))]
 
 
 def test_a_gate_decided_note_counts_the_points_of_the_space(monkeypatch):
     # x9's outcome 2 has weight 0, so the && below is read off its space,
-    # and the note counts that space's points: by gates with unit
-    # weights, the number that the rows give.
+    # and the note counts that space's points: by masks, the set bits of
+    # its mask over 1,536 cells; by gates (the bound set to 0), the gate
+    # form with unit weights; the same number both ways.
     model = parse_model(MARKOV10_TEXT.replace(
         "experiment x9 : 0, 1 depends x8", "experiment x9 : 0, 1, 2 depends x8"))
     f = parse_formula("(" + " || ".join(f"0@x{i}" for i in range(9)) + ") && 2@x9")
-    run = semantics._walk(f, model, None)[2][0]
-    assert evaluator._by_gates(run, model)
-    gated = evaluator.render_derivation(prob_explain(f, model)[1])
-    monkeypatch.setattr(evaluator, "_by_gates", lambda run, model: False)
-    assert evaluator.render_derivation(prob_explain(f, model)[1]) == gated
-    assert "(511 point(s) over {x0, x1, x2, x3, x4, x5, x6, x7, x8, x9}, " in gated
+    weighed = weighed_runs(monkeypatch)
+    masked = evaluator.render_derivation(prob_explain(f, model)[1])
+    assert ("masks", format_formula(f)) in weighed
+    monkeypatch.setattr(evaluator, "_CELLS", 0)
+    assert evaluator.render_derivation(prob_explain(f, model)[1]) == masked
+    assert "(511 point(s) over {x0, x1, x2, x3, x4, x5, x6, x7, x8, x9}, " in masked
 
 
 @pytest.mark.parametrize("text, event, condition", [
@@ -895,26 +923,26 @@ def test_a_gate_decided_note_counts_the_points_of_the_space(monkeypatch):
     ("1@x4 && 0@x5 pgiven 0@x0 | 1@x0", 3, 3),  # the condition is its own closure
 ])
 def test_a_dependent_conditional_folds_each_side_once(monkeypatch, text, event, condition):
-    # The joint's space joins the event's with the condition's, which is
-    # also the one the condition's mass is read off; both come from one
-    # fold over the event's nodes and then the condition's, and these
-    # narrow joints weigh no gates.
+    # The joint's mask is the event's AND the condition's, which is also
+    # the one the condition's mass is read off; both come from one fold of
+    # the joint's run, the event's nodes, the condition's and the joint,
+    # and these narrow joints weigh no gates.
     runs = []  # the length of each run of nodes folded, or gated
-    real_space, real_gates = evaluator._space, evaluator._gates
+    real_masks, real_gates = evaluator._masks, evaluator._gates
 
-    def space(nodes, model):
-        runs.append(len(nodes))
-        return real_space(nodes, model)
+    def masks(run, *args):
+        runs.append(len(run))
+        return real_masks(run, *args)
 
     def gates(run, *args):
         runs.append(("gates", len(run)))
         return real_gates(run, *args)
 
-    monkeypatch.setattr(evaluator, "_space", space)
+    monkeypatch.setattr(evaluator, "_masks", masks)
     monkeypatch.setattr(evaluator, "_gates", gates)
     f = parse_formula(text)
     assert prob(f, MARKOV10) == enumerate_prob(f, MARKOV10)
-    assert runs == [event + condition]
+    assert runs == [event + condition + 1]
 
 
 @pytest.mark.parametrize("text", [

@@ -6,7 +6,7 @@ gives the space that a point-by-point reading of the definitions gives,
 the explanation's root
 is ``prob``, both forms of the parallel Bayes rule agree, generated
 noisy-OR models, factored or perturbed, evaluate as the oracle does, the
-gate weigher gives the rows' and the oracle's masses, and
+mask and gate weighers give the rows' and the oracle's masses, and
 the support walk gives the support and ancestral closure, the
 post-order program and the independent ``&&`` and ``||``, that a
 recursion over the formula gives.
@@ -248,8 +248,15 @@ def reference_space(f, model):
         return {Point(tuple(zip(names, combo)))
                 for combo in product(*(model.outcomes(n) for n in names))}
 
+    def merge(a, b):  # None where a shared experiment disagrees
+        merged = dict(a.items)
+        for e, o in b.items:
+            if merged.setdefault(e, o) != o:
+                return None
+        return Point.of(merged)
+
     def conj(left, right):
-        return {m for a in left for b in right if (m := a.merge(b)) is not None}
+        return {m for a in left for b in right if (m := merge(a, b)) is not None}
 
     if isinstance(f, AtomNode):
         return {f.experiment}, {Point(((f.experiment, f.outcome),))}
@@ -373,13 +380,14 @@ def test_noisy_or_models_agree_with_enumeration(case, data):
 @DETERMINISTIC
 @given(st.randoms(use_true_random=False), st.booleans())
 def test_gates_agree_with_rows_and_enumeration(rng, noisy):
-    # The gate weigher, called directly, on random determined formulas:
-    # over a random DAG, where atoms share experiments, have parents, sit
-    # under ~, or name an experiment once and fold into their gate; or
-    # over a noisy-OR whose effect's cpt enters in its per-cause form.
-    # Each side's mass, and the conjunction's, equals the rows' and the
-    # oracle's, and its count of points the space's; the conjunction's
-    # right side gets its mass from the same elimination as the root.
+    # Both weighers, called directly, on random determined formulas: over
+    # a random DAG, where atoms share experiments, have parents, sit under
+    # ~, or name an experiment once and fold into their gate; or over a
+    # noisy-OR whose effect's cpt enters in its per-cause form. Each
+    # side's mass, and the conjunction's, equals the oracle's and the
+    # rows' of its space, and its count of points the space's, by masks
+    # and by gates; the conjunction's right side gets its mass from the
+    # same elimination as the root, both ways.
     model = (parse_model(noisy_or(4)) if noisy
              else random_dag_model(rng, max_experiments=6, max_outcomes=3, max_parents=3))
     f = ParAnd(random_formula(rng, model, 3), random_formula(rng, model, 3))
@@ -391,15 +399,17 @@ def test_gates_agree_with_rows_and_enumeration(rng, noisy):
     for part in (run, run[:split], run[split:-1]):
         expected = enumerate_prob(part[-1], model).value
         axes, rows = semantics._space(part, model)[0]
-        weights, _, scale = evaluator._point_weights(axes, rows, model)
+        weights, scale = evaluator._point_weights(axes, rows, model)
         assert Fraction(sum(weights), scale) == expected
+        assert evaluator._weigh(part, model) == [expected]  # as masks: every grid is narrow
         (weight,), scale = evaluator._gates(part, model)
         assert Fraction(weight, scale) == expected
         assert evaluator._gates(part, model, weighted=False) == ([len(rows)], 1)
         assert evaluator._points(part, model) == (axes, len(rows))
-    (joint, side), scale = evaluator._gates(run, model, right=True)
-    assert Fraction(joint, scale) == enumerate_prob(f, model).value
-    assert Fraction(side, scale) == enumerate_prob(f.right, model).value
+    both = [enumerate_prob(f, model).value, enumerate_prob(f.right, model).value]
+    assert evaluator._weigh(run, model, True) == both
+    weights, scale = evaluator._gates(run, model, right=True)
+    assert [Fraction(w, scale) for w in weights] == both
 
 
 def sides(g):

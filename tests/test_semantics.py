@@ -185,6 +185,17 @@ class TestCartesianConj:
                 s, cartesian_conj(t, u)
             )
 
+    def test_point_merge_is_deprecated_for_it(self):
+        # Point.merge still combines two points, or gives None on a
+        # conflict, but warns, naming cartesian_conj.
+        h, t, d = Point.of({"c": "H"}), Point.of({"c": "T"}), Point.of({"d": "1"})
+        with pytest.warns(DeprecationWarning, match="cartesian_conj"):
+            assert h.merge(d) == Point.of({"c": "H", "d": "1"})
+        with pytest.warns(DeprecationWarning, match="cartesian_conj"):
+            assert h.merge(t) is None
+        conj = cartesian_conj(space({"c"}, {"c": "H"}), space({"d"}, {"d": "1"}))
+        assert conj.points == {Point.of({"c": "H", "d": "1"})}
+
 
 class TestLift:
     def test_adds_missing_binary_experiment(self, two_coins_cd):

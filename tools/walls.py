@@ -86,6 +86,12 @@ def rows():
         query = f"({atoms('0@x{}', range(k))}) && ({atoms('0@x{}', range(k, 2 * k))})"
         reference = 1 - ones(0, k - 1) - ones(k, 2 * k - 1) + ones(0, 2 * k - 1)
         yield f"two-block/k={k}", query, chain, reference
+    for n in (20, 60):  # one all-heads or all-tails point each: a wide, sparse union
+        heads = " && ".join(f"H@c{i}" for i in range(n))
+        tails = " && ".join(f"T@c{i}" for i in range(n))
+        yield f"heads-or-tails/n={n}", f"({heads}) | ({tails})", coins, HALF ** (n - 1)
+    for n in (100, 199):  # one point over n axes of the chain
+        yield f"conj/n={n}", " && ".join(f"1@x{i}" for i in range(n)), chain, ones(0, n - 1)
     for n in (12, 200):
         yield f"coin/n={n}", atoms("H@c{}", range(n)), coins, 1 - HALF**n
     for k in (13, 199):
