@@ -900,6 +900,30 @@ def test_the_bound_picks_masks_or_gates(monkeypatch, n, way):
     assert weighed == [("gates", format_formula(f))]
 
 
+@pytest.mark.parametrize("text, cells", [
+    (" || ".join(f"0@x{i}" for i in range(4)), 16),  # a short run
+    ("(0@x0 | 1@x0) | ((0@x0 & 1@x0) | (~0@x0 | (1@x0 | 0@x0)))", 2),  # a narrow one
+    (" && ".join(f"0@x{i}" for i in range(9)), 512),  # wide, and each && keeps one row
+    (" || ".join(f"0@x{i}" for i in range(9)), 512),  # wide, and each || lifts its sides
+], ids=["short", "narrow", "few-rows", "many-rows"])
+def test_the_cost_function_picks_rows_or_gates(monkeypatch, text, cells):
+    # The cost of a run is its grid's cells, not its rows: each of these
+    # runs, whatever rows its nodes would keep, is under the bound and so
+    # weighed as masks; with the bound below its cells, by gates. Both
+    # ways give the oracle's answer.
+    f = parse_formula(text)
+    run = semantics._walk(f, MARKOV10, None)[2][0]
+    assert math.prod(evaluator._grid(run, MARKOV10)[1]) == cells <= evaluator._CELLS
+    expected = enumerate_prob(f, MARKOV10)
+    weighed = weighed_runs(monkeypatch)
+    assert prob(f, MARKOV10) == expected
+    assert weighed == [("masks", format_formula(f))]
+    weighed.clear()
+    monkeypatch.setattr(evaluator, "_CELLS", cells - 1)
+    assert prob(f, MARKOV10) == expected
+    assert weighed == [("gates", format_formula(f))]
+
+
 def test_a_gate_decided_note_counts_the_points_of_the_space(monkeypatch):
     # x9's outcome 2 has weight 0, so the && below is read off its space,
     # and the note counts that space's points: by masks, the set bits of
